@@ -94,6 +94,11 @@ def parse_gem(data):
     return _parse_text(data)
 
 
+def _is_int(x):
+    # JSON true/false load as bool, which is an int subclass
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_json(text):
     try:
         obj = json.loads(text)
@@ -102,12 +107,12 @@ def _parse_json(text):
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ParseError('json gem needs "n" and "edges"')
     n = obj["n"]
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise ParseError('"n" must be an integer')
     edges = []
     for i, rec in enumerate(obj["edges"]):
         if (not isinstance(rec, (list, tuple)) or len(rec) != 3
-                or not all(isinstance(x, int) for x in rec)):
+                or not all(_is_int(x) for x in rec)):
             raise ParseError("edge %d is not three integers" % i)
         edges.append(tuple(rec))
     attest = obj.get("attest", {})
@@ -429,6 +434,16 @@ def _atomic_write(path, data):
         raise
 
 
+def _cached_exit_code(blob):
+    """Exit code of a cached record, or None when the record is unusable."""
+    try:
+        rec = json.loads(blob)
+    except ValueError:
+        return None
+    code = rec.get("exit_code") if isinstance(rec, dict) else None
+    return code if _is_int(code) else None
+
+
 def run_cached(gf, options=None, cache_dir=None):
     """run_pipeline with a byte-for-byte directory cache.
 
@@ -444,12 +459,14 @@ def run_cached(gf, options=None, cache_dir=None):
         if os.path.exists(rec_path):
             with open(rec_path, "rb") as fh:
                 blob = fh.read()
-            dgm = None
-            if os.path.exists(dgm_path):
-                with open(dgm_path, "rb") as fh:
-                    dgm = fh.read()
-            exit_code = json.loads(blob)["exit_code"]
-            return blob, dgm, exit_code, True
+            exit_code = _cached_exit_code(blob)
+            if exit_code is not None:
+                dgm = None
+                if os.path.exists(dgm_path):
+                    with open(dgm_path, "rb") as fh:
+                        dgm = fh.read()
+                return blob, dgm, exit_code, True
+            # unreadable entry (e.g. a truncated write): a miss, rewritten
     rec, dgm = run_pipeline(gf, opts)
     blob = rec.to_bytes()
     if cache_dir:
@@ -479,16 +496,17 @@ def _run_one(path, options, cache_dir):
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-    except OSError as exc:
-        return BatchRow(path, exit_code=EXIT_IO, error=str(exc))
-    try:
         gf = parse_gem(data)
+        blob, dgm, code, hit = run_cached(gf, options, cache_dir)
     except GemError as exc:
         return BatchRow(path, exit_code=EXIT_INVALID, error=str(exc))
-    try:
-        blob, dgm, code, hit = run_cached(gf, options, cache_dir)
     except OSError as exc:
         return BatchRow(path, exit_code=EXIT_IO, error=str(exc))
+    except Exception as exc:
+        # last resort: one failing input must not take the batch down
+        return BatchRow(path, exit_code=EXIT_INTERNAL,
+                        error="internal error: %s: %s"
+                        % (type(exc).__name__, exc))
     return BatchRow(path, blob, dgm, code, hit)
 
 

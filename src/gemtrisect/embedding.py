@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graphs import GemError, bicolored_cycles, is_bipartite, residues
+from .graphs import (GemError, ResidueCensus, bicolored_cycles, is_bipartite,
+                     residues)
 
 
 # -- cyclic permutations ------------------------------------------------
@@ -101,29 +102,18 @@ def cyclic_permutations(n):
 
 # -- census-formula genus ------------------------------------------------
 
-def _chi_formula(g, cyc_seq, vertices=None):
+def _chi_formula(pair_count, cyc_seq, order):
     """Euler characteristic of the regular embedding via residue counts.
 
-    cyc_seq is a tuple of colors; when `vertices` is given, cycles are
-    counted inside that vertex set only (a single component of the
-    induced subgraph).
+    pair_count maps frozenset({c, d}) to the number of {c,d}-cycles,
+    cyc_seq is a tuple of colors and order the number of vertices.
     """
     m = len(cyc_seq) - 1  # graph regularity degree minus one
-    if vertices is None:
-        p2 = g.nv // 2
-        total = 0
-        for i in range(len(cyc_seq)):
-            a, b = cyc_seq[i], cyc_seq[(i + 1) % len(cyc_seq)]
-            total += len(residues(g, frozenset((a, b))))
-        return total + (1 - m) * p2
-    vset = vertices if isinstance(vertices, set) else set(vertices)
-    p2 = len(vset) // 2
     total = 0
     for i in range(len(cyc_seq)):
-        a, b = cyc_seq[i], cyc_seq[(i + 1) % len(cyc_seq)]
-        total += sum(1 for r in residues(g, frozenset((a, b)))
-                     if r.vertices[0] in vset)
-    return total + (1 - m) * p2
+        total += pair_count[frozenset((cyc_seq[i],
+                                       cyc_seq[(i + 1) % len(cyc_seq)]))]
+    return total + (1 - m) * (order // 2)
 
 
 def rho(g, eps):
@@ -136,7 +126,7 @@ def rho(g, eps):
     if len(eps) != g.n + 1:
         raise GemError("permutation length %d does not match dimension %d"
                        % (len(eps), g.n))
-    chi = _chi_formula(g, eps.seq)
+    chi = _chi_formula(ResidueCensus(g), eps.seq, g.nv)
     return Fraction(2 - chi, 2)
 
 
@@ -164,8 +154,19 @@ def subgraph_rho(g, eps, drop_color):
     sub_seq = eps.drop(drop_color)
     colorset = frozenset(sub_seq)
     comps = residues(g, colorset)
-    vals = [Fraction(2 - _chi_formula(g, sub_seq, r.vertices), 2)
-            for r in comps]
+    comp_of = [0] * g.nv
+    for i, r in enumerate(comps):
+        for v in r.vertices:
+            comp_of[v] = i
+    # bicolored cycles never straddle components; file each under its own
+    pairs = {frozenset((sub_seq[i], sub_seq[(i + 1) % len(sub_seq)]))
+             for i in range(len(sub_seq))}
+    counts = [dict.fromkeys(pairs, 0) for _ in comps]
+    for pair in pairs:
+        for r in residues(g, pair):
+            counts[comp_of[r.vertices[0]]][pair] += 1
+    vals = [Fraction(2 - _chi_formula(cnt, sub_seq, len(r.vertices)), 2)
+            for cnt, r in zip(counts, comps)]
     return vals[0] if len(vals) == 1 else vals
 
 

@@ -11,6 +11,7 @@ endpoint) and are addressed everywhere by their index in that order.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 
@@ -80,9 +81,12 @@ class ColoredGraph:
             verts.add(v)
         if not verts:
             raise GemError("empty edge list")
-        nv = max(verts) + 1
-        if verts != set(range(nv)):
-            raise GemError("vertex ids must be 0..%d with no gaps" % (nv - 1))
+        # distinct ids with minimum 0 and maximum len - 1 are exactly
+        # 0..nv-1; checked before any table of size max(id) exists
+        nv = len(verts)
+        top = max(verts)
+        if min(verts) != 0 or top != nv - 1:
+            raise GemError("vertex ids must be 0..%d with no gaps" % top)
         inc = [[None] * (n + 1) for _ in range(nv)]
         canon = []
         for u, v, c in edge_list:
@@ -208,27 +212,34 @@ def residues(g, colorset):
     return out
 
 
-class ResidueCensus:
-    """Counts of colorset residues; pairs and triples precomputed."""
+class ResidueCensus(dict):
+    """Residue counts of one graph keyed by frozenset of colors.
+
+    A count is computed on first lookup, so callers that stop early
+    never build the residues they did not need.
+    """
+
+    __slots__ = ("_g",)
 
     def __init__(self, g):
+        super().__init__()
         self._g = g
-        self.counts = {}
-        cols = list(g.colors)
-        for r in (2, 3):
-            for sub in itertools.combinations(cols, r):
-                key = frozenset(sub)
-                self.counts[key] = len(residues(g, key))
+
+    def __missing__(self, colors):
+        count = self[colors] = len(residues(self._g, colors))
+        return count
 
     def g_of(self, *colors):
-        key = frozenset(colors)
-        if key not in self.counts:
-            self.counts[key] = len(residues(self._g, key))
-        return self.counts[key]
+        return self[frozenset(colors)]
 
 
 def residue_census(g):
-    return ResidueCensus(g)
+    """A census with every pair and triple of colors counted."""
+    census = ResidueCensus(g)
+    for r in (2, 3):
+        for sub in itertools.combinations(g.colors, r):
+            census.g_of(*sub)
+    return census
 
 
 # -- bipartiteness -----------------------------------------------------
@@ -421,7 +432,9 @@ def find_dipole(g):
 
     A pair joined by exactly the colors S is a dipole when the two
     vertices lie in different residues of the complementary colors;
-    cancelling such a pair preserves the represented manifold.
+    cancelling such a pair preserves the represented manifold.  With
+    cancel_dipole this is the reference chain that DipoleReducer
+    reproduces incrementally.
     """
     joins = {}
     for u, v, c in g.edges:
@@ -456,3 +469,119 @@ def cancel_dipole(g, u, v, colors):
         b = g.neighbor(v, c)[0]
         edges.append((remap[a], remap[b], c))
     return build_graph(g.n, edges)
+
+
+class DipoleReducer:
+    """The find_dipole / cancel_dipole chain on one mutable copy of g.
+
+    cancel_next() cancels the same dipoles in the same order as
+    repeatedly calling find_dipole and cancel_dipole, but names them by
+    the vertex ids of g: cancel_dipole renumbers the survivors in their
+    old order, so the first dipole in sorted (u, v) order is the same
+    pair under either numbering.  Each cancellation costs O(1) besides
+    heap and union-find operations (a union-find is labelled once, in
+    O(order), when its color set is first asked about), because
+
+    - candidate pairs sit in a min-heap and are re-checked when popped.
+      A rejected pair can become a dipole only when a weld adds a color
+      between its two vertices, and that weld pushes the pair again;
+    - cancelling a dipole of colors S lowers the {c,d}-cycle count by
+      one when {c,d} lies inside S or misses S, and keeps it otherwise;
+    - for a color set C the C-residues of the dipole's two vertices
+      merge when C misses S, and no C-residue changes otherwise (the
+      two vertices already share one), so one union-find per color set
+      tells whether a pair lies in different residues of the
+      complementary colors.
+
+    Welds keep the graph proper and regular; graph() rebuilds the
+    current graph through build_graph, which validates it.
+    """
+
+    def __init__(self, g):
+        self.n = g.n
+        self.nv = g.nv
+        nbr = [[0] * (g.n + 1) for _ in range(g.nv)]
+        for u, v, c in g.edges:
+            nbr[u][c] = v
+            nbr[v][c] = u
+        self._nbr = nbr
+        self._alive = [True] * g.nv
+        counts = ResidueCensus(g)
+        self.pair_counts = {
+            frozenset(p): counts[frozenset(p)]
+            for p in itertools.combinations(g.colors, 2)}
+        self._colors = frozenset(g.colors)
+        self._heap = sorted({(u, v) for u, v, _ in g.edges})
+        self._parent = {}       # color set -> union-find parent list
+
+    def cancel_next(self):
+        """Cancel the first dipole; return (u, v, colors) or None."""
+        heap = self._heap
+        alive = self._alive
+        while heap:
+            u, v = heapq.heappop(heap)
+            if not (alive[u] and alive[v]):
+                continue
+            # edges between live vertices outlast every weld, so a
+            # queued pair is still adjacent
+            nu = self._nbr[u]
+            S = frozenset(c for c in self._colors if nu[c] == v)
+            comp = self._colors - S
+            if not comp or self._root(comp, u) == self._root(comp, v):
+                continue
+            self._cancel(u, v, S)
+            return (u, v, S)
+        return None
+
+    def _root(self, colors, x):
+        parent = self._parent.get(colors)
+        if parent is None:
+            parent = self._parent[colors] = self._labels(colors)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def _labels(self, colors):
+        """Union-find parents: every vertex points at its residue's root."""
+        nbr = self._nbr
+        parent = list(range(len(nbr)))
+        seen = [not a for a in self._alive]
+        for start in range(len(nbr)):
+            if seen[start]:
+                continue
+            seen[start] = True
+            stack = [start]
+            while stack:
+                w = stack.pop()
+                parent[w] = start
+                for c in colors:
+                    x = nbr[w][c]
+                    if not seen[x]:
+                        seen[x] = True
+                        stack.append(x)
+        return parent
+
+    def _cancel(self, u, v, colors):
+        nbr = self._nbr
+        self._alive[u] = self._alive[v] = False
+        self.nv -= 2
+        for pair in self.pair_counts:
+            if pair <= colors or not pair & colors:
+                self.pair_counts[pair] -= 1
+        # a no-op when cset meets colors: u and v already share a residue
+        for cset, parent in self._parent.items():
+            parent[self._root(cset, u)] = self._root(cset, v)
+        for c in self._colors - colors:
+            a, b = nbr[u][c], nbr[v][c]
+            nbr[a][c] = b
+            nbr[b][c] = a
+            heapq.heappush(self._heap, (a, b) if a < b else (b, a))
+
+    def graph(self):
+        """The current graph, numbered as cancel_dipole would number it."""
+        keep = [w for w, ok in enumerate(self._alive) if ok]
+        new_id = {w: i for i, w in enumerate(keep)}
+        edges = [(new_id[a], new_id[b], c)
+                 for a in keep for c, b in enumerate(self._nbr[a]) if a < b]
+        return build_graph(self.n, edges)

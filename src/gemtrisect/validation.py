@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import re
 
-from .embedding import cyclic_permutations, rho
+from .embedding import _chi_formula, cyclic_permutations
 from .graphs import (
+    DipoleReducer,
     GemError,
-    cancel_dipole,
-    find_dipole,
+    ResidueCensus,
     residue_subgem,
     residues,
     is_bipartite,
@@ -105,6 +105,11 @@ def check_surface_residues(g):
     return out
 
 
+def _genus_zero(pair_count, order, cycles):
+    """Some cyclic permutation in cycles has regular genus 0 (chi = 2)."""
+    return any(_chi_formula(pair_count, seq, order) == 2 for seq in cycles)
+
+
 def _three_manifold_verdict(sub):
     """sphere / non-sphere / unknown for a 4-colored graph.
 
@@ -113,18 +118,17 @@ def _three_manifold_verdict(sub):
     the reduction chain.  Nonzero Euler characteristic or nontrivial
     H1 refutes the sphere; anything else stays undecided.
     """
-    cur = sub
-    while True:
-        for eps in cyclic_permutations(3):
-            if rho(cur, eps) == 0:
-                return SPHERE
-        dip = find_dipole(cur)
-        if dip is None:
-            break
-        try:
-            cur = cancel_dipole(cur, *dip)
-        except GemError:
-            break
+    cycles = [eps.seq for eps in cyclic_permutations(sub.n)]
+    if _genus_zero(ResidueCensus(sub), sub.nv, cycles):
+        return SPHERE
+    chain = DipoleReducer(sub)
+    while chain.cancel_next() is not None:
+        if _genus_zero(chain.pair_counts, chain.nv, cycles):
+            try:
+                chain.graph()   # welds keep a gem; validated once, here
+            except GemError:
+                break
+            return SPHERE
     if chain_complex(sub).euler_characteristic() != 0:
         return NON_SPHERE
     if pi1_presentation(sub).abelianization().min_generators != 0:
@@ -175,7 +179,12 @@ def parse_attestations(attest):
     if sphere:
         for item in str(sphere).split(","):
             c, _, idx = item.strip().partition(":")
-            out["sphere"].add((int(c), int(idx) if idx else 0))
+            try:
+                out["sphere"].add((int(c), int(idx) if idx else 0))
+            except ValueError:
+                raise GemError(
+                    "sphere attestation items must look like c or c:idx, "
+                    "got %r" % item.strip()) from None
     boundary = attest.pop("boundary", None)
     if boundary is not None:
         m = _BOUNDARY_RE.match(str(boundary).strip())

@@ -380,3 +380,64 @@ def test_main_format_flag(tmp_path):
     dots = list(out.glob("p.*.diagram.dot"))
     assert len(dots) == 1
     assert dots[0].read_bytes().startswith(b"graph diagram {")
+
+
+def test_batch_survives_malformed_attestation(tmp_path):
+    good = _write(tmp_path, "a.gem", SPHERE_TEXT)
+    bad = _write(tmp_path, "b.gem",
+                 SPHERE_TEXT.replace("attest simply-connected=yes",
+                                     "attest sphere=x:y"))
+    rows = batch([good, bad])
+    assert [r.path for r in rows] == [good, bad]
+    assert [r.exit_code for r in rows] == [EXIT_OK, EXIT_INVALID]
+    rec = json.loads(rows[1].record_bytes)
+    assert "x:y" in rec["error"]
+
+
+def test_batch_maps_unexpected_exceptions_to_exit_3(tmp_path, monkeypatch):
+    def boom(*a, **kw):
+        raise KeyError("synthetic")
+    monkeypatch.setattr(cli, "run_pipeline", boom)
+    rows = batch([_write(tmp_path, "a.gem", SPHERE_TEXT),
+                  _write(tmp_path, "b.gem", "gem n=4\n0 1 9\n")])
+    assert [r.exit_code for r in rows] == [EXIT_INTERNAL, EXIT_INVALID]
+    assert "KeyError" in rows[0].error
+
+
+def _untimed(record_bytes):
+    rec = json.loads(record_bytes)
+    del rec["timings"]
+    return rec
+
+
+@pytest.mark.parametrize("damage", [
+    lambda blob: blob[:len(blob) // 2],                     # truncated
+    lambda blob: b"",                                       # empty
+    lambda blob: b"[1, 2]\n",                               # not an object
+    lambda blob: blob.replace(b'"exit_code":0', b'"exit_code":"0"'),
+])
+def test_corrupt_cache_entry_is_a_rewritten_miss(tmp_path, datadir_gem,
+                                                 damage):
+    gf = datadir_gem("projective_plane_like.gem")
+    cache = tmp_path / "cache"
+    blob, dgm, _, _ = run_cached(gf, None, str(cache))
+    entry = cache / (run_key(gf, normalize_options({})) + ".json")
+    entry.write_bytes(damage(blob))
+    again, dgm2, code, hit = run_cached(gf, None, str(cache))
+    assert (hit, code) == (False, EXIT_OK)
+    assert dgm2 == dgm
+    assert _untimed(again) == _untimed(blob)
+    assert entry.read_bytes() == again
+    assert run_cached(gf, None, str(cache))[3] is True
+
+
+@pytest.mark.parametrize("data", [
+    # a huge vertex id must be refused before any table of that size exists
+    b"gem n=4\n0 1 0\n0 1 1\n0 1 2\n0 1 3\n0 99999999 4\n",
+    b'{"n": true, "edges": [[0, 1, 0], [0, 1, 1]]}',
+    b'{"n": 1, "edges": [[0, true, 0], [0, 1, 1]]}',
+    b'{"n": 1, "edges": [[0, 1, false], [0, 1, 1]]}',
+], ids=["huge-vertex-id", "bool-n", "bool-vertex", "bool-color"])
+def test_bad_ids_rejected(data):
+    with pytest.raises(GemError):
+        parse_gem(data)

@@ -93,7 +93,7 @@ def test_edge_order_canonical(blob4_gem):
 
 def test_sphere_residue_counts(s4_gem):
     census = residue_census(s4_gem)
-    for key, count in census.counts.items():
+    for key, count in census.items():
         assert count == 1, key
     assert census.g_of(0, 1, 2, 3) == 1
 

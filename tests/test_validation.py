@@ -1,10 +1,25 @@
 """Membership certification: surface criterion, link verdicts, attestations."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gemtrisect.graphs import GemError, blob_insert, build_graph, residues
+from gemtrisect.cli import parse_gem
+from gemtrisect.embedding import cyclic_permutations, rho
+from gemtrisect.graphs import (
+    DipoleReducer,
+    GemError,
+    blob_insert,
+    build_graph,
+    connected_sum,
+    is_bipartite,
+    residue_subgem,
+    residues,
+)
+from gemtrisect.homology import chain_complex, pi1_presentation
 from gemtrisect.validation import (
     NON_SPHERE,
     SPHERE,
@@ -16,11 +31,12 @@ from gemtrisect.validation import (
     check_surface_residues,
     classify_colors,
     parse_attestations,
+    _genus_zero,
     _three_manifold_verdict,
 )
 from gemtrisect.graphs import cancel_dipole, find_dipole, standard_sphere_gem
 
-from conftest import grow_gem, pipeline_corpus
+from conftest import DATA_DIR, grow_gem, pipeline_corpus
 
 
 def _torus_inside_gem():
@@ -210,6 +226,8 @@ def test_parse_attestations_rejects_garbage():
         parse_attestations({"boundary": "S1xS2"})
     with pytest.raises(GemError):
         parse_attestations({"flavor": "grape"})
+    with pytest.raises(GemError, match="x:y"):
+        parse_attestations({"sphere": "0:1, x:y"})
 
 
 def test_classify_colors_healthy(s4_gem):
@@ -231,3 +249,138 @@ def test_apex_split_detected_for_alternate_apex(s4_gem):
         certify_Gs4(g, apex=2)
     rep = certify_Gs4(g, apex=4)
     assert rep.gs4_member
+
+
+# -- incremental dipole chain against the rebuild-per-dipole reference -----
+
+def _reference_chain(sub):
+    """find_dipole -> cancel_dipole -> rho per step, the unoptimised loop.
+
+    Returns (dipoles in sub's vertex ids, end graph, genus 0 reached).
+    """
+    cur = sub
+    ids = list(range(sub.nv))       # sub's id of each vertex of cur
+    dipoles = []
+    while True:
+        if any(rho(cur, eps) == 0 for eps in cyclic_permutations(cur.n)):
+            return dipoles, cur, True
+        dip = find_dipole(cur)
+        if dip is None:
+            return dipoles, cur, False
+        u, v, colors = dip
+        dipoles.append((ids[u], ids[v], colors))
+        ids = [w for i, w in enumerate(ids) if i not in (u, v)]
+        cur = cancel_dipole(cur, u, v, colors)
+
+
+def _reducer_chain(sub):
+    """The same chain on a DipoleReducer; mirrors _three_manifold_verdict."""
+    cycles = [eps.seq for eps in cyclic_permutations(sub.n)]
+    chain = DipoleReducer(sub)
+    dipoles = []
+    while not _genus_zero(chain.pair_counts, chain.nv, cycles):
+        dip = chain.cancel_next()
+        if dip is None:
+            return dipoles, chain.graph(), False
+        dipoles.append(dip)
+    return dipoles, chain.graph(), True
+
+
+def _fallback(sub):
+    if chain_complex(sub).euler_characteristic() != 0:
+        return NON_SPHERE
+    if pi1_presentation(sub).abelianization().min_generators != 0:
+        return NON_SPHERE
+    return UNKNOWN
+
+
+# the 4-dimensional fixtures; sums with the last two have residues
+# whose chains end without a sphere
+FIXTURES_4D = ("projective_plane_like.gem", "nonzero_forest.gem",
+               "two_singular_colors.gem", "bounded_s1s2.gem")
+
+
+def _fixture(name):
+    return parse_gem((DATA_DIR / name).read_bytes()).graph
+
+
+def _shuffle(g, rng):
+    perm = list(range(g.nv))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v], c) for u, v, c in g.edges])
+
+
+def _weld(g, h, rng, at=None):
+    """connected_sum of g and h at seeded (or given) opposite-class ends."""
+    ok_g, cls_g = is_bipartite(g)
+    ok_h, cls_h = is_bipartite(h)
+    v1, v2 = at if at else (rng.randrange(g.nv), rng.randrange(h.nv))
+    if ok_g and ok_h and cls_g[v1] == cls_h[v2]:
+        v2 = next(w for w in range(h.nv) if cls_h[w] != cls_g[v1])
+    return connected_sum(g, h, v1, v2)
+
+
+def _chain_corpus(seed=2504):
+    """Seeded 4-dimensional gems whose residues exercise the chain.
+
+    Shuffled chain sums of projective_plane_like.gem and
+    nonzero_forest.gem, sphere-blob gems, and random-weld sums of every
+    4-dimensional fixture.
+    """
+    rng = random.Random(seed)
+    fixtures = {name: _fixture(name) for name in FIXTURES_4D}
+    out = []
+    for name in FIXTURES_4D[:2]:
+        for m in (3, 6, 9, 12):
+            g = fixtures[name]
+            for _ in range(m - 1):
+                g = _weld(g, fixtures[name], rng, at=(1, 0))
+            out.append(_shuffle(g, rng))
+    for _ in range(12):
+        out.append(grow_gem(standard_sphere_gem(4), rng.randrange(8, 24),
+                            rng, colors=(0, 1, 2, 3)))
+    for _ in range(20):
+        g = fixtures[rng.choice(FIXTURES_4D)]
+        for _ in range(rng.randrange(1, 6)):
+            g = _weld(g, fixtures[rng.choice(FIXTURES_4D)], rng)
+        out.append(_shuffle(g, rng))
+    return out
+
+
+def _complementary_residues(g):
+    for c in g.colors:
+        for res in residues(g, frozenset(x for x in g.colors if x != c)):
+            yield residue_subgem(g, res)[0]
+
+
+def test_dipole_reducer_matches_reference_chain():
+    subs = dipoles = unfinished = 0
+    for g in _chain_corpus():
+        for sub in _complementary_residues(g):
+            ref = _reference_chain(sub)
+            assert _reducer_chain(sub) == ref
+            expect = SPHERE if ref[2] else _fallback(sub)
+            assert _three_manifold_verdict(sub) == expect
+            subs += 1
+            dipoles += len(ref[0])
+            unfinished += not ref[2]
+    # the corpus must reach deep chains and chains that end unproven
+    assert subs >= 400 and dipoles >= 1000 and unfinished >= 30
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_dipole_reducer_pair_counts_track_rebuilt_graph(seed):
+    rng = random.Random(seed)
+    g = _fixture(rng.choice(FIXTURES_4D))
+    for _ in range(rng.randrange(0, 3)):
+        g = _weld(g, _fixture(rng.choice(FIXTURES_4D)), rng)
+    g = grow_gem(g, rng.randrange(0, 4), rng, colors=(0, 1, 2, 3))
+    for sub in _complementary_residues(_shuffle(g, rng)):
+        chain = DipoleReducer(sub)
+        while chain.cancel_next() is not None:
+            cur = chain.graph()
+            assert chain.nv == cur.nv
+            assert chain.pair_counts == {
+                frozenset(p): len(residues(cur, p))
+                for p in itertools.combinations(cur.colors, 2)}
