@@ -20,7 +20,6 @@ import re
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -434,14 +433,35 @@ def _atomic_write(path, data):
         raise
 
 
-def _cached_exit_code(blob):
-    """Exit code of a cached record, or None when the record is unusable."""
+def _cached_entry(rec_path, dgm_path):
+    """A usable cache entry as (record bytes, diagram bytes, exit code).
+
+    Returns None for an entry to recompute: a record that is unreadable
+    or has no integer exit code, or one whose diagram_ref names a sha256
+    that the diagram file is missing or does not match.  The diagram is
+    None when the record names no sha256.
+    """
+    with open(rec_path, "rb") as fh:
+        blob = fh.read()
     try:
         rec = json.loads(blob)
     except ValueError:
         return None
     code = rec.get("exit_code") if isinstance(rec, dict) else None
-    return code if _is_int(code) else None
+    if not _is_int(code):
+        return None
+    ref = rec.get("diagram_ref")
+    digest = ref.get("sha256") if isinstance(ref, dict) else None
+    if digest is None:
+        return blob, None, code
+    try:
+        with open(dgm_path, "rb") as fh:
+            dgm = fh.read()
+    except FileNotFoundError:
+        return None
+    if hashlib.sha256(dgm).hexdigest() != digest:
+        return None
+    return blob, dgm, code
 
 
 def run_cached(gf, options=None, cache_dir=None):
@@ -457,16 +477,10 @@ def run_cached(gf, options=None, cache_dir=None):
         rec_path = os.path.join(cache_dir, key + ".json")
         dgm_path = os.path.join(cache_dir, key + ".diagram")
         if os.path.exists(rec_path):
-            with open(rec_path, "rb") as fh:
-                blob = fh.read()
-            exit_code = _cached_exit_code(blob)
-            if exit_code is not None:
-                dgm = None
-                if os.path.exists(dgm_path):
-                    with open(dgm_path, "rb") as fh:
-                        dgm = fh.read()
-                return blob, dgm, exit_code, True
-            # unreadable entry (e.g. a truncated write): a miss, rewritten
+            entry = _cached_entry(rec_path, dgm_path)
+            if entry is not None:
+                return entry + (True,)
+            # damaged entry (e.g. a truncated write): a miss, rewritten
     rec, dgm = run_pipeline(gf, opts)
     blob = rec.to_bytes()
     if cache_dir:
@@ -510,15 +524,10 @@ def _run_one(path, options, cache_dir):
     return BatchRow(path, blob, dgm, code, hit)
 
 
-def batch(paths, options=None, cache_dir=None, workers=None):
+def batch(paths, options=None, cache_dir=None):
     """Independent runs, one row per input path, original order kept."""
     opts = normalize_options(options)
-    if workers is None:
-        workers = min(8, max(1, len(paths)))
-    if workers == 1 or len(paths) <= 1:
-        return [_run_one(p, opts, cache_dir) for p in paths]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda p: _run_one(p, opts, cache_dir), paths))
+    return [_run_one(p, opts, cache_dir) for p in paths]
 
 
 # -- command line -------------------------------------------------------------

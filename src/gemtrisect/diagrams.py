@@ -21,8 +21,8 @@ from bisect import bisect_right
 from functools import cmp_to_key
 
 from .embedding import CyclicPermutation, stabilized_surface
-from .graphs import (GemError, bicolored_cycles, is_bipartite, residues,
-                     residue_subgem)
+from .graphs import (GemError, bicolored_cycles, is_bipartite, residue_labels,
+                     residue_subgem, residues)
 from .homology import _snf_divisors, pi1_presentation
 from .trisection import build_Q
 
@@ -56,14 +56,6 @@ class Curve:
         self.kind = kind
         self.steps = tuple(steps)
         self.cycle_index = cycle_index
-
-    def multiplicities(self):
-        """Edge id -> number of traversals, direction-blind."""
-        out = {}
-        for s in self.steps:
-            if s[0] == "e":
-                out[s[1]] = out.get(s[1], 0) + 1
-        return out
 
     def __len__(self):
         return len(self.steps)
@@ -100,14 +92,9 @@ class WallGraph:
 def _wall_graph(g, node_colors, cycle_colors, apex):
     delta3 = frozenset(g.colors) - {apex}
     fams = sorted((delta3 - {c} for c in node_colors), key=sorted)
-    nodes = []
-    node_of = {}
-    for fam in fams:
-        for res in residues(g, fam):
-            node_of[(fam, res.vertices[0])] = len(nodes)
-            for v in res.vertices:
-                node_of[(fam, v)] = len(nodes)
-            nodes.append((fam, res))
+    nodes = [(fam, res) for fam in fams for res in residues(g, fam)]
+    label_a, label_b = residue_labels(g, fams[0]), residue_labels(g, fams[1])
+    first_b = len(residues(g, fams[0]))     # fams[1]'s nodes follow
     a, b = sorted(cycle_colors)
     cycles = bicolored_cycles(g, a, b)
     edges = []
@@ -122,7 +109,7 @@ def _wall_graph(g, node_colors, cycle_colors, apex):
     forest = []
     for ci, cyc in enumerate(cycles):
         v0 = cyc.vertices[0]
-        na, nb = node_of[(fams[0], v0)], node_of[(fams[1], v0)]
+        na, nb = label_a[v0], first_b + label_b[v0]
         edges.append((ci, na, nb))
         ra, rb = find(na), find(nb)
         if ra != rb:
@@ -321,7 +308,7 @@ def _reduce_walk(walk):
 
 
 def _ccw_rotations(surf):
-    """Rotations in counterclockwise order under the global orientation.
+    """Half-edge -> slot in its vertex's counterclockwise rotation.
 
     Stored rotations of one bipartition class read clockwise; the class
     data extends to handle vertices, so reversing that class orients
@@ -330,14 +317,12 @@ def _ccw_rotations(surf):
     """
     if surf.classes is None:
         raise GemError("curve verification needs a bipartite gem")
-    rots = []
     pos = {}
     for v, slots in enumerate(surf.scheme.rot):
-        ccw = tuple(slots) if surf.classes[v] == 0 else tuple(reversed(slots))
-        rots.append(ccw)
+        ccw = slots if surf.classes[v] == 0 else slots[::-1]
         for i, h in enumerate(ccw):
             pos[h] = i
-    return rots, pos
+    return pos
 
 
 def _walk_chords(surf, walk):
@@ -519,7 +504,7 @@ def _crossing_free(res):
     return True, None
 
 
-def _complement_components(surf, res):
+def _complement_components(surf, res, pos):
     """Count regions of the surface minus the resolved strands.
 
     Atoms are vertex-disk boundary arcs, corridor gaps and faces; a
@@ -564,7 +549,7 @@ def _complement_components(surf, res):
             union(("arc", v, a), ("arc", v, (b - 1) % r))
             union(("arc", v, (a - 1) % r), ("arc", v, b))
 
-    def locate(v, slot_coord):
+    def arc_after(v, slot_coord):
         """Arc containing the boundary point just after slot_coord."""
         mk = res.marks[v]
         if not mk:
@@ -580,13 +565,9 @@ def _complement_components(surf, res):
         for end in (0, 1):
             h = 2 * e + end
             v = vo[h]
-            slot = None
-            for i, hh in enumerate(_ccw_slots(surf, v)):
-                if hh == h:
-                    slot = i
-                    break
+            slot = pos[h]
             if m == 0:
-                union(("gap", e, 0), locate(v, slot))
+                union(("gap", e, 0), arc_after(v, slot))
                 continue
             ports = [(micro, idx) for idx, (s, micro, port) in
                      enumerate(res.marks[v]) if s == slot]
@@ -602,32 +583,23 @@ def _complement_components(surf, res):
                 union(("gap", e, gap), ("arc", v, arc))
 
     # faces touch the arc at every corner their boundary walk turns
-    ccw_pos = {}
-    for v in range(nv):
-        for i, hh in enumerate(_ccw_slots(surf, v)):
-            ccw_pos[hh] = i
     for fi, orbit in enumerate(surf.faces):
         for i, h in enumerate(orbit):
             h_next = orbit[(i + 1) % len(orbit)]
             w = vo[h_next]
             t = h ^ 1
             deg = len(scheme.rot[w])
-            pt, ph = ccw_pos[t], ccw_pos[h_next]
+            pt, ph = pos[t], pos[h_next]
             if (pt + 1) % deg == ph:
                 corner = pt
             elif (ph + 1) % deg == pt:
                 corner = ph
             else:
                 raise GemError("face walk skips a corner")
-            union(("face", fi), locate(w, corner + 0.5))
+            union(("face", fi), arc_after(w, corner + 0.5))
 
     roots = {find(x) for x in uf}
     return len(roots)
-
-
-def _ccw_slots(surf, v):
-    slots = surf.scheme.rot[v]
-    return tuple(slots) if surf.classes[v] == 0 else tuple(reversed(slots))
 
 
 # -- assembled diagrams and verification -----------------------------------
@@ -752,7 +724,7 @@ def verify_diagram(diagram):
         disj[name] = ok
     checks["disjoint"] = dict(disj, **{"pass": all(disj.values())})
 
-    _, pos = _ccw_rotations(surf)
+    pos = _ccw_rotations(surf)
     deg_of = [len(r) for r in surf.scheme.rot]
 
     ne = len(surf.scheme.edge_ends)
@@ -798,7 +770,7 @@ def verify_diagram(diagram):
         if not ok:
             entry["crossing_at"] = witness[0]
         else:
-            pieces = _complement_components(surf, res)
+            pieces = _complement_components(surf, res, pos)
             entry["connected"] = pieces == 1
             entry["pieces"] = pieces
             # cutting along disjoint circles keeps chi; capping the

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graphs import (GemError, ResidueCensus, bicolored_cycles, is_bipartite,
-                     residues)
+                     residue_labels, residues)
 
 
 # -- cyclic permutations ------------------------------------------------
@@ -154,10 +154,7 @@ def subgraph_rho(g, eps, drop_color):
     sub_seq = eps.drop(drop_color)
     colorset = frozenset(sub_seq)
     comps = residues(g, colorset)
-    comp_of = [0] * g.nv
-    for i, r in enumerate(comps):
-        for v in r.vertices:
-            comp_of[v] = i
+    comp_of = residue_labels(g, colorset)
     # bicolored cycles never straddle components; file each under its own
     pairs = {frozenset((sub_seq[i], sub_seq[(i + 1) % len(sub_seq)]))
              for i in range(len(sub_seq))}
@@ -198,12 +195,6 @@ class RotationScheme:
         for v, slots in enumerate(rotations):
             for i, h in enumerate(slots):
                 self.pos_of[h] = i
-
-    def twin(self, h):
-        return h ^ 1
-
-    def edge_of(self, h):
-        return h >> 1
 
     def step(self, h, s):
         """Next (half-edge, side) of the face walk leaving along h."""

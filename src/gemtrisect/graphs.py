@@ -60,7 +60,7 @@ class ColoredGraph:
         self.nv = nv
         self.edges = edges
         self._inc = _inc  # per vertex: tuple of edge ids indexed by color
-        self._residue_cache = {}
+        self._residue_cache = {}    # colorset -> (residues, labels)
         self._bipart = None
 
     # -- construction ------------------------------------------------
@@ -196,20 +196,46 @@ def residues(g, colorset):
     An empty colorset yields one residue per vertex.
     """
     colorset = frozenset(colorset)
-    cached = g._residue_cache.get(colorset)
-    if cached is not None:
-        return cached
+    cached = g._residue_cache.get(colorset) or _label_residues(g, colorset)
+    return cached[0]
+
+
+def residue_labels(g, colorset):
+    """label[v] is the index in residues(g, colorset) of v's residue."""
+    colorset = frozenset(colorset)
+    cached = g._residue_cache.get(colorset) or _label_residues(g, colorset)
+    return cached[1]
+
+
+def _label_residues(g, colorset):
+    """Residues and labels of one color set from one pass, cached together.
+
+    Starting each residue at the first unlabelled vertex numbers the
+    residues by minimum vertex.
+    """
+    edges = g.edges
+    inc = g._inc
+    label = [-1] * g.nv
     out = []
-    unseen = set(range(g.nv))
-    while unseen:
-        start = min(unseen)
-        comp = _component(g, colorset, start)
-        unseen -= comp
-        eids = {g.incident(v, c) for v in comp for c in colorset}
+    for start in range(g.nv):
+        if label[start] >= 0:
+            continue
+        idx = len(out)
+        label[start] = idx
+        comp = [start]
+        eids = set()
+        for v in comp:              # comp grows while it is walked
+            for c in colorset:
+                eid = inc[v][c]
+                eids.add(eid)
+                a, b, _ = edges[eid]
+                w = b if a == v else a
+                if label[w] < 0:
+                    label[w] = idx
+                    comp.append(w)
         out.append(Residue(colorset, tuple(sorted(comp)), tuple(sorted(eids))))
-    out = tuple(out)
-    g._residue_cache[colorset] = out
-    return out
+    cached = g._residue_cache[colorset] = (tuple(out), tuple(label))
+    return cached
 
 
 class ResidueCensus(dict):
@@ -442,13 +468,9 @@ def find_dipole(g):
     for (u, v), S in sorted(joins.items()):
         if len(S) == g.n + 1:
             continue
-        comp = frozenset(g.colors) - S
-        for res in residues(g, comp):
-            vset = set(res.vertices)
-            if u in vset:
-                if v not in vset:
-                    return (u, v, frozenset(S))
-                break
+        label = residue_labels(g, frozenset(g.colors) - S)
+        if label[u] != label[v]:
+            return (u, v, frozenset(S))
     return None
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import GemError, is_bipartite, residues
+from .graphs import GemError, is_bipartite, residue_labels, residues
 
 
 class MissingCertificate(GemError):
@@ -48,13 +48,20 @@ class ChainComplex:
     """Cells per dimension and integer boundary matrices.
 
     boundaries[d] maps dimension-d chains to dimension-(d-1) chains,
-    stored as one column per d-cell: a dict {row: +-1}.
+    stored as one column per d-cell: a dict {row: +-1}; chain_complex
+    fills them in.
     """
 
-    def __init__(self, n, cells, boundaries):
-        self.n = n
+    def __init__(self, g, cells, first):
+        self.n = g.n
+        self.graph = g
         self.cells = cells
-        self.boundaries = boundaries
+        self._first = first     # colorset -> position of its first cell
+        self.boundaries = [None]
+
+    def position(self, colorset, v):
+        """Position, among its dimension's cells, of v's colorset-residue."""
+        return self._first[colorset] + residue_labels(self.graph, colorset)[v]
 
     def cell_counts(self):
         return tuple(len(c) for c in self.cells)
@@ -85,39 +92,27 @@ def chain_complex(g):
     n = g.n
     colors = list(g.colors)
     cells = []
-    index = {}   # (colorset, min vertex) -> (dim, position)
+    first = {}
     for d in range(n + 1):
         layer = []
         for sub in itertools.combinations(colors, n - d):
             key = frozenset(sub)
-            for r in residues(g, key):
-                index[(key, r.vertices[0])] = (d, len(layer))
-                layer.append(r)
+            first[key] = len(layer)
+            layer.extend(residues(g, key))
         cells.append(layer)
 
-    vertex_lookup = {}  # (colorset, vertex) -> cell position, built lazily
-    def locate(colorset, vertex):
-        probe = (colorset, vertex)
-        if probe not in vertex_lookup:
-            for r in residues(g, colorset):
-                for v in r.vertices:
-                    vertex_lookup[(colorset, v)] = index[
-                        (colorset, r.vertices[0])][1]
-        return vertex_lookup[probe]
-
-    boundaries = [None]
+    cx = ChainComplex(g, cells, first)
     for d in range(1, n + 1):
         cols = []
         for r in cells[d]:
             labels = sorted(set(colors) - r.colors)
             col = {}
             for i, c in enumerate(labels):
-                face_key = r.colors | {c}
-                row = locate(face_key, r.vertices[0])
+                row = cx.position(r.colors | {c}, r.vertices[0])
                 col[row] = 1 if i % 2 == 0 else -1
             cols.append(col)
-        boundaries.append(cols)
-    return ChainComplex(n, cells, boundaries)
+        cx.boundaries.append(cols)
+    return cx
 
 
 # -- integer elimination -------------------------------------------------
@@ -346,24 +341,13 @@ def pi1_presentation(g):
     cx = chain_complex(g)
     colors = set(g.colors)
 
-    # locate 1-cells by (colorset, any member vertex); edges are
-    # directed from their smaller-label endpoint to the larger one
-    loc1 = {}
+    # edges are directed from their smaller-label endpoint to the larger one
     ends = []
-    for pos1, r in enumerate(cx.cells[1]):
-        for v in r.vertices:
-            loc1[(r.colors, v)] = pos1
+    for r in cx.cells[1]:
         x, y = sorted(colors - r.colors)
-        tail = (r.colors | {y}, r.vertices[0])
-        head = (r.colors | {x}, r.vertices[0])
-        ends.append((tail, head))
-
-    loc0 = {}
-    for pos0, r in enumerate(cx.cells[0]):
-        loc0[(r.colors, r.vertices[0])] = pos0
-        for v in r.vertices:
-            loc0[(r.colors, v)] = pos0
-    ends = [(loc0[t], loc0[h]) for t, h in ends]
+        v = r.vertices[0]
+        ends.append((cx.position(r.colors | {y}, v),
+                     cx.position(r.colors | {x}, v)))
 
     # spanning tree by breadth-first search over the multigraph
     nodes = len(cx.cells[0])
@@ -392,9 +376,10 @@ def pi1_presentation(g):
     words = []
     for r in cx.cells[2]:
         a, b, c = sorted(colors - r.colors)
-        e_bc = loc1[(r.colors | {a}, r.vertices[0])]
-        e_ac = loc1[(r.colors | {b}, r.vertices[0])]
-        e_ab = loc1[(r.colors | {c}, r.vertices[0])]
+        v = r.vertices[0]
+        e_bc = cx.position(r.colors | {a}, v)
+        e_ac = cx.position(r.colors | {b}, v)
+        e_ab = cx.position(r.colors | {c}, v)
         word = []
         for eid, sign in ((e_ab, 1), (e_bc, 1), (e_ac, -1)):
             if eid in gen_of:
@@ -496,8 +481,6 @@ class BoundLedger:
     def violations(self):
         """Inequalities that must hold on every run; violators listed."""
         out = []
-        def num(x):
-            return x
         if self.rk_lower > self.rk_upper:
             out.append("rk_lower > rk_upper")
         if self.heegaard_lower > self.heegaard_upper:

@@ -14,7 +14,7 @@ import heapq
 import itertools
 
 from .embedding import CyclicPermutation, rho, subgraph_rho
-from .graphs import GemError, bicolored_cycles, residues
+from .graphs import GemError, bicolored_cycles, residue_labels, residues
 
 
 class ApexResidueDisconnected(GemError):
@@ -110,23 +110,21 @@ def build_Q(g, eps, apex=4):
         family_of[c].sort(key=sorted)
 
     q1_nodes = []
-    node_of = {}            # (colorset, vertex) -> node id
+    first = {}              # colorset -> id of its first node
     for s in sorted({fam for fams in family_of.values() for fam in fams},
                     key=sorted):
-        for res in residues(g, s):
-            nid = len(q1_nodes)
-            q1_nodes.append((s, res))
-            for v in res.vertices:
-                node_of[(s, v)] = nid
+        first[s] = len(q1_nodes)
+        q1_nodes.extend((s, res) for res in residues(g, s))
 
     q1_edges = []
     sides = {eid: {} for eid in g.edge_ids(apex)}
     for i in sorted(c for c in g.colors if c != apex):
         fam_a, fam_b = family_of[i]
+        label_a, label_b = residue_labels(g, fam_a), residue_labels(g, fam_b)
         for ci, cyc in enumerate(bicolored_cycles(g, i, apex)):
             v0 = cyc.vertices[0]
-            nodes = tuple(sorted((node_of[(fam_a, v0)],
-                                  node_of[(fam_b, v0)])))
+            nodes = tuple(sorted((first[fam_a] + label_a[v0],
+                                  first[fam_b] + label_b[v0])))
             sqs = tuple(sorted(e for e in cyc.edge_ids
                                if g.edges[e][2] == apex))
             edge = Q1Edge(len(q1_edges), i, ci, cyc, nodes, sqs)
@@ -151,13 +149,10 @@ def stabilization_set(g, eps, apex=4):
     g_{eps0,eps3} - g_{eps0,eps3,apex}.
     """
     eps = _require_apex(g, eps, apex)
-    e0, e3 = eps.seq[0], eps.seq[3]
-    cyc_of = {}
-    for idx, cyc in enumerate(bicolored_cycles(g, e0, e3)):
-        for v in cyc.vertices:
-            cyc_of[v] = idx
-
-    parent = list(range(len(bicolored_cycles(g, e0, e3))))
+    # the {eps0,eps3}-cycles are the {eps0,eps3}-residues
+    pair = (eps.seq[0], eps.seq[3])
+    cyc_of = residue_labels(g, pair)
+    parent = list(range(len(residues(g, pair))))
 
     def find(x):
         while parent[x] != x:
@@ -287,12 +282,11 @@ class TrisectionCertificate:
     """Outcome of a scheduled collapse for one cyclic order.
 
     genus = rho of the apex-free subgraph plus the stabilization count;
-    mode records whether the gem was certified closed or bounded.  The
-    ledger slot is filled by the invariant bookkeeping stage.
+    mode records whether the gem was certified closed or bounded.
     """
 
     __slots__ = ("eps", "apex", "ordering", "k", "genus", "mode",
-                 "rho_surface", "rho_base", "ledger")
+                 "rho_surface", "rho_base")
 
     def __init__(self, eps, apex, ordering, genus, mode, rho_surface,
                  rho_base):
@@ -304,7 +298,6 @@ class TrisectionCertificate:
         self.mode = mode
         self.rho_surface = rho_surface
         self.rho_base = rho_base
-        self.ledger = None
 
     def sort_key(self):
         return (self.genus, self.k, self.eps.seq)

@@ -17,6 +17,7 @@ from .graphs import (
     DipoleReducer,
     GemError,
     ResidueCensus,
+    residue_labels,
     residue_subgem,
     residues,
     is_bipartite,
@@ -93,15 +94,15 @@ def check_surface_residues(g):
     out = {}
     for sub in itertools.combinations(g.colors, 3):
         key = frozenset(sub)
+        label = residue_labels(g, key)
+        cycles = [0] * len(residues(g, key))
+        for pair in itertools.combinations(sub, 2):
+            # bicolored cycles never straddle residue components
+            for r in residues(g, frozenset(pair)):
+                cycles[label[r.vertices[0]]] += 1
         for idx, res in enumerate(residues(g, key)):
             q = len(res.vertices) // 2
-            vset = set(res.vertices)
-            cycles = 0
-            for pair in itertools.combinations(sub, 2):
-                # bicolored cycles never straddle residue components
-                cycles += sum(1 for r in residues(g, frozenset(pair))
-                              if r.vertices[0] in vset)
-            out[(sub, idx)] = SPHERE if cycles - q == 2 else NON_SPHERE
+            out[(sub, idx)] = SPHERE if cycles[idx] - q == 2 else NON_SPHERE
     return out
 
 
@@ -150,6 +151,11 @@ def classify_colors(g):
         raise PrerequisiteFailed(
             "3-colored residues fail the sphere criterion: %s"
             % sorted(bad))
+    return _classify_colors(g)
+
+
+def _classify_colors(g):
+    """classify_colors once the surface residues are known spheres."""
     verdicts = {}
     singular = set()
     undetermined = set()
@@ -224,7 +230,7 @@ def certify_Gs4(g, attestations=None, apex=4):
             % (len(apex_residues), apex))
     boundary_residue = apex_residues[0]
 
-    singular, undetermined, verdicts = classify_colors(g)
+    singular, undetermined, verdicts = _classify_colors(g)
     att = parse_attestations(attestations)
     used = []
     conflicts = []

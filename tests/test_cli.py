@@ -431,6 +431,25 @@ def test_corrupt_cache_entry_is_a_rewritten_miss(tmp_path, datadir_gem,
     assert run_cached(gf, None, str(cache))[3] is True
 
 
+@pytest.mark.parametrize("damage", [
+    lambda path: path.unlink(),
+    lambda path: path.write_bytes(path.read_bytes() + b" "),
+], ids=["missing", "altered"])
+def test_cache_entry_without_its_diagram_is_a_rewritten_miss(
+        tmp_path, datadir_gem, damage):
+    gf = datadir_gem("projective_plane_like.gem")
+    cache = tmp_path / "cache"
+    blob, dgm, _, _ = run_cached(gf, None, str(cache))
+    assert dgm is not None
+    dgm_file = cache / (run_key(gf, normalize_options({})) + ".diagram")
+    damage(dgm_file)
+    again, dgm2, code, hit = run_cached(gf, None, str(cache))
+    assert (hit, code) == (False, EXIT_OK)
+    assert dgm2 == dgm == dgm_file.read_bytes()
+    assert _untimed(again) == _untimed(blob)
+    assert run_cached(gf, None, str(cache))[1:] == (dgm, EXIT_OK, True)
+
+
 @pytest.mark.parametrize("data", [
     # a huge vertex id must be refused before any table of that size exists
     b"gem n=4\n0 1 0\n0 1 1\n0 1 2\n0 1 3\n0 99999999 4\n",

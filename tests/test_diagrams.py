@@ -205,7 +205,7 @@ def test_intersection_antisymmetry_and_self_zero(datadir_gem):
     cert = _forced(g, IDENT, (16, 17))
     d = assemble_diagram(g, IDENT, cert)
     surf = d.surface
-    _, pos = _ccw_rotations(surf)
+    pos = _ccw_rotations(surf)
     deg_of = [len(r) for r in surf.scheme.rot]
     walks = [_to_walk(surf, c)
              for _, curves in d.systems() for c in curves]

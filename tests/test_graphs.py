@@ -21,13 +21,16 @@ from gemtrisect.graphs import (
     build_graph,
     connected_sum,
     is_bipartite,
+    _component,
     residue_census,
+    residue_labels,
     residue_subgem,
     residues,
     standard_sphere_gem,
 )
 
-from conftest import embedding_corpus, prism_gem, torus_gem
+from conftest import (DATA_DIR, embedding_corpus, k4_gem, pipeline_corpus,
+                      prism_gem, torus_gem)
 
 
 def _oracle_components(nv, pairs):
@@ -132,6 +135,57 @@ def test_residue_partitions_vertices(blob4_gem):
     rs = residues(blob4_gem, frozenset({1, 2, 4}))
     seen = [v for r in rs for v in r.vertices]
     assert sorted(seen) == list(range(blob4_gem.nv))
+
+
+def _label_corpus(seed=3):
+    """Sphere blobs, shuffled #m sums of projective_plane_like.gem, and
+    every fixture, in dimensions 2 to 4."""
+    from gemtrisect.cli import parse_gem
+
+    rng = random.Random(seed)
+    fixtures = [parse_gem(p.read_bytes()).graph
+                for p in sorted(DATA_DIR.glob("*.gem"))]
+    pp = parse_gem((DATA_DIR / "projective_plane_like.gem").read_bytes())
+    out = fixtures + [torus_gem(), prism_gem(), k4_gem()]
+    out += pipeline_corpus(count=8, seed=seed)
+    for m in (2, 4, 8):
+        g = pp.graph
+        cls = is_bipartite(pp.graph)[1]
+        for _ in range(m - 1):
+            v1 = rng.randrange(g.nv)
+            v2 = cls.index(1 - is_bipartite(g)[1][v1])
+            g = connected_sum(g, pp.graph, v1, v2)
+        perm = list(range(g.nv))
+        rng.shuffle(perm)
+        out.append(build_graph(
+            g.n, [(perm[u], perm[v], c) for u, v, c in g.edges]))
+    return out
+
+
+def test_residue_labels_match_component_bfs():
+    import itertools
+    for g in _label_corpus():
+        subsets = [frozenset(sub) for r in range(g.n + 2)
+                   for sub in itertools.combinations(g.colors, r)]
+        for i, cs in enumerate(subsets):
+            # either call may fill the shared cache entry
+            if i % 2:
+                label, rs = residue_labels(g, cs), residues(g, cs)
+            else:
+                rs, label = residues(g, cs), residue_labels(g, cs)
+            parts, seen = [], set()
+            for v in range(g.nv):
+                if v not in seen:
+                    comp = _component(g, cs, v)
+                    seen |= comp
+                    parts.append(tuple(sorted(comp)))
+            assert [r.vertices for r in rs] == parts, (g, sorted(cs))
+            assert len(label) == g.nv
+            for idx, r in enumerate(rs):
+                assert r.colors == cs
+                assert r.edge_ids == tuple(sorted(
+                    {g.incident(v, c) for v in r.vertices for c in cs}))
+                assert all(label[v] == idx for v in r.vertices)
 
 
 # -- bipartiteness ------------------------------------------------------

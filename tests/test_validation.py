@@ -64,6 +64,18 @@ def test_surface_criterion_flags_torus():
         classify_colors(g)
 
 
+def test_certify_checks_surfaces_once(datadir_gem, monkeypatch):
+    import gemtrisect.validation as validation
+
+    calls = []
+    check = validation.check_surface_residues
+    monkeypatch.setattr(validation, "check_surface_residues",
+                        lambda g: calls.append(g) or check(g))
+    g = datadir_gem("projective_plane_like.gem").graph
+    certify_Gs4(g)
+    assert calls == [g]
+
+
 def test_surface_criterion_on_corpus():
     rng = random.Random(11)
     for _ in range(20):
