@@ -22,8 +22,8 @@ from functools import cmp_to_key
 
 from .embedding import CyclicPermutation, stabilized_surface
 from .graphs import (GemError, bicolored_cycles, is_bipartite, residue_labels,
-                     residue_subgem, residues)
-from .homology import _snf_divisors, pi1_presentation
+                     residues)
+from .homology import HomologyGroup, _cokernel, _gf2_rank_bits, boundary_h1
 from .trisection import build_Q
 
 
@@ -668,26 +668,6 @@ def assemble_diagram(g, eps, certificate):
     return d
 
 
-def _gf2_rank_vectors(vectors):
-    basis = {}
-    rank = 0
-    for vec in vectors:
-        while vec:
-            low = vec & -vec
-            if low in basis:
-                vec ^= basis[low]
-            else:
-                basis[low] = vec
-                rank += 1
-                break
-    return rank
-
-
-def _coker(matrix_cols, size):
-    divs = _snf_divisors(matrix_cols, size)
-    return size - len(divs), sorted(d for d in divs if d > 1)
-
-
 def verify_diagram(diagram):
     """Run the combinatorial checks and attach the record.
 
@@ -734,7 +714,7 @@ def verify_diagram(diagram):
         for h in orbit:
             vec ^= 1 << (h >> 1)
         face_vecs.append(vec)
-    base_rank = _gf2_rank_vectors(list(face_vecs))
+    base_rank = _gf2_rank_bits(face_vecs)
     dim_h1 = (ne - surf.scheme.nv + 1) - base_rank
     z2 = {"dim_h1": dim_h1, "expected_dim": 2 * g_, "ranks": {},
           "self_zero": True}
@@ -745,7 +725,7 @@ def verify_diagram(diagram):
             for h in walk:
                 vec ^= 1 << (h >> 1)
             vecs.append(vec)
-        z2["ranks"][name] = (_gf2_rank_vectors(face_vecs + vecs)
+        z2["ranks"][name] = (_gf2_rank_bits(face_vecs + vecs)
                              - base_rank)
         for walk in ws:
             if _signed_intersection(surf, walk, walk, pos, deg_of) != 0:
@@ -791,18 +771,14 @@ def verify_diagram(diagram):
             if v:
                 col[i] = v
         pair_cols.append(col)
-    rank, torsion = _coker(pair_cols, g_)
-    apex_res = residues(surf.graph,
-                        frozenset(surf.graph.colors) - {surf.apex})[0]
-    sub, _, _ = residue_subgem(surf.graph, apex_res)
-    h1b = pi1_presentation(sub).abelianization()
-    expected_rank = surf.k + h1b.rank
-    expected_torsion = sorted(h1b.torsion)
+    pairing = _cokernel(pair_cols, g_)
+    h1b = boundary_h1(surf.graph, surf.apex)
+    expected = HomologyGroup(surf.k + h1b.rank, h1b.torsion)
     checks["pairing_ab"] = {
-        "rank": rank, "torsion": torsion,
-        "expected_rank": expected_rank,
-        "expected_torsion": expected_torsion,
-        "pass": rank == expected_rank and torsion == expected_torsion,
+        "rank": pairing.rank, "torsion": list(pairing.torsion),
+        "expected_rank": expected.rank,
+        "expected_torsion": list(expected.torsion),
+        "pass": pairing == expected,
     }
 
     gcok = {}
@@ -815,9 +791,9 @@ def verify_diagram(diagram):
                 if v:
                     col[i] = v
             cols.append(col)
-        r, tor = _coker(cols, g_)
-        gcok[kname] = r
-        gcok[kname + "_torsion"] = tor
+        cok = _cokernel(cols, g_)
+        gcok[kname] = cok.rank
+        gcok[kname + "_torsion"] = list(cok.torsion)
     gcok["pass"] = True
     checks["gamma_cokernels"] = gcok
 

@@ -67,12 +67,6 @@ class CyclicPermutation:
         s = self.seq
         return [(s[i], s[(i + 1) % len(s)]) for i in range(len(s))]
 
-    def with_last(self, color):
-        """Representative tuple rotated so that `color` sits last."""
-        s = self.seq
-        i = s.index(color)
-        return s[i + 1:] + s[:i + 1]
-
     def drop(self, color):
         """Induced cyclic permutation of the remaining colors."""
         return tuple(c for c in self.seq if c != color)
@@ -87,7 +81,11 @@ def _canonical(seq):
 
 
 def cyclic_permutations(n):
-    """All (n+1)!/2 / (n+1) ... i.e. n!/2 canonical cyclic permutations."""
+    """The n!/2 canonical cyclic permutations of the colors 0..n.
+
+    Rotations and the reversal of a cycle are identified, so the
+    (n+1)! orderings fall into classes of 2(n+1).
+    """
     import itertools
     seen = set()
     out = []
@@ -128,19 +126,6 @@ def rho(g, eps):
                        % (len(eps), g.n))
     chi = _chi_formula(ResidueCensus(g), eps.seq, g.nv)
     return Fraction(2 - chi, 2)
-
-
-def rho_min(g):
-    """(minimum rho over all canonical permutations, list of minimizers)."""
-    best = None
-    argmin = []
-    for eps in cyclic_permutations(g.n):
-        r = rho(g, eps)
-        if best is None or r < best:
-            best, argmin = r, [eps]
-        elif r == best:
-            argmin.append(eps)
-    return best, argmin
 
 
 def subgraph_rho(g, eps, drop_color):

@@ -53,7 +53,7 @@ class ColoredGraph:
         edges: tuple of (u, v, c) triples with u < v, sorted by (c, u, v).
     """
 
-    __slots__ = ("n", "nv", "edges", "_inc", "_residue_cache", "_bipart")
+    __slots__ = ("n", "nv", "edges", "_inc", "_residue_cache", "_memo")
 
     def __init__(self, n, nv, edges, _inc):
         self.n = n
@@ -61,7 +61,7 @@ class ColoredGraph:
         self.edges = edges
         self._inc = _inc  # per vertex: tuple of edge ids indexed by color
         self._residue_cache = {}    # colorset -> (residues, labels)
-        self._bipart = None
+        self._memo = {}             # whole-graph invariants, by name
 
     # -- construction ------------------------------------------------
 
@@ -275,13 +275,13 @@ def is_bipartite(g):
 
     The class list assigns 0/1 per vertex with class(0) == 0.
     """
-    if g._bipart is not None:
-        return g._bipart
+    result = g._memo.get("bipartite")
+    if result is not None:
+        return result
     cls = [None] * g.nv
     parent = [None] * g.nv          # (prev vertex) for witness recovery
     cls[0] = 0
     queue = deque([0])
-    result = None
     while queue and result is None:
         v = queue.popleft()
         for c in g.colors:
@@ -295,7 +295,7 @@ def is_bipartite(g):
                 break
     if result is None:
         result = (True, tuple(cls))
-    g._bipart = result
+    g._memo["bipartite"] = result
     return result
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import GemError, is_bipartite, residue_labels, residues
+from .graphs import (GemError, is_bipartite, residue_labels, residue_subgem,
+                     residues)
 
 
 class MissingCertificate(GemError):
@@ -226,23 +227,28 @@ def _dense_snf(m):
 
 
 def _gf2_rank(columns):
-    """Rank over Z/2 of a sparse sign matrix, via bitmask elimination."""
-    basis = {}
-    rank = 0
-    for col in columns:
-        vec = 0
-        for r, v in col.items():
-            if v % 2:
-                vec |= 1 << r
+    """Rank over Z/2 of a sparse sign matrix."""
+    return _gf2_rank_bits(sum(1 << r for r, v in col.items() if v % 2)
+                          for col in columns)
+
+
+def _gf2_rank_bits(vectors):
+    """Rank over Z/2 of vectors given as int bitmasks, by elimination."""
+    basis = {}      # lowest set bit -> basis vector
+    for vec in vectors:
         while vec:
             low = vec & -vec
-            if low in basis:
-                vec ^= basis[low]
-            else:
+            if low not in basis:
                 basis[low] = vec
-                rank += 1
                 break
-    return rank
+            vec ^= basis[low]
+    return len(basis)
+
+
+def _cokernel(columns, size):
+    """Cokernel of an integer matrix with `size` rows, as a HomologyGroup."""
+    divs = _snf_divisors(columns, size)
+    return HomologyGroup(size - len(divs), sorted(x for x in divs if x > 1))
 
 
 def homology(g, coefficients="Z"):
@@ -295,9 +301,7 @@ class GroupPresentation:
                 i = abs(letter) - 1
                 col[i] = col.get(i, 0) + (1 if letter > 0 else -1)
             cols.append({k: v for k, v in col.items() if v})
-        divs = _snf_divisors(cols, self.num_generators)
-        rank = self.num_generators - len(divs)
-        return HomologyGroup(rank, sorted(x for x in divs if x > 1))
+        return _cokernel(cols, self.num_generators)
 
     def __repr__(self):
         return "GroupPresentation(gens=%d, relators=%d)" % (
@@ -337,7 +341,32 @@ def pi1_presentation(g):
     1-skeleton, relators come from the 2-cells; sound Tietze moves
     (kill trivialized generators, merge identified pairs, drop
     generators occurring once in a single relator) run to a fix point.
+    Built once per graph and memoised on it, so every caller gets the
+    same presentation.
     """
+    pres = g._memo.get("pi1")
+    if pres is None:
+        pres = g._memo["pi1"] = _build_pi1(g)
+    return pres
+
+
+def boundary_h1(g, apex):
+    """H1 of the boundary 3-manifold: the residue missing the apex color.
+
+    Callers have checked that this residue is unique.  Its sub-gem's
+    abelianised pi1 is computed once per graph and apex color.
+    """
+    key = ("boundary_h1", apex)
+    h1 = g._memo.get(key)
+    if h1 is None:
+        res = residues(g, frozenset(g.colors) - {apex})[0]
+        sub, _, _ = residue_subgem(g, res)
+        h1 = g._memo[key] = pi1_presentation(sub).abelianization()
+    return h1
+
+
+def _build_pi1(g):
+    """pi1_presentation's builder, run once per graph."""
     cx = chain_complex(g)
     colors = set(g.colors)
 
@@ -513,7 +542,6 @@ def bound_ledger(g, eps, certificate, boundary_spheres=None):
     attested or proven boundary of the form #_m(S1xS2); 0 means closed.
     """
     from .embedding import rho, subgraph_rho
-    from .graphs import residue_subgem
 
     if certificate is None:
         raise MissingCertificate("trisection certificate required")
@@ -526,11 +554,6 @@ def bound_ledger(g, eps, certificate, boundary_spheres=None):
     pres = pi1_presentation(g)
     ab = pres.abelianization()
 
-    comp = residues(g, frozenset(c for c in g.colors if c != apex))[0]
-    sub, _, _ = residue_subgem(g, comp)
-    bpres = pi1_presentation(sub)
-    bab = bpres.abelianization()
-
     g_T = None
     if certificate.mode == "closed" or boundary_spheres is not None:
         g_T = certificate.genus
@@ -539,7 +562,7 @@ def bound_ledger(g, eps, certificate, boundary_spheres=None):
         rho_eps_gamma_hat4=rh,
         rk_lower=ab.min_generators,
         rk_upper=pres.num_generators,
-        heegaard_lower=bab.min_generators,
+        heegaard_lower=boundary_h1(g, apex).min_generators,
         heegaard_upper=rh,
         g_GT_upper=certificate.genus,
         g_T_upper=g_T,

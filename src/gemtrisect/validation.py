@@ -22,7 +22,7 @@ from .graphs import (
     residues,
     is_bipartite,
 )
-from .homology import chain_complex, pi1_presentation
+from .homology import boundary_h1, pi1_presentation
 
 SPHERE = "sphere"
 NON_SPHERE = "non-sphere"
@@ -116,8 +116,10 @@ def _three_manifold_verdict(sub):
 
     Genus 0 for some permutation proves the sphere, and dipole
     cancellation preserves the manifold, so the test is retried down
-    the reduction chain.  Nonzero Euler characteristic or nontrivial
-    H1 refutes the sphere; anything else stays undecided.
+    the reduction chain.  Nontrivial H1 refutes the sphere; anything
+    else stays undecided.  The Euler characteristic refutes nothing
+    here: callers have proven every 3-residue a 2-sphere, so sub is a
+    closed 3-manifold and has chi = 0.
     """
     cycles = [eps.seq for eps in cyclic_permutations(sub.n)]
     if _genus_zero(ResidueCensus(sub), sub.nv, cycles):
@@ -130,8 +132,6 @@ def _three_manifold_verdict(sub):
             except GemError:
                 break
             return SPHERE
-    if chain_complex(sub).euler_characteristic() != 0:
-        return NON_SPHERE
     if pi1_presentation(sub).abelianization().min_generators != 0:
         return NON_SPHERE
     return UNKNOWN
@@ -151,26 +151,23 @@ def classify_colors(g):
         raise PrerequisiteFailed(
             "3-colored residues fail the sphere criterion: %s"
             % sorted(bad))
-    return _classify_colors(g)
+    verdicts = _classify_colors(g)
+    return (*_singular_undetermined(verdicts), verdicts)
 
 
 def _classify_colors(g):
-    """classify_colors once the surface residues are known spheres."""
-    verdicts = {}
-    singular = set()
-    undetermined = set()
-    for c in g.colors:
-        key = frozenset(x for x in g.colors if x != c)
-        vs = []
-        for res in residues(g, key):
-            sub, _, _ = residue_subgem(g, res)
-            vs.append(_three_manifold_verdict(sub))
-        verdicts[c] = tuple(vs)
-        if NON_SPHERE in vs:
-            singular.add(c)
-        elif UNKNOWN in vs:
-            undetermined.add(c)
-    return frozenset(singular), frozenset(undetermined), verdicts
+    """Per-color verdicts once the surface residues are known spheres."""
+    return {c: tuple(_three_manifold_verdict(residue_subgem(g, res)[0])
+                     for res in residues(g, frozenset(g.colors) - {c}))
+            for c in g.colors}
+
+
+def _singular_undetermined(verdicts):
+    """Colors with a non-sphere residue, and the others with an unknown."""
+    singular = frozenset(c for c, vs in verdicts.items() if NON_SPHERE in vs)
+    undetermined = frozenset(c for c, vs in verdicts.items()
+                             if c not in singular and UNKNOWN in vs)
+    return singular, undetermined
 
 
 _BOUNDARY_RE = re.compile(r"^#(\d+)\(S1xS2\)$")
@@ -230,7 +227,7 @@ def certify_Gs4(g, attestations=None, apex=4):
             % (len(apex_residues), apex))
     boundary_residue = apex_residues[0]
 
-    singular, undetermined, verdicts = _classify_colors(g)
+    verdicts = _classify_colors(g)
     att = parse_attestations(attestations)
     used = []
     conflicts = []
@@ -264,8 +261,7 @@ def certify_Gs4(g, attestations=None, apex=4):
     boundary_spheres = None
     if att["boundary"] is not None:
         m = att["boundary"]
-        sub, _, _ = residue_subgem(g, boundary_residue)
-        h1 = pi1_presentation(sub).abelianization()
+        h1 = boundary_h1(g, apex)
         if h1.rank != m or h1.torsion:
             conflicts.append(
                 "boundary attestation #%d(S1xS2) inconsistent with H1=%r"
@@ -301,17 +297,13 @@ def certify_Gs4(g, attestations=None, apex=4):
             simply_connected = True
             used.append("simply-connected=yes")
 
-    recomputed_singular = frozenset(
-        c for c in g.colors if NON_SPHERE in upgraded[c])
-    recomputed_unknown = frozenset(
-        c for c in g.colors
-        if c not in recomputed_singular and UNKNOWN in upgraded[c])
+    singular, undetermined = _singular_undetermined(upgraded)
     return ValidationReport(
         apex_color=apex,
         surface_verdicts=surface,
         color_verdicts={c: tuple(v) for c, v in upgraded.items()},
-        singular_colors=recomputed_singular,
-        undetermined_colors=recomputed_unknown,
+        singular_colors=singular,
+        undetermined_colors=undetermined,
         gs4_member=member,
         boundary_residue=boundary_residue,
         boundary_verdict=boundary_verdict,

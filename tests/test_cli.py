@@ -225,6 +225,27 @@ def test_internal_failure_maps_to_exit_3(monkeypatch, datadir_gem):
     assert rec.as_dict()["certificate"] is not None
 
 
+@pytest.mark.parametrize("attest", [{}, {"boundary": "#0(S1xS2)"}],
+                         ids=["plain", "boundary-attested"])
+def test_pipeline_builds_pi1_once_per_graph(datadir_gem, monkeypatch,
+                                            attest):
+    import gemtrisect.homology as homology
+
+    built = []
+    build = homology.chain_complex
+    monkeypatch.setattr(homology, "chain_complex",
+                        lambda g: built.append(g) or build(g))
+    gf = datadir_gem("projective_plane_like.gem")
+    gf = GemFile(gf.n, gf.name, dict(gf.attestations, **attest), gf.graph)
+    rec, dgm = run_pipeline(gf)
+    assert rec.exit_code == EXIT_OK and dgm is not None
+    if attest:
+        assert rec.report["attestations_used"] == ["boundary=#0(S1xS2)"]
+    # certify, the ledger and the diagram check share one pi1 of the gem
+    # and one of its boundary sub-gem
+    assert sorted(g.n for g in built) == [3, 4]
+
+
 def test_golden_diagram_bytes(datadir_gem):
     gf = datadir_gem("projective_plane_like.gem")
     _, dgm = run_pipeline(gf)

@@ -12,7 +12,6 @@ from gemtrisect.embedding import (
     cyclic_permutations,
     regular_embedding,
     rho,
-    rho_min,
     subgraph_rho,
 )
 from gemtrisect.graphs import bicolored_cycles, standard_sphere_gem
@@ -42,9 +41,6 @@ def test_pairs_and_drop():
     eps = CyclicPermutation((0, 2, 1, 3, 4))
     assert len(eps.pairs()) == 5
     assert set(eps.drop(4)) == {0, 1, 2, 3}
-    rolled = eps.with_last(1)
-    assert rolled[-1] == 1
-    assert sorted(rolled) == [0, 1, 2, 3, 4]
 
 
 # -- census-formula genus ------------------------------------------------
@@ -85,12 +81,6 @@ def test_k4_projective_plane():
     assert emb.chi == 1
     assert not emb.orientable
     assert rho(g, eps) == Fraction(1, 2)
-
-
-def test_rho_min_sphere(s4_gem):
-    best, argmin = rho_min(s4_gem)
-    assert best == 0
-    assert len(argmin) == 12
 
 
 # -- formula vs. tracer --------------------------------------------------
