@@ -12,12 +12,17 @@ into disjoint parallel strands inside edge corridors, crossings are
 decided at vertex disks by the rotation order, and cutting is checked
 by region bookkeeping.  Cross-system geometric disjointness is not
 claimed; intersection numbers are the honest surrogate.
+
+Cost: every walk's chords are indexed by vertex once, so all
+intersection numbers together cost the total walk length plus the
+chord pairs that share a vertex; region counting is one near-linear
+union-find over arcs, corridor gaps and faces.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cmp_to_key
 
 from .embedding import CyclicPermutation, stabilized_surface
@@ -261,10 +266,12 @@ def _reduce_steps(steps):
             out.pop()
         else:
             out.append(s)
-    while len(out) >= 2 and out[0][0] != "sc" and out[-1] == _step_inverse(out[0]):
-        out.pop()
-        out.pop(0)
-    return tuple(out)
+    i, j = 0, len(out)
+    while (j - i >= 2 and out[i][0] != "sc"
+           and out[j - 1] == _step_inverse(out[i])):
+        i += 1
+        j -= 1
+    return tuple(out[i:j])
 
 
 # -- curves as half-edge walks on the surface scheme ----------------------
@@ -301,10 +308,11 @@ def _reduce_walk(walk):
             out.pop()
         else:
             out.append(h)
-    while len(out) >= 2 and out[0] == (out[-1] ^ 1):
-        out.pop()
-        out.pop(0)
-    return out
+    i, j = 0, len(out)
+    while j - i >= 2 and out[i] == (out[j - 1] ^ 1):
+        i += 1
+        j -= 1
+    return out[i:j]
 
 
 def _ccw_rotations(surf):
@@ -325,48 +333,75 @@ def _ccw_rotations(surf):
     return pos
 
 
-def _walk_chords(surf, walk):
-    """(vertex, arriving half-edge, leaving half-edge) per walk step."""
-    vo = surf.scheme.vertex_of
-    out = []
-    for i, h in enumerate(walk):
-        t = walk[i - 1] ^ 1
-        out.append((vo[h], t, h))
+def _chord_index(walks, pos, vertex_of):
+    """vertex -> [(curve, chords)] over one system's walks.
+
+    A chord is (3 * slot of the arriving half-edge, 3 * slot of the
+    leaving one) in the vertex's counterclockwise rotation; each walk
+    is read once, so the index costs the total walk length.
+    """
+    index = {}
+    for ci, walk in enumerate(walks):
+        mine = {}
+        for i, h in enumerate(walk):
+            mine.setdefault(vertex_of[h], []).append(
+                (3 * pos[walk[i - 1] ^ 1], 3 * pos[h]))
+        for v, chords in mine.items():
+            index.setdefault(v, []).append((ci, chords))
+    return index
+
+
+def _crossings(n, chords_a, chords_b):
+    """Signed crossings at one vertex disk, chords of b pushed off left.
+
+    n is 3 * degree.  Chords of a sit at exact slot positions; chords
+    of b enter just clockwise and leave just counterclockwise of their
+    slots, so interleaving is never ambiguous and the total over all
+    vertices equals the homological pairing.
+    """
+    total = 0
+    for ta, ha in chords_a:
+        span = (ha - ta) % n
+        for tb, hb in chords_b:
+            total += (((tb - 1 - ta) % n < span)
+                      - ((hb + 1 - ta) % n < span))
+    return total
+
+
+def _intersection_columns(index_a, index_b, deg_of, count_b):
+    """Column j maps curve i of a to <a_i, b_j>, zeros left out.
+
+    Only chord pairs sharing a vertex are visited.
+    """
+    cols = [{} for _ in range(count_b)]
+    for v, groups_b in index_b.items():
+        groups_a = index_a.get(v)
+        if groups_a is None:
+            continue
+        n = 3 * deg_of[v]
+        for j, chords_b in groups_b:
+            col = cols[j]
+            for i, chords_a in groups_a:
+                col[i] = col.get(i, 0) + _crossings(n, chords_a, chords_b)
+    return [{i: x for i, x in sorted(col.items()) if x} for col in cols]
+
+
+def _self_intersections(index, deg_of, count):
+    """<w, w> for each walk of one system."""
+    out = [0] * count
+    for v, groups in index.items():
+        n = 3 * deg_of[v]
+        for i, chords in groups:
+            out[i] += _crossings(n, chords, chords)
     return out
 
 
 def _signed_intersection(surf, walk_a, walk_b, pos, deg_of):
-    """Signed count of crossings, curve b pushed off to its left.
-
-    Chords of a sit at exact slot positions (scaled by 3); chords of b
-    enter just clockwise and leave just counterclockwise of their
-    slots, so interleaving is never ambiguous and the total equals the
-    homological pairing.
-    """
-    if not walk_a or not walk_b:
-        return 0
-    by_vertex = {}
-    for w, t, h in _walk_chords(surf, walk_a):
-        by_vertex.setdefault(w, ([], []))[0].append((t, h))
-    for w, t, h in _walk_chords(surf, walk_b):
-        by_vertex.setdefault(w, ([], []))[1].append((t, h))
-    total = 0
-    for w, (ca, cb) in by_vertex.items():
-        if not ca or not cb:
-            continue
-        n = 3 * deg_of[w]
-
-        def arc(x, lo, hi):
-            return (x - lo) % n < (hi - lo) % n
-        for ta, ha in ca:
-            pa_t, pa_h = 3 * pos[ta], 3 * pos[ha]
-            for tb, hb in cb:
-                pb_t, pb_h = (3 * pos[tb] - 1) % n, (3 * pos[hb] + 1) % n
-                if arc(pb_t, pa_t, pa_h) and arc(pb_h, pa_h, pa_t):
-                    total += 1
-                elif arc(pb_h, pa_t, pa_h) and arc(pb_t, pa_h, pa_t):
-                    total -= 1
-    return total
+    """Signed count of crossings of walk a with walk b pushed off left."""
+    vo = surf.scheme.vertex_of
+    col, = _intersection_columns(_chord_index([walk_a], pos, vo),
+                                 _chord_index([walk_b], pos, vo), deg_of, 1)
+    return col.get(0, 0)
 
 
 # -- corridor lanes and crossing-free resolution ---------------------------
@@ -390,35 +425,18 @@ def _corridor_map(walks):
     return corridors
 
 
-def _up_exits(walks, trav):
-    """Leaving half-edges after each vertex, viewed travelling low->high.
-
-    For a downward traversal the walk is read backwards; reversing a
-    closed walk visits the same geometric strand.
-    """
-    walk = walks[trav.walk_id]
-    L = len(walk)
-    if not trav.down:
-        j = trav.step
-        while True:
-            j = (j + 1) % L
-            yield walk[j]
-    else:
-        j = trav.step
-        while True:
-            j = (j - 1) % L
-            yield walk[j] ^ 1
-
-
 def _lane_orders(surf, walks, corridors, pos):
     """Deterministic lane index per corridor traversal.
 
     Strands sharing a corridor are followed upward in lockstep until
     they diverge; the strand leaving closer counterclockwise to the
-    shared arrival slot takes the lower lane.  Fully parallel strands
-    order by (walk, step).  The final non-crossing check is the
+    shared arrival slot takes the lower lane.  A downward traversal
+    reads its walk backwards, with each half-edge reversed: reversing a
+    closed walk visits the same geometric strand.  Fully parallel
+    strands order by (walk, step).  The final non-crossing check is the
     arbiter, so the comparator only has to be deterministic.
     """
+    rot, vo = surf.scheme.rot, surf.scheme.vertex_of
     lanes = {}
     for e, travs in corridors.items():
         if len(travs) == 1:
@@ -428,14 +446,17 @@ def _lane_orders(surf, walks, corridors, pos):
         def compare(tx, ty):
             if tx.walk_id == ty.walk_id and tx.step == ty.step:
                 return 0
-            gx, gy = _up_exits(walks, tx), _up_exits(walks, ty)
+            wx, wy = walks[tx.walk_id], walks[ty.walk_id]
+            lx, ly = len(wx), len(wy)
+            sx, fx = (-1, 1) if tx.down else (1, 0)
+            sy, fy = (-1, 1) if ty.down else (1, 0)
+            jx, jy = tx.step, ty.step
             t_in = 2 * e + 1      # arrival half-edge at the high end
-            limit = len(walks[tx.walk_id]) * len(walks[ty.walk_id]) + 1
-            for _ in range(limit):
-                hx, hy = next(gx), next(gy)
+            for _ in range(lx * ly + 1):
+                jx, jy = (jx + sx) % lx, (jy + sy) % ly
+                hx, hy = wx[jx] ^ fx, wy[jy] ^ fy
                 if hx != hy:
-                    w_deg = len(surf.scheme.rot[
-                        surf.scheme.vertex_of[t_in]])
+                    w_deg = len(rot[vo[t_in]])
                     dx = (pos[hx] - pos[t_in]) % w_deg
                     dy = (pos[hy] - pos[t_in]) % w_deg
                     return -1 if dx < dy else 1
@@ -507,80 +528,72 @@ def _crossing_free(res):
 def _complement_components(surf, res, pos):
     """Count regions of the surface minus the resolved strands.
 
-    Atoms are vertex-disk boundary arcs, corridor gaps and faces; a
-    chord joins the arcs flanking its two ends on each side, corridor
-    gaps open onto the arcs at their mouths, and every face meets the
-    arc at each corner it turns.
+    Atoms are vertex-disk boundary arcs, corridor gaps and faces,
+    numbered in that order (arcs per vertex, gaps per edge); a chord
+    joins the arcs flanking its two ends on each side, corridor gaps
+    open onto the arcs at their mouths, and every face meets the arc
+    at each corner it turns.  Regions are atoms minus merges.
     """
-    uf = {}
-
-    def find(x):
-        root = x
-        while uf[root] != root:
-            root = uf[root]
-        while uf[x] != root:
-            uf[x], x = root, uf[x]
-        return root
+    scheme = surf.scheme
+    vo = scheme.vertex_of
+    ne = len(scheme.edge_ends)
+    slots = [[s for s, _, _ in res.marks[v]] for v in range(scheme.nv)]
+    arc0 = []
+    size = 0
+    for sv in slots:
+        arc0.append(size)
+        size += max(len(sv), 1)
+    gap0 = []
+    for e in range(ne):
+        gap0.append(size)
+        size += res.lane_count.get(e, 0) + 1
+    face0 = size
+    size += len(surf.faces)
+    parent = list(range(size))
+    merges = 0
 
     def union(x, y):
-        uf.setdefault(x, x)
-        uf.setdefault(y, y)
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            uf[rx] = ry
-
-    scheme = surf.scheme
-    nv = scheme.nv
-    for v in range(nv):
-        r = len(res.marks[v])
-        for i in range(max(r, 1)):
-            uf.setdefault(("arc", v, i), ("arc", v, i))
-    for e in range(len(scheme.edge_ends)):
-        m = res.lane_count.get(e, 0)
-        for t in range(m + 1):
-            uf.setdefault(("gap", e, t), ("gap", e, t))
-    for fi in range(len(surf.faces)):
-        uf.setdefault(("face", fi), ("face", fi))
+        nonlocal merges
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        if x != y:
+            parent[x] = y
+            merges += 1
 
     # chords split disks; flanking arcs join along each side
     for v, chords in res.chords.items():
-        r = len(res.marks[v])
+        r, base = len(slots[v]), arc0[v]
         for a, b in chords:
-            union(("arc", v, a), ("arc", v, (b - 1) % r))
-            union(("arc", v, (a - 1) % r), ("arc", v, b))
+            union(base + a, base + (b - 1) % r)
+            union(base + (a - 1) % r, base + b)
 
-    def arc_after(v, slot_coord):
-        """Arc containing the boundary point just after slot_coord."""
-        mk = res.marks[v]
-        if not mk:
-            return ("arc", v, 0)
-        j = bisect_right(mk, (slot_coord, float("inf"), ()))
-        return ("arc", v, (j - 1) % len(mk))
+    def arc_after(v, slot):
+        """Arc containing the boundary point just after slot."""
+        sv = slots[v]
+        if not sv:
+            return arc0[v]
+        return arc0[v] + (bisect_right(sv, slot) - 1) % len(sv)
 
-    vo = scheme.vertex_of
-    # corridor mouths: gap t opens onto the arc between its bounding
-    # ports (outermost gaps reach the arc past the first/last port)
-    for e in range(len(scheme.edge_ends)):
+    # corridor mouths: the m ports of a corridor end are one run of the
+    # sorted marks, in lane order; gap t opens onto the arc between its
+    # bounding ports (outermost gaps reach the arc past the first/last)
+    for e in range(ne):
         m = res.lane_count.get(e, 0)
         for end in (0, 1):
             h = 2 * e + end
             v = vo[h]
-            slot = pos[h]
             if m == 0:
-                union(("gap", e, 0), arc_after(v, slot))
+                union(gap0[e], arc_after(v, pos[h]))
                 continue
-            ports = [(micro, idx) for idx, (s, micro, port) in
-                     enumerate(res.marks[v]) if s == slot]
-            ports.sort()
+            lo = bisect_left(slots[v], pos[h])
             for t in range(m + 1):
                 gap = t if end == 0 else m - t
-                if t == 0:
-                    arc = (ports[0][1] - 1) % len(res.marks[v])
-                elif t == m:
-                    arc = ports[m - 1][1]
-                else:
-                    arc = ports[t - 1][1]
-                union(("gap", e, gap), ("arc", v, arc))
+                arc = lo + t - 1 if t else (lo - 1) % len(slots[v])
+                union(gap0[e] + gap, arc0[v] + arc)
 
     # faces touch the arc at every corner their boundary walk turns
     for fi, orbit in enumerate(surf.faces):
@@ -596,10 +609,9 @@ def _complement_components(surf, res, pos):
                 corner = ph
             else:
                 raise GemError("face walk skips a corner")
-            union(("face", fi), arc_after(w, corner + 0.5))
+            union(face0 + fi, arc_after(w, corner))
 
-    roots = {find(x) for x in uf}
-    return len(roots)
+    return size - merges
 
 
 # -- assembled diagrams and verification -----------------------------------
@@ -675,6 +687,11 @@ def verify_diagram(diagram):
     per system (crossing-free strand resolution with connected
     complement), the (alpha, beta) pairing against the boundary
     homology, and the gamma cokernel ranks as k1/k2 candidates.
+
+    Self-intersections, the pairing and the gamma columns come from one
+    chord index per system: the total walk length plus the chord pairs
+    sharing a vertex, not a rescan of both walks per curve pair.  Each
+    cut test adds a near-linear region count.
     """
     surf = diagram.surface
     g_ = diagram.genus
@@ -706,6 +723,8 @@ def verify_diagram(diagram):
 
     pos = _ccw_rotations(surf)
     deg_of = [len(r) for r in surf.scheme.rot]
+    index = {name: _chord_index(ws, pos, surf.scheme.vertex_of)
+             for name, ws in walks.items()}
 
     ne = len(surf.scheme.edge_ends)
     face_vecs = []
@@ -727,9 +746,8 @@ def verify_diagram(diagram):
             vecs.append(vec)
         z2["ranks"][name] = (_gf2_rank_bits(face_vecs + vecs)
                              - base_rank)
-        for walk in ws:
-            if _signed_intersection(surf, walk, walk, pos, deg_of) != 0:
-                z2["self_zero"] = False
+        if any(_self_intersections(index[name], deg_of, len(ws))):
+            z2["self_zero"] = False
     z2["pass"] = (dim_h1 == 2 * g_ and z2["self_zero"]
                   and all(r == g_ for r in z2["ranks"].values()))
     checks["z2"] = z2
@@ -763,14 +781,8 @@ def verify_diagram(diagram):
                       for e in cut["systems"].values())
     checks["cut"] = cut
 
-    pair_cols = []
-    for wb in walks["beta"]:
-        col = {}
-        for i, wa in enumerate(walks["alpha"]):
-            v = _signed_intersection(surf, wa, wb, pos, deg_of)
-            if v:
-                col[i] = v
-        pair_cols.append(col)
+    pair_cols = _intersection_columns(index["alpha"], index["beta"], deg_of,
+                                      len(walks["beta"]))
     pairing = _cokernel(pair_cols, g_)
     h1b = boundary_h1(surf.graph, surf.apex)
     expected = HomologyGroup(surf.k + h1b.rank, h1b.torsion)
@@ -783,14 +795,8 @@ def verify_diagram(diagram):
 
     gcok = {}
     for name, kname in (("alpha", "k1"), ("beta", "k2")):
-        cols = []
-        for wg_ in walks["gamma"]:
-            col = {}
-            for i, w in enumerate(walks[name]):
-                v = _signed_intersection(surf, w, wg_, pos, deg_of)
-                if v:
-                    col[i] = v
-            cols.append(col)
+        cols = _intersection_columns(index[name], index["gamma"], deg_of,
+                                     len(walks["gamma"]))
         cok = _cokernel(cols, g_)
         gcok[kname] = cok.rank
         gcok[kname + "_torsion"] = list(cok.torsion)

@@ -61,7 +61,7 @@ class ColoredGraph:
         self.edges = edges
         self._inc = _inc  # per vertex: tuple of edge ids indexed by color
         self._residue_cache = {}    # colorset -> (residues, labels)
-        self._memo = {}             # whole-graph invariants, by name
+        self._memo = {}             # invariants and residue sub-gems, by key
 
     # -- construction ------------------------------------------------
 
@@ -438,14 +438,21 @@ def residue_subgem(g, res):
 
     Colors are relabeled order-preservingly to 0..len(colors)-1 and
     vertices to 0..order-1.  Returns (graph, vertex_map, color_map)
-    where the maps send parent ids to the new ids.
+    where the maps send parent ids to the new ids.  Built once per
+    residue and memoised on g, so invariants memoised on the sub-gem
+    (its pi1) are shared by every caller; callers must not mutate it.
     """
-    cols = sorted(res.colors)
-    cmap = {c: i for i, c in enumerate(cols)}
-    vmap = {v: i for i, v in enumerate(res.vertices)}
-    edges = [(vmap[g.edges[e][0]], vmap[g.edges[e][1]], cmap[g.edges[e][2]])
-             for e in res.edge_ids]
-    return ColoredGraph.build(len(cols) - 1, edges), vmap, cmap
+    key = ("subgem", res.colors, res.vertices[0])
+    out = g._memo.get(key)
+    if out is None:
+        cols = sorted(res.colors)
+        cmap = {c: i for i, c in enumerate(cols)}
+        vmap = {v: i for i, v in enumerate(res.vertices)}
+        edges = [(vmap[g.edges[e][0]], vmap[g.edges[e][1]],
+                  cmap[g.edges[e][2]]) for e in res.edge_ids]
+        out = g._memo[key] = (ColoredGraph.build(len(cols) - 1, edges),
+                              vmap, cmap)
+    return out
 
 
 def standard_sphere_gem(n):

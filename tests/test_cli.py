@@ -2,8 +2,11 @@
 
 import json
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gemtrisect import __version__, cli
 from gemtrisect.cli import (
@@ -225,17 +228,21 @@ def test_internal_failure_maps_to_exit_3(monkeypatch, datadir_gem):
     assert rec.as_dict()["certificate"] is not None
 
 
-@pytest.mark.parametrize("attest", [{}, {"boundary": "#0(S1xS2)"}],
-                         ids=["plain", "boundary-attested"])
+@pytest.mark.parametrize("name, attest", [
+    ("projective_plane_like.gem", {}),
+    ("projective_plane_like.gem", {"boundary": "#0(S1xS2)"}),
+    # the boundary verdict falls back to H1, whose pi1 boundary_h1 reuses
+    ("bounded_s1s2.gem", {}),
+], ids=["plain", "boundary-attested", "boundary-verdict-from-h1"])
 def test_pipeline_builds_pi1_once_per_graph(datadir_gem, monkeypatch,
-                                            attest):
+                                            name, attest):
     import gemtrisect.homology as homology
 
     built = []
     build = homology.chain_complex
     monkeypatch.setattr(homology, "chain_complex",
                         lambda g: built.append(g) or build(g))
-    gf = datadir_gem("projective_plane_like.gem")
+    gf = datadir_gem(name)
     gf = GemFile(gf.n, gf.name, dict(gf.attestations, **attest), gf.graph)
     rec, dgm = run_pipeline(gf)
     assert rec.exit_code == EXIT_OK and dgm is not None
@@ -481,3 +488,66 @@ def test_cache_entry_without_its_diagram_is_a_rewritten_miss(
 def test_bad_ids_rejected(data):
     with pytest.raises(GemError):
         parse_gem(data)
+
+
+# -- mutated inputs ------------------------------------------------------
+
+def _fixture_blobs():
+    out = [SPHERE_TEXT.encode()]
+    for name in ("projective_plane_like.gem", "bounded_s1s2.gem",
+                 "nonzero_forest.gem", "two_singular_colors.gem"):
+        data = (DATA / name).read_bytes()
+        out += [data, gem_json_bytes(parse_gem(data))]
+    return out
+
+
+FIXTURE_BLOBS = _fixture_blobs()
+
+# digits and grammar bytes keep a mutant close to the format, so some
+# still parse and reach the pipeline; arbitrary bytes test the refusals
+_BYTE = st.one_of(st.sampled_from(b"0123456789"),
+                  st.sampled_from(b' \n-=#:,[]{}"'), st.integers(0, 255))
+_EDIT = st.tuples(st.sampled_from("rrid"), st.integers(0, 1 << 16), _BYTE)
+
+
+def _mutate(data, edits):
+    """Apply up to four replace/insert/delete byte edits."""
+    buf = bytearray(data)
+    for kind, at, byte in edits:
+        at %= len(buf) + 1
+        if kind == "i":
+            buf.insert(at, byte)
+        elif at < len(buf):
+            if kind == "r":
+                buf[at] = byte
+            else:
+                del buf[at]
+    return bytes(buf)
+
+
+_MUTANT = st.builds(_mutate, st.sampled_from(FIXTURE_BLOBS),
+                    st.lists(_EDIT, min_size=1, max_size=4))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_MUTANT)
+def test_mutated_inputs_map_to_exit_codes(data):
+    try:
+        gf = parse_gem(data)
+    except GemError:
+        return
+    rec, _ = run_pipeline(gf)
+    assert rec.exit_code in range(5)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.lists(_MUTANT, min_size=1, max_size=4))
+def test_batch_of_mutants_keeps_one_row_per_file(blobs):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [str(pathlib.Path(tmp) / ("m%d.gem" % i))
+                 for i in range(len(blobs))]
+        for path, data in zip(paths, blobs):
+            pathlib.Path(path).write_bytes(data)
+        rows = batch(paths)
+    assert [r.path for r in rows] == paths
+    assert all(r.exit_code in range(5) for r in rows)

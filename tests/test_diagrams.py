@@ -1,9 +1,12 @@
 """Curve systems, surface resolution checks, and diagram export."""
 
 import json
+import random
 import types
 import xml.etree.ElementTree as ET
+from bisect import bisect_right
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -13,6 +16,16 @@ from gemtrisect.diagrams import (
     TrisectionDiagram,
     UnsupportedFormat,
     _ccw_rotations,
+    _chord_index,
+    _complement_components,
+    _corridor_map,
+    _crossing_free,
+    _intersection_columns,
+    _lane_orders,
+    _reduce_steps,
+    _reduce_walk,
+    _resolve,
+    _self_intersections,
     _signed_intersection,
     _to_walk,
     alpha_beta_curves,
@@ -24,7 +37,8 @@ from gemtrisect.diagrams import (
     wall_graphs,
 )
 from gemtrisect.embedding import CyclicPermutation, cyclic_permutations
-from gemtrisect.graphs import GemError, build_graph, standard_sphere_gem
+from gemtrisect.graphs import (GemError, build_graph, connected_sum,
+                               standard_sphere_gem)
 from gemtrisect.trisection import (
     CollapseOrdering,
     build_Q,
@@ -284,3 +298,253 @@ def test_certificate_eps_must_match(s4_gem):
     other = CyclicPermutation((0, 1, 3, 2, 4))
     with pytest.raises(GemError):
         assemble_diagram(s4_gem, other, cert)
+
+
+# -- differential tests of the verifier's indexed pieces -------------------
+#
+# The references below are the straightforward versions the verifier
+# replaced: a per-pair rescan of both walks for intersections, a
+# tuple-keyed union-find for regions, and a generator-driven lane
+# comparator.  The crossing rule is restated here on purpose, so a sign
+# error in the verifier's one copy cannot cancel out of the comparison.
+
+def _reference_intersection(surf, walk_a, walk_b, pos, deg_of):
+    if not walk_a or not walk_b:
+        return 0
+    vo = surf.scheme.vertex_of
+    by_vertex = {}
+    for side, walk in ((0, walk_a), (1, walk_b)):
+        for i, h in enumerate(walk):
+            by_vertex.setdefault(vo[h], ([], []))[side].append(
+                (walk[i - 1] ^ 1, h))
+    total = 0
+    for w, (ca, cb) in by_vertex.items():
+        n = 3 * deg_of[w]
+
+        def arc(x, lo, hi):
+            return (x - lo) % n < (hi - lo) % n
+        for ta, ha in ca:
+            pa_t, pa_h = 3 * pos[ta], 3 * pos[ha]
+            for tb, hb in cb:
+                pb_t, pb_h = (3 * pos[tb] - 1) % n, (3 * pos[hb] + 1) % n
+                if arc(pb_t, pa_t, pa_h) and arc(pb_h, pa_h, pa_t):
+                    total += 1
+                elif arc(pb_h, pa_t, pa_h) and arc(pb_t, pa_h, pa_t):
+                    total -= 1
+    return total
+
+
+def _reference_components(surf, res, pos):
+    uf = {}
+
+    def find(x):
+        root = x
+        while uf[root] != root:
+            root = uf[root]
+        while uf[x] != root:
+            uf[x], x = root, uf[x]
+        return root
+
+    def union(x, y):
+        uf.setdefault(x, x)
+        uf.setdefault(y, y)
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            uf[rx] = ry
+
+    scheme = surf.scheme
+    for v in range(scheme.nv):
+        for i in range(max(len(res.marks[v]), 1)):
+            uf.setdefault(("arc", v, i), ("arc", v, i))
+    for e in range(len(scheme.edge_ends)):
+        for t in range(res.lane_count.get(e, 0) + 1):
+            uf.setdefault(("gap", e, t), ("gap", e, t))
+    for fi in range(len(surf.faces)):
+        uf.setdefault(("face", fi), ("face", fi))
+    for v, chords in res.chords.items():
+        r = len(res.marks[v])
+        for a, b in chords:
+            union(("arc", v, a), ("arc", v, (b - 1) % r))
+            union(("arc", v, (a - 1) % r), ("arc", v, b))
+
+    def arc_after(v, slot_coord):
+        mk = res.marks[v]
+        if not mk:
+            return ("arc", v, 0)
+        j = bisect_right(mk, (slot_coord, float("inf"), ()))
+        return ("arc", v, (j - 1) % len(mk))
+
+    vo = scheme.vertex_of
+    for e in range(len(scheme.edge_ends)):
+        m = res.lane_count.get(e, 0)
+        for end in (0, 1):
+            h = 2 * e + end
+            v, slot = vo[h], pos[h]
+            if m == 0:
+                union(("gap", e, 0), arc_after(v, slot))
+                continue
+            ports = sorted((micro, idx) for idx, (s, micro, _) in
+                           enumerate(res.marks[v]) if s == slot)
+            for t in range(m + 1):
+                gap = t if end == 0 else m - t
+                if t == 0:
+                    arc = (ports[0][1] - 1) % len(res.marks[v])
+                else:
+                    arc = ports[t - 1][1]
+                union(("gap", e, gap), ("arc", v, arc))
+    for fi, orbit in enumerate(surf.faces):
+        for i, h in enumerate(orbit):
+            h_next = orbit[(i + 1) % len(orbit)]
+            w = vo[h_next]
+            deg = len(scheme.rot[w])
+            pt, ph = pos[h ^ 1], pos[h_next]
+            corner = pt if (pt + 1) % deg == ph else ph
+            union(("face", fi), arc_after(w, corner + 0.5))
+    return len({find(x) for x in uf})
+
+
+def _reference_lanes(surf, walks, corridors, pos):
+    def up_exits(trav):
+        walk = walks[trav.walk_id]
+        j = trav.step
+        while True:
+            j = (j - 1 if trav.down else j + 1) % len(walk)
+            yield walk[j] ^ 1 if trav.down else walk[j]
+
+    lanes = {}
+    for e, travs in corridors.items():
+        def compare(tx, ty):
+            if (tx.walk_id, tx.step) == (ty.walk_id, ty.step):
+                return 0
+            gx, gy = up_exits(tx), up_exits(ty)
+            t_in = 2 * e + 1
+            limit = len(walks[tx.walk_id]) * len(walks[ty.walk_id]) + 1
+            for _ in range(limit):
+                hx, hy = next(gx), next(gy)
+                if hx != hy:
+                    deg = len(surf.scheme.rot[surf.scheme.vertex_of[t_in]])
+                    dx = (pos[hx] - pos[t_in]) % deg
+                    dy = (pos[hy] - pos[t_in]) % deg
+                    return -1 if dx < dy else 1
+                t_in = hx ^ 1
+            return -1 if (tx.walk_id, tx.step) < (ty.walk_id, ty.step) else 1
+
+        for lane, t in enumerate(sorted(travs, key=cmp_to_key(compare))):
+            lanes[(t.walk_id, t.step)] = lane
+    return lanes
+
+
+def _chain_sum(fixture, m):
+    """#m copies welded in a chain, vertex 1 of a copy to 0 of the next."""
+    g, weld = fixture, 1
+    for _ in range(1, m):
+        g = connected_sum(g, fixture, weld, 0)
+        weld = g.nv - (fixture.nv - 1)
+    return g
+
+
+def _verifier_corpus(datadir_gem):
+    """(surface, {system: walks}) for chain sums with seeded extra squares.
+
+    Besides the three systems of each diagram, mutated ones: alpha
+    replaced by beta, a duplicated curve, a reversed curve, and the
+    alpha and beta curves together as one system.
+    """
+    rng = random.Random(5)
+    out = []
+    for name in ("projective_plane_like.gem", "nonzero_forest.gem"):
+        fixture = datadir_gem(name).graph
+        for m in range(2, 7):
+            g = _chain_sum(fixture, m)
+            spare = sorted(set(g.edge_ids(4))
+                           - set(stabilization_set(g, IDENT)))
+            extra = rng.sample(spare, rng.randrange(0, 3))
+            d = assemble_diagram(g, IDENT, _forced(g, IDENT, extra))
+            assert d.record.ok, (name, m, extra)
+            surf = d.surface
+            walks = {sys_name: [_to_walk(surf, c) for c in curves]
+                     for sys_name, curves in d.systems()}
+            a = walks["alpha"]
+            walks.update({
+                "alpha:=beta": list(walks["beta"]),
+                "duplicated": a + a[:1],
+                "reversed": [[h ^ 1 for h in reversed(a[0])]] + a[1:],
+                "alpha+beta": a + walks["beta"],
+            })
+            out.append((surf, walks))
+    return out
+
+
+def test_indexed_intersections_match_pairwise(datadir_gem):
+    for surf, walks in _verifier_corpus(datadir_gem):
+        pos = _ccw_rotations(surf)
+        deg_of = [len(r) for r in surf.scheme.rot]
+        vo = surf.scheme.vertex_of
+        index = {k: _chord_index(ws, pos, vo) for k, ws in walks.items()}
+        for ka, wa in walks.items():
+            selfs = _self_intersections(index[ka], deg_of, len(wa))
+            assert selfs == [_reference_intersection(surf, w, w, pos, deg_of)
+                             for w in wa]
+            for kb in dict.fromkeys(("alpha", "beta", "gamma", ka)):
+                wb = walks[kb]
+                cols = _intersection_columns(index[ka], index[kb], deg_of,
+                                             len(wb))
+                for j, w_j in enumerate(wb):
+                    assert all(cols[j].values())
+                    for i, w_i in enumerate(wa):
+                        ref = _reference_intersection(surf, w_i, w_j, pos,
+                                                      deg_of)
+                        assert cols[j].get(i, 0) == ref, (ka, kb, i, j)
+                        assert _signed_intersection(
+                            surf, w_i, w_j, pos, deg_of) == ref
+
+
+def test_region_count_and_lanes_match_references(datadir_gem):
+    seen = set()
+    for surf, walks in _verifier_corpus(datadir_gem):
+        pos = _ccw_rotations(surf)
+        for ws in walks.values():
+            corridors = _corridor_map(ws)
+            lanes = _lane_orders(surf, ws, corridors, pos)
+            assert lanes == _reference_lanes(surf, ws, corridors, pos)
+            res = _resolve(surf, ws, corridors, lanes, pos)
+            resolved, _ = _crossing_free(res)
+            pieces = _complement_components(surf, res, pos)
+            assert pieces == _reference_components(surf, res, pos)
+            seen.add("unresolved" if not resolved else
+                     "split" if pieces > 1 else "connected")
+    assert seen == {"unresolved", "split", "connected"}
+
+
+def _old_reduce(items, inverse, keep=lambda s: True):
+    """The walk reductions before cyclic trimming worked by index."""
+    out = []
+    for s in items:
+        if out and keep(s) and out[-1] == inverse(s):
+            out.pop()
+        else:
+            out.append(s)
+    while len(out) >= 2 and keep(out[0]) and out[-1] == inverse(out[0]):
+        out.pop()
+        out.pop(0)
+    return out
+
+
+def test_cyclic_reduction_matches_pop_loop():
+    rng = random.Random(11)
+    for _ in range(300):
+        core = [rng.randrange(12) for _ in range(rng.randrange(0, 8))]
+        wrap = [rng.randrange(12) for _ in range(rng.randrange(0, 6))]
+        walk = wrap + core + [h ^ 1 for h in reversed(wrap)]
+        assert _reduce_walk(walk) == _old_reduce(walk, lambda h: h ^ 1)
+
+        kinds = [("e", rng.randrange(4), rng.choice((1, -1))) if
+                 rng.random() < 0.8 else ("sc", rng.randrange(2))
+                 for _ in range(len(core) + len(wrap))]
+        head = kinds[:len(wrap)]
+        steps = (head + kinds[len(wrap):]
+                 + [s if s[0] == "sc" else (s[0], s[1], -s[2])
+                    for s in reversed(head)])
+        assert _reduce_steps(steps) == tuple(_old_reduce(
+            steps, lambda s: s if s[0] == "sc" else (s[0], s[1], -s[2]),
+            keep=lambda s: s[0] != "sc"))
