@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import __version__
 from .diagrams import assemble_diagram, export_diagram
-from .embedding import CyclicPermutation, cyclic_permutations
+from .embedding import _permutation, cyclic_permutations
 from .graphs import GemError, build_graph
 from .homology import bound_ledger
 from .trisection import Incomplete, minimize_k
@@ -39,7 +39,7 @@ EXIT_IO = 4
 
 _DEFAULT_OPTIONS = {
     "eps": None,        # fixed permutation, or None to sweep
-    "sweep": True,
+    "sweep": True,      # follows from eps
     "apex_color": 4,
     "budget": 0,        # minimize_k search budget
     "mode": "auto",     # auto | closed | gts
@@ -282,6 +282,8 @@ def normalize_options(options=None):
     if opts["eps"] is not None:
         opts["eps"] = tuple(int(c) for c in opts["eps"])
         opts["sweep"] = False
+    elif not opts["sweep"]:
+        raise GemError("sweep=false needs a fixed eps")
     if opts["mode"] not in ("auto", "closed", "gts"):
         raise GemError("mode must be auto, closed or gts")
     if opts["format"] not in ("json", "dot", "svg"):
@@ -347,7 +349,7 @@ def run_pipeline(gf, options=None):
 
     if opts["eps"] is not None:
         try:
-            sweep = [CyclicPermutation(opts["eps"])]
+            sweep = [_permutation(g, opts["eps"])]
         except GemError as exc:
             return record(exit_code=EXIT_INVALID, report=rep,
                           error=str(exc)), None

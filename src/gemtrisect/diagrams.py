@@ -27,7 +27,7 @@ from functools import cmp_to_key
 
 from .embedding import CyclicPermutation, stabilized_surface
 from .graphs import (GemError, bicolored_cycles, is_bipartite, residue_labels,
-                     residues)
+                     residues, spanning_forest)
 from .homology import HomologyGroup, _cokernel, _gf2_rank_bits, boundary_h1
 from .trisection import build_Q
 
@@ -78,53 +78,34 @@ class WallGraph:
     (of the apex-free subgraph) containing it.
     """
 
-    __slots__ = ("families", "cycle_colors", "nodes", "edges", "cycles",
-                 "forest")
+    __slots__ = ("cycle_colors", "nodes", "cycles", "forest")
 
-    def __init__(self, families, cycle_colors, nodes, edges, cycles, forest):
-        self.families = families        # two node colorsets
+    def __init__(self, cycle_colors, nodes, cycles, forest):
         self.cycle_colors = cycle_colors
         self.nodes = nodes              # (colorset, residue) per node
-        self.edges = edges              # (cycle index, node a, node b)
-        self.cycles = cycles
+        self.cycles = cycles            # the edges, in bicolored_cycles order
         self.forest = forest            # cycle indices, minimum-id greedy
 
     def __repr__(self):
         return "WallGraph(nodes=%d, edges=%d, forest=%d)" % (
-            len(self.nodes), len(self.edges), len(self.forest))
+            len(self.nodes), len(self.cycles), len(self.forest))
 
 
-def _wall_graph(g, node_colors, cycle_colors, apex):
-    delta3 = frozenset(g.colors) - {apex}
+def _wall_graph(g, node_colors, cycle_colors):
+    delta3 = frozenset(g.colors) - {g.n}
     fams = sorted((delta3 - {c} for c in node_colors), key=sorted)
     nodes = [(fam, res) for fam in fams for res in residues(g, fam)]
     label_a, label_b = residue_labels(g, fams[0]), residue_labels(g, fams[1])
     first_b = len(residues(g, fams[0]))     # fams[1]'s nodes follow
     a, b = sorted(cycle_colors)
     cycles = bicolored_cycles(g, a, b)
-    edges = []
-    parent = list(range(len(nodes)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    forest = []
-    for ci, cyc in enumerate(cycles):
-        v0 = cyc.vertices[0]
-        na, nb = label_a[v0], first_b + label_b[v0]
-        edges.append((ci, na, nb))
-        ra, rb = find(na), find(nb)
-        if ra != rb:
-            parent[ra] = rb
-            forest.append(ci)
-    return WallGraph(tuple(fams), frozenset(cycle_colors), tuple(nodes),
-                     tuple(edges), tuple(cycles), tuple(forest))
+    ends = ((label_a[c.vertices[0]], first_b + label_b[c.vertices[0]])
+            for c in cycles)
+    return WallGraph(frozenset(cycle_colors), tuple(nodes), tuple(cycles),
+                     tuple(spanning_forest(len(nodes), ends)))
 
 
-def wall_graphs(g, eps, apex=4):
+def wall_graphs(g, eps):
     """(K over the {eps0,eps2} families, K over {eps1,eps3}).
 
     The first carries the {eps1,eps3}-cycles as edges and prunes beta;
@@ -132,8 +113,8 @@ def wall_graphs(g, eps, apex=4):
     """
     eps = eps if isinstance(eps, CyclicPermutation) else CyclicPermutation(eps)
     e0, e1, e2, e3 = eps.seq[:4]
-    k02 = _wall_graph(g, (e0, e2), (e1, e3), apex)
-    k13 = _wall_graph(g, (e1, e3), (e0, e2), apex)
+    k02 = _wall_graph(g, (e0, e2), (e1, e3))
+    k13 = _wall_graph(g, (e1, e3), (e0, e2))
     return k02, k13
 
 
@@ -144,7 +125,7 @@ def _cycle_curve(kind, cyc, index):
 def alpha_beta_curves(g, eps, certificate):
     """Wall cycles minus forests, plus one meridian per handle, per side."""
     eps = eps if isinstance(eps, CyclicPermutation) else CyclicPermutation(eps)
-    k02, k13 = wall_graphs(g, eps, certificate.apex)
+    k02, k13 = wall_graphs(g, eps)
     k = certificate.k
     genus = certificate.genus
     if genus.denominator != 1:
@@ -176,7 +157,7 @@ def gamma_curves(Q, certificate):
     squares; exceeding it raises ExpansionDiverged.
     """
     g = Q.graph
-    apex = Q.apex
+    apex = g.n
     ordering = certificate.ordering
     handle_of = {e: j for j, e in enumerate(ordering.stabilized)}
     witness_of = {e: idx for e, (_, idx) in
@@ -186,22 +167,9 @@ def gamma_curves(Q, certificate):
     if len(witness_set) != len(ordering.collapsed):
         raise GemError("witness cycles are not distinct")
 
-    parent = list(range(len(Q.q1_nodes)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    forest = set()
-    for edge in Q.q1_edges:
-        if edge.index in witness_set:
-            continue
-        ra, rb = find(edge.nodes[0]), find(edge.nodes[1])
-        if ra != rb:
-            parent[ra] = rb
-            forest.add(edge.index)
+    kept = [edge for edge in Q.q1_edges if edge.index not in witness_set]
+    forest = {kept[i].index for i in spanning_forest(
+        len(Q.q1_nodes), (edge.nodes for edge in kept))}
 
     cache = {}
     in_progress = set()
@@ -668,10 +636,9 @@ def assemble_diagram(g, eps, certificate):
         raise GemError("trisection diagrams need a bipartite gem")
     if certificate.genus.denominator != 1:
         raise CountMismatch("non-integral genus %s" % certificate.genus)
-    surf = stabilized_surface(g, eps, certificate.ordering.stabilized,
-                              certificate.apex)
+    surf = stabilized_surface(g, eps, certificate.ordering.stabilized)
     alpha, beta = alpha_beta_curves(g, eps, certificate)
-    Q = build_Q(g, eps, certificate.apex)
+    Q = build_Q(g, eps)
     gamma = gamma_curves(Q, certificate)
     mode = "trisection" if certificate.mode == "closed" else "g-trisection"
     d = TrisectionDiagram(surf, alpha, beta, gamma, int(certificate.genus),
@@ -784,7 +751,7 @@ def verify_diagram(diagram):
     pair_cols = _intersection_columns(index["alpha"], index["beta"], deg_of,
                                       len(walks["beta"]))
     pairing = _cokernel(pair_cols, g_)
-    h1b = boundary_h1(surf.graph, surf.apex)
+    h1b = boundary_h1(surf.graph)
     expected = HomologyGroup(surf.k + h1b.rank, h1b.torsion)
     checks["pairing_ab"] = {
         "rank": pairing.rank, "torsion": list(pairing.torsion),
@@ -863,7 +830,7 @@ def _export_dot(diagram):
                 if s[0] == "e":
                     used.setdefault(s[1], []).append("%s%d" % (name, ci))
     for eid, (u, v, c) in enumerate(g.edges):
-        if c == surf.apex:
+        if c == g.n:
             continue
         mark = used.get(eid)
         attrs = ['label="c%d"' % c]

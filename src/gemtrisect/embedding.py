@@ -114,16 +114,22 @@ def _chi_formula(pair_count, cyc_seq, order):
     return total + (1 - m) * (order // 2)
 
 
+def _permutation(g, eps):
+    """eps as a CyclicPermutation of g's colors 0..n, so n sits last."""
+    eps = eps if isinstance(eps, CyclicPermutation) else CyclicPermutation(eps)
+    if len(eps) != g.n + 1:
+        raise GemError("permutation length %d does not match dimension %d"
+                       % (len(eps), g.n))
+    return eps
+
+
 def rho(g, eps):
     """Regular genus of the embedding F_eps, from the census identity.
 
     Returns a Fraction: the orientable genus for bipartite graphs,
     half the non-orientable genus otherwise (possibly half-integral).
     """
-    eps = eps if isinstance(eps, CyclicPermutation) else CyclicPermutation(eps)
-    if len(eps) != g.n + 1:
-        raise GemError("permutation length %d does not match dimension %d"
-                       % (len(eps), g.n))
+    eps = _permutation(g, eps)
     chi = _chi_formula(ResidueCensus(g), eps.seq, g.nv)
     return Fraction(2 - chi, 2)
 
@@ -159,18 +165,14 @@ class RotationScheme:
 
     Edge i has half-edges 2i (low end) and 2i+1 (high end); for loop
     edges both ends sit at the same vertex but remain distinct slots.
-    `neg[i]` marks sign-reversing edges.  Labels tie scheme edges back
-    to caller identifiers.
+    `neg[i]` marks sign-reversing edges.
     """
 
-    def __init__(self, nv, edge_ends, rotations, neg, edge_labels=None,
-                 vertex_labels=None):
+    def __init__(self, nv, edge_ends, rotations, neg):
         self.nv = nv
         self.edge_ends = edge_ends        # list of (u, v)
         self.neg = neg                    # list of 0/1
         self.rot = rotations              # per vertex: list of half-edge ids
-        self.edge_labels = edge_labels or list(range(len(edge_ends)))
-        self.vertex_labels = vertex_labels or list(range(nv))
         ne = len(edge_ends)
         self.vertex_of = [0] * (2 * ne)
         for e, (u, v) in enumerate(edge_ends):
@@ -268,16 +270,12 @@ def _gem_scheme(g, color_seq):
             h = 2 * e if u == v else 2 * e + 1
             rotations[v].append(h)
     neg = [1] * len(ends)
-    return RotationScheme(g.nv, ends, rotations, neg,
-                          edge_labels=list(range(len(ends))))
+    return RotationScheme(g.nv, ends, rotations, neg)
 
 
 def regular_embedding(g, eps):
     """Trace the regular embedding F_eps(g) from its rotation scheme."""
-    eps = eps if isinstance(eps, CyclicPermutation) else CyclicPermutation(eps)
-    if len(eps) != g.n + 1:
-        raise GemError("permutation length %d does not match dimension %d"
-                       % (len(eps), g.n))
+    eps = _permutation(g, eps)
     scheme = _gem_scheme(g, eps.seq)
     raw = scheme.trace_faces()
     faces = []
@@ -311,21 +309,21 @@ class StabilizedSurface:
     """Central surface: apex-free embedding plus one handle per
     stabilized edge.
 
-    Each stabilized apex edge (u, v) is replaced by a two-edge path
-    u - x - v whose ends occupy the apex corner of the rotations at u
-    and v, with a meridian loop at x separating the two path edges.
+    The apex is color n, the last of eps.  Each stabilized apex edge
+    (u, v) is replaced by a two-edge path u - x - v whose ends occupy
+    the apex corner of the rotations at u and v, with a meridian loop
+    at x separating the two path edges.
     The meridian is the boundary of the cocore disk, so any walk
     through the handle crosses it exactly once.
     """
 
-    __slots__ = ("graph", "eps", "apex", "stabilized", "scheme", "faces",
+    __slots__ = ("graph", "eps", "stabilized", "scheme", "faces",
                  "handles", "edge_of_gem", "classes", "chi", "genus")
 
-    def __init__(self, graph, eps, apex, stabilized, scheme, faces,
-                 handles, edge_of_gem, classes):
+    def __init__(self, graph, eps, stabilized, scheme, faces, handles,
+                 edge_of_gem, classes):
         self.graph = graph
         self.eps = eps
-        self.apex = apex
         self.stabilized = stabilized
         self.scheme = scheme
         self.faces = faces
@@ -343,12 +341,10 @@ class StabilizedSurface:
         return "StabilizedSurface(genus=%s, k=%d)" % (self.genus, self.k)
 
 
-def stabilized_surface(g, eps, stabilized, apex=4):
+def stabilized_surface(g, eps, stabilized):
     """Build the central surface for a stabilization set of apex edges."""
-    eps = eps if isinstance(eps, CyclicPermutation) else CyclicPermutation(eps)
-    if eps.seq[-1] != apex:
-        raise GemError("apex %d must sit last in the cyclic order %s"
-                       % (apex, list(eps.seq)))
+    eps = _permutation(g, eps)
+    apex = g.n
     base_seq = eps.drop(apex)
     stabilized = tuple(sorted(set(stabilized)))
     for e in stabilized:
@@ -357,7 +353,6 @@ def stabilized_surface(g, eps, stabilized, apex=4):
 
     ends = []
     neg = []
-    edge_labels = []
     edge_of_gem = {}
     for eid, (u, v, c) in enumerate(g.edges):
         if c == apex:
@@ -365,7 +360,6 @@ def stabilized_surface(g, eps, stabilized, apex=4):
         edge_of_gem[eid] = len(ends)
         ends.append((u, v))
         neg.append(1)
-        edge_labels.append(eid)
 
     rotations = [[] for _ in range(g.nv)]
     for w in range(g.nv):
@@ -378,15 +372,12 @@ def stabilized_surface(g, eps, stabilized, apex=4):
     bip, cls = is_bipartite(g)
     classes = list(cls) if bip else None
     handles = []
-    vertex_labels = list(range(g.nv))
     for j, eid in enumerate(stabilized):
         u, v, _ = g.edges[eid]
         x = g.nv + j
-        vertex_labels.append(("x", j))
         ia, ib, im = len(ends), len(ends) + 1, len(ends) + 2
         ends.extend([(u, x), (x, v), (x, x)])
         neg.extend([1, 0, 0])
-        edge_labels.extend([("a", j), ("b", j), ("m", j)])
         rotations[u].append(2 * ia)
         rotations[v].append(2 * ib + 1)
         rotations.append([2 * ia + 1, 2 * im, 2 * ib, 2 * im + 1])
@@ -394,11 +385,9 @@ def stabilized_surface(g, eps, stabilized, apex=4):
             classes.append(classes[u] ^ 1)
         handles.append(Handle(eid, u, v, x, ia, ib, im))
 
-    scheme = RotationScheme(g.nv + len(handles), ends, rotations, neg,
-                            edge_labels=edge_labels,
-                            vertex_labels=vertex_labels)
+    scheme = RotationScheme(g.nv + len(handles), ends, rotations, neg)
     faces = scheme.trace_faces()
-    surf = StabilizedSurface(g, eps, apex, stabilized, scheme, faces,
+    surf = StabilizedSurface(g, eps, stabilized, scheme, faces,
                              tuple(handles), edge_of_gem,
                              tuple(classes) if classes is not None else None)
     base = subgraph_rho(g, eps, apex)

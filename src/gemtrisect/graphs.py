@@ -268,6 +268,31 @@ def residue_census(g):
     return census
 
 
+def spanning_forest(size, ends):
+    """Positions of the pairs a greedy spanning forest keeps.
+
+    Nodes are 0..size-1 and ends yields node pairs, taken in order.  A
+    pair is kept when it joins two trees, so a loop (x, x) never is,
+    and of several pairs joining the same trees only the first.
+    size - len(result) is the number of components.
+    """
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    kept = []
+    for i, (a, b) in enumerate(ends):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            kept.append(i)
+    return kept
+
+
 # -- bipartiteness -----------------------------------------------------
 
 def is_bipartite(g):

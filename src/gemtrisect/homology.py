@@ -308,16 +308,15 @@ class GroupPresentation:
             self.num_generators, len(self.relators))
 
 
-def _free_reduce(word, cyclic=True):
+def _free_reduce(word):
     out = []
     for x in word:
         if out and out[-1] == -x:
             out.pop()
         else:
             out.append(x)
-    if cyclic:
-        while len(out) > 1 and out[0] == -out[-1]:
-            out = out[1:-1]
+    while len(out) > 1 and out[0] == -out[-1]:
+        out = out[1:-1]
     return tuple(out)
 
 
@@ -350,18 +349,17 @@ def pi1_presentation(g):
     return pres
 
 
-def boundary_h1(g, apex):
-    """H1 of the boundary 3-manifold: the residue missing the apex color.
+def boundary_h1(g):
+    """H1 of the boundary 3-manifold: the residue missing the apex color n.
 
     Callers have checked that this residue is unique.  Its sub-gem's
-    abelianised pi1 is computed once per graph and apex color.
+    abelianised pi1 is computed once per graph.
     """
-    key = ("boundary_h1", apex)
-    h1 = g._memo.get(key)
+    h1 = g._memo.get("boundary_h1")
     if h1 is None:
-        res = residues(g, frozenset(g.colors) - {apex})[0]
+        res = residues(g, frozenset(g.colors) - {g.n})[0]
         sub, _, _ = residue_subgem(g, res)
-        h1 = g._memo[key] = pi1_presentation(sub).abelianization()
+        h1 = g._memo["boundary_h1"] = pi1_presentation(sub).abelianization()
     return h1
 
 
@@ -538,16 +536,15 @@ def bound_ledger(g, eps, certificate, boundary_spheres=None):
     """Assemble the bound ledger for one pipeline run.
 
     certificate: a completed trisection certificate (duck-typed: needs
-    eps, apex, k, genus, mode).  boundary_spheres: number m from an
+    genus and mode).  boundary_spheres: number m from an
     attested or proven boundary of the form #_m(S1xS2); 0 means closed.
     """
     from .embedding import rho, subgraph_rho
 
     if certificate is None:
         raise MissingCertificate("trisection certificate required")
-    apex = certificate.apex
     rg = rho(g, eps)
-    rh = subgraph_rho(g, eps, apex)
+    rh = subgraph_rho(g, eps, g.n)
     if isinstance(rh, list):
         raise GemError("boundary-role residue is disconnected")
 
@@ -562,7 +559,7 @@ def bound_ledger(g, eps, certificate, boundary_spheres=None):
         rho_eps_gamma_hat4=rh,
         rk_lower=ab.min_generators,
         rk_upper=pres.num_generators,
-        heegaard_lower=boundary_h1(g, apex).min_generators,
+        heegaard_lower=boundary_h1(g).min_generators,
         heegaard_upper=rh,
         g_GT_upper=certificate.genus,
         g_T_upper=g_T,

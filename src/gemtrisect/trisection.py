@@ -13,8 +13,9 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from .embedding import CyclicPermutation, rho, subgraph_rho
-from .graphs import GemError, bicolored_cycles, residue_labels, residues
+from .embedding import _permutation, rho, subgraph_rho
+from .graphs import (GemError, bicolored_cycles, residue_labels, residues,
+                     spanning_forest)
 
 
 class ApexResidueDisconnected(GemError):
@@ -39,13 +40,11 @@ class Incomplete(GemError):
 class Q1Edge:
     """One {apex,i}-cycle, seen as an edge of the mixed-residue graph."""
 
-    __slots__ = ("index", "color", "cycle_index", "cycle", "nodes",
-                 "squares")
+    __slots__ = ("index", "color", "cycle", "nodes", "squares")
 
-    def __init__(self, index, color, cycle_index, cycle, nodes, squares):
+    def __init__(self, index, color, cycle, nodes, squares):
         self.index = index
         self.color = color              # i, the non-apex color of the cycle
-        self.cycle_index = cycle_index  # position among {apex,i}-cycles
         self.cycle = cycle
         self.nodes = nodes              # pair of q1 node ids, low first
         self.squares = squares          # apex edge ids on the cycle
@@ -64,13 +63,11 @@ class QComplex:
     {apex,i}-cycle through square e.
     """
 
-    __slots__ = ("graph", "eps", "apex", "squares", "q1_nodes", "q1_edges",
-                 "sides")
+    __slots__ = ("graph", "eps", "squares", "q1_nodes", "q1_edges", "sides")
 
-    def __init__(self, graph, eps, apex, squares, q1_nodes, q1_edges, sides):
+    def __init__(self, graph, eps, squares, q1_nodes, q1_edges, sides):
         self.graph = graph
         self.eps = eps
-        self.apex = apex
         self.squares = squares
         self.q1_nodes = q1_nodes
         self.q1_edges = q1_edges
@@ -81,25 +78,22 @@ class QComplex:
         return len(self.squares)
 
 
-def _require_apex(g, eps, apex):
+def _require_apex(g, eps):
     if g.n != 4:
         raise GemError("square complex needs dimension 4, got %d" % g.n)
-    eps = eps if isinstance(eps, CyclicPermutation) else CyclicPermutation(eps)
-    if eps.seq[-1] != apex:
-        raise GemError("apex %d must sit last in the cyclic order %s"
-                       % (apex, list(eps.seq)))
-    others = frozenset(g.colors) - {apex}
+    eps = _permutation(g, eps)
+    others = frozenset(g.colors) - {4}
     if len(residues(g, others)) != 1:
         raise ApexResidueDisconnected(
-            "complement of color %d splits into %d residues"
-            % (apex, len(residues(g, others))))
+            "complement of color 4 splits into %d residues"
+            % len(residues(g, others)))
     return eps
 
 
-def build_Q(g, eps, apex=4):
+def build_Q(g, eps):
     """Square complex of the gem for the given cyclic order."""
-    eps = _require_apex(g, eps, apex)
-    e0, e1, e2, e3 = eps.seq[:4]
+    eps = _require_apex(g, eps)
+    e0, e1, e2, e3, apex = eps.seq
     family_of = {}
     for i in (e0, e2):
         for j in (e1, e3):
@@ -121,13 +115,13 @@ def build_Q(g, eps, apex=4):
     for i in sorted(c for c in g.colors if c != apex):
         fam_a, fam_b = family_of[i]
         label_a, label_b = residue_labels(g, fam_a), residue_labels(g, fam_b)
-        for ci, cyc in enumerate(bicolored_cycles(g, i, apex)):
+        for cyc in bicolored_cycles(g, i, apex):
             v0 = cyc.vertices[0]
             nodes = tuple(sorted((first[fam_a] + label_a[v0],
                                   first[fam_b] + label_b[v0])))
             sqs = tuple(sorted(e for e in cyc.edge_ids
                                if g.edges[e][2] == apex))
-            edge = Q1Edge(len(q1_edges), i, ci, cyc, nodes, sqs)
+            edge = Q1Edge(len(q1_edges), i, cyc, nodes, sqs)
             q1_edges.append(edge)
             for e in sqs:
                 sides[e][i] = edge.index
@@ -135,11 +129,11 @@ def build_Q(g, eps, apex=4):
     for e, by_color in sides.items():
         if len(by_color) != 4:
             raise GemError("square %d has %d sides" % (e, len(by_color)))
-    return QComplex(g, eps, apex, tuple(sorted(sides)), tuple(q1_nodes),
+    return QComplex(g, eps, tuple(sorted(sides)), tuple(q1_nodes),
                     tuple(q1_edges), sides)
 
 
-def stabilization_set(g, eps, apex=4):
+def stabilization_set(g, eps):
     """Spanning forest of apex edges over the {eps0,eps3}-cycles.
 
     Contracting every {eps0,eps3}-cycle of the gem to a point leaves the
@@ -148,26 +142,14 @@ def stabilization_set(g, eps, apex=4):
     first) is the stabilization set, of size
     g_{eps0,eps3} - g_{eps0,eps3,apex}.
     """
-    eps = _require_apex(g, eps, apex)
+    eps = _require_apex(g, eps)
     # the {eps0,eps3}-cycles are the {eps0,eps3}-residues
     pair = (eps.seq[0], eps.seq[3])
     cyc_of = residue_labels(g, pair)
-    parent = list(range(len(residues(g, pair))))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    forest = []
-    for eid in g.edge_ids(apex):
-        u, v, _ = g.edges[eid]
-        a, b = find(cyc_of[u]), find(cyc_of[v])
-        if a != b:
-            parent[a] = b
-            forest.append(eid)
-    return tuple(forest)
+    squares = g.edge_ids(4)
+    ends = ((cyc_of[g.edges[e][0]], cyc_of[g.edges[e][1]]) for e in squares)
+    return tuple(squares[i]
+                 for i in spanning_forest(len(residues(g, pair)), ends))
 
 
 class CollapseOrdering:
@@ -285,13 +267,11 @@ class TrisectionCertificate:
     mode records whether the gem was certified closed or bounded.
     """
 
-    __slots__ = ("eps", "apex", "ordering", "k", "genus", "mode",
-                 "rho_surface", "rho_base")
+    __slots__ = ("eps", "ordering", "k", "genus", "mode", "rho_surface",
+                 "rho_base")
 
-    def __init__(self, eps, apex, ordering, genus, mode, rho_surface,
-                 rho_base):
+    def __init__(self, eps, ordering, genus, mode, rho_surface, rho_base):
         self.eps = eps
-        self.apex = apex
         self.ordering = ordering
         self.k = ordering.k
         self.genus = genus
@@ -307,7 +287,7 @@ class TrisectionCertificate:
             return int(x) if x.denominator == 1 else str(x)
         return {
             "eps": list(self.eps.seq),
-            "apex": self.apex,
+            "apex": 4,
             "k": self.k,
             "genus": num(self.genus),
             "mode": self.mode,
@@ -323,18 +303,15 @@ class TrisectionCertificate:
             self.genus, self.k, list(self.eps.seq))
 
 
-def certificate(g, eps, ordering, apex=4, mode="closed"):
+def certificate(g, eps, ordering, mode="closed"):
     """Assemble a certificate from a completed ordering."""
-    eps = _require_apex(g, eps, apex)
-    base = subgraph_rho(g, eps, apex)
-    if isinstance(base, list):
-        raise ApexResidueDisconnected(
-            "complement of color %d is disconnected" % apex)
-    return TrisectionCertificate(eps, apex, ordering, base + ordering.k,
-                                 mode, rho(g, eps), base)
+    eps = _require_apex(g, eps)
+    base = subgraph_rho(g, eps, 4)
+    return TrisectionCertificate(eps, ordering, base + ordering.k, mode,
+                                 rho(g, eps), base)
 
 
-def minimize_k(g, eps, budget=0, apex=4, mode="closed"):
+def minimize_k(g, eps, budget=0, mode="closed"):
     """Search for a small stabilization set; never worse than the forest.
 
     Greedy from the empty set; each failure stabilizes one residual
@@ -344,9 +321,9 @@ def minimize_k(g, eps, budget=0, apex=4, mode="closed"):
     additionally tries explicit subsets (smallest first, at most
     `budget` schedule attempts) below the best size found.
     """
-    eps = _require_apex(g, eps, apex)
-    Q = build_Q(g, eps, apex)
-    forest = stabilization_set(g, eps, apex)
+    eps = _require_apex(g, eps)
+    Q = build_Q(g, eps)
+    forest = stabilization_set(g, eps)
 
     stab = []
     best = None
@@ -382,4 +359,4 @@ def minimize_k(g, eps, budget=0, apex=4, mode="closed"):
             if done:
                 break
 
-    return certificate(g, eps, best, apex, mode)
+    return certificate(g, eps, best, mode)

@@ -44,14 +44,13 @@ class MultipleApexResidues(GemError):
 class ValidationReport:
     """Everything certify_Gs4 decided, with its evidence trail."""
 
+    apex_color = 4
+
     def __init__(self, **kw):
-        self.apex_color = kw["apex_color"]
-        self.surface_verdicts = kw["surface_verdicts"]
         self.color_verdicts = kw["color_verdicts"]
         self.singular_colors = kw["singular_colors"]
         self.undetermined_colors = kw["undetermined_colors"]
         self.gs4_member = kw["gs4_member"]
-        self.boundary_residue = kw["boundary_residue"]
         self.boundary_verdict = kw["boundary_verdict"]
         self.boundary_spheres = kw["boundary_spheres"]
         self.closed = kw["closed"]
@@ -204,16 +203,16 @@ def parse_attestations(attest):
     return out
 
 
-def certify_Gs4(g, attestations=None, apex=4):
+def certify_Gs4(g, attestations=None):
     """Decide class membership and build the validation report.
 
-    Attestations can only upgrade "unknown" verdicts, never flip a
-    proven one; every upgrade and every conflict is recorded.
+    The apex is color 4.  Attestations can only upgrade "unknown"
+    verdicts, never flip a proven one; every upgrade and every conflict
+    is recorded.
     """
     if g.n != 4:
         raise GemError("classification requires dimension 4")
-    if apex not in g.colors:
-        raise GemError("apex color %r out of range" % (apex,))
+    apex = 4
     surface = check_surface_residues(g)
     bad = sorted(k for k, v in surface.items() if v == NON_SPHERE)
     if bad:
@@ -225,7 +224,6 @@ def certify_Gs4(g, attestations=None, apex=4):
         raise MultipleApexResidues(
             "%d residues miss color %d; need exactly one"
             % (len(apex_residues), apex))
-    boundary_residue = apex_residues[0]
 
     verdicts = _classify_colors(g)
     att = parse_attestations(attestations)
@@ -261,7 +259,7 @@ def certify_Gs4(g, attestations=None, apex=4):
     boundary_spheres = None
     if att["boundary"] is not None:
         m = att["boundary"]
-        h1 = boundary_h1(g, apex)
+        h1 = boundary_h1(g)
         if h1.rank != m or h1.torsion:
             conflicts.append(
                 "boundary attestation #%d(S1xS2) inconsistent with H1=%r"
@@ -299,13 +297,10 @@ def certify_Gs4(g, attestations=None, apex=4):
 
     singular, undetermined = _singular_undetermined(upgraded)
     return ValidationReport(
-        apex_color=apex,
-        surface_verdicts=surface,
         color_verdicts={c: tuple(v) for c, v in upgraded.items()},
         singular_colors=singular,
         undetermined_colors=undetermined,
         gs4_member=member,
-        boundary_residue=boundary_residue,
         boundary_verdict=boundary_verdict,
         boundary_spheres=boundary_spheres,
         closed=closed,

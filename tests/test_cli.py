@@ -181,6 +181,20 @@ def test_fixed_eps_disables_sweep():
         normalize_options({"bogus": 1})
     with pytest.raises(GemError):
         normalize_options({"mode": "sideways"})
+    # sweep follows from eps: without a fixed eps there is nothing else
+    with pytest.raises(GemError):
+        normalize_options({"sweep": False})
+    assert normalize_options({"sweep": True})["sweep"] is True
+    assert normalize_options({"sweep": False, "eps": (0, 1, 3, 2, 4)}) == opts
+
+
+@pytest.mark.parametrize("eps", [(0, 0, 1, 2, 4), (0, 1, 2, 3),
+                                 (0, 1, 2, 3, 4, 5)])
+def test_bad_fixed_eps_lands_in_record(eps, s4_gem):
+    rec, dgm = run_pipeline(GemFile(4, None, {}, s4_gem), {"eps": eps})
+    assert rec.exit_code == EXIT_INVALID
+    assert rec.error and dgm is None
+    assert rec.as_dict()["report"]["gs4_member"] is True
 
 
 def test_modes(datadir_gem):
@@ -398,6 +412,11 @@ def test_main_eps_flag(tmp_path, capsys):
     assert main([p, "--eps", "0,1,3,2,4"]) == EXIT_OK
     assert "eps=0,1,3,2,4" in capsys.readouterr().out
     assert main([p, "--eps", "zero,1"]) == EXIT_INVALID
+    out = tmp_path / "short"
+    assert main([p, "--eps", "0,1,2,3", "--out", str(out)]) == EXIT_INVALID
+    runs = list(out.glob("p.*.run.json"))
+    assert len(runs) == 1
+    assert json.loads(runs[0].read_bytes())["exit_code"] == EXIT_INVALID
 
 
 def test_main_format_flag(tmp_path):

@@ -128,10 +128,10 @@ def test_forced_handles_verify(datadir_gem):
 
 
 def test_count_mismatch_on_tampered_certificate(s4_gem):
-    fake = types.SimpleNamespace(apex=4, k=0, genus=Fraction(3))
+    fake = types.SimpleNamespace(k=0, genus=Fraction(3))
     with pytest.raises(CountMismatch):
         alpha_beta_curves(s4_gem, IDENT, fake)
-    fake_half = types.SimpleNamespace(apex=4, k=0, genus=Fraction(1, 2))
+    fake_half = types.SimpleNamespace(k=0, genus=Fraction(1, 2))
     with pytest.raises(CountMismatch):
         alpha_beta_curves(s4_gem, IDENT, fake_half)
 
@@ -230,6 +230,46 @@ def test_intersection_antisymmetry_and_self_zero(datadir_gem):
             ab = _signed_intersection(surf, wa, wb, pos, deg_of)
             ba = _signed_intersection(surf, wb, wa, pos, deg_of)
             assert ab == -ba
+
+
+# projective_plane_like.gem has genus 1 and k = 0 under both orders below.
+# alpha is the {0,3}-bigon 6 -> 7 -> 6 (edges 3, 15) and beta the
+# {1,2}-bigon 4 -> 7 -> 4 (edges 7, 10); they meet only at vertex 7.  The
+# path 0-3-6-7 puts vertex 7 in bipartition class 1, so _ccw_rotations
+# reverses its stored rotation, eps without the apex.  The right side of
+# a chord is the counterclockwise arc from its arrival slot to its
+# departure slot; <a, b> counts +1 where b crosses a from right to left.
+#   eps 0,1,3,2: ccw colors (2, 3, 1, 0).  alpha arrives at slot 3 and
+#     leaves at slot 1, so its right side is slot 0.  beta arrives at
+#     slot 2 (left) and leaves at slot 0 (right): <alpha, beta> = -1.
+#   eps 0,2,3,1: ccw colors (1, 3, 2, 0).  alpha's right side is again
+#     slot 0.  beta arrives at slot 0 (right) and leaves at slot 2
+#     (left): <alpha, beta> = +1.
+@pytest.mark.parametrize("seq, ccw_colors, expected", [
+    ((0, 1, 3, 2, 4), (2, 3, 1, 0), -1),
+    ((0, 2, 3, 1, 4), (1, 3, 2, 0), 1),
+])
+def test_alpha_beta_sign_by_hand(datadir_gem, seq, ccw_colors, expected):
+    g = datadir_gem("projective_plane_like.gem").graph
+    eps = CyclicPermutation(seq)
+    cert = minimize_k(g, eps)
+    d = assemble_diagram(g, eps, cert)
+    surf = d.surface
+    assert (cert.genus, cert.k) == (1, 0)
+    assert [c.steps for c in d.alpha] == [(("e", 3, 1), ("e", 15, -1))]
+    assert [c.steps for c in d.beta] == [(("e", 7, 1), ("e", 10, -1))]
+    assert surf.classes[7] == 1
+    pos = _ccw_rotations(surf)
+    gem_of = {i: e for e, i in surf.edge_of_gem.items()}
+    ccw = sorted(surf.scheme.rot[7], key=pos.get)
+    assert tuple(g.edges[gem_of[h >> 1]][2] for h in ccw) == ccw_colors
+
+    deg_of = [len(r) for r in surf.scheme.rot]
+    vo = surf.scheme.vertex_of
+    index = {name: _chord_index([_to_walk(surf, c) for c in curves], pos, vo)
+             for name, curves in d.systems()}
+    assert _intersection_columns(index["alpha"], index["beta"], deg_of,
+                                 1) == [{0: expected}]
 
 
 def test_json_export_stable_and_schema(datadir_gem):

@@ -26,6 +26,7 @@ from gemtrisect.graphs import (
     residue_labels,
     residue_subgem,
     residues,
+    spanning_forest,
     standard_sphere_gem,
 )
 
@@ -186,6 +187,36 @@ def test_residue_labels_match_component_bfs():
                 assert r.edge_ids == tuple(sorted(
                     {g.incident(v, c) for v in r.vertices for c in cs}))
                 assert all(label[v] == idx for v in r.vertices)
+
+
+# -- spanning forests ---------------------------------------------------
+
+
+def test_spanning_forest_by_hand():
+    assert spanning_forest(3, []) == []
+    # parallel pairs: only the first joins the two trees
+    assert spanning_forest(2, [(0, 1), (1, 0), (0, 1)]) == [0]
+    # a loop (x, x) never joins two trees
+    assert spanning_forest(3, [(1, 1), (0, 0), (0, 1), (2, 2)]) == [2]
+    # (1, 2) and (0, 3) both join the trees {0, 1} and {2, 3}
+    assert spanning_forest(4, [(0, 1), (2, 3), (1, 2), (0, 3)]) == [0, 1, 2]
+    assert spanning_forest(4, [(0, 1), (2, 3), (0, 3), (1, 2)]) == [0, 1, 2]
+    assert spanning_forest(4, iter([(3, 2), (2, 1), (1, 3)])) == [0, 1]
+
+
+def test_spanning_forest_counts_bfs_components():
+    import itertools
+    for g in _label_corpus():
+        for r in range(g.n + 1):
+            for cs in itertools.combinations(g.colors, r):
+                pairs = [(u, v) for u, v, c in g.edges if c in cs]
+                starts, seen = 0, set()
+                for v in range(g.nv):
+                    if v not in seen:
+                        seen |= _component(g, cs, v)
+                        starts += 1
+                forest = spanning_forest(g.nv, pairs)
+                assert g.nv - len(forest) == starts, (g, cs)
 
 
 # -- bipartiteness ------------------------------------------------------

@@ -100,9 +100,9 @@ def test_forest_seeding_always_completes(datadir_gem):
 
 def _two_square_complex():
     # both squares lie on all four cycles, so neither ever frees up
-    edges = tuple(Q1Edge(i, i, 0, None, (0, 1), (10, 11)) for i in range(4))
+    edges = tuple(Q1Edge(i, i, None, (0, 1), (10, 11)) for i in range(4))
     sides = {10: {i: i for i in range(4)}, 11: {i: i for i in range(4)}}
-    return QComplex(None, None, 4, (10, 11), (), edges, sides)
+    return QComplex(None, None, (10, 11), (), edges, sides)
 
 
 def test_scheduler_reports_stuck_state():
@@ -249,12 +249,12 @@ def test_certificate_shape(s4_gem):
 def test_sort_key_prefers_low_genus_then_low_k():
     o0 = CollapseOrdering((), (1,), ((0, 0),))
     o1 = CollapseOrdering((1,), (), ())
-    a = TrisectionCertificate(IDENT, 4, o0, Fraction(1), "closed",
+    a = TrisectionCertificate(IDENT, o0, Fraction(1), "closed",
                               Fraction(1), Fraction(1))
-    b = TrisectionCertificate(IDENT, 4, o1, Fraction(2), "closed",
+    b = TrisectionCertificate(IDENT, o1, Fraction(2), "closed",
                               Fraction(1), Fraction(1))
     assert a.sort_key() < b.sort_key()
-    c = TrisectionCertificate(IDENT, 4, o1, Fraction(1), "closed",
+    c = TrisectionCertificate(IDENT, o1, Fraction(1), "closed",
                               Fraction(1), Fraction(0))
     assert a.sort_key() < c.sort_key()
 
@@ -269,9 +269,9 @@ def test_split_apex_complement_rejected(blob4_gem):
 
 
 def test_apex_must_sit_last(s4_gem, s3_gem):
-    # canonical permutations put color 4 last, so only a different apex
-    # color can end up misplaced
+    # canonical permutations put color n last, so the apex 4 sits last
+    # exactly when eps has one entry per color of a dimension-4 gem
     with pytest.raises(GemError):
-        build_Q(s4_gem, IDENT, apex=2)
+        build_Q(s4_gem, CyclicPermutation((0, 1, 2, 3)))
     with pytest.raises(GemError):
         build_Q(s3_gem, CyclicPermutation((0, 1, 2, 3)))

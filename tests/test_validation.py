@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemtrisect.cli import parse_gem
+from gemtrisect.cli import GemFile, parse_gem, relabel_apex
 from gemtrisect.embedding import cyclic_permutations, rho
 from gemtrisect.graphs import (
     DipoleReducer,
@@ -138,8 +138,6 @@ def test_certify_sphere_gem(s4_gem):
 def test_certify_requires_dimension_four(s3_gem):
     with pytest.raises(GemError):
         certify_Gs4(s3_gem)
-    with pytest.raises(GemError):
-        certify_Gs4(standard_sphere_gem(4), apex=9)
 
 
 def test_split_apex_residue_rejected(blob4_gem):
@@ -250,16 +248,16 @@ def test_classify_colors_healthy(s4_gem):
 
 
 def test_other_apex_color_works(s4_gem):
-    rep = certify_Gs4(s4_gem, apex=0)
+    rep = certify_Gs4(relabel_apex(GemFile(4, None, {}, s4_gem), 0).graph)
     assert rep.gs4_member
-    assert rep.apex_color == 0
+    assert rep.apex_color == 4
 
 
 def test_apex_split_detected_for_alternate_apex(s4_gem):
     g = blob_insert(s4_gem, s4_gem.incident(0, 2))
     with pytest.raises(MultipleApexResidues):
-        certify_Gs4(g, apex=2)
-    rep = certify_Gs4(g, apex=4)
+        certify_Gs4(relabel_apex(GemFile(4, None, {}, g), 2).graph)
+    rep = certify_Gs4(g)
     assert rep.gs4_member
 
 
