@@ -279,8 +279,15 @@ def normalize_options(options=None):
         if k not in opts:
             raise GemError("unknown option %r" % (k,))
         opts[k] = v
+    if not _is_int(opts["budget"]):
+        raise GemError("budget must be an integer")
     if opts["eps"] is not None:
-        opts["eps"] = tuple(int(c) for c in opts["eps"])
+        try:
+            opts["eps"] = tuple(opts["eps"])
+        except TypeError:
+            raise GemError("eps must be a sequence of integers") from None
+        if not all(_is_int(c) for c in opts["eps"]):
+            raise GemError("eps must be a sequence of integers")
         opts["sweep"] = False
     elif not opts["sweep"]:
         raise GemError("sweep=false needs a fixed eps")
@@ -393,12 +400,13 @@ def run_pipeline(gf, options=None):
                           ledger=ledger.as_dict(), violations=[],
                           error="diagram assembly failed: %s" % exc), None
         if not diagram.record.ok:
-            failed = [k for k, v in diagram.record.checks.items()
-                      if not v["pass"]]
+            failed = {k: v for k, v in diagram.record.checks.items()
+                      if not v["pass"]}
             return record(exit_code=EXIT_INTERNAL, report=rep,
                           certificate=best.as_dict(),
                           ledger=ledger.as_dict(), violations=[],
-                          error="diagram verification failed: %s" % failed
+                          error="diagram verification failed: %s"
+                          % json.dumps(_jsonable(failed), sort_keys=True)
                           ), None
         diagram_bytes = export_diagram(diagram, opts["format"])
         diagram_ref = {

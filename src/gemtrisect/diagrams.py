@@ -29,7 +29,7 @@ from .embedding import CyclicPermutation, stabilized_surface
 from .graphs import (GemError, bicolored_cycles, is_bipartite, residue_labels,
                      residues, spanning_forest)
 from .homology import HomologyGroup, _cokernel, _gf2_rank_bits, boundary_h1
-from .trisection import build_Q
+from .trisection import _square_complex
 
 
 class CountMismatch(GemError):
@@ -364,14 +364,6 @@ def _self_intersections(index, deg_of, count):
     return out
 
 
-def _signed_intersection(surf, walk_a, walk_b, pos, deg_of):
-    """Signed count of crossings of walk a with walk b pushed off left."""
-    vo = surf.scheme.vertex_of
-    col, = _intersection_columns(_chord_index([walk_a], pos, vo),
-                                 _chord_index([walk_b], pos, vo), deg_of, 1)
-    return col.get(0, 0)
-
-
 # -- corridor lanes and crossing-free resolution ---------------------------
 
 class _Traversal:
@@ -638,8 +630,7 @@ def assemble_diagram(g, eps, certificate):
         raise CountMismatch("non-integral genus %s" % certificate.genus)
     surf = stabilized_surface(g, eps, certificate.ordering.stabilized)
     alpha, beta = alpha_beta_curves(g, eps, certificate)
-    Q = build_Q(g, eps)
-    gamma = gamma_curves(Q, certificate)
+    gamma = gamma_curves(_square_complex(g, eps), certificate)
     mode = "trisection" if certificate.mode == "closed" else "g-trisection"
     d = TrisectionDiagram(surf, alpha, beta, gamma, int(certificate.genus),
                           mode)

@@ -9,6 +9,7 @@ graphs only (the build contract); Z/2 works everywhere.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 from .graphs import (GemError, is_bipartite, residue_labels, residue_subgem,
@@ -83,6 +84,25 @@ class ChainComplex:
         return True
 
 
+def _cells(g, top):
+    """Cells of dimensions 0..top and the first position of each colorset.
+
+    A d-cell is a residue over n-d colors; a dimension's cells are
+    numbered colorset by colorset in combinations order, each
+    colorset's residues by minimum vertex.
+    """
+    cells = []
+    first = {}
+    for d in range(top + 1):
+        layer = []
+        for sub in itertools.combinations(g.colors, g.n - d):
+            key = frozenset(sub)
+            first[key] = len(layer)
+            layer.extend(residues(g, key))
+        cells.append(layer)
+    return cells, first
+
+
 def chain_complex(g):
     """Dual cell structure of the graph's colored triangulation.
 
@@ -92,15 +112,7 @@ def chain_complex(g):
     """
     n = g.n
     colors = list(g.colors)
-    cells = []
-    first = {}
-    for d in range(n + 1):
-        layer = []
-        for sub in itertools.combinations(colors, n - d):
-            key = frozenset(sub)
-            first[key] = len(layer)
-            layer.extend(residues(g, key))
-        cells.append(layer)
+    cells, first = _cells(g, n)
 
     cx = ChainComplex(g, cells, first)
     for d in range(1, n + 1):
@@ -309,28 +321,18 @@ class GroupPresentation:
 
 
 def _free_reduce(word):
+    """Free and cyclic reduction of a word, as a tuple."""
     out = []
     for x in word:
         if out and out[-1] == -x:
             out.pop()
         else:
             out.append(x)
-    while len(out) > 1 and out[0] == -out[-1]:
-        out = out[1:-1]
-    return tuple(out)
-
-
-def _substitute(word, gen, repl):
-    """Replace letter gen (1-based) by the word repl in a relator."""
-    out = []
-    for x in word:
-        if x == gen:
-            out.extend(repl)
-        elif x == -gen:
-            out.extend(-y for y in reversed(repl))
-        else:
-            out.append(x)
-    return tuple(out)
+    i, j = 0, len(out) - 1
+    while j > i and out[i] == -out[j]:
+        i += 1
+        j -= 1
+    return tuple(out[i:j + 1])
 
 
 def pi1_presentation(g):
@@ -342,6 +344,13 @@ def pi1_presentation(g):
     generators occurring once in a single relator) run to a fix point.
     Built once per graph and memoised on it, so every caller gets the
     same presentation.
+
+    Cost: labelling the residues of the 2-skeleton, O(order) per color
+    set and shared through the residue cache, then O(cells) to number
+    edges and triangles and grow the tree.  A Tietze move costs the
+    total length of the relators that hold the freed generator, plus
+    heap operations, and no move lengthens a relator.  On sphere blobs
+    the build about doubles as the order doubles.
     """
     pres = g._memo.get("pi1")
     if pres is None:
@@ -364,103 +373,147 @@ def boundary_h1(g):
 
 
 def _build_pi1(g):
-    """pi1_presentation's builder, run once per graph."""
-    cx = chain_complex(g)
-    colors = set(g.colors)
+    """pi1_presentation's builder, run once per graph.
+
+    Reads the 2-skeleton only: the 4-, 3- and 2-colour residues (for
+    n = 4) as vertices, edges and triangles.
+    """
+    cells, first = _cells(g, 2)
+    colors = frozenset(g.colors)
+    tables = {}
+
+    def cell_of(colorset):
+        """v -> position of v's colorset-residue among its dimension."""
+        table = tables.get(colorset)
+        if table is None:
+            base = first[colorset]
+            table = tables[colorset] = [
+                base + x for x in residue_labels(g, colorset)]
+        return table
 
     # edges are directed from their smaller-label endpoint to the larger one
     ends = []
-    for r in cx.cells[1]:
+    for r in cells[1]:
         x, y = sorted(colors - r.colors)
         v = r.vertices[0]
-        ends.append((cx.position(r.colors | {y}, v),
-                     cx.position(r.colors | {x}, v)))
+        ends.append((cell_of(r.colors | {y})[v], cell_of(r.colors | {x})[v]))
 
     # spanning tree by breadth-first search over the multigraph
-    nodes = len(cx.cells[0])
+    nodes = len(cells[0])
     adj = [[] for _ in range(nodes)]
     for eid, (t, h) in enumerate(ends):
         adj[t].append((h, eid))
         adj[h].append((t, eid))
-    parent_edge = {0: None}
+    in_tree = [False] * len(ends)
+    seen = [False] * nodes
+    seen[0] = True
     order = [0]
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
+    for v in order:             # order grows while it is walked
         for w, eid in adj[v]:
-            if w not in parent_edge:
-                parent_edge[w] = eid
+            if not seen[w]:
+                seen[w] = True
+                in_tree[eid] = True
                 order.append(w)
-    tree = {e for e in parent_edge.values() if e is not None}
-    gen_of = {}
+    gen_of = [0] * len(ends)    # 1-based letters, 0 on tree edges
+    k = 0
     for eid in range(len(ends)):
-        if eid not in tree:
-            gen_of[eid] = len(gen_of) + 1   # 1-based letters
+        if not in_tree[eid]:
+            k += 1
+            gen_of[eid] = k
 
     # one relator per triangle: with labels a<b<c the boundary path is
     # (a->b)(b->c)(c->a), i.e. E_ab . E_bc . E_ac^-1
     words = []
-    for r in cx.cells[2]:
+    for r in cells[2]:
         a, b, c = sorted(colors - r.colors)
         v = r.vertices[0]
-        e_bc = cx.position(r.colors | {a}, v)
-        e_ac = cx.position(r.colors | {b}, v)
-        e_ab = cx.position(r.colors | {c}, v)
-        word = []
-        for eid, sign in ((e_ab, 1), (e_bc, 1), (e_ac, -1)):
-            if eid in gen_of:
-                word.append(sign * gen_of[eid])
-        words.append(_free_reduce(word))
-
-    return _tietze(GroupPresentation(len(gen_of), [w for w in words if w]))
+        word = _free_reduce([s for s in (gen_of[cell_of(r.colors | {c})[v]],
+                                         gen_of[cell_of(r.colors | {a})[v]],
+                                         -gen_of[cell_of(r.colors | {b})[v]])
+                             if s])
+        if word:
+            words.append(word)
+    return _tietze(GroupPresentation(k, words))
 
 
 def _tietze(pres):
+    """Simplify a presentation by Tietze moves, run on indexes.
+
+    Each pass frees one generator.  The first relator in relator order
+    that is short (length 1, or length 2 with distinct generators)
+    kills its first generator or merges it into the other letter; only
+    when no short relator is left is the smallest generator occurring
+    exactly once dropped with its relator.  A generator that vanishes
+    by reduction is kept.  A move rewrites only the relators that hold
+    the freed generator, found through an occurrence index, and never
+    lengthens one; heaps of short relator positions and of generators
+    counted once are re-checked when popped.  Survivors are numbered
+    anew and relators equal up to rotation and inversion kept once.
+    """
     gens = pres.num_generators
-    words = [list(w) for w in pres.relators]
-    alive = [True] * (gens + 1)   # 1-based
-    changed = True
-    while changed:
-        changed = False
-        words = [list(_free_reduce(w)) for w in words]
-        words = [w for w in words if w]
-        # kill generators forced trivial, merge identified pairs
-        for w in list(words):
-            if len(w) == 1:
-                gen = abs(w[0])
-                words.remove(w)
-                words = [list(_substitute(u, gen, ())) for u in words]
-                alive[gen] = False
-                changed = True
-                break
-            if len(w) == 2:
-                x, y = w
-                if abs(x) != abs(y):
-                    # x*y = 1 -> gen|x| = (y)^-sign ...
-                    gen = abs(x)
-                    repl = [-y] if x > 0 else [y]
-                    words.remove(w)
-                    words = [list(_substitute(u, gen, repl)) for u in words]
-                    alive[gen] = False
-                    changed = True
-                    break
-        if changed:
-            continue
-        # a generator appearing exactly once overall is free to solve
-        count = {}
-        where = {}
-        for wi, w in enumerate(words):
-            for x in w:
-                count[abs(x)] = count.get(abs(x), 0) + 1
-                where[abs(x)] = wi
-        for gen, cnt in sorted(count.items()):
-            if cnt == 1:
-                wi = where[gen]
-                words.pop(wi)
-                alive[gen] = False
-                changed = True
-                break
+    words = [None] * len(pres.relators)     # position -> reduced word
+    holders = [set() for _ in range(gens + 1)]  # generator -> positions
+    count = [0] * (gens + 1)                # generator -> occurrences
+    alive = [True] * (gens + 1)             # 1-based
+    shorts = []
+    ones = []
+
+    def short(i):
+        word = words[i]
+        return word is not None and (len(word) == 1 or (
+            len(word) == 2 and abs(word[0]) != abs(word[1])))
+
+    def put(i, word):
+        if not word:
+            return
+        words[i] = word
+        for x in word:
+            gen = abs(x)
+            holders[gen].add(i)
+            count[gen] += 1
+            if count[gen] == 1:
+                heapq.heappush(ones, gen)
+        if short(i):
+            heapq.heappush(shorts, i)
+
+    def drop(i):
+        word = words[i]
+        words[i] = None
+        for x in word:
+            gen = abs(x)
+            holders[gen].discard(i)
+            count[gen] -= 1
+            if count[gen] == 1:
+                heapq.heappush(ones, gen)
+        return word
+
+    for i, word in enumerate(pres.relators):
+        put(i, _free_reduce(word))
+
+    while True:
+        while shorts and not short(shorts[0]):
+            heapq.heappop(shorts)
+        while ones and count[ones[0]] != 1:
+            heapq.heappop(ones)
+        if shorts:
+            word = drop(heapq.heappop(shorts))
+            gen = abs(word[0])
+            alive[gen] = False
+            if len(word) == 1:
+                for j in list(holders[gen]):
+                    put(j, _free_reduce([y for y in drop(j) if abs(y) != gen]))
+                continue
+            # x*y = 1: gen|x| becomes y^-1 (x > 0) or y (x < 0)
+            to = -word[1] if word[0] > 0 else word[1]
+            for j in list(holders[gen]):
+                put(j, _free_reduce([to if y == gen else -to if y == -gen
+                                     else y for y in drop(j)]))
+        elif ones:
+            gen = heapq.heappop(ones)
+            drop(next(iter(holders[gen])))
+            alive[gen] = False
+        else:
+            break
 
     # compact the surviving generators
     remap = {}
@@ -470,6 +523,8 @@ def _tietze(pres):
     final = []
     seen = set()
     for w in words:
+        if w is None:
+            continue
         ww = tuple((1 if x > 0 else -1) * remap[abs(x)] for x in w)
         key = min(_rotations(ww))
         if key not in seen:

@@ -91,7 +91,13 @@ def _require_apex(g, eps):
 
 
 def build_Q(g, eps):
-    """Square complex of the gem for the given cyclic order."""
+    """Square complex of the gem for the given cyclic order.
+
+    Each build is kept on g per order, where _square_complex finds it,
+    so callers must not mutate the result.  The memo holds the parts
+    without g: a QComplex there would tie g into a reference cycle and
+    keep it alive until the cyclic collector runs.
+    """
     eps = _require_apex(g, eps)
     e0, e1, e2, e3, apex = eps.seq
     family_of = {}
@@ -129,8 +135,19 @@ def build_Q(g, eps):
     for e, by_color in sides.items():
         if len(by_color) != 4:
             raise GemError("square %d has %d sides" % (e, len(by_color)))
-    return QComplex(g, eps, tuple(sorted(sides)), tuple(q1_nodes),
-                    tuple(q1_edges), sides)
+    parts = g._memo[("Q", eps.seq)] = (
+        tuple(sorted(sides)), tuple(q1_nodes), tuple(q1_edges), sides)
+    return QComplex(g, eps, *parts)
+
+
+def _square_complex(g, eps):
+    """build_Q(g, eps) for a checked order, built once per graph and order.
+
+    The sweep's complex for the winning order is the one diagram
+    assembly reads back.
+    """
+    parts = g._memo.get(("Q", eps.seq))
+    return build_Q(g, eps) if parts is None else QComplex(g, eps, *parts)
 
 
 def stabilization_set(g, eps):
@@ -322,7 +339,7 @@ def minimize_k(g, eps, budget=0, mode="closed"):
     `budget` schedule attempts) below the best size found.
     """
     eps = _require_apex(g, eps)
-    Q = build_Q(g, eps)
+    Q = _square_complex(g, eps)
     forest = stabilization_set(g, eps)
 
     stab = []

@@ -13,6 +13,8 @@ from gemtrisect.graphs import (
     build_graph,
     connected_sum,
     is_bipartite,
+    residue_subgem,
+    residues,
     standard_sphere_gem,
 )
 
@@ -62,6 +64,37 @@ def k4_gem():
     """K4 properly 3-colored: projective plane, half-integral genus."""
     edges = [(0, 1, 0), (2, 3, 0), (0, 2, 1), (1, 3, 1), (0, 3, 2), (1, 2, 2)]
     return build_graph(2, edges)
+
+
+def fixture_graph(name):
+    """The graph of a frozen gem file under tests/data."""
+    from gemtrisect.cli import parse_gem
+
+    return parse_gem((DATA_DIR / name).read_bytes()).graph
+
+
+def shuffled(g, rng):
+    """g with its vertex ids permuted by rng."""
+    perm = list(range(g.nv))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v], c) for u, v, c in g.edges])
+
+
+def weld(g, h, rng, at=None):
+    """connected_sum of g and h at seeded (or given) opposite-class ends."""
+    ok_g, cls_g = is_bipartite(g)
+    ok_h, cls_h = is_bipartite(h)
+    v1, v2 = at if at else (rng.randrange(g.nv), rng.randrange(h.nv))
+    if ok_g and ok_h and cls_g[v1] == cls_h[v2]:
+        v2 = next(w for w in range(h.nv) if cls_h[w] != cls_g[v1])
+    return connected_sum(g, h, v1, v2)
+
+
+def complementary_subgems(g):
+    """Sub-gems of the residues missing one color, color by color."""
+    for c in g.colors:
+        for res in residues(g, frozenset(x for x in g.colors if x != c)):
+            yield residue_subgem(g, res)[0]
 
 
 def grow_gem(g, steps, rng, colors=None, allow_sum=True):

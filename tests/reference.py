@@ -1,0 +1,158 @@
+"""Reference implementations the tests compare the library against.
+
+These are the plain versions the optimised library code replaced or
+never needed: the pass-by-pass Tietze loop and the pi1 builder that
+reads the whole chain complex, and the one-pair intersection count.
+"""
+
+from gemtrisect.diagrams import _chord_index, _intersection_columns
+from gemtrisect.homology import GroupPresentation, _rotations, chain_complex
+
+
+def _free_reduce(word):
+    out = []
+    for x in word:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    while len(out) > 1 and out[0] == -out[-1]:
+        out = out[1:-1]
+    return tuple(out)
+
+
+def _substitute(word, gen, repl):
+    """Replace letter gen (1-based) by the word repl in a relator."""
+    out = []
+    for x in word:
+        if x == gen:
+            out.extend(repl)
+        elif x == -gen:
+            out.extend(-y for y in reversed(repl))
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def build_pi1(g):
+    """pi1 presentation from chain_complex(g), simplified by _tietze."""
+    cx = chain_complex(g)
+    colors = set(g.colors)
+
+    # edges are directed from their smaller-label endpoint to the larger one
+    ends = []
+    for r in cx.cells[1]:
+        x, y = sorted(colors - r.colors)
+        v = r.vertices[0]
+        ends.append((cx.position(r.colors | {y}, v),
+                     cx.position(r.colors | {x}, v)))
+
+    # spanning tree by breadth-first search over the multigraph
+    nodes = len(cx.cells[0])
+    adj = [[] for _ in range(nodes)]
+    for eid, (t, h) in enumerate(ends):
+        adj[t].append((h, eid))
+        adj[h].append((t, eid))
+    parent_edge = {0: None}
+    order = [0]
+    i = 0
+    while i < len(order):
+        v = order[i]
+        i += 1
+        for w, eid in adj[v]:
+            if w not in parent_edge:
+                parent_edge[w] = eid
+                order.append(w)
+    tree = {e for e in parent_edge.values() if e is not None}
+    gen_of = {}
+    for eid in range(len(ends)):
+        if eid not in tree:
+            gen_of[eid] = len(gen_of) + 1   # 1-based letters
+
+    # one relator per triangle: with labels a<b<c the boundary path is
+    # (a->b)(b->c)(c->a), i.e. E_ab . E_bc . E_ac^-1
+    words = []
+    for r in cx.cells[2]:
+        a, b, c = sorted(colors - r.colors)
+        v = r.vertices[0]
+        e_bc = cx.position(r.colors | {a}, v)
+        e_ac = cx.position(r.colors | {b}, v)
+        e_ab = cx.position(r.colors | {c}, v)
+        word = []
+        for eid, sign in ((e_ab, 1), (e_bc, 1), (e_ac, -1)):
+            if eid in gen_of:
+                word.append(sign * gen_of[eid])
+        words.append(_free_reduce(word))
+
+    return _tietze(GroupPresentation(len(gen_of), [w for w in words if w]))
+
+
+def _tietze(pres):
+    """Tietze moves pass by pass, every relator reduced on every pass."""
+    gens = pres.num_generators
+    words = [list(w) for w in pres.relators]
+    alive = [True] * (gens + 1)   # 1-based
+    changed = True
+    while changed:
+        changed = False
+        words = [list(_free_reduce(w)) for w in words]
+        words = [w for w in words if w]
+        # kill generators forced trivial, merge identified pairs
+        for w in list(words):
+            if len(w) == 1:
+                gen = abs(w[0])
+                words.remove(w)
+                words = [list(_substitute(u, gen, ())) for u in words]
+                alive[gen] = False
+                changed = True
+                break
+            if len(w) == 2:
+                x, y = w
+                if abs(x) != abs(y):
+                    # x*y = 1 -> gen|x| = (y)^-sign ...
+                    gen = abs(x)
+                    repl = [-y] if x > 0 else [y]
+                    words.remove(w)
+                    words = [list(_substitute(u, gen, repl)) for u in words]
+                    alive[gen] = False
+                    changed = True
+                    break
+        if changed:
+            continue
+        # a generator appearing exactly once overall is free to solve
+        count = {}
+        where = {}
+        for wi, w in enumerate(words):
+            for x in w:
+                count[abs(x)] = count.get(abs(x), 0) + 1
+                where[abs(x)] = wi
+        for gen, cnt in sorted(count.items()):
+            if cnt == 1:
+                wi = where[gen]
+                words.pop(wi)
+                alive[gen] = False
+                changed = True
+                break
+
+    # compact the surviving generators
+    remap = {}
+    for gen in range(1, gens + 1):
+        if alive[gen]:
+            remap[gen] = len(remap) + 1
+    final = []
+    seen = set()
+    for w in words:
+        ww = tuple((1 if x > 0 else -1) * remap[abs(x)] for x in w)
+        key = min(_rotations(ww))
+        if key not in seen:
+            seen.add(key)
+            final.append(ww)
+    return GroupPresentation(len(remap), final)
+
+
+def _signed_intersection(surf, walk_a, walk_b, pos, deg_of):
+    """Signed count of crossings of walk a with walk b pushed off left."""
+    vo = surf.scheme.vertex_of
+    col, = _intersection_columns(_chord_index([walk_a], pos, vo),
+                                 _chord_index([walk_b], pos, vo), deg_of, 1)
+    return col.get(0, 0)

@@ -188,6 +188,36 @@ def test_fixed_eps_disables_sweep():
     assert normalize_options({"sweep": False, "eps": (0, 1, 3, 2, 4)}) == opts
 
 
+@pytest.mark.parametrize("options", [
+    {"budget": "3"}, {"budget": True}, {"budget": 2.0},
+    {"eps": (0, 1, 2, 3, "x")}, {"eps": (0, 1, 2, 3, True)}, {"eps": 5},
+], ids=["budget-str", "budget-bool", "budget-float", "eps-str", "eps-bool",
+        "eps-int"])
+def test_ill_typed_options_raise_gem_error(options, tmp_path):
+    path = tmp_path / "s.gem"
+    path.write_text(SPHERE_TEXT)
+    gf = parse_gem(SPHERE_TEXT)
+    with pytest.raises(GemError):
+        run_pipeline(gf, options)
+    with pytest.raises(GemError):
+        batch([str(path)], options)
+
+
+def test_int_valued_options_keep_their_records(datadir_gem):
+    gf = datadir_gem("projective_plane_like.gem")
+
+    def content(options):
+        d = run_pipeline(gf, options)[0].as_dict()
+        del d["timings"]
+        return d
+
+    fixed = content({"eps": (0, 1, 2, 3, 4), "budget": 2})
+    assert fixed["exit_code"] == EXIT_OK
+    assert content({"eps": [0, 1, 2, 3, 4], "budget": 2}) == fixed
+    assert fixed["options"]["eps"] == [0, 1, 2, 3, 4]
+    assert fixed["options"]["budget"] == 2
+
+
 @pytest.mark.parametrize("eps", [(0, 0, 1, 2, 4), (0, 1, 2, 3),
                                  (0, 1, 2, 3, 4, 5)])
 def test_bad_fixed_eps_lands_in_record(eps, s4_gem):
@@ -253,8 +283,8 @@ def test_pipeline_builds_pi1_once_per_graph(datadir_gem, monkeypatch,
     import gemtrisect.homology as homology
 
     built = []
-    build = homology.chain_complex
-    monkeypatch.setattr(homology, "chain_complex",
+    build = homology._build_pi1
+    monkeypatch.setattr(homology, "_build_pi1",
                         lambda g: built.append(g) or build(g))
     gf = datadir_gem(name)
     gf = GemFile(gf.n, gf.name, dict(gf.attestations, **attest), gf.graph)
@@ -265,6 +295,79 @@ def test_pipeline_builds_pi1_once_per_graph(datadir_gem, monkeypatch,
     # certify, the ledger and the diagram check share one pi1 of the gem
     # and one of its boundary sub-gem
     assert sorted(g.n for g in built) == [3, 4]
+
+
+def test_pipeline_builds_Q_once_per_order(datadir_gem, monkeypatch):
+    import gemtrisect.trisection as trisection
+    from gemtrisect.diagrams import assemble_diagram
+    from gemtrisect.embedding import CyclicPermutation
+
+    built = []
+    build = trisection.build_Q
+    monkeypatch.setattr(trisection, "build_Q",
+                        lambda g, eps: built.append(eps.seq) or build(g, eps))
+    gf = datadir_gem("projective_plane_like.gem")
+    rec, dgm = run_pipeline(gf)
+    assert rec.exit_code == EXIT_OK and dgm is not None
+    # the sweep builds each of the 12 orders once; the diagram reuses one
+    assert len(built) == len(set(built)) == 12
+
+    # build_Q, then the diagram for the same order: one build
+    g = datadir_gem("nonzero_forest.gem").graph
+    eps = CyclicPermutation((0, 1, 2, 3, 4))
+    built.clear()
+    Q = trisection.build_Q(g, eps)
+    cert = trisection.certificate(g, eps, trisection.collapse_schedule(
+        Q, trisection.stabilization_set(g, eps)))
+    assert assemble_diagram(g, eps, cert).record.ok
+    assert built == [eps.seq]
+
+
+def test_graph_memo_holds_no_reference_to_its_graph(datadir_gem):
+    # a memo entry that reaches its graph makes a reference cycle, which
+    # keeps every graph of a batch alive until the cyclic collector runs
+    import gc
+    import types
+
+    gf = datadir_gem("projective_plane_like.gem")
+    rec, _ = run_pipeline(gf)
+    assert rec.exit_code == EXIT_OK
+    g = gf.graph
+    assert any(k[0] == "Q" for k in g._memo if isinstance(k, tuple))
+    seen = set()
+    stack = list(g._memo.values())
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or isinstance(x, (type, types.ModuleType)):
+            continue
+        seen.add(id(x))
+        assert x is not g
+        stack.extend(gc.get_referents(x))
+
+
+def test_failing_diagram_check_evidence_in_record(datadir_gem, monkeypatch):
+    from fractions import Fraction
+
+    assemble = cli.assemble_diagram
+    failed = {}
+
+    def failing(*args):
+        d = assemble(*args)
+        check = d.record.checks["pairing_ab"]
+        check.update({"pass": False, "witness": (Fraction(1, 2), 3)})
+        failed.update(check)
+        d.record.ok = False
+        return d
+
+    monkeypatch.setattr(cli, "assemble_diagram", failing)
+    rec, dgm = run_pipeline(datadir_gem("projective_plane_like.gem"))
+    assert rec.exit_code == EXIT_INTERNAL and dgm is None
+    prefix = "diagram verification failed: "
+    assert rec.error.startswith(prefix)
+    # the failing check's own fields, made JSON-safe, and no passing check
+    evidence = json.loads(rec.error[len(prefix):])
+    assert evidence == {"pairing_ab": dict(failed, witness=["1/2", 3])}
+    assert set(failed) >= {"rank", "expected_rank", "torsion"}
 
 
 def test_golden_diagram_bytes(datadir_gem):

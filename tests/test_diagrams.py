@@ -26,7 +26,6 @@ from gemtrisect.diagrams import (
     _reduce_walk,
     _resolve,
     _self_intersections,
-    _signed_intersection,
     _to_walk,
     alpha_beta_curves,
     assemble_diagram,
@@ -49,6 +48,7 @@ from gemtrisect.trisection import (
 )
 
 from conftest import pipeline_corpus
+from reference import _signed_intersection
 
 IDENT = CyclicPermutation((0, 1, 2, 3, 4))
 

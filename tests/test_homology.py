@@ -10,21 +10,29 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 from gemtrisect.graphs import build_graph, standard_sphere_gem
 from gemtrisect.homology import (
     BoundLedger,
+    GroupPresentation,
     HomologyGroup,
+    _build_pi1,
     _gf2_rank,
     _snf_divisors,
+    _tietze,
     bound_ledger,
     chain_complex,
     homology,
     pi1_presentation,
 )
 
-from conftest import embedding_corpus, pipeline_corpus, torus_gem
+import reference
+from conftest import (complementary_subgems, embedding_corpus, fixture_graph,
+                      grow_gem, k4_gem, pipeline_corpus, prism_gem, shuffled,
+                      torus_gem, weld)
 
 
 def _to_sympy(cols, nrows):
@@ -162,6 +170,62 @@ def test_pi1_trivial_on_sphere_corpus():
         assert pi1_presentation(g).num_generators == 0
 
 
+def _same(p, q):
+    return (p.num_generators, p.relators) == (q.num_generators, q.relators)
+
+
+def _pi1_corpus(seed=7019):
+    """Sphere blobs, shuffled chain sums #2-#8 of two fixtures, every
+    4-residue sub-gem of the sums, and gems with nontrivial pi1."""
+    rng = random.Random(seed)
+    out = embedding_corpus(count=20) + pipeline_corpus(count=20)
+    out += [torus_gem(), prism_gem(), k4_gem()]
+    for name in ("s1s2_3manifold.gem", "bounded_s1s2.gem"):
+        g = shuffled(grow_gem(fixture_graph(name), 6, rng), rng)
+        out.append(g)
+        out.extend(complementary_subgems(g))
+    for name in ("projective_plane_like.gem", "nonzero_forest.gem"):
+        fixture = g = fixture_graph(name)
+        for m in range(2, 9):
+            g = weld(g, fixture, rng, at=(1, 0))
+            s = shuffled(g, rng)
+            out.append(s)
+            out.extend(complementary_subgems(s))
+    return out
+
+
+def test_pi1_matches_chain_complex_reference():
+    # the 2-skeleton builder and indexed Tietze moves give the very
+    # presentation of the chain_complex builder and pass-by-pass moves
+    nontrivial = 0
+    for g in _pi1_corpus():
+        pres = _build_pi1(g)
+        assert _same(pres, reference.build_pi1(g))
+        nontrivial += pres.num_generators > 0
+    assert nontrivial >= 4
+
+
+@st.composite
+def _presentations(draw):
+    k = draw(st.integers(min_value=1, max_value=6))
+    letter = st.integers(min_value=1, max_value=k).flatmap(
+        lambda x: st.sampled_from((x, -x)))
+    word = st.one_of(
+        st.lists(letter, min_size=1, max_size=2),       # short relators
+        letter.map(lambda x: (x, x)),                   # x.x
+        st.lists(letter, max_size=7))
+    words = draw(st.lists(word, max_size=9))
+    if words:
+        words += draw(st.lists(st.sampled_from(words), max_size=2))
+    return GroupPresentation(k, words)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_presentations())
+def test_tietze_matches_reference(pres):
+    assert _same(_tietze(pres), reference._tietze(pres))
+
+
 def test_circle_bundle_fixture_homology(datadir_gem):
     gf = datadir_gem("s1s2_3manifold.gem")
     assert homology(gf.graph) == [HomologyGroup(1)] * 4
@@ -200,6 +264,5 @@ def test_bound_ledger_flags_violations():
 
 
 def test_homology_needs_bipartite_for_integers():
-    from conftest import prism_gem
     with pytest.raises(Exception):
         homology(prism_gem())

@@ -7,16 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemtrisect.cli import GemFile, parse_gem, relabel_apex
+from gemtrisect.cli import GemFile, relabel_apex
 from gemtrisect.embedding import cyclic_permutations, rho
 from gemtrisect.graphs import (
     DipoleReducer,
     GemError,
     blob_insert,
     build_graph,
-    connected_sum,
-    is_bipartite,
-    residue_subgem,
     residues,
 )
 from gemtrisect.homology import chain_complex, pi1_presentation
@@ -36,7 +33,8 @@ from gemtrisect.validation import (
 )
 from gemtrisect.graphs import cancel_dipole, find_dipole, standard_sphere_gem
 
-from conftest import DATA_DIR, grow_gem, pipeline_corpus
+from conftest import (complementary_subgems, fixture_graph, grow_gem,
+                      pipeline_corpus, shuffled, weld)
 
 
 def _torus_inside_gem():
@@ -308,26 +306,6 @@ FIXTURES_4D = ("projective_plane_like.gem", "nonzero_forest.gem",
                "two_singular_colors.gem", "bounded_s1s2.gem")
 
 
-def _fixture(name):
-    return parse_gem((DATA_DIR / name).read_bytes()).graph
-
-
-def _shuffle(g, rng):
-    perm = list(range(g.nv))
-    rng.shuffle(perm)
-    return build_graph(g.n, [(perm[u], perm[v], c) for u, v, c in g.edges])
-
-
-def _weld(g, h, rng, at=None):
-    """connected_sum of g and h at seeded (or given) opposite-class ends."""
-    ok_g, cls_g = is_bipartite(g)
-    ok_h, cls_h = is_bipartite(h)
-    v1, v2 = at if at else (rng.randrange(g.nv), rng.randrange(h.nv))
-    if ok_g and ok_h and cls_g[v1] == cls_h[v2]:
-        v2 = next(w for w in range(h.nv) if cls_h[w] != cls_g[v1])
-    return connected_sum(g, h, v1, v2)
-
-
 def _chain_corpus(seed=2504):
     """Seeded 4-dimensional gems whose residues exercise the chain.
 
@@ -336,29 +314,23 @@ def _chain_corpus(seed=2504):
     4-dimensional fixture.
     """
     rng = random.Random(seed)
-    fixtures = {name: _fixture(name) for name in FIXTURES_4D}
+    fixtures = {name: fixture_graph(name) for name in FIXTURES_4D}
     out = []
     for name in FIXTURES_4D[:2]:
         for m in (3, 6, 9, 12):
             g = fixtures[name]
             for _ in range(m - 1):
-                g = _weld(g, fixtures[name], rng, at=(1, 0))
-            out.append(_shuffle(g, rng))
+                g = weld(g, fixtures[name], rng, at=(1, 0))
+            out.append(shuffled(g, rng))
     for _ in range(12):
         out.append(grow_gem(standard_sphere_gem(4), rng.randrange(8, 24),
                             rng, colors=(0, 1, 2, 3)))
     for _ in range(20):
         g = fixtures[rng.choice(FIXTURES_4D)]
         for _ in range(rng.randrange(1, 6)):
-            g = _weld(g, fixtures[rng.choice(FIXTURES_4D)], rng)
-        out.append(_shuffle(g, rng))
+            g = weld(g, fixtures[rng.choice(FIXTURES_4D)], rng)
+        out.append(shuffled(g, rng))
     return out
-
-
-def _complementary_residues(g):
-    for c in g.colors:
-        for res in residues(g, frozenset(x for x in g.colors if x != c)):
-            yield residue_subgem(g, res)[0]
 
 
 def test_dipole_reducer_matches_reference_chain():
@@ -367,7 +339,7 @@ def test_dipole_reducer_matches_reference_chain():
         # every 3-residue is a 2-sphere, so each 4-residue is a closed
         # 3-manifold: chi = 0 cannot refute a 3-sphere in the verdict
         assert set(check_surface_residues(g).values()) == {SPHERE}
-        for sub in _complementary_residues(g):
+        for sub in complementary_subgems(g):
             assert chain_complex(sub).euler_characteristic() == 0
             ref = _reference_chain(sub)
             assert _reducer_chain(sub) == ref
@@ -384,11 +356,11 @@ def test_dipole_reducer_matches_reference_chain():
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_dipole_reducer_pair_counts_track_rebuilt_graph(seed):
     rng = random.Random(seed)
-    g = _fixture(rng.choice(FIXTURES_4D))
+    g = fixture_graph(rng.choice(FIXTURES_4D))
     for _ in range(rng.randrange(0, 3)):
-        g = _weld(g, _fixture(rng.choice(FIXTURES_4D)), rng)
+        g = weld(g, fixture_graph(rng.choice(FIXTURES_4D)), rng)
     g = grow_gem(g, rng.randrange(0, 4), rng, colors=(0, 1, 2, 3))
-    for sub in _complementary_residues(_shuffle(g, rng)):
+    for sub in complementary_subgems(shuffled(g, rng)):
         chain = DipoleReducer(sub)
         while chain.cancel_next() is not None:
             cur = chain.graph()
