@@ -281,6 +281,8 @@ def normalize_options(options=None):
         opts[k] = v
     if not _is_int(opts["budget"]):
         raise GemError("budget must be an integer")
+    if not isinstance(opts["sweep"], bool):
+        raise GemError("sweep must be a boolean")
     if opts["eps"] is not None:
         try:
             opts["eps"] = tuple(opts["eps"])

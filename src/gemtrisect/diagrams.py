@@ -25,11 +25,11 @@ import json
 from bisect import bisect_left, bisect_right
 from functools import cmp_to_key
 
-from .embedding import CyclicPermutation, stabilized_surface
+from .embedding import _permutation, stabilized_surface
 from .graphs import (GemError, bicolored_cycles, is_bipartite, residue_labels,
                      residues, spanning_forest)
 from .homology import HomologyGroup, _cokernel, _gf2_rank_bits, boundary_h1
-from .trisection import _square_complex
+from .trisection import build_Q
 
 
 class CountMismatch(GemError):
@@ -111,7 +111,7 @@ def wall_graphs(g, eps):
     The first carries the {eps1,eps3}-cycles as edges and prunes beta;
     the second carries {eps0,eps2}-cycles and prunes alpha.
     """
-    eps = eps if isinstance(eps, CyclicPermutation) else CyclicPermutation(eps)
+    eps = _permutation(g, eps)
     e0, e1, e2, e3 = eps.seq[:4]
     k02 = _wall_graph(g, (e0, e2), (e1, e3))
     k13 = _wall_graph(g, (e1, e3), (e0, e2))
@@ -124,7 +124,7 @@ def _cycle_curve(kind, cyc, index):
 
 def alpha_beta_curves(g, eps, certificate):
     """Wall cycles minus forests, plus one meridian per handle, per side."""
-    eps = eps if isinstance(eps, CyclicPermutation) else CyclicPermutation(eps)
+    eps = _permutation(g, eps)
     k02, k13 = wall_graphs(g, eps)
     k = certificate.k
     genus = certificate.genus
@@ -169,7 +169,7 @@ def gamma_curves(Q, certificate):
 
     kept = [edge for edge in Q.q1_edges if edge.index not in witness_set]
     forest = {kept[i].index for i in spanning_forest(
-        len(Q.q1_nodes), (edge.nodes for edge in kept))}
+        len(Q.q1_nodes), (Q.edge_nodes[edge.index] for edge in kept))}
 
     cache = {}
     in_progress = set()
@@ -620,7 +620,7 @@ class TrisectionDiagram:
 
 def assemble_diagram(g, eps, certificate):
     """Build all three systems and attach the verification record."""
-    eps = eps if isinstance(eps, CyclicPermutation) else CyclicPermutation(eps)
+    eps = _permutation(g, eps)
     if eps.seq != certificate.eps.seq:
         raise GemError("certificate was issued for %s, not %s"
                        % (list(certificate.eps.seq), list(eps.seq)))
@@ -630,7 +630,7 @@ def assemble_diagram(g, eps, certificate):
         raise CountMismatch("non-integral genus %s" % certificate.genus)
     surf = stabilized_surface(g, eps, certificate.ordering.stabilized)
     alpha, beta = alpha_beta_curves(g, eps, certificate)
-    gamma = gamma_curves(_square_complex(g, eps), certificate)
+    gamma = gamma_curves(build_Q(g, eps), certificate)
     mode = "trisection" if certificate.mode == "closed" else "g-trisection"
     d = TrisectionDiagram(surf, alpha, beta, gamma, int(certificate.genus),
                           mode)

@@ -141,7 +141,7 @@ def subgraph_rho(g, eps, drop_color):
     Fraction when the subgraph is connected, otherwise the list of
     per-component genera ordered by minimum vertex.
     """
-    eps = eps if isinstance(eps, CyclicPermutation) else CyclicPermutation(eps)
+    eps = _permutation(g, eps)
     sub_seq = eps.drop(drop_color)
     colorset = frozenset(sub_seq)
     comps = residues(g, colorset)

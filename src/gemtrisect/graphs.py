@@ -53,15 +53,14 @@ class ColoredGraph:
         edges: tuple of (u, v, c) triples with u < v, sorted by (c, u, v).
     """
 
-    __slots__ = ("n", "nv", "edges", "_inc", "_residue_cache", "_memo")
+    __slots__ = ("n", "nv", "edges", "_inc", "_memo")
 
     def __init__(self, n, nv, edges, _inc):
         self.n = n
         self.nv = nv
         self.edges = edges
         self._inc = _inc  # per vertex: tuple of edge ids indexed by color
-        self._residue_cache = {}    # colorset -> (residues, labels)
-        self._memo = {}             # invariants and residue sub-gems, by key
+        self._memo = {}     # invariants, residues and sub-gems, by key
 
     # -- construction ------------------------------------------------
 
@@ -196,14 +195,14 @@ def residues(g, colorset):
     An empty colorset yields one residue per vertex.
     """
     colorset = frozenset(colorset)
-    cached = g._residue_cache.get(colorset) or _label_residues(g, colorset)
+    cached = g._memo.get(colorset) or _label_residues(g, colorset)
     return cached[0]
 
 
 def residue_labels(g, colorset):
     """label[v] is the index in residues(g, colorset) of v's residue."""
     colorset = frozenset(colorset)
-    cached = g._residue_cache.get(colorset) or _label_residues(g, colorset)
+    cached = g._memo.get(colorset) or _label_residues(g, colorset)
     return cached[1]
 
 
@@ -234,7 +233,7 @@ def _label_residues(g, colorset):
                     label[w] = idx
                     comp.append(w)
         out.append(Residue(colorset, tuple(sorted(comp)), tuple(sorted(eids))))
-    cached = g._residue_cache[colorset] = (tuple(out), tuple(label))
+    cached = g._memo[colorset] = (tuple(out), tuple(label))
     return cached
 
 

@@ -40,13 +40,12 @@ class Incomplete(GemError):
 class Q1Edge:
     """One {apex,i}-cycle, seen as an edge of the mixed-residue graph."""
 
-    __slots__ = ("index", "color", "cycle", "nodes", "squares")
+    __slots__ = ("index", "color", "cycle", "squares")
 
-    def __init__(self, index, color, cycle, nodes, squares):
+    def __init__(self, index, color, cycle, squares):
         self.index = index
         self.color = color              # i, the non-apex color of the cycle
         self.cycle = cycle
-        self.nodes = nodes              # pair of q1 node ids, low first
         self.squares = squares          # apex edge ids on the cycle
 
     def __repr__(self):
@@ -57,21 +56,32 @@ class Q1Edge:
 class QComplex:
     """Squares (apex edges) glued along {apex,i}-cycles.
 
-    q1_nodes[j] = (colorset, residue) for the mixed 3-residues, the
-    colorsets being {i, j, apex} with i from the even and j from the
-    odd positions of eps.  sides[e][i] is the q1 edge index of the
-    {apex,i}-cycle through square e.
+    sides[e][i] is the q1 edge index of the {apex,i}-cycle through
+    square e.  q1_nodes[j] = (colorset, residue) for the mixed
+    3-residues, the colorsets being {i, j, apex} with i from the even
+    and j from the odd positions of eps; edge_nodes[idx] is the pair of
+    q1 node ids that q1 edge idx joins, low first.
+
+    Only q1_nodes and edge_nodes depend on eps.  A square is an apex
+    edge and its sides are the {apex,i}-cycles through it, so the gem
+    alone fixes squares, q1_edges and sides.  Each {apex,i}-cycle lies
+    in one mixed 3-residue per colorset {i, j, apex}, for either color
+    j that eps puts on the other parity from i; that choice of two
+    colorsets is all eps decides.
     """
 
-    __slots__ = ("graph", "eps", "squares", "q1_nodes", "q1_edges", "sides")
+    __slots__ = ("graph", "eps", "squares", "q1_edges", "sides", "q1_nodes",
+                 "edge_nodes")
 
-    def __init__(self, graph, eps, squares, q1_nodes, q1_edges, sides):
+    def __init__(self, graph, eps, squares, q1_edges, sides, q1_nodes,
+                 edge_nodes):
         self.graph = graph
         self.eps = eps
         self.squares = squares
-        self.q1_nodes = q1_nodes
         self.q1_edges = q1_edges
         self.sides = sides
+        self.q1_nodes = q1_nodes
+        self.edge_nodes = edge_nodes
 
     @property
     def p(self):
@@ -93,61 +103,46 @@ def _require_apex(g, eps):
 def build_Q(g, eps):
     """Square complex of the gem for the given cyclic order.
 
-    Each build is kept on g per order, where _square_complex finds it,
-    so callers must not mutate the result.  The memo holds the parts
-    without g: a QComplex there would tie g into a reference cycle and
-    keep it alive until the cyclic collector runs.
+    The squares, Q1 edges and sides do not depend on eps (see
+    QComplex), so they are built once per graph and kept on g; callers
+    must not mutate them.  The memo holds them without g: a QComplex
+    there would tie g into a reference cycle and keep it alive until
+    the cyclic collector runs.  Each call adds only the Q1 node labels
+    of its order, read off the residue labels g already caches.
     """
     eps = _require_apex(g, eps)
-    e0, e1, e2, e3, apex = eps.seq
-    family_of = {}
-    for i in (e0, e2):
-        for j in (e1, e3):
-            s = frozenset((i, j, apex))
-            family_of.setdefault(i, []).append(s)
-            family_of.setdefault(j, []).append(s)
-    for c in (e0, e1, e2, e3):
-        family_of[c].sort(key=sorted)
+    parts = g._memo.get("Q")
+    if parts is None:
+        q1_edges = []
+        sides = {eid: {} for eid in g.edge_ids(4)}
+        for i in range(4):
+            for cyc in bicolored_cycles(g, i, 4):
+                sqs = tuple(sorted(e for e in cyc.edge_ids
+                                   if g.edges[e][2] == 4))
+                edge = Q1Edge(len(q1_edges), i, cyc, sqs)
+                q1_edges.append(edge)
+                for e in sqs:
+                    sides[e][i] = edge.index
+        for e, by_color in sides.items():
+            if len(by_color) != 4:
+                raise GemError("square %d has %d sides" % (e, len(by_color)))
+        parts = g._memo["Q"] = (tuple(sorted(sides)), tuple(q1_edges), sides)
+    squares, q1_edges, sides = parts
 
+    e0, e1, e2, e3 = eps.seq[:4]
     q1_nodes = []
-    first = {}              # colorset -> id of its first node
-    for s in sorted({fam for fams in family_of.values() for fam in fams},
+    ends = {i: [] for i in range(4)}    # color -> (first node id, labels)
+    for s in sorted((frozenset((i, j, 4)) for i in (e0, e2) for j in (e1, e3)),
                     key=sorted):
-        first[s] = len(q1_nodes)
+        for i in s - {4}:
+            ends[i].append((len(q1_nodes), residue_labels(g, s)))
         q1_nodes.extend((s, res) for res in residues(g, s))
-
-    q1_edges = []
-    sides = {eid: {} for eid in g.edge_ids(apex)}
-    for i in sorted(c for c in g.colors if c != apex):
-        fam_a, fam_b = family_of[i]
-        label_a, label_b = residue_labels(g, fam_a), residue_labels(g, fam_b)
-        for cyc in bicolored_cycles(g, i, apex):
-            v0 = cyc.vertices[0]
-            nodes = tuple(sorted((first[fam_a] + label_a[v0],
-                                  first[fam_b] + label_b[v0])))
-            sqs = tuple(sorted(e for e in cyc.edge_ids
-                               if g.edges[e][2] == apex))
-            edge = Q1Edge(len(q1_edges), i, cyc, nodes, sqs)
-            q1_edges.append(edge)
-            for e in sqs:
-                sides[e][i] = edge.index
-
-    for e, by_color in sides.items():
-        if len(by_color) != 4:
-            raise GemError("square %d has %d sides" % (e, len(by_color)))
-    parts = g._memo[("Q", eps.seq)] = (
-        tuple(sorted(sides)), tuple(q1_nodes), tuple(q1_edges), sides)
-    return QComplex(g, eps, *parts)
-
-
-def _square_complex(g, eps):
-    """build_Q(g, eps) for a checked order, built once per graph and order.
-
-    The sweep's complex for the winning order is the one diagram
-    assembly reads back.
-    """
-    parts = g._memo.get(("Q", eps.seq))
-    return build_Q(g, eps) if parts is None else QComplex(g, eps, *parts)
+    edge_nodes = tuple(
+        tuple(sorted(first + label[edge.cycle.vertices[0]]
+                     for first, label in ends[edge.color]))
+        for edge in q1_edges)
+    return QComplex(g, eps, squares, q1_edges, sides, tuple(q1_nodes),
+                    edge_nodes)
 
 
 def stabilization_set(g, eps):
@@ -338,8 +333,7 @@ def minimize_k(g, eps, budget=0, mode="closed"):
     additionally tries explicit subsets (smallest first, at most
     `budget` schedule attempts) below the best size found.
     """
-    eps = _require_apex(g, eps)
-    Q = _square_complex(g, eps)
+    Q = build_Q(g, eps)
     forest = stabilization_set(g, eps)
 
     stab = []
@@ -359,21 +353,13 @@ def minimize_k(g, eps, budget=0, mode="closed"):
             stab.append(min(stuck.residual, key=key))
 
     if budget > 0 and best.k > 0:
-        attempts = 0
-        done = False
-        for size in range(best.k):
-            for combo in itertools.combinations(Q.squares, size):
-                if attempts >= budget:
-                    done = True
-                    break
-                attempts += 1
-                try:
-                    best = collapse_schedule(Q, combo)
-                    done = True
-                    break
-                except Incomplete:
-                    continue
-            if done:
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(Q.squares, size) for size in range(best.k))
+        for combo in itertools.islice(subsets, budget):
+            try:
+                best = collapse_schedule(Q, combo)
                 break
+            except Incomplete:
+                continue
 
     return certificate(g, eps, best, mode)

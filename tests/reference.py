@@ -2,11 +2,17 @@
 
 These are the plain versions the optimised library code replaced or
 never needed: the pass-by-pass Tietze loop and the pi1 builder that
-reads the whole chain complex, and the one-pair intersection count.
+reads the whole chain complex, the one-pair intersection count, and
+the square complex built whole for each cyclic order.
 """
 
+from types import SimpleNamespace
+
 from gemtrisect.diagrams import _chord_index, _intersection_columns
+from gemtrisect.graphs import (GemError, bicolored_cycles, residue_labels,
+                               residues)
 from gemtrisect.homology import GroupPresentation, _rotations, chain_complex
+from gemtrisect.trisection import _require_apex
 
 
 def _free_reduce(word):
@@ -156,3 +162,52 @@ def _signed_intersection(surf, walk_a, walk_b, pos, deg_of):
     col, = _intersection_columns(_chord_index([walk_a], pos, vo),
                                  _chord_index([walk_b], pos, vo), deg_of, 1)
     return col.get(0, 0)
+
+
+def build_Q(g, eps):
+    """Square complex of one cyclic order, every part built for it.
+
+    Each q1 edge carries its own node pair as `nodes`; the library's
+    QComplex keeps those pairs in `edge_nodes` instead.
+    """
+    eps = _require_apex(g, eps)
+    e0, e1, e2, e3, apex = eps.seq
+    family_of = {}
+    for i in (e0, e2):
+        for j in (e1, e3):
+            s = frozenset((i, j, apex))
+            family_of.setdefault(i, []).append(s)
+            family_of.setdefault(j, []).append(s)
+    for c in (e0, e1, e2, e3):
+        family_of[c].sort(key=sorted)
+
+    q1_nodes = []
+    first = {}              # colorset -> id of its first node
+    for s in sorted({fam for fams in family_of.values() for fam in fams},
+                    key=sorted):
+        first[s] = len(q1_nodes)
+        q1_nodes.extend((s, res) for res in residues(g, s))
+
+    q1_edges = []
+    sides = {eid: {} for eid in g.edge_ids(apex)}
+    for i in sorted(c for c in g.colors if c != apex):
+        fam_a, fam_b = family_of[i]
+        label_a, label_b = residue_labels(g, fam_a), residue_labels(g, fam_b)
+        for cyc in bicolored_cycles(g, i, apex):
+            v0 = cyc.vertices[0]
+            nodes = tuple(sorted((first[fam_a] + label_a[v0],
+                                  first[fam_b] + label_b[v0])))
+            sqs = tuple(sorted(e for e in cyc.edge_ids
+                               if g.edges[e][2] == apex))
+            edge = SimpleNamespace(index=len(q1_edges), color=i, cycle=cyc,
+                                   nodes=nodes, squares=sqs)
+            q1_edges.append(edge)
+            for e in sqs:
+                sides[e][i] = edge.index
+
+    for e, by_color in sides.items():
+        if len(by_color) != 4:
+            raise GemError("square %d has %d sides" % (e, len(by_color)))
+    return SimpleNamespace(graph=g, eps=eps, squares=tuple(sorted(sides)),
+                           q1_nodes=tuple(q1_nodes), q1_edges=tuple(q1_edges),
+                           sides=sides)

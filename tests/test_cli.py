@@ -185,14 +185,18 @@ def test_fixed_eps_disables_sweep():
     with pytest.raises(GemError):
         normalize_options({"sweep": False})
     assert normalize_options({"sweep": True})["sweep"] is True
+    gf = parse_gem(SPHERE_TEXT)
+    assert run_key(gf, normalize_options({})) == run_key(
+        gf, normalize_options({"sweep": True}))
     assert normalize_options({"sweep": False, "eps": (0, 1, 3, 2, 4)}) == opts
 
 
 @pytest.mark.parametrize("options", [
     {"budget": "3"}, {"budget": True}, {"budget": 2.0},
     {"eps": (0, 1, 2, 3, "x")}, {"eps": (0, 1, 2, 3, True)}, {"eps": 5},
+    {"sweep": "no"}, {"sweep": 1},
 ], ids=["budget-str", "budget-bool", "budget-float", "eps-str", "eps-bool",
-        "eps-int"])
+        "eps-int", "sweep-str", "sweep-int"])
 def test_ill_typed_options_raise_gem_error(options, tmp_path):
     path = tmp_path / "s.gem"
     path.write_text(SPHERE_TEXT)
@@ -297,30 +301,32 @@ def test_pipeline_builds_pi1_once_per_graph(datadir_gem, monkeypatch,
     assert sorted(g.n for g in built) == [3, 4]
 
 
-def test_pipeline_builds_Q_once_per_order(datadir_gem, monkeypatch):
+def test_pipeline_builds_square_complex_once_per_graph(datadir_gem,
+                                                      monkeypatch):
     import gemtrisect.trisection as trisection
     from gemtrisect.diagrams import assemble_diagram
     from gemtrisect.embedding import CyclicPermutation
 
-    built = []
-    build = trisection.build_Q
-    monkeypatch.setattr(trisection, "build_Q",
-                        lambda g, eps: built.append(eps.seq) or build(g, eps))
+    walked = []
+    walk = trisection.bicolored_cycles
+    monkeypatch.setattr(trisection, "bicolored_cycles",
+                        lambda g, c, d: walked.append((c, d)) or walk(g, c, d))
     gf = datadir_gem("projective_plane_like.gem")
     rec, dgm = run_pipeline(gf)
     assert rec.exit_code == EXIT_OK and dgm is not None
-    # the sweep builds each of the 12 orders once; the diagram reuses one
-    assert len(built) == len(set(built)) == 12
+    # the 12 orders of the sweep and the diagram share one square
+    # complex, so each {i,4}-cycle list is walked once
+    assert walked == [(i, 4) for i in range(4)]
 
-    # build_Q, then the diagram for the same order: one build
+    # build_Q, then the diagram for the same order: still one walk each
     g = datadir_gem("nonzero_forest.gem").graph
     eps = CyclicPermutation((0, 1, 2, 3, 4))
-    built.clear()
+    walked.clear()
     Q = trisection.build_Q(g, eps)
     cert = trisection.certificate(g, eps, trisection.collapse_schedule(
         Q, trisection.stabilization_set(g, eps)))
     assert assemble_diagram(g, eps, cert).record.ok
-    assert built == [eps.seq]
+    assert walked == [(i, 4) for i in range(4)]
 
 
 def test_graph_memo_holds_no_reference_to_its_graph(datadir_gem):
@@ -333,7 +339,9 @@ def test_graph_memo_holds_no_reference_to_its_graph(datadir_gem):
     rec, _ = run_pipeline(gf)
     assert rec.exit_code == EXIT_OK
     g = gf.graph
-    assert any(k[0] == "Q" for k in g._memo if isinstance(k, tuple))
+    # one square complex for all 12 orders, not one per order
+    assert "Q" in g._memo
+    assert not any(k[0] == "Q" for k in g._memo if isinstance(k, tuple))
     seen = set()
     stack = list(g._memo.values())
     while stack:

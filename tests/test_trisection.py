@@ -22,7 +22,9 @@ from gemtrisect.trisection import (
     verify_ordering,
 )
 
-from conftest import pipeline_corpus
+import gemtrisect.trisection as trisection
+import reference
+from conftest import fixture_graph, pipeline_corpus, shuffled, weld
 
 IDENT = CyclicPermutation((0, 1, 2, 3, 4))
 
@@ -100,9 +102,9 @@ def test_forest_seeding_always_completes(datadir_gem):
 
 def _two_square_complex():
     # both squares lie on all four cycles, so neither ever frees up
-    edges = tuple(Q1Edge(i, i, None, (0, 1), (10, 11)) for i in range(4))
+    edges = tuple(Q1Edge(i, i, None, (10, 11)) for i in range(4))
     sides = {10: {i: i for i in range(4)}, 11: {i: i for i in range(4)}}
-    return QComplex(None, None, (10, 11), (), edges, sides)
+    return QComplex(None, None, (10, 11), edges, sides, (), ((0, 1),) * 4)
 
 
 def test_scheduler_reports_stuck_state():
@@ -230,6 +232,85 @@ def test_budget_never_hurts():
         base = minimize_k(g, IDENT)
         tried = minimize_k(g, IDENT, budget=50)
         assert tried.k <= base.k
+
+
+def test_budget_search_tries_small_subsets_in_order(monkeypatch):
+    # #3 of projective_plane_like.gem: a forest of three squares, and
+    # every single square schedules
+    pp = fixture_graph("projective_plane_like.gem")
+    rng = random.Random(0)
+    g = weld(weld(pp, pp, rng, at=(1, 0)), pp, rng, at=(1, 0))
+    Q = build_Q(g, IDENT)
+    forest = stabilization_set(g, IDENT)
+    assert len(forest) == 3
+    s0, s1, s2 = Q.squares[:3]
+    schedule = trisection.collapse_schedule
+    tried = []
+
+    def stuck_below_forest(Q, stabilized):
+        # sets smaller than the forest are stuck, except (s2,)
+        stabilized = tuple(stabilized)
+        tried.append(stabilized)
+        if len(stabilized) < len(forest) and stabilized != (s2,):
+            raise Incomplete(set(Q.squares) - set(stabilized),
+                             [2] * len(Q.q1_edges))
+        return schedule(Q, stabilized)
+
+    monkeypatch.setattr(trisection, "collapse_schedule", stuck_below_forest)
+    greedy = [(), (s0,), (s0, s1), forest]
+    # subsets below the forest size, smallest first, each in
+    # combinations order; the search stops at the first that schedules
+    cert = minimize_k(g, IDENT, budget=10)
+    assert tried == greedy + [(), (s0,), (s1,), (s2,)]
+    assert cert.ordering.stabilized == (s2,)
+    # the budget caps the attempts
+    tried.clear()
+    cert = minimize_k(g, IDENT, budget=3)
+    assert tried == greedy + [(), (s0,), (s1,)]
+    assert cert.ordering.stabilized == forest
+
+
+def _differential_corpus():
+    """The pipeline corpus, shuffled chain sums and a bounded gem."""
+    rng = random.Random(8)
+    out = pipeline_corpus()
+    for name in ("projective_plane_like.gem", "nonzero_forest.gem"):
+        fixture = g = fixture_graph(name)
+        for m in range(2, 9):
+            g = weld(g, fixture, rng, at=(1, 0))
+            out.append(shuffled(g, rng))
+    out.append(fixture_graph("bounded_s1s2.gem"))
+    return out
+
+
+def test_square_complex_matches_per_order_reference(monkeypatch):
+    def edges(Q):
+        return [(e.index, e.color, e.cycle.steps, e.squares)
+                for e in Q.q1_edges]
+
+    def nodes(Q):
+        return [(s, res.vertices) for s, res in Q.q1_nodes]
+
+    for g in _differential_corpus():
+        for eps in cyclic_permutations(4):
+            Q, ref = build_Q(g, eps), reference.build_Q(g, eps)
+            assert Q.squares == ref.squares
+            assert Q.sides == ref.sides
+            assert edges(Q) == edges(ref)
+            assert nodes(Q) == nodes(ref)
+            assert Q.edge_nodes == tuple(e.nodes for e in ref.q1_edges)
+
+            # every corpus certificate has k = 0; forest seeds cover k > 0
+            forest = stabilization_set(g, eps)
+            a, b = collapse_schedule(Q, forest), collapse_schedule(ref, forest)
+            assert (a.stabilized, a.collapsed, a.witnesses) == (
+                b.stabilized, b.collapsed, b.witnesses)
+
+            cert = minimize_k(g, eps, budget=4)
+            with monkeypatch.context() as m:
+                m.setattr(trisection, "build_Q", reference.build_Q)
+                ref_cert = minimize_k(g, eps, budget=4)
+            assert cert.as_dict() == ref_cert.as_dict()
 
 
 def test_certificate_shape(s4_gem):
