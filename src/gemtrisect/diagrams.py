@@ -471,17 +471,30 @@ def _resolve(surf, walks, corridors, lanes, pos):
 
 
 def _crossing_free(res):
-    """Check all same-system chords pairwise non-interleaving."""
+    """Check all same-system chords pairwise non-interleaving.
+
+    Each mark ends exactly one chord, so the chords at a vertex are
+    pairwise non-interleaving exactly when the marks, read in rotation
+    order, balance like parentheses: a chord's second end must meet it
+    on top of the stack of open chords.  One pass per vertex, visited in
+    the order of res.chords; the witness is the first failing vertex
+    and a pair of its chords that interleave (the closing chord and the
+    one left open inside it).
+    """
     for v, chords in res.chords.items():
-        r = len(res.marks[v])
-        for i in range(len(chords)):
-            a, b = chords[i]
-            for j in range(i + 1, len(chords)):
-                c, d = chords[j]
-                inside_c = (c - a) % r < (b - a) % r
-                inside_d = (d - a) % r < (b - a) % r
-                if inside_c != inside_d:
-                    return False, (v, chords[i], chords[j])
+        chord_at = [0] * len(res.marks[v])
+        for i, (a, b) in enumerate(chords):
+            chord_at[a] = chord_at[b] = i
+        is_open = [False] * len(chords)
+        stack = []
+        for i in chord_at:
+            if not is_open[i]:
+                is_open[i] = True
+                stack.append(i)
+            elif stack[-1] == i:
+                stack.pop()
+            else:
+                return False, (v, chords[i], chords[stack[-1]])
     return True, None
 
 

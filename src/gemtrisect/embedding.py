@@ -18,6 +18,7 @@ reads the genus off the Euler characteristic.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .graphs import (GemError, ResidueCensus, bicolored_cycles, is_bipartite,
@@ -105,13 +106,26 @@ def _chi_formula(pair_count, cyc_seq, order):
 
     pair_count maps frozenset({c, d}) to the number of {c,d}-cycles,
     cyc_seq is a tuple of colors and order the number of vertices.
+    The consecutive pairs of cyc_seq come from _pair_keys, so a call is
+    len(cyc_seq) lookups: the dipole chain asks after every cancellation.
     """
-    m = len(cyc_seq) - 1  # graph regularity degree minus one
     total = 0
-    for i in range(len(cyc_seq)):
-        total += pair_count[frozenset((cyc_seq[i],
-                                       cyc_seq[(i + 1) % len(cyc_seq)]))]
-    return total + (1 - m) * (order // 2)
+    for key in _pair_keys(cyc_seq):
+        total += pair_count[key]
+    return total + (2 - len(cyc_seq)) * (order // 2)
+
+
+@functools.lru_cache(maxsize=256)
+def _pair_keys(cyc_seq):
+    """frozenset({c, d}) for each consecutive pair around cyc_seq.
+
+    A pipeline run asks for a few dozen sequences: the 12 cyclic orders
+    of five colors, the 4-color orders they induce, and the three of a
+    4-colored sub-gem.
+    """
+    n = len(cyc_seq)
+    return tuple(frozenset((cyc_seq[i], cyc_seq[(i + 1) % n]))
+                 for i in range(n))
 
 
 def _permutation(g, eps):

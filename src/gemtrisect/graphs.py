@@ -86,33 +86,46 @@ class ColoredGraph:
         top = max(verts)
         if min(verts) != 0 or top != nv - 1:
             raise GemError("vertex ids must be 0..%d with no gaps" % top)
-        inc = [[None] * (n + 1) for _ in range(nv)]
-        canon = []
         for u, v, c in edge_list:
             if c not in colors:
                 raise GemError("color %r outside 0..%d" % (c, n))
             if u == v:
                 raise LoopEdgeError("loop at vertex %d (color %d)" % (u, c))
-            canon.append((c, min(u, v), max(u, v)))
-        canon.sort()
+        g = ColoredGraph._indexed(n, nv, edge_list)
+        for w, row in enumerate(g._inc):
+            missing = [c for c in colors if row[c] is None]
+            if missing:
+                raise NotRegularError(
+                    "vertex %d missing colors %s" % (w, missing))
+        if nv % 2:
+            raise OddOrderError("odd number of vertices (%d)" % nv)
+        if len(_component(g, frozenset(colors), 0)) != nv:
+            raise DisconnectedError("graph is not connected")
+        return g
+
+    @staticmethod
+    def _indexed(n, nv, edge_list):
+        """The graph of an edge list on vertices 0..nv-1, in canonical order.
+
+        The step build runs after its checks: sort the edges by (color,
+        low end, high end) and fill the incidence table.  It refuses a
+        dimension below 1 and two edges of one color at a vertex, which
+        filling the table detects for free; regularity, loops, even
+        order and connectivity are the caller's to check or to know.
+        """
+        if n < 1:
+            raise GemError("dimension must be at least 1")
+        canon = sorted((c, u, v) if u < v else (c, v, u)
+                       for u, v, c in edge_list)
+        inc = [[None] * (n + 1) for _ in range(nv)]
         for eid, (c, u, v) in enumerate(canon):
             for w in (u, v):
                 if inc[w][c] is not None:
                     raise NotProperError(
                         "vertex %d has two edges of color %d" % (w, c))
                 inc[w][c] = eid
-        for w in range(nv):
-            missing = [c for c in colors if inc[w][c] is None]
-            if missing:
-                raise NotRegularError(
-                    "vertex %d missing colors %s" % (w, missing))
-        if nv % 2:
-            raise OddOrderError("odd number of vertices (%d)" % nv)
-        edges = tuple((u, v, c) for c, u, v in canon)
-        g = ColoredGraph(n, nv, edges, tuple(tuple(r) for r in inc))
-        if len(_component(g, frozenset(colors), 0)) != nv:
-            raise DisconnectedError("graph is not connected")
-        return g
+        return ColoredGraph(n, nv, tuple((u, v, c) for c, u, v in canon),
+                            tuple(map(tuple, inc)))
 
     # -- basic queries -----------------------------------------------
 
@@ -160,12 +173,25 @@ def build_graph(n, edge_list):
 class Residue:
     """Connected component of the subgraph induced by a color subset."""
 
-    __slots__ = ("colors", "vertices", "edge_ids")
+    __slots__ = ("colors", "vertices", "_inc")
 
-    def __init__(self, colors, vertices, edge_ids):
+    def __init__(self, colors, vertices, inc):
         self.colors = colors            # frozenset
         self.vertices = vertices        # sorted tuple
-        self.edge_ids = edge_ids        # sorted tuple
+        self._inc = inc                 # the graph's incidence table
+
+    @property
+    def edge_ids(self):
+        """Sorted ids of the residue's edges, read off the incidence table.
+
+        Computed on each call: labelling residues never needs them, and
+        only a sub-gem's construction does.  The residue keeps the
+        graph's incidence table, not the graph, so a cached residue
+        makes no reference cycle through the graph's memo.
+        """
+        inc = self._inc
+        return tuple(sorted({inc[v][c] for v in self.vertices
+                             for c in self.colors}))
 
     def __len__(self):
         return len(self.vertices)
@@ -222,17 +248,16 @@ def _label_residues(g, colorset):
         idx = len(out)
         label[start] = idx
         comp = [start]
-        eids = set()
         for v in comp:              # comp grows while it is walked
+            row = inc[v]
             for c in colorset:
-                eid = inc[v][c]
-                eids.add(eid)
-                a, b, _ = edges[eid]
+                a, b, _ = edges[row[c]]
                 w = b if a == v else a
                 if label[w] < 0:
                     label[w] = idx
                     comp.append(w)
-        out.append(Residue(colorset, tuple(sorted(comp)), tuple(sorted(eids))))
+        comp.sort()
+        out.append(Residue(colorset, tuple(comp), inc))
     cached = g._memo[colorset] = (tuple(out), tuple(label))
     return cached
 
@@ -464,7 +489,16 @@ def residue_subgem(g, res):
     vertices to 0..order-1.  Returns (graph, vertex_map, color_map)
     where the maps send parent ids to the new ids.  Built once per
     residue and memoised on g, so invariants memoised on the sub-gem
-    (its pi1) are shared by every caller; callers must not mutate it.
+    (its pi1 and H1) are shared by every caller; callers must not
+    mutate it.
+
+    The sub-gem skips build's checks and goes straight to the indexing
+    step, which still refuses fewer than two colors.  That is sound
+    because g passed them: every vertex of the residue meets exactly
+    one edge of each residue color, and that edge stays inside the
+    residue, so the sub-gem is regular, proper and loopless; a residue
+    is connected by definition; and the edges of any one color pair up
+    its vertices, so its order is even.
     """
     key = ("subgem", res.colors, res.vertices[0])
     out = g._memo.get(key)
@@ -474,8 +508,9 @@ def residue_subgem(g, res):
         vmap = {v: i for i, v in enumerate(res.vertices)}
         edges = [(vmap[g.edges[e][0]], vmap[g.edges[e][1]],
                   cmap[g.edges[e][2]]) for e in res.edge_ids]
-        out = g._memo[key] = (ColoredGraph.build(len(cols) - 1, edges),
-                              vmap, cmap)
+        out = g._memo[key] = (
+            ColoredGraph._indexed(len(cols) - 1, len(vmap), edges),
+            vmap, cmap)
     return out
 
 

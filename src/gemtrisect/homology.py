@@ -358,18 +358,29 @@ def pi1_presentation(g):
     return pres
 
 
+def h1(g):
+    """First homology of the encoded complex: pi1 abelianised, once per graph.
+
+    Memoised on g under "h1".  A caller that has proven g a sphere
+    stores the trivial group there first (see
+    validation._three_manifold_verdict), and then no pi1 of g is built.
+    """
+    group = g._memo.get("h1")
+    if group is None:
+        group = g._memo["h1"] = pi1_presentation(g).abelianization()
+    return group
+
+
 def boundary_h1(g):
     """H1 of the boundary 3-manifold: the residue missing the apex color n.
 
-    Callers have checked that this residue is unique.  Its sub-gem's
-    abelianised pi1 is computed once per graph.
+    Callers have checked that this residue is unique.  It is h1 of the
+    residue's sub-gem, which certification shares: the sub-gem is
+    memoised on g, and its H1 is either the trivial group its sphere
+    verdict stored or the group its H1 fallback computed.
     """
-    h1 = g._memo.get("boundary_h1")
-    if h1 is None:
-        res = residues(g, frozenset(g.colors) - {g.n})[0]
-        sub, _, _ = residue_subgem(g, res)
-        h1 = g._memo["boundary_h1"] = pi1_presentation(sub).abelianization()
-    return h1
+    res = residues(g, frozenset(g.colors) - {g.n})[0]
+    return h1(residue_subgem(g, res)[0])
 
 
 def _build_pi1(g):

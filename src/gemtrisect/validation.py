@@ -22,7 +22,7 @@ from .graphs import (
     residues,
     is_bipartite,
 )
-from .homology import boundary_h1, pi1_presentation
+from .homology import HomologyGroup, boundary_h1, h1, pi1_presentation
 
 SPHERE = "sphere"
 NON_SPHERE = "non-sphere"
@@ -119,10 +119,17 @@ def _three_manifold_verdict(sub):
     else stays undecided.  The Euler characteristic refutes nothing
     here: callers have proven every 3-residue a 2-sphere, so sub is a
     closed 3-manifold and has chi = 0.
+
+    A proof stores H1 = 0 as sub's memoised h1, so no caller builds
+    pi1 of a proven sphere again.  That is sound because a 4-colored
+    gem of regular genus 0 represents S^3, and so does every gem its
+    dipole cancellations came from: the complex sub encodes is S^3,
+    whose first homology is trivial.  The differential tests build pi1
+    on fresh copies of every proven sphere to check the claim.
     """
     cycles = [eps.seq for eps in cyclic_permutations(sub.n)]
     if _genus_zero(ResidueCensus(sub), sub.nv, cycles):
-        return SPHERE
+        return _proven_sphere(sub)
     chain = DipoleReducer(sub)
     while chain.cancel_next() is not None:
         if _genus_zero(chain.pair_counts, chain.nv, cycles):
@@ -130,10 +137,16 @@ def _three_manifold_verdict(sub):
                 chain.graph()   # welds keep a gem; validated once, here
             except GemError:
                 break
-            return SPHERE
-    if pi1_presentation(sub).abelianization().min_generators != 0:
+            return _proven_sphere(sub)
+    if h1(sub).min_generators != 0:
         return NON_SPHERE
     return UNKNOWN
+
+
+def _proven_sphere(sub):
+    """SPHERE, after storing sub's H1 = 0 for h1 to return."""
+    sub._memo["h1"] = HomologyGroup(0)
+    return SPHERE
 
 
 def classify_colors(g):
@@ -259,11 +272,11 @@ def certify_Gs4(g, attestations=None):
     boundary_spheres = None
     if att["boundary"] is not None:
         m = att["boundary"]
-        h1 = boundary_h1(g)
-        if h1.rank != m or h1.torsion:
+        h1b = boundary_h1(g)
+        if h1b.rank != m or h1b.torsion:
             conflicts.append(
                 "boundary attestation #%d(S1xS2) inconsistent with H1=%r"
-                % (m, h1))
+                % (m, h1b))
         elif boundary_verdict == SPHERE and m > 0:
             conflicts.append(
                 "boundary attested #%d(S1xS2) but proven a 3-sphere" % m)
@@ -284,13 +297,12 @@ def certify_Gs4(g, attestations=None):
         closed = False
 
     # A presentation with no generators left after reduction proves pi1 = 1.
-    pres = pi1_presentation(g)
-    simply_connected = pres.num_generators == 0
+    simply_connected = pi1_presentation(g).num_generators == 0
     if att["simply_connected"] and not simply_connected:
-        h1 = pres.abelianization()
-        if h1.min_generators != 0:
+        h1g = h1(g)
+        if h1g.min_generators != 0:
             conflicts.append(
-                "simply-connected attestation inconsistent with H1=%r" % h1)
+                "simply-connected attestation inconsistent with H1=%r" % h1g)
         else:
             simply_connected = True
             used.append("simply-connected=yes")

@@ -2,8 +2,9 @@
 
 These are the plain versions the optimised library code replaced or
 never needed: the pass-by-pass Tietze loop and the pi1 builder that
-reads the whole chain complex, the one-pair intersection count, and
-the square complex built whole for each cyclic order.
+reads the whole chain complex, the one-pair intersection count, the
+pairwise chord-crossing test, and the square complex built whole for
+each cyclic order.
 """
 
 from types import SimpleNamespace
@@ -162,6 +163,21 @@ def _signed_intersection(surf, walk_a, walk_b, pos, deg_of):
     col, = _intersection_columns(_chord_index([walk_a], pos, vo),
                                  _chord_index([walk_b], pos, vo), deg_of, 1)
     return col.get(0, 0)
+
+
+def crossing_free(res):
+    """Test every pair of same-system chords at each vertex for interleaving."""
+    for v, chords in res.chords.items():
+        r = len(res.marks[v])
+        for i in range(len(chords)):
+            a, b = chords[i]
+            for j in range(i + 1, len(chords)):
+                c, d = chords[j]
+                inside_c = (c - a) % r < (b - a) % r
+                inside_d = (d - a) % r < (b - a) % r
+                if inside_c != inside_d:
+                    return False, (v, chords[i], chords[j])
+    return True, None
 
 
 def build_Q(g, eps):

@@ -276,14 +276,15 @@ def test_internal_failure_maps_to_exit_3(monkeypatch, datadir_gem):
     assert rec.as_dict()["certificate"] is not None
 
 
-@pytest.mark.parametrize("name, attest", [
-    ("projective_plane_like.gem", {}),
-    ("projective_plane_like.gem", {"boundary": "#0(S1xS2)"}),
+@pytest.mark.parametrize("name, attest, dims", [
+    # the boundary is a proven 3-sphere, whose H1 = 0 the proof stored
+    ("projective_plane_like.gem", {}, [4]),
+    ("projective_plane_like.gem", {"boundary": "#0(S1xS2)"}, [4]),
     # the boundary verdict falls back to H1, whose pi1 boundary_h1 reuses
-    ("bounded_s1s2.gem", {}),
+    ("bounded_s1s2.gem", {}, [3, 4]),
 ], ids=["plain", "boundary-attested", "boundary-verdict-from-h1"])
 def test_pipeline_builds_pi1_once_per_graph(datadir_gem, monkeypatch,
-                                            name, attest):
+                                            name, attest, dims):
     import gemtrisect.homology as homology
 
     built = []
@@ -297,8 +298,8 @@ def test_pipeline_builds_pi1_once_per_graph(datadir_gem, monkeypatch,
     if attest:
         assert rec.report["attestations_used"] == ["boundary=#0(S1xS2)"]
     # certify, the ledger and the diagram check share one pi1 of the gem
-    # and one of its boundary sub-gem
-    assert sorted(g.n for g in built) == [3, 4]
+    # and one H1 of its boundary sub-gem, built only when not proven S^3
+    assert sorted(g.n for g in built) == dims
 
 
 def test_pipeline_builds_square_complex_once_per_graph(datadir_gem,

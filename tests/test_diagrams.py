@@ -49,6 +49,7 @@ from gemtrisect.trisection import (
 
 from conftest import pipeline_corpus
 from reference import _signed_intersection
+from reference import crossing_free as _reference_crossing_free
 
 IDENT = CyclicPermutation((0, 1, 2, 3, 4))
 
@@ -548,7 +549,16 @@ def test_region_count_and_lanes_match_references(datadir_gem):
             lanes = _lane_orders(surf, ws, corridors, pos)
             assert lanes == _reference_lanes(surf, ws, corridors, pos)
             res = _resolve(surf, ws, corridors, lanes, pos)
-            resolved, _ = _crossing_free(res)
+            resolved, witness = _crossing_free(res)
+            ref_resolved, ref_witness = _reference_crossing_free(res)
+            assert resolved == ref_resolved
+            if not resolved:
+                # same first failing vertex, and the pair reported there
+                # interleaves by the pairwise rule
+                v, x, y = witness
+                assert v == ref_witness[0]
+                assert not _reference_crossing_free(types.SimpleNamespace(
+                    chords={v: [x, y]}, marks=res.marks))[0]
             pieces = _complement_components(surf, res, pos)
             assert pieces == _reference_components(surf, res, pos)
             seen.add("unresolved" if not resolved else

@@ -14,9 +14,11 @@ from gemtrisect.graphs import (
     GemError,
     blob_insert,
     build_graph,
+    residue_subgem,
     residues,
 )
-from gemtrisect.homology import chain_complex, pi1_presentation
+from gemtrisect.homology import (HomologyGroup, boundary_h1, chain_complex,
+                                 pi1_presentation)
 from gemtrisect.validation import (
     NON_SPHERE,
     SPHERE,
@@ -368,3 +370,77 @@ def test_dipole_reducer_pair_counts_track_rebuilt_graph(seed):
             assert chain.pair_counts == {
                 frozenset(p): len(residues(cur, p))
                 for p in itertools.combinations(cur.colors, 2)}
+
+
+# -- proven spheres carry H1 = 0; sub-gems skip build's checks ------------
+
+def _h1_corpus(seed=4434):
+    """Gems whose 4-residues are proven spheres, and some that are not.
+
+    pipeline_corpus, shuffled chain sums #2-#8 of projective_plane_like.gem
+    and nonzero_forest.gem, sphere blobs, and bounded_s1s2.gem, whose
+    boundary has H1 = Z.
+    """
+    rng = random.Random(seed)
+    out = pipeline_corpus(count=20)
+    for name in FIXTURES_4D[:2]:
+        fixture = g = fixture_graph(name)
+        for m in range(2, 9):
+            g = weld(g, fixture, rng, at=(1, 0))
+            out.append(shuffled(g, rng))
+    for _ in range(6):
+        out.append(grow_gem(standard_sphere_gem(4), rng.randrange(8, 24),
+                            rng, colors=(0, 1, 2, 3)))
+    out.append(fixture_graph("bounded_s1s2.gem"))
+    return out
+
+
+def _fresh_h1(g):
+    """H1 from pi1 built on a new copy of g, so no memo can answer."""
+    return pi1_presentation(build_graph(g.n, g.edges)).abelianization()
+
+
+def test_proven_spheres_have_trivial_h1():
+    spheres = 0
+    for g in _h1_corpus():
+        for sub in complementary_subgems(g):
+            if _three_manifold_verdict(sub) == SPHERE:
+                assert _fresh_h1(sub) == HomologyGroup(0)
+                spheres += 1
+    assert spheres >= 350
+
+
+def test_boundary_h1_matches_pi1_on_corpus():
+    nontrivial = 0
+    for g in _h1_corpus():
+        boundary, = residues(g, frozenset(range(4)))
+        expect = _fresh_h1(residue_subgem(g, boundary)[0])
+        # once from pi1 on a copy no verdict has seen, once after
+        # certification has left its verdicts' H1 on the sub-gems
+        assert boundary_h1(build_graph(g.n, g.edges)) == expect
+        certify_Gs4(g)
+        assert boundary_h1(g) == expect
+        nontrivial += expect != HomologyGroup(0)
+    assert nontrivial >= 1
+
+
+def test_trusted_subgems_equal_built_ones():
+    for g in _h1_corpus():
+        for r in range(2, g.n + 2):
+            for cs in itertools.combinations(g.colors, r):
+                cmap = {c: i for i, c in enumerate(cs)}
+                for res in residues(g, cs):
+                    sub, vmap, _ = residue_subgem(g, res)
+                    # the residue's edges found by scanning the parent
+                    ref = build_graph(r - 1, [
+                        (vmap[u], vmap[v], cmap[c]) for u, v, c in g.edges
+                        if c in cmap and u in vmap])
+                    assert (sub.n, sub.nv, sub.edges, sub._inc) == (
+                        ref.n, ref.nv, ref.edges, ref._inc)
+
+
+def test_one_color_residue_is_refused():
+    g = fixture_graph("projective_plane_like.gem")
+    for cs in [(c,) for c in g.colors] + [()]:
+        with pytest.raises(GemError):
+            residue_subgem(g, residues(g, cs)[0])

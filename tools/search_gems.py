@@ -153,18 +153,30 @@ def fixture_scan():
                 found["bounded"] = hit
         if found["closed"] is not None and found["pseudo"] is not None:
             continue
-        h = homology(g)
-        if h[1].rank or h[1].torsion or h[2].rank != 1 or h[2].torsion:
-            continue
-        if pi1_presentation(g).num_generators != 0:
-            continue
-        singular, undetermined, _ = classify_colors(g)
-        if not singular and not undetermined:
-            if found["closed"] is None:
-                found["closed"] = g
-        elif len(singular) == 2 and found["pseudo"] is None:
-            found["pseudo"] = g
+        role = _closed_or_pseudo(g)
+        if role is not None and found[role] is None:
+            found[role] = g
     return found
+
+
+def _closed_or_pseudo(g):
+    """"closed", "pseudo" or None: the role filters of those fixtures.
+
+    Both roles need H1 = 0, H2 = Z and a presentation of pi1 with no
+    generators left; "closed" then needs every link a proven sphere,
+    "pseudo" exactly two singular colors.
+    """
+    h = homology(g)
+    if h[1].rank or h[1].torsion or h[2].rank != 1 or h[2].torsion:
+        return None
+    if pi1_presentation(g).num_generators != 0:
+        return None
+    singular, undetermined, _ = classify_colors(g)
+    if not singular and not undetermined:
+        return "closed"
+    if len(singular) == 2:
+        return "pseudo"
+    return None
 
 
 def main():
