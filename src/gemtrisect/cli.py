@@ -556,8 +556,6 @@ def main(argv=None):
                     "and emit verified trisection diagrams.")
     ap.add_argument("paths", nargs="+", help="gem files (text or json)")
     ap.add_argument("--eps", help='fixed color cycle, e.g. "0,1,2,3,4"')
-    ap.add_argument("--sweep", action="store_true",
-                    help="try all 12 cycles (default unless --eps)")
     ap.add_argument("--apex-color", type=int, default=4, metavar="C",
                     help="treat color C as the singular apex (default 4)")
     ap.add_argument("--minimize-k", type=int, default=0, metavar="BUDGET",
@@ -569,7 +567,11 @@ def main(argv=None):
     ap.add_argument("--out", metavar="DIR",
                     help="write run records and diagrams here")
     ap.add_argument("--cache", metavar="DIR", help="result cache directory")
-    ns = ap.parse_args(argv)
+    try:
+        ns = ap.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help, or the usage and the error
+        return EXIT_OK if exc.code == 0 else EXIT_INVALID
 
     eps = None
     if ns.eps is not None:
@@ -582,7 +584,6 @@ def main(argv=None):
         eps = tuple(_swap_color(c, ns.apex_color) for c in eps)
     options = {
         "eps": eps,
-        "sweep": ns.sweep or eps is None,
         "apex_color": ns.apex_color,
         "budget": ns.minimize_k,
         "mode": ns.mode,

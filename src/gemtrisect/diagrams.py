@@ -8,21 +8,23 @@ the square-complex 1-skeleton, rewritten through witness cycles until
 no apex edge remains.
 
 Verification is homological plus cut-combinatorial: curves are resolved
-into disjoint parallel strands inside edge corridors, crossings are
-decided at vertex disks by the rotation order, and cutting is checked
-by region bookkeeping.  Cross-system geometric disjointness is not
-claimed; intersection numbers are the honest surrogate.
+into disjoint parallel strands inside edge corridors, and crossings are
+decided at vertex disks by the rotation order.  Once a system of k
+curves resolves into disjoint simple closed curves C, the Z/2 exact
+sequence H2(S) -> H2(S, C) -> H1(C) -> H1(S) of the closed connected
+surface S gives 1 + k - rank<[c1], ..., [ck]> regions of S minus C, so
+the cut test reads its region count off the system's Z/2 rank.
+Cross-system geometric disjointness is not claimed; intersection
+numbers are the honest surrogate.
 
 Cost: every walk's chords are indexed by vertex once, so all
 intersection numbers together cost the total walk length plus the
-chord pairs that share a vertex; region counting is one near-linear
-union-find over arcs, corridor gaps and faces.
+chord pairs that share a vertex.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from functools import cmp_to_key
 
 from .embedding import _permutation, stabilized_surface
@@ -433,18 +435,15 @@ def _lane_orders(surf, walks, corridors, pos):
 class _Resolution:
     """Marks (strand ports, ccw order) and chords per vertex disk."""
 
-    __slots__ = ("marks", "index", "chords", "lane_count")
+    __slots__ = ("marks", "chords")
 
-    def __init__(self, marks, index, chords, lane_count):
+    def __init__(self, marks, chords):
         self.marks = marks          # vertex -> [(slot, micro, port)]
-        self.index = index          # port -> mark position
         self.chords = chords        # vertex -> [(mark a, mark b)]
-        self.lane_count = lane_count
 
 
 def _resolve(surf, walks, corridors, lanes, pos):
     vo = surf.scheme.vertex_of
-    lane_count = {e: len(ts) for e, ts in corridors.items()}
     marks = {v: [] for v in range(surf.scheme.nv)}
     for e, travs in corridors.items():
         m = len(travs)
@@ -467,7 +466,7 @@ def _resolve(surf, walks, corridors, lanes, pos):
             arr = (wi, (i - 1) % L, 1 if prev % 2 == 0 else 0)
             dep = (wi, i, h & 1)
             chords[vo[h]].append((index[arr], index[dep]))
-    return _Resolution(marks, index, chords, lane_count)
+    return _Resolution(marks, chords)
 
 
 def _crossing_free(res):
@@ -496,95 +495,6 @@ def _crossing_free(res):
             else:
                 return False, (v, chords[i], chords[stack[-1]])
     return True, None
-
-
-def _complement_components(surf, res, pos):
-    """Count regions of the surface minus the resolved strands.
-
-    Atoms are vertex-disk boundary arcs, corridor gaps and faces,
-    numbered in that order (arcs per vertex, gaps per edge); a chord
-    joins the arcs flanking its two ends on each side, corridor gaps
-    open onto the arcs at their mouths, and every face meets the arc
-    at each corner it turns.  Regions are atoms minus merges.
-    """
-    scheme = surf.scheme
-    vo = scheme.vertex_of
-    ne = len(scheme.edge_ends)
-    slots = [[s for s, _, _ in res.marks[v]] for v in range(scheme.nv)]
-    arc0 = []
-    size = 0
-    for sv in slots:
-        arc0.append(size)
-        size += max(len(sv), 1)
-    gap0 = []
-    for e in range(ne):
-        gap0.append(size)
-        size += res.lane_count.get(e, 0) + 1
-    face0 = size
-    size += len(surf.faces)
-    parent = list(range(size))
-    merges = 0
-
-    def union(x, y):
-        nonlocal merges
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        while parent[y] != y:
-            parent[y] = parent[parent[y]]
-            y = parent[y]
-        if x != y:
-            parent[x] = y
-            merges += 1
-
-    # chords split disks; flanking arcs join along each side
-    for v, chords in res.chords.items():
-        r, base = len(slots[v]), arc0[v]
-        for a, b in chords:
-            union(base + a, base + (b - 1) % r)
-            union(base + (a - 1) % r, base + b)
-
-    def arc_after(v, slot):
-        """Arc containing the boundary point just after slot."""
-        sv = slots[v]
-        if not sv:
-            return arc0[v]
-        return arc0[v] + (bisect_right(sv, slot) - 1) % len(sv)
-
-    # corridor mouths: the m ports of a corridor end are one run of the
-    # sorted marks, in lane order; gap t opens onto the arc between its
-    # bounding ports (outermost gaps reach the arc past the first/last)
-    for e in range(ne):
-        m = res.lane_count.get(e, 0)
-        for end in (0, 1):
-            h = 2 * e + end
-            v = vo[h]
-            if m == 0:
-                union(gap0[e], arc_after(v, pos[h]))
-                continue
-            lo = bisect_left(slots[v], pos[h])
-            for t in range(m + 1):
-                gap = t if end == 0 else m - t
-                arc = lo + t - 1 if t else (lo - 1) % len(slots[v])
-                union(gap0[e] + gap, arc0[v] + arc)
-
-    # faces touch the arc at every corner their boundary walk turns
-    for fi, orbit in enumerate(surf.faces):
-        for i, h in enumerate(orbit):
-            h_next = orbit[(i + 1) % len(orbit)]
-            w = vo[h_next]
-            t = h ^ 1
-            deg = len(scheme.rot[w])
-            pt, ph = pos[t], pos[h_next]
-            if (pt + 1) % deg == ph:
-                corner = pt
-            elif (ph + 1) % deg == pt:
-                corner = ph
-            else:
-                raise GemError("face walk skips a corner")
-            union(face0 + fi, arc_after(w, corner))
-
-    return size - merges
 
 
 # -- assembled diagrams and verification -----------------------------------
@@ -659,10 +569,14 @@ def verify_diagram(diagram):
     complement), the (alpha, beta) pairing against the boundary
     homology, and the gamma cokernel ranks as k1/k2 candidates.
 
+    A resolved system of k curves cuts the surface into 1 + k - rank
+    pieces, rank being its Z/2 rank (each independent Z/2 relation
+    among disjoint circles bounds a piece); only the resolution itself
+    is checked combinatorially.
+
     Self-intersections, the pairing and the gamma columns come from one
     chord index per system: the total walk length plus the chord pairs
-    sharing a vertex, not a rescan of both walks per curve pair.  Each
-    cut test adds a near-linear region count.
+    sharing a vertex, not a rescan of both walks per curve pair.
     """
     surf = diagram.surface
     g_ = diagram.genus
@@ -739,7 +653,7 @@ def verify_diagram(diagram):
         if not ok:
             entry["crossing_at"] = witness[0]
         else:
-            pieces = _complement_components(surf, res, pos)
+            pieces = 1 + len(ws) - z2["ranks"][name]
             entry["connected"] = pieces == 1
             entry["pieces"] = pieces
             # cutting along disjoint circles keeps chi; capping the

@@ -519,51 +519,12 @@ def standard_sphere_gem(n):
     return ColoredGraph.build(n, [(0, 1, c) for c in range(n + 1)])
 
 
-def find_dipole(g):
-    """First cancellable dipole as (u, v, colors), or None.
-
-    A pair joined by exactly the colors S is a dipole when the two
-    vertices lie in different residues of the complementary colors;
-    cancelling such a pair preserves the represented manifold.  With
-    cancel_dipole this is the reference chain that DipoleReducer
-    reproduces incrementally.
-    """
-    joins = {}
-    for u, v, c in g.edges:
-        joins.setdefault((u, v), set()).add(c)
-    for (u, v), S in sorted(joins.items()):
-        if len(S) == g.n + 1:
-            continue
-        label = residue_labels(g, frozenset(g.colors) - S)
-        if label[u] != label[v]:
-            return (u, v, frozenset(S))
-    return None
-
-
-def cancel_dipole(g, u, v, colors):
-    """Delete a dipole pair and weld the dangling ends color-wise."""
-    colors = frozenset(colors)
-    keep = [w for w in range(g.nv) if w != u and w != v]
-    remap = {w: i for i, w in enumerate(keep)}
-    edges = []
-    for a, b, c in g.edges:
-        if a == u or a == v or b == u or b == v:
-            continue
-        edges.append((remap[a], remap[b], c))
-    for c in g.colors:
-        if c in colors:
-            continue
-        a = g.neighbor(u, c)[0]
-        b = g.neighbor(v, c)[0]
-        edges.append((remap[a], remap[b], c))
-    return build_graph(g.n, edges)
-
-
 class DipoleReducer:
-    """The find_dipole / cancel_dipole chain on one mutable copy of g.
+    """The dipole-cancelling chain on one mutable copy of g.
 
     cancel_next() cancels the same dipoles in the same order as
-    repeatedly calling find_dipole and cancel_dipole, but names them by
+    repeatedly calling find_dipole and cancel_dipole, the plain chain
+    kept in tests/reference.py as the reference, but names them by
     the vertex ids of g: cancel_dipole renumbers the survivors in their
     old order, so the first dipole in sorted (u, v) order is the same
     pair under either numbering.  Each cancellation costs O(1) besides
@@ -657,9 +618,10 @@ class DipoleReducer:
         for pair in self.pair_counts:
             if pair <= colors or not pair & colors:
                 self.pair_counts[pair] -= 1
-        # a no-op when cset meets colors: u and v already share a residue
+        # when cset meets colors, u and v already share a residue
         for cset, parent in self._parent.items():
-            parent[self._root(cset, u)] = self._root(cset, v)
+            if not cset & colors:
+                parent[self._root(cset, u)] = self._root(cset, v)
         for c in self._colors - colors:
             a, b = nbr[u][c], nbr[v][c]
             nbr[a][c] = b

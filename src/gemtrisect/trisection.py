@@ -331,18 +331,21 @@ def minimize_k(g, eps, budget=0, mode="closed"):
     then lowest id).  If the additions reach the forest size the forest
     itself is used, which always schedules.  A positive budget
     additionally tries explicit subsets (smallest first, at most
-    `budget` schedule attempts) below the best size found.
+    `budget` schedule attempts) below the best size found, skipping the
+    sets the greedy already found stuck.
     """
     Q = build_Q(g, eps)
     forest = stabilization_set(g, eps)
 
     stab = []
+    stuck_sets = set()
     best = None
     while True:
         try:
             best = collapse_schedule(Q, stab)
             break
         except Incomplete as stuck:
+            stuck_sets.add(frozenset(stab))
             if len(stab) + 1 >= len(forest):
                 best = collapse_schedule(Q, forest)
                 break
@@ -355,6 +358,7 @@ def minimize_k(g, eps, budget=0, mode="closed"):
     if budget > 0 and best.k > 0:
         subsets = itertools.chain.from_iterable(
             itertools.combinations(Q.squares, size) for size in range(best.k))
+        subsets = (c for c in subsets if frozenset(c) not in stuck_sets)
         for combo in itertools.islice(subsets, budget):
             try:
                 best = collapse_schedule(Q, combo)

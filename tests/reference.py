@@ -3,15 +3,16 @@
 These are the plain versions the optimised library code replaced or
 never needed: the pass-by-pass Tietze loop and the pi1 builder that
 reads the whole chain complex, the one-pair intersection count, the
-pairwise chord-crossing test, and the square complex built whole for
-each cyclic order.
+pairwise chord-crossing test, the square complex built whole for each
+cyclic order, and the dipole chain that rebuilds the graph after every
+cancellation.
 """
 
 from types import SimpleNamespace
 
 from gemtrisect.diagrams import _chord_index, _intersection_columns
-from gemtrisect.graphs import (GemError, bicolored_cycles, residue_labels,
-                               residues)
+from gemtrisect.graphs import (GemError, bicolored_cycles, build_graph,
+                               residue_labels, residues)
 from gemtrisect.homology import GroupPresentation, _rotations, chain_complex
 from gemtrisect.trisection import _require_apex
 
@@ -227,3 +228,43 @@ def build_Q(g, eps):
     return SimpleNamespace(graph=g, eps=eps, squares=tuple(sorted(sides)),
                            q1_nodes=tuple(q1_nodes), q1_edges=tuple(q1_edges),
                            sides=sides)
+
+
+def find_dipole(g):
+    """First cancellable dipole as (u, v, colors), or None.
+
+    A pair joined by exactly the colors S is a dipole when the two
+    vertices lie in different residues of the complementary colors;
+    cancelling such a pair preserves the represented manifold.  With
+    cancel_dipole this is the reference chain that DipoleReducer
+    reproduces incrementally.
+    """
+    joins = {}
+    for u, v, c in g.edges:
+        joins.setdefault((u, v), set()).add(c)
+    for (u, v), S in sorted(joins.items()):
+        if len(S) == g.n + 1:
+            continue
+        label = residue_labels(g, frozenset(g.colors) - S)
+        if label[u] != label[v]:
+            return (u, v, frozenset(S))
+    return None
+
+
+def cancel_dipole(g, u, v, colors):
+    """Delete a dipole pair and weld the dangling ends color-wise."""
+    colors = frozenset(colors)
+    keep = [w for w in range(g.nv) if w != u and w != v]
+    remap = {w: i for i, w in enumerate(keep)}
+    edges = []
+    for a, b, c in g.edges:
+        if a == u or a == v or b == u or b == v:
+            continue
+        edges.append((remap[a], remap[b], c))
+    for c in g.colors:
+        if c in colors:
+            continue
+        a = g.neighbor(u, c)[0]
+        b = g.neighbor(v, c)[0]
+        edges.append((remap[a], remap[b], c))
+    return build_graph(g.n, edges)

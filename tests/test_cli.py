@@ -494,6 +494,25 @@ def test_main_exit_codes_and_summary(tmp_path, capsys):
     assert main([ok, nonmember]) == EXIT_NOT_MEMBER
 
 
+@pytest.mark.parametrize("flags", [
+    ["--mode", "foo"], ["--minimize-k", "abc"], ["--format", "png"],
+    ["--apex-color", "x"], ["--sweep"], ["--no-such-flag"], ["--eps"],
+], ids=lambda flags: " ".join(flags))
+def test_main_usage_errors_exit_invalid(tmp_path, capsys, flags):
+    ok = _write(tmp_path, "ok.gem", SPHERE_TEXT)
+    assert main([ok] + flags) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: gemtrisect" in captured.err and "error:" in captured.err
+
+
+def test_main_without_paths_or_with_help(capsys):
+    assert main([]) == EXIT_INVALID
+    assert "usage: gemtrisect" in capsys.readouterr().err
+    assert main(["--help"]) == EXIT_OK
+    assert "--minimize-k" in capsys.readouterr().out
+
+
 def test_main_cache_flag(tmp_path, capsys):
     ok = _write(tmp_path, "ok.gem", SPHERE_TEXT)
     cache = str(tmp_path / "cache")

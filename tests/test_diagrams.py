@@ -10,6 +10,7 @@ from functools import cmp_to_key
 
 import pytest
 
+from gemtrisect import diagrams
 from gemtrisect.diagrams import (
     CountMismatch,
     ExpansionDiverged,
@@ -17,7 +18,6 @@ from gemtrisect.diagrams import (
     UnsupportedFormat,
     _ccw_rotations,
     _chord_index,
-    _complement_components,
     _corridor_map,
     _crossing_free,
     _intersection_columns,
@@ -375,7 +375,14 @@ def _reference_intersection(surf, walk_a, walk_b, pos, deg_of):
     return total
 
 
-def _reference_components(surf, res, pos):
+def _reference_components(surf, res, corridors, pos):
+    """Regions of the surface minus the resolved strands, by union-find.
+
+    Atoms are vertex-disk boundary arcs, corridor gaps and faces; a
+    chord joins the arcs flanking its ends, a corridor gap opens onto
+    the arcs at its two mouths, and a face meets the arc at every
+    corner it turns.
+    """
     uf = {}
 
     def find(x):
@@ -398,7 +405,7 @@ def _reference_components(surf, res, pos):
         for i in range(max(len(res.marks[v]), 1)):
             uf.setdefault(("arc", v, i), ("arc", v, i))
     for e in range(len(scheme.edge_ends)):
-        for t in range(res.lane_count.get(e, 0) + 1):
+        for t in range(len(corridors.get(e, ())) + 1):
             uf.setdefault(("gap", e, t), ("gap", e, t))
     for fi in range(len(surf.faces)):
         uf.setdefault(("face", fi), ("face", fi))
@@ -417,7 +424,7 @@ def _reference_components(surf, res, pos):
 
     vo = scheme.vertex_of
     for e in range(len(scheme.edge_ends)):
-        m = res.lane_count.get(e, 0)
+        m = len(corridors.get(e, ()))
         for end in (0, 1):
             h = 2 * e + end
             v, slot = vo[h], pos[h]
@@ -488,8 +495,10 @@ def _verifier_corpus(datadir_gem):
     """(surface, {system: walks}) for chain sums with seeded extra squares.
 
     Besides the three systems of each diagram, mutated ones: alpha
-    replaced by beta, a duplicated curve, a reversed curve, and the
-    alpha and beta curves together as one system.
+    replaced by beta, a duplicated curve, a reversed curve, a dropped
+    curve (Z/2 rank below the genus), the alpha and beta curves together
+    as one system, and alpha plus the boundary of the surface's longest
+    face (a null-homologous curve).
     """
     rng = random.Random(5)
     out = []
@@ -510,7 +519,9 @@ def _verifier_corpus(datadir_gem):
                 "alpha:=beta": list(walks["beta"]),
                 "duplicated": a + a[:1],
                 "reversed": [[h ^ 1 for h in reversed(a[0])]] + a[1:],
+                "dropped": a[1:],
                 "alpha+beta": a + walks["beta"],
+                "alpha+face": a + [tuple(max(surf.faces, key=len))],
             })
             out.append((surf, walks))
     return out
@@ -540,30 +551,44 @@ def test_indexed_intersections_match_pairwise(datadir_gem):
                             surf, w_i, w_j, pos, deg_of) == ref
 
 
-def test_region_count_and_lanes_match_references(datadir_gem):
+def test_region_count_and_lanes_match_references(datadir_gem, monkeypatch):
+    corpus = _verifier_corpus(datadir_gem)
+    # verify_diagram runs on the corpus walks as they are, so its cut
+    # entries can be compared system by system
+    monkeypatch.setattr(diagrams, "_to_walk", lambda surf, walk: walk)
     seen = set()
-    for surf, walks in _verifier_corpus(datadir_gem):
+    split = []
+    for surf, walks in corpus:
         pos = _ccw_rotations(surf)
-        for ws in walks.values():
+        record = verify_diagram(types.SimpleNamespace(
+            surface=surf, genus=(2 - surf.chi) // 2, systems=walks.items))
+        for name, ws in walks.items():
+            entry = record.checks["cut"]["systems"][name]
             corridors = _corridor_map(ws)
             lanes = _lane_orders(surf, ws, corridors, pos)
             assert lanes == _reference_lanes(surf, ws, corridors, pos)
             res = _resolve(surf, ws, corridors, lanes, pos)
             resolved, witness = _crossing_free(res)
             ref_resolved, ref_witness = _reference_crossing_free(res)
-            assert resolved == ref_resolved
+            assert resolved == ref_resolved == entry["resolved"]
             if not resolved:
                 # same first failing vertex, and the pair reported there
                 # interleaves by the pairwise rule
                 v, x, y = witness
-                assert v == ref_witness[0]
+                assert v == ref_witness[0] == entry["crossing_at"]
                 assert not _reference_crossing_free(types.SimpleNamespace(
                     chords={v: [x, y]}, marks=res.marks))[0]
-            pieces = _complement_components(surf, res, pos)
-            assert pieces == _reference_components(surf, res, pos)
-            seen.add("unresolved" if not resolved else
-                     "split" if pieces > 1 else "connected")
+                seen.add("unresolved")
+                continue
+            pieces = _reference_components(surf, res, corridors, pos)
+            assert entry["pieces"] == pieces, name
+            assert entry["connected"] == (pieces == 1)
+            assert entry["chi_capped"] == surf.chi + 2 * len(ws)
+            seen.add("split" if pieces > 1 else "connected")
+            if pieces > 1:
+                split.append(name)
     assert seen == {"unresolved", "split", "connected"}
+    assert {"duplicated", "alpha+face"} <= set(split)
 
 
 def _old_reduce(items, inverse, keep=lambda s: True):

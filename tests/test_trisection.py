@@ -259,14 +259,19 @@ def test_budget_search_tries_small_subsets_in_order(monkeypatch):
     monkeypatch.setattr(trisection, "collapse_schedule", stuck_below_forest)
     greedy = [(), (s0,), (s0, s1), forest]
     # subsets below the forest size, smallest first, each in
-    # combinations order; the search stops at the first that schedules
+    # combinations order, minus the sets the greedy found stuck; the
+    # search stops at the first that schedules
     cert = minimize_k(g, IDENT, budget=10)
-    assert tried == greedy + [(), (s0,), (s1,), (s2,)]
+    assert tried == greedy + [(s1,), (s2,)]
+    assert cert.ordering.stabilized == (s2,)
+    tried.clear()
+    cert = minimize_k(g, IDENT, budget=3)
+    assert tried == greedy + [(s1,), (s2,)]
     assert cert.ordering.stabilized == (s2,)
     # the budget caps the attempts
     tried.clear()
-    cert = minimize_k(g, IDENT, budget=3)
-    assert tried == greedy + [(), (s0,), (s1,)]
+    cert = minimize_k(g, IDENT, budget=1)
+    assert tried == greedy + [(s1,)]
     assert cert.ordering.stabilized == forest
 
 

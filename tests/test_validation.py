@@ -33,10 +33,11 @@ from gemtrisect.validation import (
     _genus_zero,
     _three_manifold_verdict,
 )
-from gemtrisect.graphs import cancel_dipole, find_dipole, standard_sphere_gem
+from gemtrisect.graphs import standard_sphere_gem
 
 from conftest import (complementary_subgems, fixture_graph, grow_gem,
                       pipeline_corpus, shuffled, weld)
+from reference import cancel_dipole, find_dipole
 
 
 def _torus_inside_gem():
