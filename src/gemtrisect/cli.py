@@ -192,14 +192,12 @@ def _swap_color(c, apex):
     return c
 
 
-_SPHERE_ITEM_RE = re.compile(r"^(\d+):(\d+)$")
-
-
 def relabel_apex(gf, apex):
     """Swap colors apex and 4 so downstream code sees apex = 4.
 
-    Sphere attestations name colors, so their keys are swapped too;
-    other attestation values are color-free.
+    Sphere attestation items (c:idx, or a bare c meaning c:0) name
+    colors, so their colors are swapped too, each item keeping its
+    form; other attestation values are color-free.
     """
     if apex == 4:
         return gf
@@ -210,12 +208,13 @@ def relabel_apex(gf, apex):
     if "sphere" in attest:
         items = []
         for item in attest["sphere"].split(","):
-            m = _SPHERE_ITEM_RE.match(item.strip())
-            if m:
-                items.append("%d:%s" % (_swap_color(int(m.group(1)), apex),
-                                        m.group(2)))
-            else:
-                items.append(item.strip())
+            c, colon, idx = item.strip().partition(":")
+            try:
+                int(idx or "0")
+                c = str(_swap_color(int(c), apex))
+            except ValueError:
+                pass        # left as written, for the parser to reject
+            items.append(c + colon + idx)
         attest["sphere"] = ",".join(items)
     return GemFile(gf.n, gf.name, attest, build_graph(gf.n, edges))
 

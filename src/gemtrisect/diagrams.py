@@ -8,13 +8,15 @@ the square-complex 1-skeleton, rewritten through witness cycles until
 no apex edge remains.
 
 Verification is homological plus cut-combinatorial: curves are resolved
-into disjoint parallel strands inside edge corridors, and crossings are
-decided at vertex disks by the rotation order.  Once a system of k
-curves resolves into disjoint simple closed curves C, the Z/2 exact
-sequence H2(S) -> H2(S, C) -> H1(C) -> H1(S) of the closed connected
-surface S gives 1 + k - rank<[c1], ..., [ck]> regions of S minus C, so
-the cut test reads its region count off the system's Z/2 rank.
-Cross-system geometric disjointness is not claimed; intersection
+into disjoint strands inside edge corridors, laid in lanes by one rank
+of all strands (their counterclockwise turns, ranked by prefix
+doubling), so parallel copies of a curve resolve side by side, and
+crossings are decided at vertex disks by the rotation order.  Once a
+system of k curves resolves into disjoint simple closed curves C, the
+Z/2 exact sequence H2(S) -> H2(S, C) -> H1(C) -> H1(S) of the closed
+connected surface S gives 1 + k - rank<[c1], ..., [ck]> regions of S
+minus C, so the cut test reads its region count off the system's Z/2
+rank.  Cross-system geometric disjointness is not claimed; intersection
 numbers are the honest surrogate.
 
 Cost: every walk's chords are indexed by vertex once, so all
@@ -25,7 +27,6 @@ chord pairs that share a vertex.
 from __future__ import annotations
 
 import json
-from functools import cmp_to_key
 
 from .embedding import _permutation, stabilized_surface
 from .graphs import (GemError, bicolored_cycles, is_bipartite, residue_labels,
@@ -366,70 +367,49 @@ def _self_intersections(index, deg_of, count):
     return out
 
 
-# -- corridor lanes and crossing-free resolution ---------------------------
+# -- strand order and crossing-free resolution -----------------------------
 
-class _Traversal:
-    __slots__ = ("walk_id", "step", "edge", "down")
+def _strand_order(walks, pos, deg_of, vertex_of):
+    """Each traversal's place in one order of all corridor strands.
 
-    def __init__(self, walk_id, step, edge, down):
-        self.walk_id = walk_id
-        self.step = step
-        self.edge = edge
-        self.down = down      # True when traversing high -> low
-
-
-def _corridor_map(walks):
-    corridors = {}
-    for wi, walk in enumerate(walks):
-        for i, h in enumerate(walk):
-            t = _Traversal(wi, i, h >> 1, bool(h & 1))
-            corridors.setdefault(h >> 1, []).append(t)
-    return corridors
-
-
-def _lane_orders(surf, walks, corridors, pos):
-    """Deterministic lane index per corridor traversal.
-
-    Strands sharing a corridor are followed upward in lockstep until
-    they diverge; the strand leaving closer counterclockwise to the
-    shared arrival slot takes the lower lane.  A downward traversal
-    reads its walk backwards, with each half-edge reversed: reversing a
-    closed walk visits the same geometric strand.  Fully parallel
-    strands order by (walk, step).  The final non-crossing check is the
-    arbiter, so the comparator only has to be deterministic.
+    Traversals t number the walks' steps in turn.  State 2t reads step
+    t's walk forwards, 2t + 1 backwards with each half-edge reversed;
+    a state's symbol is the counterclockwise offset of its next leaving
+    half-edge from its arrival.  Strands order by the symbols of the
+    state that runs them upward, ranked by prefix doubling (Manber and
+    Myers): once a round splits no class, states agreeing on m symbols
+    agree on 2m, so the ranks are final.  Of two strands that never
+    diverge (parallel copies) the lower t goes first exactly when it
+    runs upward, so a copy keeps its side whichever way it is run.
     """
-    rot, vo = surf.scheme.rot, surf.scheme.vertex_of
-    lanes = {}
-    for e, travs in corridors.items():
-        if len(travs) == 1:
-            lanes[(travs[0].walk_id, travs[0].step)] = 0
-            continue
+    sym, jump, down = [], [], []
+    for walk in walks:
+        base, L = len(down), len(walk)
+        for i, h in enumerate(walk):
+            fwd, back = walk[(i + 1) % L], walk[i - 1] ^ 1
+            sym += ((pos[fwd] - pos[h ^ 1]) % deg_of[vertex_of[fwd]],
+                    (pos[back] - pos[h]) % deg_of[vertex_of[back]])
+            jump += (2 * (base + (i + 1) % L), 2 * (base + (i - 1) % L) + 1)
+            down.append(h & 1)
 
-        def compare(tx, ty):
-            if tx.walk_id == ty.walk_id and tx.step == ty.step:
-                return 0
-            wx, wy = walks[tx.walk_id], walks[ty.walk_id]
-            lx, ly = len(wx), len(wy)
-            sx, fx = (-1, 1) if tx.down else (1, 0)
-            sy, fy = (-1, 1) if ty.down else (1, 0)
-            jx, jy = tx.step, ty.step
-            t_in = 2 * e + 1      # arrival half-edge at the high end
-            for _ in range(lx * ly + 1):
-                jx, jy = (jx + sx) % lx, (jy + sy) % ly
-                hx, hy = wx[jx] ^ fx, wy[jy] ^ fy
-                if hx != hy:
-                    w_deg = len(rot[vo[t_in]])
-                    dx = (pos[hx] - pos[t_in]) % w_deg
-                    dy = (pos[hy] - pos[t_in]) % w_deg
-                    return -1 if dx < dy else 1
-                t_in = hx ^ 1
-            key_x = (tx.walk_id, tx.step)
-            key_y = (ty.walk_id, ty.step)
-            return -1 if key_x < key_y else 1
+    def dense(keys):
+        ids = {k: r for r, k in enumerate(sorted(set(keys)))}
+        return [ids[k] for k in keys], len(ids)
 
-        for lane, t in enumerate(sorted(travs, key=cmp_to_key(compare))):
-            lanes[(t.walk_id, t.step)] = lane
-    return lanes
+    n = len(sym)
+    rank, classes = dense(sym)
+    while True:
+        rank2, classes2 = dense([r * n + rank[j] for r, j in zip(rank, jump)])
+        if classes2 == classes:
+            break
+        rank, classes = rank2, classes2
+        jump = [jump[j] for j in jump]
+    order = sorted(range(len(down)), key=lambda t: (
+        rank[2 * t + down[t]], down[t], -t if down[t] else t))
+    place = [0] * len(order)
+    for p, t in enumerate(order):
+        place[t] = p
+    return place
 
 
 class _Resolution:
@@ -442,30 +422,31 @@ class _Resolution:
         self.chords = chords        # vertex -> [(mark a, mark b)]
 
 
-def _resolve(surf, walks, corridors, lanes, pos):
+def _resolve(surf, walks, pos, deg_of):
+    """Marks sort by slot, then by place at a corridor's low end (port 2t
+    for traversal t) and against it at the high end (port 2t + 1)."""
     vo = surf.scheme.vertex_of
+    place = _strand_order(walks, pos, deg_of, vo)
     marks = {v: [] for v in range(surf.scheme.nv)}
-    for e, travs in corridors.items():
-        m = len(travs)
-        for t in travs:
-            lane = lanes[(t.walk_id, t.step)]
-            for end, micro in ((0, lane), (1, m - 1 - lane)):
-                h = 2 * e + end
-                port = (t.walk_id, t.step, end)
-                marks[vo[h]].append((pos[h], micro, port))
-    index = {}
+    flat = [h for walk in walks for h in walk]
+    for t, h in enumerate(flat):
+        low = h & ~1
+        marks[vo[low]].append((pos[low], place[t], 2 * t))
+        marks[vo[low + 1]].append((pos[low + 1], -place[t], 2 * t + 1))
+    index = [0] * (2 * len(flat))
     for v in marks:
         marks[v].sort()
         for i, (_, _, port) in enumerate(marks[v]):
             index[port] = i
     chords = {v: [] for v in marks}
-    for wi, walk in enumerate(walks):
-        L = len(walk)
+    t = 0
+    for walk in walks:
         for i, h in enumerate(walk):
-            prev = walk[(i - 1) % L]
-            arr = (wi, (i - 1) % L, 1 if prev % 2 == 0 else 0)
-            dep = (wi, i, h & 1)
-            chords[vo[h]].append((index[arr], index[dep]))
+            # the previous step arrives at the end it does not leave
+            prev = t - i + (i - 1) % len(walk)
+            arr = 2 * prev + 1 - (walk[i - 1] & 1)
+            chords[vo[h]].append((index[arr], index[2 * t + (h & 1)]))
+            t += 1
     return _Resolution(marks, chords)
 
 
@@ -645,10 +626,7 @@ def verify_diagram(diagram):
             entry["empty_curve"] = True
             cut["systems"][name] = entry
             continue
-        corridors = _corridor_map(ws)
-        lanes = _lane_orders(surf, ws, corridors, pos)
-        res = _resolve(surf, ws, corridors, lanes, pos)
-        ok, witness = _crossing_free(res)
+        ok, witness = _crossing_free(_resolve(surf, ws, pos, deg_of))
         entry["resolved"] = ok
         if not ok:
             entry["crossing_at"] = witness[0]

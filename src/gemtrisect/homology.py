@@ -615,7 +615,7 @@ def bound_ledger(g, eps, certificate, boundary_spheres=None):
         raise GemError("boundary-role residue is disconnected")
 
     pres = pi1_presentation(g)
-    ab = pres.abelianization()
+    ab = h1(g)
 
     g_T = None
     if certificate.mode == "closed" or boundary_spheres is not None:

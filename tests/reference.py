@@ -3,11 +3,12 @@
 These are the plain versions the optimised library code replaced or
 never needed: the pass-by-pass Tietze loop and the pi1 builder that
 reads the whole chain complex, the one-pair intersection count, the
-pairwise chord-crossing test, the square complex built whole for each
-cyclic order, and the dipole chain that rebuilds the graph after every
-cancellation.
+pairwise chord-crossing test, the pairwise lane comparator, the square
+complex built whole for each cyclic order, and the dipole chain that
+rebuilds the graph after every cancellation.
 """
 
+from functools import cmp_to_key
 from types import SimpleNamespace
 
 from gemtrisect.diagrams import _chord_index, _intersection_columns
@@ -179,6 +180,57 @@ def crossing_free(res):
                 if inside_c != inside_d:
                     return False, (v, chords[i], chords[j])
     return True, None
+
+
+def corridor_map(walks):
+    """Edge -> its traversals (walk, step, down), in walk order."""
+    corridors = {}
+    for wi, walk in enumerate(walks):
+        for i, h in enumerate(walk):
+            corridors.setdefault(h >> 1, []).append((wi, i, h & 1))
+    return corridors
+
+
+def lane_orders(surf, walks, corridors, pos):
+    """Edge -> its traversals from the lowest lane up, compared pairwise.
+
+    Two strands are followed upward in lockstep, a downward traversal
+    reading its walk backwards with each half-edge reversed, until they
+    leave one vertex by different half-edges; the one leaving closer
+    counterclockwise to the shared arrival takes the lower lane.  Walks
+    of lengths lx and ly that agree for lx * ly + 1 steps agree forever;
+    of two such parallel strands the lower (walk, step) goes first
+    exactly when it runs upward.
+    """
+    def up_exits(walk_id, step, down):
+        walk = walks[walk_id]
+        j = step
+        while True:
+            j = (j - 1 if down else j + 1) % len(walk)
+            yield walk[j] ^ 1 if down else walk[j]
+
+    lanes = {}
+    for e, travs in corridors.items():
+        def compare(tx, ty):
+            if tx == ty:
+                return 0
+            gx, gy = up_exits(*tx), up_exits(*ty)
+            t_in = 2 * e + 1
+            limit = len(walks[tx[0]]) * len(walks[ty[0]]) + 1
+            for _ in range(limit):
+                hx, hy = next(gx), next(gy)
+                if hx != hy:
+                    deg = len(surf.scheme.rot[surf.scheme.vertex_of[t_in]])
+                    dx = (pos[hx] - pos[t_in]) % deg
+                    dy = (pos[hy] - pos[t_in]) % deg
+                    return -1 if dx < dy else 1
+                t_in = hx ^ 1
+            kx, ky = tx[:2], ty[:2]
+            low = tx if kx < ky else ty
+            return -1 if (kx < ky) != bool(low[2]) else 1
+
+        lanes[e] = sorted(travs, key=cmp_to_key(compare))
+    return lanes
 
 
 def build_Q(g, eps):

@@ -29,6 +29,7 @@ from gemtrisect.cli import (
     run_pipeline,
 )
 from gemtrisect.graphs import GemError, standard_sphere_gem
+from gemtrisect.validation import parse_attestations
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -397,10 +398,13 @@ def test_diagram_format_options(datadir_gem):
 
 
 def test_relabel_apex_swaps_colors_and_attestations(s4_gem):
-    gf = GemFile(4, "x", {"sphere": "0:1,4:0", "boundary": "#1(S1xS2)"},
+    gf = GemFile(4, "x", {"sphere": "0:1,4:0,0,2", "boundary": "#1(S1xS2)"},
                  s4_gem)
     out = relabel_apex(gf, 0)
-    assert out.attestations["sphere"] == "4:1,0:0"
+    # a bare item c means c:0; its color is swapped and its form kept
+    assert out.attestations["sphere"] == "4:1,0:0,4,2"
+    assert (parse_attestations(out.attestations)["sphere"]
+            == {(4, 1), (0, 0), (4, 0), (2, 0)})
     assert out.attestations["boundary"] == "#1(S1xS2)"
     assert sorted(c for _, _, c in out.graph.edges) == [0, 1, 2, 3, 4]
     assert relabel_apex(gf, 4) is gf

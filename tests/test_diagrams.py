@@ -6,7 +6,6 @@ import types
 import xml.etree.ElementTree as ET
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cmp_to_key
 
 import pytest
 
@@ -18,14 +17,13 @@ from gemtrisect.diagrams import (
     UnsupportedFormat,
     _ccw_rotations,
     _chord_index,
-    _corridor_map,
     _crossing_free,
     _intersection_columns,
-    _lane_orders,
     _reduce_steps,
     _reduce_walk,
     _resolve,
     _self_intersections,
+    _strand_order,
     _to_walk,
     alpha_beta_curves,
     assemble_diagram,
@@ -47,8 +45,8 @@ from gemtrisect.trisection import (
     stabilization_set,
 )
 
-from conftest import pipeline_corpus
-from reference import _signed_intersection
+from conftest import pipeline_corpus, weld
+from reference import _signed_intersection, corridor_map, lane_orders
 from reference import crossing_free as _reference_crossing_free
 
 IDENT = CyclicPermutation((0, 1, 2, 3, 4))
@@ -344,10 +342,11 @@ def test_certificate_eps_must_match(s4_gem):
 # -- differential tests of the verifier's indexed pieces -------------------
 #
 # The references below are the straightforward versions the verifier
-# replaced: a per-pair rescan of both walks for intersections, a
-# tuple-keyed union-find for regions, and a generator-driven lane
-# comparator.  The crossing rule is restated here on purpose, so a sign
-# error in the verifier's one copy cannot cancel out of the comparison.
+# replaced: a per-pair rescan of both walks for intersections and a
+# tuple-keyed union-find for regions (the pairwise lane comparator is in
+# reference.py).  The crossing rule is restated here on purpose, so a
+# sign error in the verifier's one copy cannot cancel out of the
+# comparison.
 
 def _reference_intersection(surf, walk_a, walk_b, pos, deg_of):
     if not walk_a or not walk_b:
@@ -451,35 +450,15 @@ def _reference_components(surf, res, corridors, pos):
     return len({find(x) for x in uf})
 
 
-def _reference_lanes(surf, walks, corridors, pos):
-    def up_exits(trav):
-        walk = walks[trav.walk_id]
-        j = trav.step
-        while True:
-            j = (j - 1 if trav.down else j + 1) % len(walk)
-            yield walk[j] ^ 1 if trav.down else walk[j]
-
-    lanes = {}
-    for e, travs in corridors.items():
-        def compare(tx, ty):
-            if (tx.walk_id, tx.step) == (ty.walk_id, ty.step):
-                return 0
-            gx, gy = up_exits(tx), up_exits(ty)
-            t_in = 2 * e + 1
-            limit = len(walks[tx.walk_id]) * len(walks[ty.walk_id]) + 1
-            for _ in range(limit):
-                hx, hy = next(gx), next(gy)
-                if hx != hy:
-                    deg = len(surf.scheme.rot[surf.scheme.vertex_of[t_in]])
-                    dx = (pos[hx] - pos[t_in]) % deg
-                    dy = (pos[hy] - pos[t_in]) % deg
-                    return -1 if dx < dy else 1
-                t_in = hx ^ 1
-            return -1 if (tx.walk_id, tx.step) < (ty.walk_id, ty.step) else 1
-
-        for lane, t in enumerate(sorted(travs, key=cmp_to_key(compare))):
-            lanes[(t.walk_id, t.step)] = lane
-    return lanes
+def _lanes_by_place(surf, walks, corridors, pos):
+    """Each corridor's traversals from the lowest lane up, by _strand_order."""
+    deg_of = [len(r) for r in surf.scheme.rot]
+    place = _strand_order(walks, pos, deg_of, surf.scheme.vertex_of)
+    first = [0]
+    for walk in walks:
+        first.append(first[-1] + len(walk))
+    return {e: sorted(travs, key=lambda tr: place[first[tr[0]] + tr[1]])
+            for e, travs in corridors.items()}
 
 
 def _chain_sum(fixture, m):
@@ -560,17 +539,22 @@ def test_region_count_and_lanes_match_references(datadir_gem, monkeypatch):
     split = []
     for surf, walks in corpus:
         pos = _ccw_rotations(surf)
+        deg_of = [len(r) for r in surf.scheme.rot]
         record = verify_diagram(types.SimpleNamespace(
             surface=surf, genus=(2 - surf.chi) // 2, systems=walks.items))
         for name, ws in walks.items():
             entry = record.checks["cut"]["systems"][name]
-            corridors = _corridor_map(ws)
-            lanes = _lane_orders(surf, ws, corridors, pos)
-            assert lanes == _reference_lanes(surf, ws, corridors, pos)
-            res = _resolve(surf, ws, corridors, lanes, pos)
+            corridors = corridor_map(ws)
+            assert (_lanes_by_place(surf, ws, corridors, pos)
+                    == lane_orders(surf, ws, corridors, pos))
+            res = _resolve(surf, ws, pos, deg_of)
             resolved, witness = _crossing_free(res)
             ref_resolved, ref_witness = _reference_crossing_free(res)
             assert resolved == ref_resolved == entry["resolved"]
+            if name == "duplicated":
+                # two copies of one curve push apart on every surface
+                assert resolved and entry["pieces"] == 2
+                assert entry["connected"] is False
             if not resolved:
                 # same first failing vertex, and the pair reported there
                 # interleaves by the pairwise rule
@@ -589,6 +573,31 @@ def test_region_count_and_lanes_match_references(datadir_gem, monkeypatch):
                 split.append(name)
     assert seen == {"unresolved", "split", "connected"}
     assert {"duplicated", "alpha+face"} <= set(split)
+
+
+def test_strand_order_matches_comparator_on_random_welds(datadir_gem):
+    """Seeded random-weld sums verify, with the comparator's lanes."""
+    rng = random.Random(29)
+    systems = 0
+    for name in ("projective_plane_like.gem", "nonzero_forest.gem"):
+        fixture = datadir_gem(name).graph
+        for m in (3, 4, 5, 6) * 6:
+            g = fixture
+            for _ in range(1, m):
+                g = weld(g, fixture, rng)
+            spare = sorted(set(g.edge_ids(4))
+                           - set(stabilization_set(g, IDENT)))
+            extra = rng.sample(spare, rng.randrange(0, 3))
+            d = assemble_diagram(g, IDENT, _forced(g, IDENT, extra))
+            assert d.record.ok, (name, m, extra)
+            pos = _ccw_rotations(d.surface)
+            for _, curves in d.systems():
+                ws = [_to_walk(d.surface, c) for c in curves]
+                corridors = corridor_map(ws)
+                assert (_lanes_by_place(d.surface, ws, corridors, pos)
+                        == lane_orders(d.surface, ws, corridors, pos))
+                systems += 1
+    assert systems == 144
 
 
 def _old_reduce(items, inverse, keep=lambda s: True):

@@ -24,7 +24,9 @@ from gemtrisect.homology import (
     _snf_divisors,
     _tietze,
     bound_ledger,
+    boundary_h1,
     chain_complex,
+    h1,
     homology,
     pi1_presentation,
 )
@@ -250,6 +252,22 @@ def test_bound_ledger_sphere_all_zero(s4_gem):
     assert led.violations() == []
     for f in BoundLedger.FIELDS:
         assert getattr(led, f) == 0
+
+
+def test_bound_ledger_reads_h1_once(datadir_gem, monkeypatch):
+    from gemtrisect.embedding import CyclicPermutation
+    from gemtrisect.trisection import minimize_k
+    g = datadir_gem("projective_plane_like.gem").graph
+    eps = CyclicPermutation((0, 1, 2, 3, 4))
+    cert = minimize_k(g, eps)
+    group, boundary = h1(g), boundary_h1(g)
+
+    def again(pres):
+        raise AssertionError("H1 abelianised a second time")
+    monkeypatch.setattr(GroupPresentation, "abelianization", again)
+    led = bound_ledger(g, eps, cert)
+    assert led.rk_lower == group.min_generators
+    assert led.heegaard_lower == boundary.min_generators
 
 
 def test_bound_ledger_flags_violations():
