@@ -108,6 +108,8 @@ def _parse_json(text):
     n = obj["n"]
     if not _is_int(n):
         raise ParseError('"n" must be an integer')
+    if not isinstance(obj["edges"], list):
+        raise ParseError('"edges" must be a list')
     edges = []
     for i, rec in enumerate(obj["edges"]):
         if (not isinstance(rec, (list, tuple)) or len(rec) != 3
@@ -318,38 +320,38 @@ def run_pipeline(gf, options=None):
     key = run_key(gf, opts)
     timings = {}
     t_start = time.perf_counter()
+    # record fields, filled in as stages finish; unreached ones stay null
+    done = {}
 
-    def record(**kw):
+    def record(exit_code, error=None):
         timings["total"] = round(time.perf_counter() - t_start, 6)
-        base = dict(input_hash=key, name=gf.name,
-                    options=_jsonable(opts), version=__version__,
-                    timings=timings)
-        base.update(kw)
-        return RunRecord(**base)
+        return RunRecord(input_hash=key, name=gf.name,
+                         options=_jsonable(opts), version=__version__,
+                         timings=timings, exit_code=exit_code, error=error,
+                         **done)
 
     try:
         work = relabel_apex(gf, opts["apex_color"])
     except GemError as exc:
-        return record(exit_code=EXIT_INVALID, error=str(exc)), None
+        return record(EXIT_INVALID, str(exc)), None
     g = work.graph
 
     t0 = time.perf_counter()
     try:
         report = certify_Gs4(g, work.attestations)
     except (NotAGem, MultipleApexResidues, PrerequisiteFailed) as exc:
-        return record(exit_code=EXIT_NOT_MEMBER, error=str(exc)), None
+        return record(EXIT_NOT_MEMBER, str(exc)), None
     except GemError as exc:
-        return record(exit_code=EXIT_INVALID, error=str(exc)), None
+        return record(EXIT_INVALID, str(exc)), None
     timings["validate"] = round(time.perf_counter() - t0, 6)
-    rep = report.as_dict()
+    done["report"] = report.as_dict()
     if not report.gs4_member:
-        return record(exit_code=EXIT_NOT_MEMBER, report=rep,
-                      error="gem is outside the singular-apex class"), None
+        return record(EXIT_NOT_MEMBER,
+                      "gem is outside the singular-apex class"), None
 
     if opts["mode"] == "closed" and not report.closed:
-        return record(exit_code=EXIT_INVALID, report=rep,
-                      error="mode=closed but the gem is not proven closed"
-                      ), None
+        return record(EXIT_INVALID,
+                      "mode=closed but the gem is not proven closed"), None
     if opts["mode"] == "auto":
         cert_mode = "closed" if report.closed else "bounded"
     else:
@@ -359,8 +361,7 @@ def run_pipeline(gf, options=None):
         try:
             sweep = [_permutation(g, opts["eps"])]
         except GemError as exc:
-            return record(exit_code=EXIT_INVALID, report=rep,
-                          error=str(exc)), None
+            return record(EXIT_INVALID, str(exc)), None
     else:
         sweep = cyclic_permutations(4)
 
@@ -374,57 +375,46 @@ def run_pipeline(gf, options=None):
     except Incomplete as exc:
         # the seeded scheduler is guaranteed to finish; reaching this
         # is an internal failure worth a loud exit code
-        return record(exit_code=EXIT_INTERNAL, report=rep,
-                      error="scheduler failed after seeding: %s" % exc), None
+        return record(EXIT_INTERNAL,
+                      "scheduler failed after seeding: %s" % exc), None
     timings["sweep"] = round(time.perf_counter() - t0, 6)
+    done["certificate"] = best.as_dict()
 
     t0 = time.perf_counter()
     ledger = bound_ledger(g, best.eps, best,
                           boundary_spheres=report.boundary_spheres)
-    violations = ledger.violations()
+    done["ledger"] = ledger.as_dict()
+    done["violations"] = ledger.violations()
     timings["ledger"] = round(time.perf_counter() - t0, 6)
-    if violations:
-        return record(exit_code=EXIT_INTERNAL, report=rep,
-                      certificate=best.as_dict(), ledger=ledger.as_dict(),
-                      violations=violations,
-                      error="bound ledger violated"), None
+    if done["violations"]:
+        return record(EXIT_INTERNAL, "bound ledger violated"), None
 
-    diagram_ref = None
     diagram_bytes = None
     t0 = time.perf_counter()
     if report.orientable:
         try:
             diagram = assemble_diagram(g, best.eps, best)
         except GemError as exc:
-            return record(exit_code=EXIT_INTERNAL, report=rep,
-                          certificate=best.as_dict(),
-                          ledger=ledger.as_dict(), violations=[],
-                          error="diagram assembly failed: %s" % exc), None
+            return record(EXIT_INTERNAL,
+                          "diagram assembly failed: %s" % exc), None
         if not diagram.record.ok:
             failed = {k: v for k, v in diagram.record.checks.items()
                       if not v["pass"]}
-            return record(exit_code=EXIT_INTERNAL, report=rep,
-                          certificate=best.as_dict(),
-                          ledger=ledger.as_dict(), violations=[],
-                          error="diagram verification failed: %s"
+            return record(EXIT_INTERNAL, "diagram verification failed: %s"
                           % json.dumps(_jsonable(failed), sort_keys=True)
                           ), None
         diagram_bytes = export_diagram(diagram, opts["format"])
-        diagram_ref = {
+        done["diagram_ref"] = {
             "sha256": hashlib.sha256(diagram_bytes).hexdigest(),
             "format": opts["format"],
             "mode": diagram.mode,
             "verified": True,
         }
     else:
-        diagram_ref = {"skipped": "diagram machinery needs an orientable "
-                                  "(bipartite) gem"}
+        done["diagram_ref"] = {"skipped": "diagram machinery needs an "
+                                          "orientable (bipartite) gem"}
     timings["diagram"] = round(time.perf_counter() - t0, 6)
-
-    rec = record(exit_code=EXIT_OK, report=rep, certificate=best.as_dict(),
-                 ledger=ledger.as_dict(), violations=[],
-                 diagram_ref=diagram_ref)
-    return rec, diagram_bytes
+    return record(EXIT_OK), diagram_bytes
 
 
 # -- cache -------------------------------------------------------------------

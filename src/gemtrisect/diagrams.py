@@ -7,11 +7,13 @@ wall graph, plus the handle meridians), gamma is the surviving part of
 the square-complex 1-skeleton, rewritten through witness cycles until
 no apex edge remains.
 
-Verification is homological plus cut-combinatorial: curves are resolved
-into disjoint strands inside edge corridors, laid in lanes by one rank
-of all strands (their counterclockwise turns, ranked by prefix
-doubling), so parallel copies of a curve resolve side by side, and
-crossings are decided at vertex disks by the rotation order.  Once a
+Verification is homological plus cut-combinatorial, on the oriented
+rotation scheme of the surface: every rotation reads counterclockwise,
+so a half-edge's slot is `scheme.pos_of`.  Curves are resolved into
+disjoint strands inside edge corridors, laid in lanes by one rank of
+all strands (their counterclockwise turns, ranked by prefix doubling),
+so parallel copies of a curve resolve side by side, and crossings are
+decided at vertex disks by the rotation order.  Once a
 system of k curves resolves into disjoint simple closed curves C, the
 Z/2 exact sequence H2(S) -> H2(S, C) -> H1(C) -> H1(S) of the closed
 connected surface S gives 1 + k - rank<[c1], ..., [ck]> regions of S
@@ -29,8 +31,8 @@ from __future__ import annotations
 import json
 
 from .embedding import _permutation, stabilized_surface
-from .graphs import (GemError, bicolored_cycles, is_bipartite, residue_labels,
-                     residues, spanning_forest)
+from .graphs import (GemError, bicolored_cycles, residue_labels, residues,
+                     spanning_forest)
 from .homology import HomologyGroup, _cokernel, _gf2_rank_bits, boundary_h1
 from .trisection import build_Q
 
@@ -221,25 +223,26 @@ def gamma_curves(Q, certificate):
                 steps.extend(expand(eid, d))
             else:
                 steps.append(("e", eid, d))
-        gamma.append(Curve("gamma", _reduce_steps(steps), edge.index))
+        gamma.append(Curve("gamma", _reduce(steps, _step_inverse),
+                           edge.index))
     return gamma
 
 
 def _step_inverse(s):
-    return (s[0], s[1], -s[2])
+    """The step run backwards; a meridian step has none."""
+    return None if s[0] == "sc" else (s[0], s[1], -s[2])
 
 
-def _reduce_steps(steps):
-    """Cyclic free reduction of a label walk."""
+def _reduce(walk, inverse):
+    """Cyclic free reduction: cancel each item against its inverse."""
     out = []
-    for s in steps:
-        if out and s[0] != "sc" and out[-1] == _step_inverse(s):
+    for x in walk:
+        if out and out[-1] == inverse(x):
             out.pop()
         else:
-            out.append(s)
+            out.append(x)
     i, j = 0, len(out)
-    while (j - i >= 2 and out[i][0] != "sc"
-           and out[j - 1] == _step_inverse(out[i])):
+    while j - i >= 2 and out[j - 1] == inverse(out[i]):
         i += 1
         j -= 1
     return tuple(out[i:j])
@@ -264,53 +267,22 @@ def _to_walk(surf, curve):
             walk.append(2 * surf.handles[s[1]].m)
         else:
             raise GemError("unknown step %r" % (s,))
-    walk = _reduce_walk(walk)
+    walk = _reduce(walk, lambda h: h ^ 1)
     vo = surf.scheme.vertex_of
     for i, h in enumerate(walk):
         if vo[walk[(i + 1) % len(walk)]] != vo[h ^ 1]:
             raise GemError("curve walk does not close up")
-    return tuple(walk)
+    return walk
 
 
-def _reduce_walk(walk):
-    out = []
-    for h in walk:
-        if out and out[-1] == (h ^ 1):
-            out.pop()
-        else:
-            out.append(h)
-    i, j = 0, len(out)
-    while j - i >= 2 and out[i] == (out[j - 1] ^ 1):
-        i += 1
-        j -= 1
-    return out[i:j]
-
-
-def _ccw_rotations(surf):
-    """Half-edge -> slot in its vertex's counterclockwise rotation.
-
-    Stored rotations of one bipartition class read clockwise; the class
-    data extends to handle vertices, so reversing that class orients
-    every disk coherently (handle a-edges are sign-reversing, b and m
-    are not).
-    """
-    if surf.classes is None:
-        raise GemError("curve verification needs a bipartite gem")
-    pos = {}
-    for v, slots in enumerate(surf.scheme.rot):
-        ccw = slots if surf.classes[v] == 0 else slots[::-1]
-        for i, h in enumerate(ccw):
-            pos[h] = i
-    return pos
-
-
-def _chord_index(walks, pos, vertex_of):
+def _chord_index(scheme, walks):
     """vertex -> [(curve, chords)] over one system's walks.
 
     A chord is (3 * slot of the arriving half-edge, 3 * slot of the
     leaving one) in the vertex's counterclockwise rotation; each walk
     is read once, so the index costs the total walk length.
     """
+    pos, vertex_of = scheme.pos_of, scheme.vertex_of
     index = {}
     for ci, walk in enumerate(walks):
         mine = {}
@@ -339,7 +311,7 @@ def _crossings(n, chords_a, chords_b):
     return total
 
 
-def _intersection_columns(index_a, index_b, deg_of, count_b):
+def _intersection_columns(scheme, index_a, index_b, count_b):
     """Column j maps curve i of a to <a_i, b_j>, zeros left out.
 
     Only chord pairs sharing a vertex are visited.
@@ -349,7 +321,7 @@ def _intersection_columns(index_a, index_b, deg_of, count_b):
         groups_a = index_a.get(v)
         if groups_a is None:
             continue
-        n = 3 * deg_of[v]
+        n = 3 * len(scheme.rot[v])
         for j, chords_b in groups_b:
             col = cols[j]
             for i, chords_a in groups_a:
@@ -357,11 +329,11 @@ def _intersection_columns(index_a, index_b, deg_of, count_b):
     return [{i: x for i, x in sorted(col.items()) if x} for col in cols]
 
 
-def _self_intersections(index, deg_of, count):
+def _self_intersections(scheme, index, count):
     """<w, w> for each walk of one system."""
     out = [0] * count
     for v, groups in index.items():
-        n = 3 * deg_of[v]
+        n = 3 * len(scheme.rot[v])
         for i, chords in groups:
             out[i] += _crossings(n, chords, chords)
     return out
@@ -369,7 +341,7 @@ def _self_intersections(index, deg_of, count):
 
 # -- strand order and crossing-free resolution -----------------------------
 
-def _strand_order(walks, pos, deg_of, vertex_of):
+def _strand_order(scheme, walks):
     """Each traversal's place in one order of all corridor strands.
 
     Traversals t number the walks' steps in turn.  State 2t reads step
@@ -382,13 +354,14 @@ def _strand_order(walks, pos, deg_of, vertex_of):
     diverge (parallel copies) the lower t goes first exactly when it
     runs upward, so a copy keeps its side whichever way it is run.
     """
+    pos, rot, vertex_of = scheme.pos_of, scheme.rot, scheme.vertex_of
     sym, jump, down = [], [], []
     for walk in walks:
         base, L = len(down), len(walk)
         for i, h in enumerate(walk):
             fwd, back = walk[(i + 1) % L], walk[i - 1] ^ 1
-            sym += ((pos[fwd] - pos[h ^ 1]) % deg_of[vertex_of[fwd]],
-                    (pos[back] - pos[h]) % deg_of[vertex_of[back]])
+            sym += ((pos[fwd] - pos[h ^ 1]) % len(rot[vertex_of[fwd]]),
+                    (pos[back] - pos[h]) % len(rot[vertex_of[back]]))
             jump += (2 * (base + (i + 1) % L), 2 * (base + (i - 1) % L) + 1)
             down.append(h & 1)
 
@@ -412,22 +385,16 @@ def _strand_order(walks, pos, deg_of, vertex_of):
     return place
 
 
-class _Resolution:
-    """Marks (strand ports, ccw order) and chords per vertex disk."""
+def _resolve(scheme, walks):
+    """(marks, chords) per vertex disk: marks are (slot, micro, port) in
+    counterclockwise order, chords pairs of mark indices.
 
-    __slots__ = ("marks", "chords")
-
-    def __init__(self, marks, chords):
-        self.marks = marks          # vertex -> [(slot, micro, port)]
-        self.chords = chords        # vertex -> [(mark a, mark b)]
-
-
-def _resolve(surf, walks, pos, deg_of):
-    """Marks sort by slot, then by place at a corridor's low end (port 2t
-    for traversal t) and against it at the high end (port 2t + 1)."""
-    vo = surf.scheme.vertex_of
-    place = _strand_order(walks, pos, deg_of, vo)
-    marks = {v: [] for v in range(surf.scheme.nv)}
+    Marks sort by slot, then by place at a corridor's low end (port 2t
+    for traversal t) and against it at the high end (port 2t + 1).
+    """
+    pos, vo = scheme.pos_of, scheme.vertex_of
+    place = _strand_order(scheme, walks)
+    marks = {v: [] for v in range(scheme.nv)}
     flat = [h for walk in walks for h in walk]
     for t, h in enumerate(flat):
         low = h & ~1
@@ -447,22 +414,22 @@ def _resolve(surf, walks, pos, deg_of):
             arr = 2 * prev + 1 - (walk[i - 1] & 1)
             chords[vo[h]].append((index[arr], index[2 * t + (h & 1)]))
             t += 1
-    return _Resolution(marks, chords)
+    return marks, chords
 
 
-def _crossing_free(res):
+def _crossing_free(marks, chords_at):
     """Check all same-system chords pairwise non-interleaving.
 
     Each mark ends exactly one chord, so the chords at a vertex are
     pairwise non-interleaving exactly when the marks, read in rotation
     order, balance like parentheses: a chord's second end must meet it
     on top of the stack of open chords.  One pass per vertex, visited in
-    the order of res.chords; the witness is the first failing vertex
+    the order of chords_at; the witness is the first failing vertex
     and a pair of its chords that interleave (the closing chord and the
     one left open inside it).
     """
-    for v, chords in res.chords.items():
-        chord_at = [0] * len(res.marks[v])
+    for v, chords in chords_at.items():
+        chord_at = [0] * len(marks[v])
         for i, (a, b) in enumerate(chords):
             chord_at[a] = chord_at[b] = i
         is_open = [False] * len(chords)
@@ -528,8 +495,6 @@ def assemble_diagram(g, eps, certificate):
     if eps.seq != certificate.eps.seq:
         raise GemError("certificate was issued for %s, not %s"
                        % (list(certificate.eps.seq), list(eps.seq)))
-    if not is_bipartite(g)[0]:
-        raise GemError("trisection diagrams need a bipartite gem")
     if certificate.genus.denominator != 1:
         raise CountMismatch("non-integral genus %s" % certificate.genus)
     surf = stabilized_surface(g, eps, certificate.ordering.stabilized)
@@ -560,6 +525,7 @@ def verify_diagram(diagram):
     sharing a vertex, not a rescan of both walks per curve pair.
     """
     surf = diagram.surface
+    scheme = surf.scheme
     g_ = diagram.genus
     checks = {}
     notes = ["verification is combinatorial: curves are resolved into "
@@ -574,8 +540,8 @@ def verify_diagram(diagram):
         walks[name] = [_to_walk(surf, c) for c in curves]
 
     disj = {}
+    vo = scheme.vertex_of
     for name in ("alpha", "beta"):
-        vo = surf.scheme.vertex_of
         ok = True
         seen = set()
         for walk in walks[name]:
@@ -587,12 +553,9 @@ def verify_diagram(diagram):
         disj[name] = ok
     checks["disjoint"] = dict(disj, **{"pass": all(disj.values())})
 
-    pos = _ccw_rotations(surf)
-    deg_of = [len(r) for r in surf.scheme.rot]
-    index = {name: _chord_index(ws, pos, surf.scheme.vertex_of)
-             for name, ws in walks.items()}
+    index = {name: _chord_index(scheme, ws) for name, ws in walks.items()}
 
-    ne = len(surf.scheme.edge_ends)
+    ne = len(scheme.edge_ends)
     face_vecs = []
     for orbit in surf.faces:
         vec = 0
@@ -600,7 +563,7 @@ def verify_diagram(diagram):
             vec ^= 1 << (h >> 1)
         face_vecs.append(vec)
     base_rank = _gf2_rank_bits(face_vecs)
-    dim_h1 = (ne - surf.scheme.nv + 1) - base_rank
+    dim_h1 = (ne - scheme.nv + 1) - base_rank
     z2 = {"dim_h1": dim_h1, "expected_dim": 2 * g_, "ranks": {},
           "self_zero": True}
     for name, ws in walks.items():
@@ -612,7 +575,7 @@ def verify_diagram(diagram):
             vecs.append(vec)
         z2["ranks"][name] = (_gf2_rank_bits(face_vecs + vecs)
                              - base_rank)
-        if any(_self_intersections(index[name], deg_of, len(ws))):
+        if any(_self_intersections(scheme, index[name], len(ws))):
             z2["self_zero"] = False
     z2["pass"] = (dim_h1 == 2 * g_ and z2["self_zero"]
                   and all(r == g_ for r in z2["ranks"].values()))
@@ -626,7 +589,7 @@ def verify_diagram(diagram):
             entry["empty_curve"] = True
             cut["systems"][name] = entry
             continue
-        ok, witness = _crossing_free(_resolve(surf, ws, pos, deg_of))
+        ok, witness = _crossing_free(*_resolve(scheme, ws))
         entry["resolved"] = ok
         if not ok:
             entry["crossing_at"] = witness[0]
@@ -644,7 +607,7 @@ def verify_diagram(diagram):
                       for e in cut["systems"].values())
     checks["cut"] = cut
 
-    pair_cols = _intersection_columns(index["alpha"], index["beta"], deg_of,
+    pair_cols = _intersection_columns(scheme, index["alpha"], index["beta"],
                                       len(walks["beta"]))
     pairing = _cokernel(pair_cols, g_)
     h1b = boundary_h1(surf.graph)
@@ -658,7 +621,7 @@ def verify_diagram(diagram):
 
     gcok = {}
     for name, kname in (("alpha", "k1"), ("beta", "k2")):
-        cols = _intersection_columns(index[name], index["gamma"], deg_of,
+        cols = _intersection_columns(scheme, index[name], index["gamma"],
                                      len(walks["gamma"]))
         cok = _cokernel(cols, g_)
         gcok[kname] = cok.rank

@@ -320,7 +320,7 @@ class Handle:
 
 
 class StabilizedSurface:
-    """Central surface: apex-free embedding plus one handle per
+    """Oriented central surface: apex-free embedding plus one handle per
     stabilized edge.
 
     The apex is color n, the last of eps.  Each stabilized apex edge
@@ -329,13 +329,16 @@ class StabilizedSurface:
     at x separating the two path edges.
     The meridian is the boundary of the cocore disk, so any walk
     through the handle crosses it exactly once.
+    Every rotation of the scheme reads counterclockwise and no edge
+    reverses orientation, so `scheme.pos_of` is each half-edge's
+    counterclockwise slot.
     """
 
     __slots__ = ("graph", "eps", "stabilized", "scheme", "faces",
-                 "handles", "edge_of_gem", "classes", "chi", "genus")
+                 "handles", "edge_of_gem", "chi", "genus")
 
     def __init__(self, graph, eps, stabilized, scheme, faces, handles,
-                 edge_of_gem, classes):
+                 edge_of_gem):
         self.graph = graph
         self.eps = eps
         self.stabilized = stabilized
@@ -343,7 +346,6 @@ class StabilizedSurface:
         self.faces = faces
         self.handles = handles
         self.edge_of_gem = edge_of_gem
-        self.classes = classes      # per scheme vertex, None if unoriented
         self.chi = scheme.nv - len(scheme.edge_ends) + len(faces)
         self.genus = Fraction(2 - self.chi, 2)
 
@@ -356,8 +358,20 @@ class StabilizedSurface:
 
 
 def stabilized_surface(g, eps, stabilized):
-    """Build the central surface for a stabilization set of apex edges."""
+    """Build the oriented central surface for a stabilization set of
+    apex edges.
+
+    Rotations list the edges in eps order without the apex, handle ends
+    in the apex corner.  Those of bipartition class 1 are reversed, a
+    handle vertex taking the class opposite its low end u, so every
+    rotation reads counterclockwise and every edge preserves
+    orientation.  A non-bipartite gem has no orientable central surface
+    and is refused.
+    """
     eps = _permutation(g, eps)
+    bip, cls = is_bipartite(g)
+    if not bip:
+        raise GemError("trisection diagrams need a bipartite gem")
     apex = g.n
     base_seq = eps.drop(apex)
     stabilized = tuple(sorted(set(stabilized)))
@@ -366,14 +380,12 @@ def stabilized_surface(g, eps, stabilized):
             raise GemError("edge %d does not have the apex color" % e)
 
     ends = []
-    neg = []
     edge_of_gem = {}
     for eid, (u, v, c) in enumerate(g.edges):
         if c == apex:
             continue
         edge_of_gem[eid] = len(ends)
         ends.append((u, v))
-        neg.append(1)
 
     rotations = [[] for _ in range(g.nv)]
     for w in range(g.nv):
@@ -383,27 +395,26 @@ def stabilized_surface(g, eps, stabilized):
             idx = edge_of_gem[e]
             rotations[w].append(2 * idx if u == w else 2 * idx + 1)
 
-    bip, cls = is_bipartite(g)
-    classes = list(cls) if bip else None
+    classes = list(cls)
     handles = []
     for j, eid in enumerate(stabilized):
         u, v, _ = g.edges[eid]
         x = g.nv + j
         ia, ib, im = len(ends), len(ends) + 1, len(ends) + 2
         ends.extend([(u, x), (x, v), (x, x)])
-        neg.extend([1, 0, 0])
         rotations[u].append(2 * ia)
         rotations[v].append(2 * ib + 1)
         rotations.append([2 * ia + 1, 2 * im, 2 * ib, 2 * im + 1])
-        if classes is not None:
-            classes.append(classes[u] ^ 1)
+        classes.append(cls[u] ^ 1)
         handles.append(Handle(eid, u, v, x, ia, ib, im))
+    for slots, side in zip(rotations, classes):
+        if side:
+            slots.reverse()
 
-    scheme = RotationScheme(g.nv + len(handles), ends, rotations, neg)
+    scheme = RotationScheme(len(rotations), ends, rotations, [0] * len(ends))
     faces = scheme.trace_faces()
     surf = StabilizedSurface(g, eps, stabilized, scheme, faces,
-                             tuple(handles), edge_of_gem,
-                             tuple(classes) if classes is not None else None)
+                             tuple(handles), edge_of_gem)
     base = subgraph_rho(g, eps, apex)
     if not isinstance(base, list) and surf.genus != base + len(handles):
         raise GemError("stabilized surface genus %s, expected %s + %d"

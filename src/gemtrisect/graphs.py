@@ -91,6 +91,11 @@ class ColoredGraph:
                 raise GemError("color %r outside 0..%d" % (c, n))
             if u == v:
                 raise LoopEdgeError("loop at vertex %d (color %d)" % (u, c))
+        # a vertex needs n + 1 distinct edges; checked before the
+        # incidence table of nv * (n + 1) slots exists
+        if n >= len(edge_list):
+            raise NotRegularError("%d edges cannot give a vertex all %d "
+                                  "colors" % (len(edge_list), n + 1))
         g = ColoredGraph._indexed(n, nv, edge_list)
         for w, row in enumerate(g._inc):
             missing = [c for c in colors if row[c] is None]

@@ -3,17 +3,19 @@
 These are the plain versions the optimised library code replaced or
 never needed: the pass-by-pass Tietze loop and the pi1 builder that
 reads the whole chain complex, the one-pair intersection count, the
-pairwise chord-crossing test, the pairwise lane comparator, the square
-complex built whole for each cyclic order, and the dipole chain that
-rebuilds the graph after every cancellation.
+pairwise chord-crossing test, the pairwise lane comparator, the central
+surface built with sign-reversing edges, the square complex built whole
+for each cyclic order, and the dipole chain that rebuilds the graph
+after every cancellation.
 """
 
 from functools import cmp_to_key
 from types import SimpleNamespace
 
 from gemtrisect.diagrams import _chord_index, _intersection_columns
+from gemtrisect.embedding import RotationScheme, _permutation
 from gemtrisect.graphs import (GemError, bicolored_cycles, build_graph,
-                               residue_labels, residues)
+                               is_bipartite, residue_labels, residues)
 from gemtrisect.homology import GroupPresentation, _rotations, chain_complex
 from gemtrisect.trisection import _require_apex
 
@@ -159,18 +161,64 @@ def _tietze(pres):
     return GroupPresentation(len(remap), final)
 
 
-def _signed_intersection(surf, walk_a, walk_b, pos, deg_of):
+def _signed_intersection(scheme, walk_a, walk_b):
     """Signed count of crossings of walk a with walk b pushed off left."""
-    vo = surf.scheme.vertex_of
-    col, = _intersection_columns(_chord_index([walk_a], pos, vo),
-                                 _chord_index([walk_b], pos, vo), deg_of, 1)
+    col, = _intersection_columns(scheme, _chord_index(scheme, [walk_a]),
+                                 _chord_index(scheme, [walk_b]), 1)
     return col.get(0, 0)
 
 
-def crossing_free(res):
+def signed_surface(g, eps, stabilized):
+    """Central surface as a scheme with sign-reversing edges.
+
+    Every rotation lists eps without the apex, handle ends in the apex
+    corner; gem edges and handle a-edges reverse orientation, b- and
+    m-edges do not.  Returns the scheme and `ccw`, each half-edge's slot
+    once the rotations of bipartition class 1 are read backwards (a
+    handle vertex taking the class opposite its low end), or None for a
+    non-bipartite gem.
+    """
+    eps = _permutation(g, eps)
+    apex = g.n
+    ends, neg, edge_of_gem = [], [], {}
+    for eid, (u, v, c) in enumerate(g.edges):
+        if c != apex:
+            edge_of_gem[eid] = len(ends)
+            ends.append((u, v))
+            neg.append(1)
+    rotations = [[] for _ in range(g.nv)]
+    for w in range(g.nv):
+        for c in eps.drop(apex):
+            e = g.incident(w, c)
+            idx = edge_of_gem[e]
+            rotations[w].append(2 * idx if g.edges[e][0] == w else 2 * idx + 1)
+    bip, cls = is_bipartite(g)
+    classes = list(cls) if bip else None
+    for eid in sorted(set(stabilized)):
+        u, v, _ = g.edges[eid]
+        x = len(rotations)
+        ia, ib, im = len(ends), len(ends) + 1, len(ends) + 2
+        ends.extend([(u, x), (x, v), (x, x)])
+        neg.extend([1, 0, 0])
+        rotations[u].append(2 * ia)
+        rotations[v].append(2 * ib + 1)
+        rotations.append([2 * ia + 1, 2 * im, 2 * ib, 2 * im + 1])
+        if classes is not None:
+            classes.append(classes[u] ^ 1)
+    scheme = RotationScheme(len(rotations), ends, rotations, neg)
+    ccw = None
+    if classes is not None:
+        ccw = {}
+        for v, slots in enumerate(rotations):
+            for i, h in enumerate(slots if classes[v] == 0 else slots[::-1]):
+                ccw[h] = i
+    return SimpleNamespace(scheme=scheme, ccw=ccw)
+
+
+def crossing_free(marks, chords_at):
     """Test every pair of same-system chords at each vertex for interleaving."""
-    for v, chords in res.chords.items():
-        r = len(res.marks[v])
+    for v, chords in chords_at.items():
+        r = len(marks[v])
         for i in range(len(chords)):
             a, b = chords[i]
             for j in range(i + 1, len(chords)):
@@ -191,7 +239,7 @@ def corridor_map(walks):
     return corridors
 
 
-def lane_orders(surf, walks, corridors, pos):
+def lane_orders(scheme, walks, corridors):
     """Edge -> its traversals from the lowest lane up, compared pairwise.
 
     Two strands are followed upward in lockstep, a downward traversal
@@ -202,6 +250,8 @@ def lane_orders(surf, walks, corridors, pos):
     of two such parallel strands the lower (walk, step) goes first
     exactly when it runs upward.
     """
+    pos = scheme.pos_of
+
     def up_exits(walk_id, step, down):
         walk = walks[walk_id]
         j = step
@@ -220,7 +270,7 @@ def lane_orders(surf, walks, corridors, pos):
             for _ in range(limit):
                 hx, hy = next(gx), next(gy)
                 if hx != hy:
-                    deg = len(surf.scheme.rot[surf.scheme.vertex_of[t_in]])
+                    deg = len(scheme.rot[scheme.vertex_of[t_in]])
                     dx = (pos[hx] - pos[t_in]) % deg
                     dy = (pos[hy] - pos[t_in]) % deg
                     return -1 if dx < dy else 1

@@ -109,6 +109,9 @@ def test_parse_errors_carry_line_numbers():
         parse_gem(b'{"n": 4, "edges": [[0, 1]]}')
     with pytest.raises(ParseError):
         parse_gem(b'{"n": 4, "edges": [], "attest": 7}')
+    for data in (b'{"n": 4, "edges": 5}', b'{"n": 4, "edges": null}'):
+        with pytest.raises(ParseError, match='"edges" must be a list'):
+            parse_gem(data)
 
 
 def test_coloring_violations_rejected():
@@ -496,6 +499,16 @@ def test_main_exit_codes_and_summary(tmp_path, capsys):
 
     # worst exit wins across a batch
     assert main([ok, nonmember]) == EXIT_NOT_MEMBER
+
+
+@pytest.mark.parametrize("n", [2000, 10 ** 20], ids=["n=2000", "n=1e20"])
+def test_large_dimension_header_exits_invalid_briefly(tmp_path, capsys, n):
+    # one edge can never make a vertex of 2001 (or 10^20 + 1) colors;
+    # the refusal comes before any per-vertex color table exists
+    bad = _write(tmp_path, "big.gem", "gem n=%d\n0 1 0\n" % n)
+    assert main([bad]) == EXIT_INVALID
+    line, = capsys.readouterr().out.splitlines()
+    assert "error exit=1" in line and len(line.encode()) < 200
 
 
 @pytest.mark.parametrize("flags", [

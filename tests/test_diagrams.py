@@ -15,12 +15,10 @@ from gemtrisect.diagrams import (
     ExpansionDiverged,
     TrisectionDiagram,
     UnsupportedFormat,
-    _ccw_rotations,
     _chord_index,
     _crossing_free,
     _intersection_columns,
-    _reduce_steps,
-    _reduce_walk,
+    _reduce,
     _resolve,
     _self_intersections,
     _strand_order,
@@ -33,9 +31,10 @@ from gemtrisect.diagrams import (
     verify_diagram,
     wall_graphs,
 )
-from gemtrisect.embedding import CyclicPermutation, cyclic_permutations
+from gemtrisect.embedding import (CyclicPermutation, cyclic_permutations,
+                                  stabilized_surface)
 from gemtrisect.graphs import (GemError, build_graph, connected_sum,
-                               standard_sphere_gem)
+                               is_bipartite, standard_sphere_gem)
 from gemtrisect.trisection import (
     CollapseOrdering,
     build_Q,
@@ -46,7 +45,8 @@ from gemtrisect.trisection import (
 )
 
 from conftest import pipeline_corpus, weld
-from reference import _signed_intersection, corridor_map, lane_orders
+from reference import (_signed_intersection, corridor_map, lane_orders,
+                       signed_surface)
 from reference import crossing_free as _reference_crossing_free
 
 IDENT = CyclicPermutation((0, 1, 2, 3, 4))
@@ -218,26 +218,24 @@ def test_intersection_antisymmetry_and_self_zero(datadir_gem):
     cert = _forced(g, IDENT, (16, 17))
     d = assemble_diagram(g, IDENT, cert)
     surf = d.surface
-    pos = _ccw_rotations(surf)
-    deg_of = [len(r) for r in surf.scheme.rot]
     walks = [_to_walk(surf, c)
              for _, curves in d.systems() for c in curves]
     assert len(walks) >= 6
     for wa in walks:
-        assert _signed_intersection(surf, wa, wa, pos, deg_of) == 0
+        assert _signed_intersection(surf.scheme, wa, wa) == 0
         for wb in walks:
-            ab = _signed_intersection(surf, wa, wb, pos, deg_of)
-            ba = _signed_intersection(surf, wb, wa, pos, deg_of)
+            ab = _signed_intersection(surf.scheme, wa, wb)
+            ba = _signed_intersection(surf.scheme, wb, wa)
             assert ab == -ba
 
 
 # projective_plane_like.gem has genus 1 and k = 0 under both orders below.
 # alpha is the {0,3}-bigon 6 -> 7 -> 6 (edges 3, 15) and beta the
 # {1,2}-bigon 4 -> 7 -> 4 (edges 7, 10); they meet only at vertex 7.  The
-# path 0-3-6-7 puts vertex 7 in bipartition class 1, so _ccw_rotations
-# reverses its stored rotation, eps without the apex.  The right side of
-# a chord is the counterclockwise arc from its arrival slot to its
-# departure slot; <a, b> counts +1 where b crosses a from right to left.
+# path 0-3-6-7 puts vertex 7 in bipartition class 1, so its rotation is
+# eps without the apex, reversed.  The right side of a chord is the
+# counterclockwise arc from its arrival slot to its departure slot;
+# <a, b> counts +1 where b crosses a from right to left.
 #   eps 0,1,3,2: ccw colors (2, 3, 1, 0).  alpha arrives at slot 3 and
 #     leaves at slot 1, so its right side is slot 0.  beta arrives at
 #     slot 2 (left) and leaves at slot 0 (right): <alpha, beta> = -1.
@@ -257,17 +255,15 @@ def test_alpha_beta_sign_by_hand(datadir_gem, seq, ccw_colors, expected):
     assert (cert.genus, cert.k) == (1, 0)
     assert [c.steps for c in d.alpha] == [(("e", 3, 1), ("e", 15, -1))]
     assert [c.steps for c in d.beta] == [(("e", 7, 1), ("e", 10, -1))]
-    assert surf.classes[7] == 1
-    pos = _ccw_rotations(surf)
+    assert is_bipartite(g)[1][7] == 1
     gem_of = {i: e for e, i in surf.edge_of_gem.items()}
-    ccw = sorted(surf.scheme.rot[7], key=pos.get)
+    ccw = surf.scheme.rot[7]
     assert tuple(g.edges[gem_of[h >> 1]][2] for h in ccw) == ccw_colors
 
-    deg_of = [len(r) for r in surf.scheme.rot]
-    vo = surf.scheme.vertex_of
-    index = {name: _chord_index([_to_walk(surf, c) for c in curves], pos, vo)
+    scheme = surf.scheme
+    index = {name: _chord_index(scheme, [_to_walk(surf, c) for c in curves])
              for name, curves in d.systems()}
-    assert _intersection_columns(index["alpha"], index["beta"], deg_of,
+    assert _intersection_columns(scheme, index["alpha"], index["beta"],
                                  1) == [{0: expected}]
 
 
@@ -320,16 +316,60 @@ def test_unknown_format_rejected(s4_gem):
         export_diagram(d, "png")
 
 
-def test_non_bipartite_gem_rejected():
-    # odd cycles in two colors; colors 3 and 4 double the color-0 edges
+def _odd_gem():
+    """Odd cycles in two colors; colors 3 and 4 double the color-0 edges."""
     edges = [(0, 1, 0), (2, 5, 0), (3, 4, 0),
              (1, 2, 1), (0, 3, 1), (4, 5, 1),
              (0, 2, 2), (1, 4, 2), (3, 5, 2)]
     edges += [(u, v, c) for (u, v, _) in edges[:3] for c in (3, 4)]
-    g = build_graph(4, edges)
-    fake = types.SimpleNamespace(eps=IDENT)
-    with pytest.raises(GemError):
+    return build_graph(4, edges)
+
+
+def test_non_bipartite_gem_rejected():
+    g = _odd_gem()
+    fake = types.SimpleNamespace(eps=IDENT, genus=Fraction(1),
+                                 ordering=CollapseOrdering((), (), ()))
+    with pytest.raises(GemError, match="bipartite"):
         assemble_diagram(g, IDENT, fake)
+
+
+def _face_multisets(faces):
+    return sorted(sorted(h >> 1 for h in orbit) for orbit in faces)
+
+
+def test_oriented_surface_matches_signed_builder(datadir_gem):
+    """The oriented scheme is the signed one with class 1 read backwards.
+
+    Each half-edge sits at its counterclockwise slot, and the faces (as
+    edge multisets) and chi agree, on the pipeline corpus and on chain
+    sums with seeded handles.
+    """
+    cases = [(g, IDENT, stabilization_set(g, IDENT))
+             for g in pipeline_corpus(count=20)]
+    rng = random.Random(7)
+    for name in ("projective_plane_like.gem", "nonzero_forest.gem"):
+        fixture = datadir_gem(name).graph
+        for m in (1, 2, 4):
+            g = _chain_sum(fixture, m)
+            for eps in cyclic_permutations(4)[::4]:
+                cases.append((g, eps, rng.sample(g.edge_ids(4),
+                                                 rng.randrange(1, 4))))
+    handles = 0
+    for g, eps, stabilized in cases:
+        surf = stabilized_surface(g, eps, stabilized)
+        ref = signed_surface(g, eps, stabilized)
+        scheme = surf.scheme
+        assert scheme.edge_ends == ref.scheme.edge_ends
+        assert scheme.pos_of == [ref.ccw[h] for h in range(len(scheme.pos_of))]
+        assert (_face_multisets(surf.faces)
+                == _face_multisets(ref.scheme.trace_faces()))
+        assert surf.chi == ref.scheme.euler_characteristic()
+        handles += surf.k
+    assert handles >= 20
+
+    assert signed_surface(_odd_gem(), IDENT, ()).ccw is None
+    with pytest.raises(GemError, match="bipartite"):
+        stabilized_surface(_odd_gem(), IDENT, ())
 
 
 def test_certificate_eps_must_match(s4_gem):
@@ -374,7 +414,7 @@ def _reference_intersection(surf, walk_a, walk_b, pos, deg_of):
     return total
 
 
-def _reference_components(surf, res, corridors, pos):
+def _reference_components(surf, marks, chords_at, corridors):
     """Regions of the surface minus the resolved strands, by union-find.
 
     Atoms are vertex-disk boundary arcs, corridor gaps and faces; a
@@ -400,22 +440,23 @@ def _reference_components(surf, res, corridors, pos):
             uf[rx] = ry
 
     scheme = surf.scheme
+    pos = scheme.pos_of
     for v in range(scheme.nv):
-        for i in range(max(len(res.marks[v]), 1)):
+        for i in range(max(len(marks[v]), 1)):
             uf.setdefault(("arc", v, i), ("arc", v, i))
     for e in range(len(scheme.edge_ends)):
         for t in range(len(corridors.get(e, ())) + 1):
             uf.setdefault(("gap", e, t), ("gap", e, t))
     for fi in range(len(surf.faces)):
         uf.setdefault(("face", fi), ("face", fi))
-    for v, chords in res.chords.items():
-        r = len(res.marks[v])
+    for v, chords in chords_at.items():
+        r = len(marks[v])
         for a, b in chords:
             union(("arc", v, a), ("arc", v, (b - 1) % r))
             union(("arc", v, (a - 1) % r), ("arc", v, b))
 
     def arc_after(v, slot_coord):
-        mk = res.marks[v]
+        mk = marks[v]
         if not mk:
             return ("arc", v, 0)
         j = bisect_right(mk, (slot_coord, float("inf"), ()))
@@ -431,11 +472,11 @@ def _reference_components(surf, res, corridors, pos):
                 union(("gap", e, 0), arc_after(v, slot))
                 continue
             ports = sorted((micro, idx) for idx, (s, micro, _) in
-                           enumerate(res.marks[v]) if s == slot)
+                           enumerate(marks[v]) if s == slot)
             for t in range(m + 1):
                 gap = t if end == 0 else m - t
                 if t == 0:
-                    arc = (ports[0][1] - 1) % len(res.marks[v])
+                    arc = (ports[0][1] - 1) % len(marks[v])
                 else:
                     arc = ports[t - 1][1]
                 union(("gap", e, gap), ("arc", v, arc))
@@ -450,10 +491,9 @@ def _reference_components(surf, res, corridors, pos):
     return len({find(x) for x in uf})
 
 
-def _lanes_by_place(surf, walks, corridors, pos):
+def _lanes_by_place(scheme, walks, corridors):
     """Each corridor's traversals from the lowest lane up, by _strand_order."""
-    deg_of = [len(r) for r in surf.scheme.rot]
-    place = _strand_order(walks, pos, deg_of, surf.scheme.vertex_of)
+    place = _strand_order(scheme, walks)
     first = [0]
     for walk in walks:
         first.append(first[-1] + len(walk))
@@ -508,17 +548,17 @@ def _verifier_corpus(datadir_gem):
 
 def test_indexed_intersections_match_pairwise(datadir_gem):
     for surf, walks in _verifier_corpus(datadir_gem):
-        pos = _ccw_rotations(surf)
-        deg_of = [len(r) for r in surf.scheme.rot]
-        vo = surf.scheme.vertex_of
-        index = {k: _chord_index(ws, pos, vo) for k, ws in walks.items()}
+        scheme = surf.scheme
+        pos = scheme.pos_of
+        deg_of = [len(r) for r in scheme.rot]
+        index = {k: _chord_index(scheme, ws) for k, ws in walks.items()}
         for ka, wa in walks.items():
-            selfs = _self_intersections(index[ka], deg_of, len(wa))
+            selfs = _self_intersections(scheme, index[ka], len(wa))
             assert selfs == [_reference_intersection(surf, w, w, pos, deg_of)
                              for w in wa]
             for kb in dict.fromkeys(("alpha", "beta", "gamma", ka)):
                 wb = walks[kb]
-                cols = _intersection_columns(index[ka], index[kb], deg_of,
+                cols = _intersection_columns(scheme, index[ka], index[kb],
                                              len(wb))
                 for j, w_j in enumerate(wb):
                     assert all(cols[j].values())
@@ -526,8 +566,7 @@ def test_indexed_intersections_match_pairwise(datadir_gem):
                         ref = _reference_intersection(surf, w_i, w_j, pos,
                                                       deg_of)
                         assert cols[j].get(i, 0) == ref, (ka, kb, i, j)
-                        assert _signed_intersection(
-                            surf, w_i, w_j, pos, deg_of) == ref
+                        assert _signed_intersection(scheme, w_i, w_j) == ref
 
 
 def test_region_count_and_lanes_match_references(datadir_gem, monkeypatch):
@@ -538,18 +577,18 @@ def test_region_count_and_lanes_match_references(datadir_gem, monkeypatch):
     seen = set()
     split = []
     for surf, walks in corpus:
-        pos = _ccw_rotations(surf)
-        deg_of = [len(r) for r in surf.scheme.rot]
+        scheme = surf.scheme
         record = verify_diagram(types.SimpleNamespace(
             surface=surf, genus=(2 - surf.chi) // 2, systems=walks.items))
         for name, ws in walks.items():
             entry = record.checks["cut"]["systems"][name]
             corridors = corridor_map(ws)
-            assert (_lanes_by_place(surf, ws, corridors, pos)
-                    == lane_orders(surf, ws, corridors, pos))
-            res = _resolve(surf, ws, pos, deg_of)
-            resolved, witness = _crossing_free(res)
-            ref_resolved, ref_witness = _reference_crossing_free(res)
+            assert (_lanes_by_place(scheme, ws, corridors)
+                    == lane_orders(scheme, ws, corridors))
+            marks, chords = _resolve(scheme, ws)
+            resolved, witness = _crossing_free(marks, chords)
+            ref_resolved, ref_witness = _reference_crossing_free(marks,
+                                                                 chords)
             assert resolved == ref_resolved == entry["resolved"]
             if name == "duplicated":
                 # two copies of one curve push apart on every surface
@@ -560,11 +599,10 @@ def test_region_count_and_lanes_match_references(datadir_gem, monkeypatch):
                 # interleaves by the pairwise rule
                 v, x, y = witness
                 assert v == ref_witness[0] == entry["crossing_at"]
-                assert not _reference_crossing_free(types.SimpleNamespace(
-                    chords={v: [x, y]}, marks=res.marks))[0]
+                assert not _reference_crossing_free(marks, {v: [x, y]})[0]
                 seen.add("unresolved")
                 continue
-            pieces = _reference_components(surf, res, corridors, pos)
+            pieces = _reference_components(surf, marks, chords, corridors)
             assert entry["pieces"] == pieces, name
             assert entry["connected"] == (pieces == 1)
             assert entry["chi_capped"] == surf.chi + 2 * len(ws)
@@ -590,12 +628,12 @@ def test_strand_order_matches_comparator_on_random_welds(datadir_gem):
             extra = rng.sample(spare, rng.randrange(0, 3))
             d = assemble_diagram(g, IDENT, _forced(g, IDENT, extra))
             assert d.record.ok, (name, m, extra)
-            pos = _ccw_rotations(d.surface)
+            scheme = d.surface.scheme
             for _, curves in d.systems():
                 ws = [_to_walk(d.surface, c) for c in curves]
                 corridors = corridor_map(ws)
-                assert (_lanes_by_place(d.surface, ws, corridors, pos)
-                        == lane_orders(d.surface, ws, corridors, pos))
+                assert (_lanes_by_place(scheme, ws, corridors)
+                        == lane_orders(scheme, ws, corridors))
                 systems += 1
     assert systems == 144
 
@@ -620,7 +658,8 @@ def test_cyclic_reduction_matches_pop_loop():
         core = [rng.randrange(12) for _ in range(rng.randrange(0, 8))]
         wrap = [rng.randrange(12) for _ in range(rng.randrange(0, 6))]
         walk = wrap + core + [h ^ 1 for h in reversed(wrap)]
-        assert _reduce_walk(walk) == _old_reduce(walk, lambda h: h ^ 1)
+        assert _reduce(walk, lambda h: h ^ 1) == tuple(
+            _old_reduce(walk, lambda h: h ^ 1))
 
         kinds = [("e", rng.randrange(4), rng.choice((1, -1))) if
                  rng.random() < 0.8 else ("sc", rng.randrange(2))
@@ -629,6 +668,6 @@ def test_cyclic_reduction_matches_pop_loop():
         steps = (head + kinds[len(wrap):]
                  + [s if s[0] == "sc" else (s[0], s[1], -s[2])
                     for s in reversed(head)])
-        assert _reduce_steps(steps) == tuple(_old_reduce(
+        assert _reduce(steps, diagrams._step_inverse) == tuple(_old_reduce(
             steps, lambda s: s if s[0] == "sc" else (s[0], s[1], -s[2]),
             keep=lambda s: s[0] != "sc"))
