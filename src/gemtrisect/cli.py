@@ -103,6 +103,8 @@ def _parse_json(text):
         obj = json.loads(text)
     except ValueError as exc:
         raise ParseError("invalid json: %s" % exc) from None
+    except RecursionError:
+        raise ParseError("invalid json: nested too deeply") from None
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ParseError('json gem needs "n" and "edges"')
     n = obj["n"]
@@ -138,7 +140,10 @@ def _parse_text(text):
             m = _HEADER_RE.match(line)
             if not m:
                 raise ParseError('expected "gem n=<n>" header', lno)
-            n = int(m.group(1))
+            try:
+                n = int(m.group(1))
+            except ValueError:      # past Python's limit on int digits
+                raise ParseError("n has too many digits", lno) from None
             continue
         if line.startswith("name "):
             name = line[5:].strip()
@@ -282,6 +287,8 @@ def normalize_options(options=None):
         opts[k] = v
     if not _is_int(opts["budget"]):
         raise GemError("budget must be an integer")
+    if not _is_int(opts["apex_color"]):
+        raise GemError("apex_color must be an integer")
     if not isinstance(opts["sweep"], bool):
         raise GemError("sweep must be a boolean")
     if opts["eps"] is not None:

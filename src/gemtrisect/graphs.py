@@ -32,10 +32,6 @@ class NotRegularError(GemError):
     pass
 
 
-class OddOrderError(GemError):
-    pass
-
-
 class DisconnectedError(GemError):
     pass
 
@@ -69,7 +65,11 @@ class ColoredGraph:
         """Validate an (u, v, c) edge list and return a ColoredGraph.
 
         Raises a GemError subclass naming the first violated rule:
-        loops, proper coloring, regularity, even order, connectivity.
+        vertex ids, colors, loops, edge count, proper coloring,
+        connectivity.  A proper coloring gives a vertex at most n + 1
+        edge ends, so one with 2E >= (n + 1) nv is regular and each
+        color pairs up the vertices (the order is even).  The count
+        comes first, so the incidence table never exceeds 2E slots.
         """
         if n < 1:
             raise GemError("dimension must be at least 1")
@@ -91,20 +91,12 @@ class ColoredGraph:
                 raise GemError("color %r outside 0..%d" % (c, n))
             if u == v:
                 raise LoopEdgeError("loop at vertex %d (color %d)" % (u, c))
-        # a vertex needs n + 1 distinct edges; checked before the
-        # incidence table of nv * (n + 1) slots exists
-        if n >= len(edge_list):
-            raise NotRegularError("%d edges cannot give a vertex all %d "
-                                  "colors" % (len(edge_list), n + 1))
+        if 2 * len(edge_list) < (n + 1) * nv:
+            raise NotRegularError(
+                "%d edges on %d vertices cannot give each vertex all %d "
+                "colors" % (len(edge_list), nv, n + 1))
         g = ColoredGraph._indexed(n, nv, edge_list)
-        for w, row in enumerate(g._inc):
-            missing = [c for c in colors if row[c] is None]
-            if missing:
-                raise NotRegularError(
-                    "vertex %d missing colors %s" % (w, missing))
-        if nv % 2:
-            raise OddOrderError("odd number of vertices (%d)" % nv)
-        if len(_component(g, frozenset(colors), 0)) != nv:
+        if len(residues(g, colors)) != 1:
             raise DisconnectedError("graph is not connected")
         return g
 
@@ -115,8 +107,8 @@ class ColoredGraph:
         The step build runs after its checks: sort the edges by (color,
         low end, high end) and fill the incidence table.  It refuses a
         dimension below 1 and two edges of one color at a vertex, which
-        filling the table detects for free; regularity, loops, even
-        order and connectivity are the caller's to check or to know.
+        filling the table detects for free; loops, the edge count and
+        connectivity are the caller's to check or to know.
         """
         if n < 1:
             raise GemError("dimension must be at least 1")
@@ -204,20 +196,6 @@ class Residue:
     def __repr__(self):
         return "Residue(colors=%s, order=%d)" % (
             sorted(self.colors), len(self.vertices))
-
-
-def _component(g, colorset, start):
-    """Vertices reachable from start using only colorset edges."""
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for c in colorset:
-            w, _ = g.neighbor(v, c)
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
 
 
 def residues(g, colorset):
@@ -501,9 +479,8 @@ def residue_subgem(g, res):
     step, which still refuses fewer than two colors.  That is sound
     because g passed them: every vertex of the residue meets exactly
     one edge of each residue color, and that edge stays inside the
-    residue, so the sub-gem is regular, proper and loopless; a residue
-    is connected by definition; and the edges of any one color pair up
-    its vertices, so its order is even.
+    residue, so the sub-gem is regular, proper and loopless; and a
+    residue is connected by definition.
     """
     key = ("subgem", res.colors, res.vertices[0])
     out = g._memo.get(key)

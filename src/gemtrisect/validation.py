@@ -246,7 +246,7 @@ def certify_Gs4(g, attestations=None):
     # apply sphere attestations to unknown verdicts only
     upgraded = {c: list(v) for c, v in verdicts.items()}
     for (c, idx) in sorted(att["sphere"]):
-        if c not in upgraded or idx >= len(upgraded[c]):
+        if c not in upgraded or not 0 <= idx < len(upgraded[c]):
             conflicts.append("sphere attestation %d:%d matches no residue"
                              % (c, idx))
             continue

@@ -5,17 +5,21 @@ never needed: the pass-by-pass Tietze loop and the pi1 builder that
 reads the whole chain complex, the one-pair intersection count, the
 pairwise chord-crossing test, the pairwise lane comparator, the central
 surface built with sign-reversing edges, the square complex built whole
-for each cyclic order, and the dipole chain that rebuilds the graph
-after every cancellation.
+for each cyclic order, the dipole chain that rebuilds the graph
+after every cancellation, and the gem check that scans every vertex
+for missing colors after filling a full incidence table.
 """
 
+from collections import deque
 from functools import cmp_to_key
 from types import SimpleNamespace
 
 from gemtrisect.diagrams import _chord_index, _intersection_columns
 from gemtrisect.embedding import RotationScheme, _permutation
-from gemtrisect.graphs import (GemError, bicolored_cycles, build_graph,
-                               is_bipartite, residue_labels, residues)
+from gemtrisect.graphs import (ColoredGraph, DisconnectedError, GemError,
+                               LoopEdgeError, NotProperError, NotRegularError,
+                               bicolored_cycles, build_graph, is_bipartite,
+                               residue_labels, residues)
 from gemtrisect.homology import GroupPresentation, _rotations, chain_complex
 from gemtrisect.trisection import _require_apex
 
@@ -370,3 +374,70 @@ def cancel_dipole(g, u, v, colors):
         b = g.neighbor(v, c)[0]
         edges.append((remap[a], remap[b], c))
     return build_graph(g.n, edges)
+
+
+class OddOrderError(GemError):
+    pass
+
+
+def component(g, colorset, start):
+    """Vertices reachable from start using only colorset edges."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for c in colorset:
+            w, _ = g.neighbor(v, c)
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+def build(n, edge_list):
+    """ColoredGraph.build with a rule-by-rule check of the gem contract.
+
+    After the id, color and loop checks it fills an incidence table of
+    nv * (n + 1) slots, refuses two edges of one color at a vertex,
+    then scans every vertex for missing colors, checks for an odd
+    order and searches for connectivity from vertex 0.
+    """
+    if n < 1:
+        raise GemError("dimension must be at least 1")
+    colors = range(n + 1)
+    verts = {w for u, v, c in edge_list for w in (u, v)}
+    if not verts:
+        raise GemError("empty edge list")
+    nv = len(verts)
+    top = max(verts)
+    if min(verts) != 0 or top != nv - 1:
+        raise GemError("vertex ids must be 0..%d with no gaps" % top)
+    for u, v, c in edge_list:
+        if c not in colors:
+            raise GemError("color %r outside 0..%d" % (c, n))
+        if u == v:
+            raise LoopEdgeError("loop at vertex %d (color %d)" % (u, c))
+    if n >= len(edge_list):
+        raise NotRegularError("%d edges cannot give a vertex all %d "
+                              "colors" % (len(edge_list), n + 1))
+    canon = sorted((c, u, v) if u < v else (c, v, u)
+                   for u, v, c in edge_list)
+    inc = [[None] * (n + 1) for _ in range(nv)]
+    for eid, (c, u, v) in enumerate(canon):
+        for w in (u, v):
+            if inc[w][c] is not None:
+                raise NotProperError(
+                    "vertex %d has two edges of color %d" % (w, c))
+            inc[w][c] = eid
+    for w, row in enumerate(inc):
+        missing = [c for c in colors if row[c] is None]
+        if missing:
+            raise NotRegularError(
+                "vertex %d missing colors %s" % (w, missing))
+    if nv % 2:
+        raise OddOrderError("odd number of vertices (%d)" % nv)
+    g = ColoredGraph(n, nv, tuple((u, v, c) for c, u, v in canon),
+                     tuple(map(tuple, inc)))
+    if len(component(g, colors, 0)) != nv:
+        raise DisconnectedError("graph is not connected")
+    return g

@@ -3,6 +3,7 @@
 import json
 import pathlib
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -101,8 +102,13 @@ def test_parse_errors_carry_line_numbers():
         parse_gem(b"# nothing\n")
     with pytest.raises(ParseError):
         parse_gem(b"\xff\xfe")
+    with pytest.raises(ParseError) as e:
+        parse_gem(b"gem n=" + b"7" * 5000 + b"\n")
+    assert e.value.line == 1
     with pytest.raises(ParseError):
         parse_gem(b"{broken json")
+    with pytest.raises(ParseError):
+        parse_gem(b'{"n": 4, "edges": ' + b"[" * 200000)
     with pytest.raises(ParseError):
         parse_gem(b'{"n": 4}')
     with pytest.raises(ParseError):
@@ -198,9 +204,10 @@ def test_fixed_eps_disables_sweep():
 @pytest.mark.parametrize("options", [
     {"budget": "3"}, {"budget": True}, {"budget": 2.0},
     {"eps": (0, 1, 2, 3, "x")}, {"eps": (0, 1, 2, 3, True)}, {"eps": 5},
-    {"sweep": "no"}, {"sweep": 1},
+    {"sweep": "no"}, {"sweep": 1}, {"apex_color": 2.0},
+    {"apex_color": True},
 ], ids=["budget-str", "budget-bool", "budget-float", "eps-str", "eps-bool",
-        "eps-int", "sweep-str", "sweep-int"])
+        "eps-int", "sweep-str", "sweep-int", "apex-float", "apex-bool"])
 def test_ill_typed_options_raise_gem_error(options, tmp_path):
     path = tmp_path / "s.gem"
     path.write_text(SPHERE_TEXT)
@@ -442,6 +449,57 @@ def test_cache_hits_are_byte_identical(tmp_path, datadir_gem):
     assert blob3 == blob1
 
 
+def test_cache_hit_without_a_diagram(tmp_path, datadir_gem):
+    # an exit-2 record names no diagram, so its hit returns None for it
+    gf = datadir_gem("two_singular_colors.gem")
+    cache = str(tmp_path / "cache")
+    first = run_cached(gf, None, cache)
+    again = run_cached(gf, None, cache)
+    assert first[1:] == (None, EXIT_NOT_MEMBER, False)
+    assert again == (first[0], None, EXIT_NOT_MEMBER, True)
+
+
+# an order-10 gem of the class that is not bipartite: a grown 4-sphere
+# gem with two vertices of one bipartition class welded together
+NON_ORIENTABLE_EDGES = """0 9 0
+1 3 0
+2 4 0
+5 6 0
+7 8 0
+0 7 1
+1 2 1
+3 4 1
+5 6 1
+8 9 1
+0 2 2
+1 6 2
+3 4 2
+5 9 2
+7 8 2
+0 9 3
+1 2 3
+3 7 3
+4 8 3
+5 6 3
+0 9 4
+1 2 4
+3 4 4
+5 6 4
+7 8 4
+"""
+
+
+def test_non_orientable_member_skips_the_diagram():
+    gf = parse_gem("gem n=4\n" + NON_ORIENTABLE_EDGES)
+    rec, dgm = run_pipeline(gf)
+    d = rec.as_dict()
+    assert rec.exit_code == EXIT_OK and dgm is None
+    assert d["report"]["orientable"] is False
+    assert d["diagram_ref"] == {
+        "skipped": "diagram machinery needs an orientable (bipartite) gem"}
+    assert d["certificate"] is not None and d["ledger"] is not None
+
+
 def test_cache_key_tracks_options(tmp_path, datadir_gem):
     gf = datadir_gem("projective_plane_like.gem")
     cache = str(tmp_path / "cache")
@@ -509,6 +567,32 @@ def test_large_dimension_header_exits_invalid_briefly(tmp_path, capsys, n):
     assert main([bad]) == EXIT_INVALID
     line, = capsys.readouterr().out.splitlines()
     assert "error exit=1" in line and len(line.encode()) < 200
+
+
+# a path of 2000 edges colored 0/1 on 2001 vertices under n = 1999 has
+# too few edge ends; it is refused before any per-vertex color table
+PATH_UNDER_N_1999 = "gem n=1999\n" + "".join(
+    "%d %d %d\n" % (i, i + 1, i % 2) for i in range(2000))
+
+
+@pytest.mark.parametrize("data", [
+    b"gem n=" + b"7" * 5000 + b"\n0 1 0\n",
+    b'{"n": 4, "edges": ' + b"[" * 200000,
+    PATH_UNDER_N_1999.encode(),
+], ids=["5000-digit-n", "deeply-nested-json", "path-under-n=1999"])
+def test_malformed_inputs_exit_invalid_briefly_in_small_memory(
+        tmp_path, capsys, data):
+    bad = _write(tmp_path, "bad.gem", data)
+    tracemalloc.start()
+    try:
+        code = main([bad])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_INVALID
+    line, = capsys.readouterr().out.splitlines()
+    assert "error exit=1" in line and len(line.encode()) < 200
+    assert peak < 5 * 2 ** 20
 
 
 @pytest.mark.parametrize("flags", [
@@ -655,6 +739,46 @@ def test_cache_entry_without_its_diagram_is_a_rewritten_miss(
 def test_bad_ids_rejected(data):
     with pytest.raises(GemError):
         parse_gem(data)
+
+
+# -- generated inputs ----------------------------------------------------
+
+_SMALL_INT = st.integers(-2, 7)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _SMALL_INT | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=2), inner, max_size=2)),
+    max_leaves=6)
+_EDGE = st.tuples(_SMALL_INT, _SMALL_INT, _SMALL_INT)
+
+
+def _text_gem(n, edges, extra):
+    lines = ["gem n=%d" % n] + ["%d %d %d" % e for e in edges] + extra
+    return "\n".join(lines).encode()
+
+
+_TEXT_GEM = st.builds(
+    _text_gem, _SMALL_INT, st.lists(_EDGE, max_size=12),
+    st.lists(st.text(max_size=8), max_size=2))
+_JSON_GEM = st.builds(
+    lambda obj: json.dumps(obj).encode(),
+    st.fixed_dictionaries(
+        {"n": _SMALL_INT | _JSON,
+         "edges": st.lists(_EDGE | _JSON, max_size=12) | _JSON},
+        optional={"name": _JSON, "attest": _JSON}))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_TEXT_GEM | _JSON_GEM)
+def test_parse_gem_raises_only_gem_errors(data):
+    try:
+        gf = parse_gem(data)
+    except GemError:
+        return
+    g = gf.graph
+    # accepted: every vertex carries every color once, on an even order
+    assert 2 * len(g.edges) == (g.n + 1) * g.nv and g.nv % 2 == 0
+    assert all(e is not None for row in g._inc for e in row)
 
 
 # -- mutated inputs ------------------------------------------------------

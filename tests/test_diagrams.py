@@ -81,6 +81,13 @@ def test_forced_handle_diagram(s4_gem):
     assert d.record.ok
     assert d.record.checks["pairing_ab"]["expected_rank"] == 1
     assert d.surface.k == 1
+    # handle and small-circle steps export the handle index 1-based
+    assert [c.steps for c in d.alpha + d.beta] == [(("sc", 0),)] * 2
+    assert d.gamma[0].steps == (("e", 3, 1), ("h", 0, -1))
+    assert export_diagram(d) == (
+        b'{"alpha":[[{"j":1,"t":"sc"}]],"beta":[[{"j":1,"t":"sc"}]],'
+        b'"gamma":[[{"d":1,"id":3,"t":"e"},{"d":-1,"j":1,"t":"h"}]],'
+        b'"genus":1,"k":1,"permutation":[0,1,2,3,4]}\n')
 
 
 def test_wall_graphs_sphere(s4_gem):

@@ -9,6 +9,7 @@ import random
 import pytest
 
 from gemtrisect.graphs import (
+    ColoredGraph,
     DimensionMismatchError,
     DisconnectedError,
     GemError,
@@ -21,7 +22,6 @@ from gemtrisect.graphs import (
     build_graph,
     connected_sum,
     is_bipartite,
-    _component,
     residue_census,
     residue_labels,
     residue_subgem,
@@ -32,6 +32,8 @@ from gemtrisect.graphs import (
 
 from conftest import (DATA_DIR, embedding_corpus, k4_gem, pipeline_corpus,
                       prism_gem, torus_gem)
+from reference import build as reference_build
+from reference import component
 
 
 def _oracle_components(nv, pairs):
@@ -77,7 +79,8 @@ def test_duplicate_color_rejected():
 
 
 def test_missing_color_rejected():
-    with pytest.raises(NotRegularError):
+    with pytest.raises(NotRegularError, match="^2 edges on 2 vertices "
+                       "cannot give each vertex all 3 colors$"):
         build_graph(2, [(0, 1, 0), (0, 1, 1)])
 
 
@@ -85,6 +88,108 @@ def test_disconnected_rejected():
     edges = [(0, 1, c) for c in range(3)] + [(2, 3, c) for c in range(3)]
     with pytest.raises(DisconnectedError):
         build_graph(2, edges)
+
+
+def _mutants(g, rng, count):
+    """Edge lists one or two seeded edits away from g's.
+
+    The edits delete, duplicate, recolor or add an edge, or renumber
+    the vertices: shuffled, with one id moved past the end, or with two
+    ids merged.
+    """
+    out = []
+    for _ in range(count):
+        edges = list(g.edges)
+        for _ in range(rng.choice((1, 1, 2))):
+            kind = rng.choice(("delete", "duplicate", "recolor", "add",
+                               "renumber"))
+            i = rng.randrange(len(edges))
+            u, v, c = edges[i]
+            if kind == "delete":
+                del edges[i]
+            elif kind == "duplicate":
+                edges.append(edges[i])
+            elif kind == "recolor":
+                edges[i] = (u, v, rng.randrange(g.n + 2))
+            elif kind == "add":
+                edges.append((rng.randrange(g.nv + 1),
+                              rng.randrange(g.nv + 1), rng.randrange(g.n + 1)))
+            else:
+                top = 1 + max(w for e in edges for w in e[:2])
+                perm = list(range(top))
+                rng.shuffle(perm)
+                how = rng.choice(("shuffle", "gap", "merge"))
+                if how == "gap":
+                    perm[rng.randrange(top)] = top
+                elif how == "merge":
+                    perm[rng.randrange(top)] = perm[rng.randrange(top)]
+                edges = [(perm[a], perm[b], col) for a, b, col in edges]
+        out.append((g.n, edges))
+    return out
+
+
+def _random_lists(rng, count):
+    """Small random edge lists: arbitrary ones, and unions of random
+    perfect matchings, which are proper and regular but may be split."""
+    out = []
+    for _ in range(count):
+        n = rng.randrange(1, 4)
+        nv = rng.randrange(1, 7)
+        if nv % 2 == 0 and rng.random() < 0.5:
+            edges = []
+            for c in range(n + 1):
+                perm = list(range(nv))
+                rng.shuffle(perm)
+                edges += [(perm[i], perm[i + 1], c) for i in range(0, nv, 2)]
+        else:
+            edges = [(rng.randrange(nv), rng.randrange(nv),
+                      rng.randrange(n + 1))
+                     for _ in range(rng.randrange((n + 1) * nv // 2 + 3))]
+        out.append((n, edges))
+    return out
+
+
+def _build_outcome(builder, n, edges):
+    try:
+        return builder(n, edges)
+    except GemError as exc:
+        return exc
+
+
+def test_build_matches_reference_check():
+    """The count-first build accepts what the rule-by-rule check does.
+
+    An accepted list gives the same edges and incidence table; a
+    refused one the same error class, except that too few edge ends
+    (2E < (n + 1) nv) are always NotRegularError, where the reference
+    may first find two edges of one color at a vertex.
+    """
+    rng = random.Random(13)
+    graphs = pipeline_corpus(count=10, seed=13) + _label_corpus()[-3:]
+    cases = [case for g in graphs for case in _mutants(g, rng, 40)]
+    cases += [(g.n, list(g.edges)) for g in graphs]
+    cases += _random_lists(rng, 600)
+    seen = set()
+    for n, edges in cases:
+        ref = _build_outcome(reference_build, n, edges)
+        new = _build_outcome(build_graph, n, edges)
+        if isinstance(ref, ColoredGraph):
+            assert isinstance(new, ColoredGraph), (n, edges, new)
+            assert new.edges == ref.edges and new._inc == ref._inc
+            seen.add("accepted")
+            continue
+        nv = len({w for u, v, c in edges for w in (u, v)})
+        expect = type(ref)
+        if (expect not in (GemError, LoopEdgeError)
+                and 2 * len(edges) < (n + 1) * nv):
+            expect = NotRegularError
+            seen.add("count:" + type(ref).__name__)
+        assert type(new) is expect, (n, edges, ref, new)
+        seen.add(expect.__name__)
+    # every outcome occurs, including the one where the classes differ
+    assert seen >= {"accepted", "GemError", "LoopEdgeError",
+                    "NotProperError", "NotRegularError", "DisconnectedError",
+                    "count:NotProperError"}, seen
 
 
 def test_edge_order_canonical(blob4_gem):
@@ -177,7 +282,7 @@ def test_residue_labels_match_component_bfs():
             parts, seen = [], set()
             for v in range(g.nv):
                 if v not in seen:
-                    comp = _component(g, cs, v)
+                    comp = component(g, cs, v)
                     seen |= comp
                     parts.append(tuple(sorted(comp)))
             assert [r.vertices for r in rs] == parts, (g, sorted(cs))
@@ -213,7 +318,7 @@ def test_spanning_forest_counts_bfs_components():
                 starts, seen = 0, set()
                 for v in range(g.nv):
                     if v not in seen:
-                        seen |= _component(g, cs, v)
+                        seen |= component(g, cs, v)
                         starts += 1
                 forest = spanning_forest(g.nv, pairs)
                 assert g.nv - len(forest) == starts, (g, cs)

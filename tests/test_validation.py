@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -208,8 +209,78 @@ def test_redundant_attestations_not_recorded(s4_gem):
 
 
 def test_sphere_attestation_out_of_range(s4_gem):
-    rep = certify_Gs4(s4_gem, {"sphere": "2:9"})
-    assert any("matches no residue" in c for c in rep.conflicts)
+    # a negative index must not pick a residue from the end
+    for item in ("2:9", "2:-1"):
+        rep = certify_Gs4(s4_gem, {"sphere": item})
+        assert rep.conflicts == (
+            "sphere attestation %s matches no residue" % item,)
+
+
+def _verdicts_unknown(monkeypatch, apex=UNKNOWN):
+    """Make every residue verdict UNKNOWN, and the apex one `apex`."""
+    import gemtrisect.validation as validation
+
+    real = validation._classify_colors
+
+    def unknown(g):
+        out = {c: (UNKNOWN,) * len(vs) for c, vs in real(g).items()}
+        out[4] = (apex,) * len(out[4])
+        return out
+
+    monkeypatch.setattr(validation, "_classify_colors", unknown)
+
+
+def test_attestations_upgrade_unknown_verdicts(s4_gem, monkeypatch):
+    _verdicts_unknown(monkeypatch)
+    rep = certify_Gs4(s4_gem)
+    assert not rep.gs4_member and rep.closed is None
+    assert rep.undetermined_colors == frozenset(range(5))
+    rep = certify_Gs4(s4_gem, {"sphere": "0,1:0,2,3,4"})
+    assert rep.gs4_member and rep.closed
+    assert rep.boundary_verdict == SPHERE and rep.boundary_spheres == 0
+    assert rep.attestations_used == tuple(
+        "sphere=%d:0" % c for c in range(5))
+    assert rep.conflicts == ()
+    rep = certify_Gs4(s4_gem, {"boundary": "#0(S1xS2)"})
+    assert rep.boundary_verdict == SPHERE and rep.closed
+    assert rep.attestations_used == ("boundary=#0(S1xS2)",)
+
+
+def test_boundary_attestation_against_the_verdict(datadir_gem, s4_gem,
+                                                  monkeypatch):
+    # H1 agrees with #1(S1xS2), but the boundary was attested a sphere
+    _verdicts_unknown(monkeypatch)
+    g, _ = _gf(datadir_gem, "bounded_s1s2.gem")
+    rep = certify_Gs4(g, {"sphere": "4:0", "boundary": "#1(S1xS2)"})
+    assert rep.conflicts == (
+        "boundary attested #1(S1xS2) but proven a 3-sphere",)
+    assert rep.attestations_used == ("sphere=4:0",)
+    # H1 = 0 agrees with #0(S1xS2), but the boundary is a non-sphere
+    _verdicts_unknown(monkeypatch, apex=NON_SPHERE)
+    rep = certify_Gs4(s4_gem, {"boundary": "#0(S1xS2)"})
+    assert rep.conflicts == (
+        "boundary attested a 3-sphere but proven otherwise",)
+    assert rep.boundary_spheres is None and rep.closed is False
+
+
+def test_simply_connected_attestation_checked_against_h1(s4_gem,
+                                                          monkeypatch):
+    # a presentation that keeps a generator proves nothing; the
+    # attestation then stands or falls with H1
+    import gemtrisect.validation as validation
+
+    monkeypatch.setattr(validation, "pi1_presentation",
+                        lambda g: types.SimpleNamespace(num_generators=1))
+    assert not certify_Gs4(s4_gem).simply_connected
+    rep = certify_Gs4(s4_gem, {"simply-connected": "yes"})
+    assert rep.simply_connected
+    assert rep.attestations_used == ("simply-connected=yes",)
+    monkeypatch.setattr(validation, "h1", lambda g: HomologyGroup(1))
+    rep = certify_Gs4(s4_gem, {"simply-connected": "yes"})
+    assert not rep.simply_connected and rep.attestations_used == ()
+    assert rep.conflicts == (
+        "simply-connected attestation inconsistent with H1=%r"
+        % HomologyGroup(1),)
 
 
 def test_zero_boundary_attestation_on_closed_gem(s4_gem):
