@@ -27,7 +27,7 @@ from .diagrams import assemble_diagram, export_diagram
 from .embedding import _permutation, cyclic_permutations
 from .graphs import GemError, build_graph
 from .homology import bound_ledger
-from .trisection import Incomplete, minimize_k
+from .trisection import Incomplete, sweep
 from .validation import (MultipleApexResidues, NotAGem, PrerequisiteFailed,
                          certify_Gs4)
 
@@ -121,9 +121,22 @@ def _parse_json(text):
     attest = obj.get("attest", {})
     if not isinstance(attest, dict):
         raise ParseError('"attest" must be an object')
+    # gem_text, and with it run_key, writes the name and each attestation
+    # as one line; a line break, or a "=" in a key, would let two
+    # different gems write the same lines
     name = obj.get("name")
+    if name is not None and not (name and _one_line(name)):
+        raise ParseError('"name" must be a non-empty string on one line')
+    for key, value in attest.items():
+        if not (_one_line(key) and _one_line(value)) or "=" in key:
+            raise ParseError('"attest" keys and values must be strings on '
+                             'one line, and keys must not contain "="')
     g = build_graph(n, edges)
-    return GemFile(n, name, {str(k): str(v) for k, v in attest.items()}, g)
+    return GemFile(n, name, attest, g)
+
+
+def _one_line(x):
+    return isinstance(x, str) and "".join(x.splitlines()) == x
 
 
 def _parse_text(text):
@@ -317,7 +330,7 @@ def run_key(gf, opts):
 
 
 def run_pipeline(gf, options=None):
-    """certify -> sweep -> minimize_k -> diagram -> verify -> ledger.
+    """certify -> sweep -> ledger -> diagram -> verify.
 
     Returns (RunRecord, diagram bytes or None).  Deterministic given
     the gem and options; all failures land in the record's exit_code
@@ -366,19 +379,15 @@ def run_pipeline(gf, options=None):
 
     if opts["eps"] is not None:
         try:
-            sweep = [_permutation(g, opts["eps"])]
+            orders = [_permutation(g, opts["eps"])]
         except GemError as exc:
             return record(EXIT_INVALID, str(exc)), None
     else:
-        sweep = cyclic_permutations(4)
+        orders = cyclic_permutations(4)
 
     t0 = time.perf_counter()
-    best = None
     try:
-        for eps in sweep:
-            cert = minimize_k(g, eps, budget=opts["budget"], mode=cert_mode)
-            if best is None or cert.sort_key() < best.sort_key():
-                best = cert
+        best = sweep(g, orders, budget=opts["budget"], mode=cert_mode)
     except Incomplete as exc:
         # the seeded scheduler is guaranteed to finish; reaching this
         # is an internal failure worth a loud exit code

@@ -22,7 +22,7 @@ import functools
 from fractions import Fraction
 
 from .graphs import (GemError, ResidueCensus, bicolored_cycles, is_bipartite,
-                     residue_labels, residues)
+                     residue_cycle_counts, residues)
 
 
 # -- cyclic permutations ------------------------------------------------
@@ -157,18 +157,9 @@ def subgraph_rho(g, eps, drop_color):
     """
     eps = _permutation(g, eps)
     sub_seq = eps.drop(drop_color)
-    colorset = frozenset(sub_seq)
-    comps = residues(g, colorset)
-    comp_of = residue_labels(g, colorset)
-    # bicolored cycles never straddle components; file each under its own
-    pairs = {frozenset((sub_seq[i], sub_seq[(i + 1) % len(sub_seq)]))
-             for i in range(len(sub_seq))}
-    counts = [dict.fromkeys(pairs, 0) for _ in comps]
-    for pair in pairs:
-        for r in residues(g, pair):
-            counts[comp_of[r.vertices[0]]][pair] += 1
+    counts = residue_cycle_counts(g, sub_seq)
     vals = [Fraction(2 - _chi_formula(cnt, sub_seq, len(r.vertices)), 2)
-            for cnt, r in zip(counts, comps)]
+            for cnt, r in zip(counts, residues(g, sub_seq))]
     return vals[0] if len(vals) == 1 else vals
 
 

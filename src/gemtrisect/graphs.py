@@ -11,6 +11,7 @@ endpoint) and are addressed everywhere by their index in that order.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from collections import deque
@@ -85,16 +86,18 @@ class ColoredGraph:
         nv = len(verts)
         top = max(verts)
         if min(verts) != 0 or top != nv - 1:
-            raise GemError("vertex ids must be 0..%d with no gaps" % top)
+            raise GemError("vertex ids must be 0..%s with no gaps"
+                           % _brief(top))
         for u, v, c in edge_list:
             if c not in colors:
-                raise GemError("color %r outside 0..%d" % (c, n))
+                raise GemError("color %s outside 0..%s"
+                               % (_brief(c), _brief(n)))
             if u == v:
                 raise LoopEdgeError("loop at vertex %d (color %d)" % (u, c))
         if 2 * len(edge_list) < (n + 1) * nv:
             raise NotRegularError(
-                "%d edges on %d vertices cannot give each vertex all %d "
-                "colors" % (len(edge_list), nv, n + 1))
+                "%d edges on %d vertices cannot give each vertex all %s "
+                "colors" % (len(edge_list), nv, _brief(n + 1)))
         g = ColoredGraph._indexed(n, nv, edge_list)
         if len(residues(g, colors)) != 1:
             raise DisconnectedError("graph is not connected")
@@ -159,6 +162,17 @@ class ColoredGraph:
     def __repr__(self):
         return "ColoredGraph(n=%d, order=%d, edges=%d)" % (
             self.n, self.nv, len(self.edges))
+
+
+def _brief(x):
+    """repr(x) for a message; an integer past 20 digits by its bit count.
+
+    An input can carry an integer of thousands of digits, which would
+    make a message that long, or past 4300 digits fail to print at all.
+    """
+    if isinstance(x, int) and abs(x) >= 10 ** 20:
+        return "<integer of %d bits>" % x.bit_length()
+    return repr(x)
 
 
 def build_graph(n, edge_list):
@@ -243,6 +257,30 @@ def _label_residues(g, colorset):
         out.append(Residue(colorset, tuple(comp), inc))
     cached = g._memo[colorset] = (tuple(out), tuple(label))
     return cached
+
+
+def residue_cycle_counts(g, colorset):
+    """Per colorset-residue, how many cycles of each pair lie inside it.
+
+    rows[i][pair] counts the {c,d}-cycles in residue i of
+    residues(g, colorset), for every pair = frozenset({c, d}) of colors
+    in colorset.  A bicolored cycle never straddles residues, so each is
+    filed under the residue of its first vertex.  Memoised on g, like
+    the residues; callers must not mutate the rows.
+    """
+    colorset = frozenset(colorset)
+    key = ("cycles", colorset)
+    rows = g._memo.get(key)
+    if rows is None:
+        label = residue_labels(g, colorset)
+        pairs = [frozenset(p)
+                 for p in itertools.combinations(sorted(colorset), 2)]
+        rows = [dict.fromkeys(pairs, 0) for _ in residues(g, colorset)]
+        for pair in pairs:
+            for r in residues(g, pair):
+                rows[label[r.vertices[0]]][pair] += 1
+        g._memo[key] = rows
+    return rows
 
 
 class ResidueCensus(dict):
@@ -510,8 +548,7 @@ class DipoleReducer:
     the vertex ids of g: cancel_dipole renumbers the survivors in their
     old order, so the first dipole in sorted (u, v) order is the same
     pair under either numbering.  Each cancellation costs O(1) besides
-    heap and union-find operations (a union-find is labelled once, in
-    O(order), when its color set is first asked about), because
+    heap and union-find operations, because
 
     - candidate pairs sit in a min-heap and are re-checked when popped.
       A rejected pair can become a dipole only when a weld adds a color
@@ -522,13 +559,27 @@ class DipoleReducer:
       merge when C misses S, and no C-residue changes otherwise (the
       two vertices already share one), so one union-find per color set
       tells whether a pair lies in different residues of the
-      complementary colors.
+      complementary colors;
+    - a pair joined by all colors but c is always a dipole, as neither
+      vertex is the other's c-neighbor, so one-color sets need none.
+
+    The union-finds join residues, not vertices: each starts, at
+    construction, from labels(colors) = residue_labels(g, colors), for
+    every set of two to n colors.  pair_counts maps each pair of colors
+    to its cycle count.  Both default to g's own (residue_labels and a
+    ResidueCensus); a sub-gem's verdict reads them off its parent, which
+    has already labelled every residue of the sub-gem (see
+    validation._classify_colors).
 
     Welds keep the graph proper and regular; graph() rebuilds the
     current graph through build_graph, which validates it.
     """
 
-    def __init__(self, g):
+    def __init__(self, g, pair_counts=None, labels=None):
+        if pair_counts is None:
+            pair_counts = ResidueCensus(g)
+        if labels is None:
+            labels = functools.partial(residue_labels, g)
         self.n = g.n
         self.nv = g.nv
         nbr = [[0] * (g.n + 1) for _ in range(g.nv)]
@@ -537,13 +588,16 @@ class DipoleReducer:
             nbr[v][c] = u
         self._nbr = nbr
         self._alive = [True] * g.nv
-        counts = ResidueCensus(g)
         self.pair_counts = {
-            frozenset(p): counts[frozenset(p)]
+            frozenset(p): pair_counts[frozenset(p)]
             for p in itertools.combinations(g.colors, 2)}
         self._colors = frozenset(g.colors)
         self._heap = sorted({(u, v) for u, v, _ in g.edges})
-        self._parent = {}       # color set -> union-find parent list
+        self._uf = {}       # color set -> (vertex labels, parent by label)
+        for size in range(2, g.n + 1):
+            for cs in itertools.combinations(g.colors, size):
+                label = labels(cs)
+                self._uf[frozenset(cs)] = (label, list(range(max(label) + 1)))
 
     def cancel_next(self):
         """Cancel the first dipole; return (u, v, colors) or None."""
@@ -558,40 +612,20 @@ class DipoleReducer:
             nu = self._nbr[u]
             S = frozenset(c for c in self._colors if nu[c] == v)
             comp = self._colors - S
-            if not comp or self._root(comp, u) == self._root(comp, v):
+            if not comp or (len(comp) > 1 and
+                            self._root(comp, u) == self._root(comp, v)):
                 continue
             self._cancel(u, v, S)
             return (u, v, S)
         return None
 
     def _root(self, colors, x):
-        parent = self._parent.get(colors)
-        if parent is None:
-            parent = self._parent[colors] = self._labels(colors)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def _labels(self, colors):
-        """Union-find parents: every vertex points at its residue's root."""
-        nbr = self._nbr
-        parent = list(range(len(nbr)))
-        seen = [not a for a in self._alive]
-        for start in range(len(nbr)):
-            if seen[start]:
-                continue
-            seen[start] = True
-            stack = [start]
-            while stack:
-                w = stack.pop()
-                parent[w] = start
-                for c in colors:
-                    x = nbr[w][c]
-                    if not seen[x]:
-                        seen[x] = True
-                        stack.append(x)
-        return parent
+        label, parent = self._uf[colors]
+        r = label[x]
+        while parent[r] != r:
+            parent[r] = parent[parent[r]]
+            r = parent[r]
+        return r
 
     def _cancel(self, u, v, colors):
         nbr = self._nbr
@@ -601,7 +635,7 @@ class DipoleReducer:
             if pair <= colors or not pair & colors:
                 self.pair_counts[pair] -= 1
         # when cset meets colors, u and v already share a residue
-        for cset, parent in self._parent.items():
+        for cset, (_, parent) in self._uf.items():
             if not cset & colors:
                 parent[self._root(cset, u)] = self._root(cset, v)
         for c in self._colors - colors:

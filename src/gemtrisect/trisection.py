@@ -10,6 +10,7 @@ and each stabilization raises the central surface genus by one.
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 
@@ -100,17 +101,19 @@ def _require_apex(g, eps):
     return eps
 
 
-def build_Q(g, eps):
-    """Square complex of the gem for the given cyclic order.
+_SquareParts = collections.namedtuple("_SquareParts",
+                                      "squares q1_edges sides")
 
-    The squares, Q1 edges and sides do not depend on eps (see
-    QComplex), so they are built once per graph and kept on g; callers
-    must not mutate them.  The memo holds them without g: a QComplex
-    there would tie g into a reference cycle and keep it alive until
-    the cyclic collector runs.  Each call adds only the Q1 node labels
-    of its order, read off the residue labels g already caches.
+
+def _squares(g):
+    """The eps-free part of g's square complex, built once per graph.
+
+    Squares, Q1 edges and sides do not depend on eps (see QComplex), so
+    they are kept on g; callers must not mutate them.  The memo holds
+    them without g: a QComplex there would tie g into a reference cycle
+    and keep it alive until the cyclic collector runs.  The scheduler
+    reads only these three parts.
     """
-    eps = _require_apex(g, eps)
     parts = g._memo.get("Q")
     if parts is None:
         q1_edges = []
@@ -126,8 +129,21 @@ def build_Q(g, eps):
         for e, by_color in sides.items():
             if len(by_color) != 4:
                 raise GemError("square %d has %d sides" % (e, len(by_color)))
-        parts = g._memo["Q"] = (tuple(sorted(sides)), tuple(q1_edges), sides)
-    squares, q1_edges, sides = parts
+        parts = g._memo["Q"] = _SquareParts(tuple(sorted(sides)),
+                                            tuple(q1_edges), sides)
+    return parts
+
+
+def build_Q(g, eps):
+    """Square complex of the gem for the given cyclic order.
+
+    The squares, Q1 edges and sides come from _squares, once per graph.
+    Each call adds only the Q1 node labels of its order, read off the
+    residue labels g already caches; of the pipeline, only the diagram's
+    gamma curves read them, so the sweep schedules on _squares alone.
+    """
+    eps = _require_apex(g, eps)
+    squares, q1_edges, sides = _squares(g)
 
     e0, e1, e2, e3 = eps.seq[:4]
     q1_nodes = []
@@ -194,10 +210,12 @@ class CollapseOrdering:
 def collapse_schedule(Q, stabilized):
     """Greedy free-side collapse after placing `stabilized` up front.
 
-    A square is schedulable when one of its four cycles has no other
-    unplaced square.  Ties break to the lowest square id, then the
-    lowest q1 edge index for the witness.  Raises Incomplete when the
-    residual squares all sit on cycles with two or more of them.
+    Q is a QComplex, or the eps-free parts of one: only its squares,
+    sides and q1_edges are read.  A square is schedulable when one of
+    its four cycles has no other unplaced square.  Ties break to the
+    lowest square id, then the lowest q1 edge index for the witness.
+    Raises Incomplete when the residual squares all sit on cycles with
+    two or more of them.
     """
     stabilized = tuple(sorted(set(stabilized)))
     square_set = set(Q.squares)
@@ -323,7 +341,7 @@ def certificate(g, eps, ordering, mode="closed"):
                                  rho(g, eps), base)
 
 
-def minimize_k(g, eps, budget=0, mode="closed"):
+def minimize_k(g, eps, budget=0, mode="closed", schedules=None):
     """Search for a small stabilization set; never worse than the forest.
 
     Greedy from the empty set; each failure stabilizes one residual
@@ -333,37 +351,74 @@ def minimize_k(g, eps, budget=0, mode="closed"):
     additionally tries explicit subsets (smallest first, at most
     `budget` schedule attempts) below the best size found, skipping the
     sets the greedy already found stuck.
+
+    Only the forest, and with it the greedy's bail-out and the budget's
+    bound, depends on eps: a schedule reads the eps-free squares alone.
+    So `schedules`, a dict from stabilized set to its outcome (the
+    ordering, or the Incomplete it raised), may be shared by calls on
+    one graph, and sweep shares one across its orders; each call still
+    takes the same steps and returns the same certificate as alone.
     """
-    Q = build_Q(g, eps)
     forest = stabilization_set(g, eps)
+    Q = _squares(g)
+    if schedules is None:
+        schedules = {}
+
+    def schedule(stab):
+        key = frozenset(stab)
+        out = schedules.get(key)
+        if out is None:
+            try:
+                out = collapse_schedule(Q, stab)
+            except Incomplete as stuck:
+                out = stuck
+            schedules[key] = out
+        return out
 
     stab = []
     stuck_sets = set()
-    best = None
     while True:
-        try:
-            best = collapse_schedule(Q, stab)
+        best = schedule(stab)
+        if not isinstance(best, Incomplete):
             break
-        except Incomplete as stuck:
-            stuck_sets.add(frozenset(stab))
-            if len(stab) + 1 >= len(forest):
-                best = collapse_schedule(Q, forest)
-                break
-            counts = stuck.cycle_counts
+        stuck_sets.add(frozenset(stab))
+        if len(stab) + 1 >= len(forest):
+            best = schedule(forest)
+            if isinstance(best, Incomplete):
+                raise best
+            break
+        counts = best.cycle_counts
 
-            def key(e):
-                return (min(counts[i] for i in Q.sides[e].values()), e)
-            stab.append(min(stuck.residual, key=key))
+        def key(e):
+            return (min(counts[i] for i in Q.sides[e].values()), e)
+        stab.append(min(best.residual, key=key))
 
     if budget > 0 and best.k > 0:
         subsets = itertools.chain.from_iterable(
             itertools.combinations(Q.squares, size) for size in range(best.k))
         subsets = (c for c in subsets if frozenset(c) not in stuck_sets)
         for combo in itertools.islice(subsets, budget):
-            try:
-                best = collapse_schedule(Q, combo)
+            out = schedule(combo)
+            if not isinstance(out, Incomplete):
+                best = out
                 break
-            except Incomplete:
-                continue
 
     return certificate(g, eps, best, mode)
+
+
+def sweep(g, orders, budget=0, mode="closed"):
+    """The certificate of least sort_key over the cyclic orders.
+
+    Runs minimize_k for each order, first order first on ties, with one
+    schedules dict for the whole sweep, so each stabilized set is
+    scheduled once however many orders try it.  The dict lives for this
+    call only: it holds every set tried, which is at most the greedy's
+    steps plus `budget` per order.
+    """
+    schedules = {}
+    best = None
+    for eps in orders:
+        cert = minimize_k(g, eps, budget, mode, schedules)
+        if best is None or cert.sort_key() < best.sort_key():
+            best = cert
+    return best

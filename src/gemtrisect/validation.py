@@ -10,6 +10,8 @@ it, nontrivial first homology refutes it, anything else stays
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 
 from .embedding import _chi_formula, cyclic_permutations
@@ -17,6 +19,7 @@ from .graphs import (
     DipoleReducer,
     GemError,
     ResidueCensus,
+    residue_cycle_counts,
     residue_labels,
     residue_subgem,
     residues,
@@ -89,19 +92,13 @@ def check_surface_residues(g):
     bicolored-cycle counts sum to q + 2.  Returns {(colors, index):
     verdict}; the verdict is "sphere" or "non-sphere", never unknown.
     """
-    import itertools
     out = {}
     for sub in itertools.combinations(g.colors, 3):
-        key = frozenset(sub)
-        label = residue_labels(g, key)
-        cycles = [0] * len(residues(g, key))
-        for pair in itertools.combinations(sub, 2):
-            # bicolored cycles never straddle residue components
-            for r in residues(g, frozenset(pair)):
-                cycles[label[r.vertices[0]]] += 1
-        for idx, res in enumerate(residues(g, key)):
+        rows = residue_cycle_counts(g, sub)
+        for idx, (res, row) in enumerate(zip(residues(g, sub), rows)):
             q = len(res.vertices) // 2
-            out[(sub, idx)] = SPHERE if cycles[idx] - q == 2 else NON_SPHERE
+            out[(sub, idx)] = (SPHERE if sum(row.values()) - q == 2
+                               else NON_SPHERE)
     return out
 
 
@@ -110,7 +107,7 @@ def _genus_zero(pair_count, order, cycles):
     return any(_chi_formula(pair_count, seq, order) == 2 for seq in cycles)
 
 
-def _three_manifold_verdict(sub):
+def _three_manifold_verdict(sub, pair_counts=None, labels=None):
     """sphere / non-sphere / unknown for a 4-colored graph.
 
     Genus 0 for some permutation proves the sphere, and dipole
@@ -120,6 +117,10 @@ def _three_manifold_verdict(sub):
     here: callers have proven every 3-residue a 2-sphere, so sub is a
     closed 3-manifold and has chi = 0.
 
+    pair_counts and labels are sub's bicolored-cycle counts and residue
+    labels, as DipoleReducer takes them; by default sub computes its
+    own, and _classify_colors passes the ones its parent already has.
+
     A proof stores H1 = 0 as sub's memoised h1, so no caller builds
     pi1 of a proven sphere again.  That is sound because a 4-colored
     gem of regular genus 0 represents S^3, and so does every gem its
@@ -127,10 +128,12 @@ def _three_manifold_verdict(sub):
     whose first homology is trivial.  The differential tests build pi1
     on fresh copies of every proven sphere to check the claim.
     """
+    if pair_counts is None:
+        pair_counts = ResidueCensus(sub)
     cycles = [eps.seq for eps in cyclic_permutations(sub.n)]
-    if _genus_zero(ResidueCensus(sub), sub.nv, cycles):
+    if _genus_zero(pair_counts, sub.nv, cycles):
         return _proven_sphere(sub)
-    chain = DipoleReducer(sub)
+    chain = DipoleReducer(sub, pair_counts, labels)
     while chain.cancel_next() is not None:
         if _genus_zero(chain.pair_counts, chain.nv, cycles):
             try:
@@ -168,10 +171,40 @@ def classify_colors(g):
 
 
 def _classify_colors(g):
-    """Per-color verdicts once the surface residues are known spheres."""
-    return {c: tuple(_three_manifold_verdict(residue_subgem(g, res)[0])
-                     for res in residues(g, frozenset(g.colors) - {c}))
-            for c in g.colors}
+    """Per-color verdicts once the surface residues are known spheres.
+
+    A color's verdicts read their sub-gems' cycle counts and residue
+    labels off g, whose pairs and triples check_surface_residues has
+    labelled: a {c,d}-cycle or a C-residue of g inside a residue R is
+    one of R's sub-gem, so no sub-gem labels residues of its own.
+    """
+    out = {}
+    for c in g.colors:
+        cols = [x for x in g.colors if x != c]      # sub-gem color i
+        rows = residue_cycle_counts(g, cols)
+        out[c] = tuple(
+            _three_manifold_verdict(
+                residue_subgem(g, res)[0],
+                {frozenset(map(cols.index, p)): k for p, k in row.items()},
+                functools.partial(_parent_labels, g, cols, res.vertices))
+            for res, row in zip(residues(g, cols), rows))
+    return out
+
+
+def _parent_labels(g, cols, verts, colors):
+    """residue_labels of a sub-gem's colors, read off its parent g.
+
+    verts are the residue's vertices, so sub-gem vertex x is verts[x],
+    and sub-gem color i is cols[i].  The sub-gem numbers its residues
+    by minimum vertex, as g does, and keeps the order of verts, so
+    renumbering g's labels by first appearance gives its own; when the
+    residue is all of g they are g's labels.
+    """
+    label = residue_labels(g, [cols[i] for i in colors])
+    if len(verts) == g.nv:
+        return label
+    first = {}
+    return [first.setdefault(label[v], len(first)) for v in verts]
 
 
 def _singular_undetermined(verdicts):

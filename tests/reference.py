@@ -5,7 +5,8 @@ never needed: the pass-by-pass Tietze loop and the pi1 builder that
 reads the whole chain complex, the one-pair intersection count, the
 pairwise chord-crossing test, the pairwise lane comparator, the central
 surface built with sign-reversing edges, the square complex built whole
-for each cyclic order, the dipole chain that rebuilds the graph
+for each cyclic order, the sweep that schedules every order afresh,
+the dipole chain that rebuilds the graph
 after every cancellation, and the gem check that scans every vertex
 for missing colors after filling a full incidence table.
 """
@@ -21,7 +22,7 @@ from gemtrisect.graphs import (ColoredGraph, DisconnectedError, GemError,
                                bicolored_cycles, build_graph, is_bipartite,
                                residue_labels, residues)
 from gemtrisect.homology import GroupPresentation, _rotations, chain_complex
-from gemtrisect.trisection import _require_apex
+from gemtrisect.trisection import _require_apex, minimize_k
 
 
 def _free_reduce(word):
@@ -334,6 +335,20 @@ def build_Q(g, eps):
     return SimpleNamespace(graph=g, eps=eps, squares=tuple(sorted(sides)),
                            q1_nodes=tuple(q1_nodes), q1_edges=tuple(q1_edges),
                            sides=sides)
+
+
+def sweep(g, orders, budget=0, mode="closed"):
+    """minimize_k on each order alone; the least sort_key, first on ties.
+
+    trisection.sweep shares one schedule per stabilized set across its
+    orders; this loop schedules every order afresh.
+    """
+    best = None
+    for eps in orders:
+        cert = minimize_k(g, eps, budget=budget, mode=mode)
+        if best is None or cert.sort_key() < best.sort_key():
+            best = cert
+    return best
 
 
 def find_dipole(g):

@@ -73,6 +73,45 @@ def test_parse_json_equivalent():
         b, normalize_options({}))
 
 
+_SPHERE_EDGES = [[0, 1, c] for c in range(5)]
+
+
+@pytest.mark.parametrize("fields", [
+    {"name": "a\nattest boundary=#1(S1xS2)"},
+    {"name": ["a"]},
+    {"name": ""},
+    {"attest": {"boundary": "#1(S1xS2)\rname a"}},
+    {"attest": {"boundary=#1(S1xS2)": ""}},
+    {"attest": {"simply-connected": True}},
+], ids=["name-line-break", "list-name", "empty-name", "value-line-break",
+        "key-with-equals", "bool-value"])
+def test_json_fields_must_fit_one_text_line(tmp_path, capsys, fields):
+    # gem_text writes the name and each attestation as one line; a JSON
+    # field that is not one such line could share another gem's run_key
+    data = json.dumps(dict(fields, n=4, edges=_SPHERE_EDGES))
+    with pytest.raises(ParseError):
+        parse_gem(data.encode())
+    assert main([_write(tmp_path, "bad.gem", data)]) == EXIT_INVALID
+    assert "error exit=1" in capsys.readouterr().out
+
+
+def test_json_and_text_gems_share_a_key_only_when_they_agree():
+    text = parse_gem(b"gem n=4\nname a\nattest boundary=#1(S1xS2)\n"
+                     b"0 1 0\n0 1 1\n0 1 2\n0 1 3\n0 1 4\n")
+    same = parse_gem(json.dumps({"n": 4, "name": "a", "edges": _SPHERE_EDGES,
+                                 "attest": {"boundary": "#1(S1xS2)"}}).encode())
+    plain = parse_gem(json.dumps({"n": 4, "name": "a",
+                                  "edges": _SPHERE_EDGES}).encode())
+    opts = normalize_options({})
+    assert run_key(text, opts) == run_key(same, opts) != run_key(plain, opts)
+    records = [run_pipeline(gf)[0].as_dict() for gf in (text, same, plain)]
+    for rec in records:
+        del rec["timings"]
+    assert records[0] == records[1] != records[2]
+    # the attested boundary contradicts the proven 3-sphere
+    assert records[0]["report"]["conflicts"]
+
+
 def test_serializations_round_trip(datadir_gem):
     for name in ("projective_plane_like.gem", "bounded_s1s2.gem",
                  "nonzero_forest.gem"):
@@ -559,10 +598,15 @@ def test_main_exit_codes_and_summary(tmp_path, capsys):
     assert main([ok, nonmember]) == EXIT_NOT_MEMBER
 
 
-@pytest.mark.parametrize("n", [2000, 10 ** 20], ids=["n=2000", "n=1e20"])
+@pytest.mark.parametrize("n", [2000, 10 ** 20, int("7" * 4000),
+                               10 ** 4300 - 1],
+                         ids=["n=2000", "n=1e20", "n=4000-digits",
+                              "n=4300-nines"])
 def test_large_dimension_header_exits_invalid_briefly(tmp_path, capsys, n):
     # one edge can never make a vertex of 2001 (or 10^20 + 1) colors;
-    # the refusal comes before any per-vertex color table exists
+    # the refusal comes before any per-vertex color table exists, and
+    # names an n + 1 of thousands of digits by its size (10^4300 is
+    # past the digits Python prints)
     bad = _write(tmp_path, "big.gem", "gem n=%d\n0 1 0\n" % n)
     assert main([bad]) == EXIT_INVALID
     line, = capsys.readouterr().out.splitlines()

@@ -42,8 +42,10 @@ from gemtrisect.trisection import (
     collapse_schedule,
     minimize_k,
     stabilization_set,
+    sweep,
 )
 
+import reference
 from conftest import pipeline_corpus, weld
 from reference import (_signed_intersection, corridor_map, lane_orders,
                        signed_surface)
@@ -643,6 +645,35 @@ def test_strand_order_matches_comparator_on_random_welds(datadir_gem):
                         == lane_orders(scheme, ws, corridors))
                 systems += 1
     assert systems == 144
+
+
+@pytest.mark.slow
+def test_random_weld_sums_verify_and_sweep_like_the_loop(datadir_gem):
+    """Seeded fuzz: random-weld sums #3-#8 of both fixtures.
+
+    Each sum's sweep must equal the per-order loop, and its winner's
+    diagram and a diagram with random extra stabilized squares under a
+    random order must verify.  Kept out of the default run: its 1000
+    cases take about 25 s on one core of a 2-CPU virtual machine.
+    """
+    rng = random.Random(4434)
+    orders = cyclic_permutations(4)
+    fixtures = [datadir_gem(name).graph
+                for name in ("projective_plane_like.gem", "nonzero_forest.gem")]
+    for case in range(1000):
+        fixture = rng.choice(fixtures)
+        g = fixture
+        for _ in range(1, rng.randrange(3, 9)):
+            g = weld(g, fixture, rng)
+        budget = rng.choice((0, 10))
+        cert = sweep(g, orders, budget)
+        assert cert.as_dict() == reference.sweep(g, orders, budget).as_dict()
+        eps = rng.choice(orders)
+        spare = sorted(set(g.edge_ids(4)) - set(stabilization_set(g, eps)))
+        extra = rng.sample(spare, rng.randrange(0, min(4, len(spare) + 1)))
+        for c in (cert, _forced(g, eps, extra)):
+            d = assemble_diagram(g, c.eps, c)
+            assert d.record.ok, (case, c.as_dict(), d.record.checks)
 
 
 def _old_reduce(items, inverse, keep=lambda s: True):

@@ -19,12 +19,14 @@ from gemtrisect.trisection import (
     collapse_schedule,
     minimize_k,
     stabilization_set,
+    sweep,
     verify_ordering,
 )
 
 import gemtrisect.trisection as trisection
 import reference
 from conftest import fixture_graph, pipeline_corpus, shuffled, weld
+from test_validation import _chain_corpus
 
 IDENT = CyclicPermutation((0, 1, 2, 3, 4))
 
@@ -311,11 +313,59 @@ def test_square_complex_matches_per_order_reference(monkeypatch):
             assert (a.stabilized, a.collapsed, a.witnesses) == (
                 b.stabilized, b.collapsed, b.witnesses)
 
+            # minimize_k schedules on the eps-free parts of the complex
             cert = minimize_k(g, eps, budget=4)
             with monkeypatch.context() as m:
-                m.setattr(trisection, "build_Q", reference.build_Q)
+                m.setattr(trisection, "_squares", lambda g: ref)
                 ref_cert = minimize_k(g, eps, budget=4)
             assert cert.as_dict() == ref_cert.as_dict()
+
+
+@pytest.mark.parametrize("budget", [0, 10])
+def test_sweep_matches_per_order_loop(budget):
+    orders = cyclic_permutations(4)
+    positive = 0
+    for g in _differential_corpus() + _chain_corpus():
+        schedules = {}
+        for eps in orders:
+            # one schedules dict serves every order, as in the sweep
+            assert minimize_k(g, eps, budget, "closed", schedules).as_dict() \
+                == minimize_k(g, eps, budget).as_dict()
+        cert = sweep(g, orders, budget)
+        assert cert.as_dict() == reference.sweep(g, orders, budget).as_dict()
+        positive += cert.k > 0
+    # k > 0 makes the greedy go through stuck sets shared by the orders
+    assert positive >= 10
+
+
+def test_sweep_shares_budget_outcomes_like_the_loop(monkeypatch):
+    # the corpora never let a budget beat the greedy: make every set of
+    # fewer than three squares stick unless it holds one chosen square,
+    # so each order's budget search finds a set the orders before it
+    # have already scheduled
+    pp = fixture_graph("projective_plane_like.gem")
+    rng = random.Random(0)
+    g = weld(weld(pp, pp, rng, at=(1, 0)), pp, rng, at=(1, 0))
+    orders = cyclic_permutations(4)
+    lucky = build_Q(g, IDENT).squares[2]
+    schedule = trisection.collapse_schedule
+
+    def stuck_without_lucky(Q, stabilized):
+        if lucky not in stabilized and len(stabilized) < 3:
+            raise Incomplete(set(Q.squares) - set(stabilized),
+                             [2] * len(Q.q1_edges))
+        return schedule(Q, stabilized)
+
+    monkeypatch.setattr(trisection, "collapse_schedule", stuck_without_lucky)
+    schedules = {}
+    found = 0
+    for eps in orders:
+        cert = minimize_k(g, eps, 10, "closed", schedules)
+        assert cert.as_dict() == minimize_k(g, eps, 10).as_dict()
+        found += lucky in cert.ordering.stabilized
+    assert sweep(g, orders, 10).as_dict() == reference.sweep(
+        g, orders, 10).as_dict()
+    assert found == len(orders)
 
 
 def test_certificate_shape(s4_gem):

@@ -15,6 +15,7 @@ from gemtrisect.graphs import (
     GemError,
     blob_insert,
     build_graph,
+    residue_labels,
     residue_subgem,
     residues,
 )
@@ -355,10 +356,10 @@ def _reference_chain(sub):
         cur = cancel_dipole(cur, u, v, colors)
 
 
-def _reducer_chain(sub):
+def _reducer_chain(sub, pair_counts=None, labels=None):
     """The same chain on a DipoleReducer; mirrors _three_manifold_verdict."""
     cycles = [eps.seq for eps in cyclic_permutations(sub.n)]
-    chain = DipoleReducer(sub)
+    chain = DipoleReducer(sub, pair_counts, labels)
     dipoles = []
     while not _genus_zero(chain.pair_counts, chain.nv, cycles):
         dip = chain.cancel_next()
@@ -424,6 +425,39 @@ def test_dipole_reducer_matches_reference_chain():
             unfinished += not ref[2]
     # the corpus must reach deep chains and chains that end unproven
     assert subs >= 400 and dipoles >= 1000 and unfinished >= 30
+
+
+def test_verdicts_seeded_from_the_parent_match_reference_chain(monkeypatch):
+    # _classify_colors hands each sub-gem its parent's cycle counts and
+    # residue labels; catch them, rerun the chain from them, and compare
+    # with the reference chain on a fresh copy of the sub-gem
+    import gemtrisect.validation as validation
+
+    seeded = []
+    verdict = validation._three_manifold_verdict
+    monkeypatch.setattr(validation, "_three_manifold_verdict",
+                        lambda *args: seeded.append(args) or verdict(*args))
+    split = 0
+    for g in _chain_corpus():
+        check_surface_residues(g)
+        seeded.clear()
+        verdicts = validation._classify_colors(g)
+        expect = []
+        for sub, pair_counts, labels in seeded:
+            fresh = build_graph(sub.n, sub.edges)
+            assert pair_counts == {frozenset(p): len(residues(fresh, p))
+                                   for p in itertools.combinations(range(4), 2)}
+            for cs in itertools.chain(itertools.combinations(range(4), 2),
+                                      itertools.combinations(range(4), 3)):
+                assert list(labels(cs)) == list(residue_labels(fresh, cs))
+            ref = _reference_chain(fresh)
+            assert _reducer_chain(sub, pair_counts, labels) == ref
+            expect.append(SPHERE if ref[2] else _fallback(fresh))
+        assert [v for c in g.colors for v in verdicts[c]] == expect
+        split += sum(len(vs) > 1 for vs in verdicts.values())
+    # colors with several 4-residues, where a count filed under the
+    # wrong residue would show
+    assert split >= 50
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
