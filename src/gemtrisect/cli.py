@@ -28,8 +28,7 @@ from .embedding import _permutation, cyclic_permutations
 from .graphs import GemError, build_graph
 from .homology import bound_ledger
 from .trisection import Incomplete, sweep
-from .validation import (MultipleApexResidues, NotAGem, PrerequisiteFailed,
-                         certify_Gs4)
+from .validation import MultipleApexResidues, NotAGem, certify_Gs4
 
 EXIT_OK = 0
 EXIT_INVALID = 1        # parse or validation failure
@@ -298,8 +297,8 @@ def normalize_options(options=None):
         if k not in opts:
             raise GemError("unknown option %r" % (k,))
         opts[k] = v
-    if not _is_int(opts["budget"]):
-        raise GemError("budget must be an integer")
+    if not _is_int(opts["budget"]) or opts["budget"] < 0:
+        raise GemError("budget must be a non-negative integer")
     if not _is_int(opts["apex_color"]):
         raise GemError("apex_color must be an integer")
     if not isinstance(opts["sweep"], bool):
@@ -359,7 +358,7 @@ def run_pipeline(gf, options=None):
     t0 = time.perf_counter()
     try:
         report = certify_Gs4(g, work.attestations)
-    except (NotAGem, MultipleApexResidues, PrerequisiteFailed) as exc:
+    except (NotAGem, MultipleApexResidues) as exc:
         return record(EXIT_NOT_MEMBER, str(exc)), None
     except GemError as exc:
         return record(EXIT_INVALID, str(exc)), None

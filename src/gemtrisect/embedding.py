@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .graphs import (GemError, ResidueCensus, bicolored_cycles, is_bipartite,
+from .graphs import (GemError, bicolored_cycles, is_bipartite,
                      residue_cycle_counts, residues)
 
 
@@ -142,9 +142,11 @@ def rho(g, eps):
 
     Returns a Fraction: the orientable genus for bipartite graphs,
     half the non-orientable genus otherwise (possibly half-integral).
+    A gem is connected, so its cycle counts are those of its one
+    residue over all colors.
     """
     eps = _permutation(g, eps)
-    chi = _chi_formula(ResidueCensus(g), eps.seq, g.nv)
+    chi = _chi_formula(residue_cycle_counts(g, g.colors)[0], eps.seq, g.nv)
     return Fraction(2 - chi, 2)
 
 

@@ -11,7 +11,6 @@ endpoint) and are addressed everywhere by their index in that order.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 from collections import deque
@@ -165,13 +164,17 @@ class ColoredGraph:
 
 
 def _brief(x):
-    """repr(x) for a message; an integer past 20 digits by its bit count.
+    """repr(x) for a message, kept to one line.
 
     An input can carry an integer of thousands of digits, which would
-    make a message that long, or past 4300 digits fail to print at all.
+    make a message that long, or past 4300 digits fail to print at all;
+    one past 20 digits is named by its bit count.  A string past 60
+    characters is named by its head and its length.
     """
     if isinstance(x, int) and abs(x) >= 10 ** 20:
         return "<integer of %d bits>" % x.bit_length()
+    if isinstance(x, str) and len(x) > 60:
+        return "%r... (%d characters)" % (x[:40], len(x))
     return repr(x)
 
 
@@ -281,36 +284,6 @@ def residue_cycle_counts(g, colorset):
                 rows[label[r.vertices[0]]][pair] += 1
         g._memo[key] = rows
     return rows
-
-
-class ResidueCensus(dict):
-    """Residue counts of one graph keyed by frozenset of colors.
-
-    A count is computed on first lookup, so callers that stop early
-    never build the residues they did not need.
-    """
-
-    __slots__ = ("_g",)
-
-    def __init__(self, g):
-        super().__init__()
-        self._g = g
-
-    def __missing__(self, colors):
-        count = self[colors] = len(residues(self._g, colors))
-        return count
-
-    def g_of(self, *colors):
-        return self[frozenset(colors)]
-
-
-def residue_census(g):
-    """A census with every pair and triple of colors counted."""
-    census = ResidueCensus(g)
-    for r in (2, 3):
-        for sub in itertools.combinations(g.colors, r):
-            census.g_of(*sub)
-    return census
 
 
 def spanning_forest(size, ends):
@@ -508,10 +481,12 @@ def residue_subgem(g, res):
 
     Colors are relabeled order-preservingly to 0..len(colors)-1 and
     vertices to 0..order-1.  Returns (graph, vertex_map, color_map)
-    where the maps send parent ids to the new ids.  Built once per
-    residue and memoised on g, so invariants memoised on the sub-gem
-    (its pi1 and H1) are shared by every caller; callers must not
-    mutate it.
+    where the maps send parent ids to the new ids.  Memoised on g, so
+    invariants memoised on the sub-gem (its pi1 and H1) are shared by
+    every caller; callers must not mutate it.  The 3-manifold verdicts
+    run on g itself (see DipoleReducer), so the pipeline builds one
+    only in homology.residue_h1, for a residue whose H1 no sphere proof
+    has stored.
 
     The sub-gem skips build's checks and goes straight to the indexing
     step, which still refuses fewer than two colors.  That is sound
@@ -540,15 +515,18 @@ def standard_sphere_gem(n):
 
 
 class DipoleReducer:
-    """The dipole-cancelling chain on one mutable copy of g.
+    """The dipole-cancelling chain on one residue of g, in g's own ids.
 
-    cancel_next() cancels the same dipoles in the same order as
-    repeatedly calling find_dipole and cancel_dipole, the plain chain
-    kept in tests/reference.py as the reference, but names them by
-    the vertex ids of g: cancel_dipole renumbers the survivors in their
-    old order, so the first dipole in sorted (u, v) order is the same
-    pair under either numbering.  Each cancellation costs O(1) besides
-    heap and union-find operations, because
+    res is a residue of g, all of g by default; the chain runs on the
+    gem that res encodes without building it.  cancel_next() cancels
+    the same dipoles in the same order as repeatedly calling
+    find_dipole and cancel_dipole on residue_subgem(g, res), the plain
+    chain kept in tests/reference.py as the reference, but names them
+    by the vertex ids and colors of g: the sub-gem keeps g's order of
+    vertices and colors, and cancel_dipole renumbers the survivors in
+    their old order, so the first dipole in sorted (u, v) order is the
+    same pair under every numbering.  Each cancellation costs O(1)
+    besides heap and union-find operations, because
 
     - candidate pairs sit in a min-heap and are re-checked when popped.
       A rejected pair can become a dipole only when a weld adds a color
@@ -563,53 +541,51 @@ class DipoleReducer:
     - a pair joined by all colors but c is always a dipole, as neither
       vertex is the other's c-neighbor, so one-color sets need none.
 
-    The union-finds join residues, not vertices: each starts, at
-    construction, from labels(colors) = residue_labels(g, colors), for
-    every set of two to n colors.  pair_counts maps each pair of colors
-    to its cycle count.  Both default to g's own (residue_labels and a
-    ResidueCensus); a sub-gem's verdict reads them off its parent, which
-    has already labelled every residue of the sub-gem (see
-    validation._classify_colors).
+    pair_counts maps each pair of the residue's colors to its current
+    cycle count.  The counts start from residue_cycle_counts(g,
+    res.colors), and the union-finds, one per set of two to
+    len(res.colors) - 1 colors, join the labels of residue_labels(g,
+    colors): a bicolored cycle, or a residue over colors of res, that
+    meets res lies inside it, so g's counts and labels are the
+    residue's.  The neighbor and union-find tables are dicts over the
+    residue's vertices and labels, so once g has labelled its residues
+    a chain costs O(len(res)) to set up however large g is.
 
     Welds keep the graph proper and regular; graph() rebuilds the
     current graph through build_graph, which validates it.
     """
 
-    def __init__(self, g, pair_counts=None, labels=None):
-        if pair_counts is None:
-            pair_counts = ResidueCensus(g)
-        if labels is None:
-            labels = functools.partial(residue_labels, g)
-        self.n = g.n
-        self.nv = g.nv
-        nbr = [[0] * (g.n + 1) for _ in range(g.nv)]
-        for u, v, c in g.edges:
-            nbr[u][c] = v
-            nbr[v][c] = u
-        self._nbr = nbr
-        self._alive = [True] * g.nv
-        self.pair_counts = {
-            frozenset(p): pair_counts[frozenset(p)]
-            for p in itertools.combinations(g.colors, 2)}
-        self._colors = frozenset(g.colors)
-        self._heap = sorted({(u, v) for u, v, _ in g.edges})
-        self._uf = {}       # color set -> (vertex labels, parent by label)
-        for size in range(2, g.n + 1):
-            for cs in itertools.combinations(g.colors, size):
-                label = labels(cs)
-                self._uf[frozenset(cs)] = (label, list(range(max(label) + 1)))
+    def __init__(self, g, res=None):
+        if res is None:
+            res = residues(g, g.colors)[0]
+        colors = self._colors = res.colors
+        self.n = len(colors) - 1
+        self.nv = len(res)
+        self.pair_counts = dict(residue_cycle_counts(g, colors)[
+            residue_labels(g, colors)[res.vertices[0]]])
+        # the live vertices, each with its neighbor by color
+        self._nbr = {v: {c: g.neighbor(v, c)[0] for c in colors}
+                     for v in res.vertices}
+        self._heap = sorted({(u, w) for u, row in self._nbr.items()
+                             for w in row.values() if u < w})
+        self._uf = {}       # color set -> (g's labels, parent by label)
+        for size in range(2, len(colors)):
+            for cs in itertools.combinations(sorted(colors), size):
+                label = residue_labels(g, cs)
+                self._uf[frozenset(cs)] = (
+                    label, {label[v]: label[v] for v in res.vertices})
 
     def cancel_next(self):
         """Cancel the first dipole; return (u, v, colors) or None."""
         heap = self._heap
-        alive = self._alive
+        nbr = self._nbr
         while heap:
             u, v = heapq.heappop(heap)
-            if not (alive[u] and alive[v]):
+            if u not in nbr or v not in nbr:
                 continue
             # edges between live vertices outlast every weld, so a
             # queued pair is still adjacent
-            nu = self._nbr[u]
+            nu = nbr[u]
             S = frozenset(c for c in self._colors if nu[c] == v)
             comp = self._colors - S
             if not comp or (len(comp) > 1 and
@@ -629,7 +605,7 @@ class DipoleReducer:
 
     def _cancel(self, u, v, colors):
         nbr = self._nbr
-        self._alive[u] = self._alive[v] = False
+        nu, nw = nbr.pop(u), nbr.pop(v)
         self.nv -= 2
         for pair in self.pair_counts:
             if pair <= colors or not pair & colors:
@@ -639,15 +615,20 @@ class DipoleReducer:
             if not cset & colors:
                 parent[self._root(cset, u)] = self._root(cset, v)
         for c in self._colors - colors:
-            a, b = nbr[u][c], nbr[v][c]
+            a, b = nu[c], nw[c]
             nbr[a][c] = b
             nbr[b][c] = a
             heapq.heappush(self._heap, (a, b) if a < b else (b, a))
 
     def graph(self):
-        """The current graph, numbered as cancel_dipole would number it."""
-        keep = [w for w, ok in enumerate(self._alive) if ok]
-        new_id = {w: i for i, w in enumerate(keep)}
-        edges = [(new_id[a], new_id[b], c)
-                 for a in keep for c, b in enumerate(self._nbr[a]) if a < b]
+        """The current graph, numbered as the sub-gem's chain numbers it.
+
+        Survivors and colors are numbered in g's order, as
+        residue_subgem and cancel_dipole number them.
+        """
+        new_id = {w: i for i, w in enumerate(sorted(self._nbr))}
+        new_c = {c: i for i, c in enumerate(sorted(self._colors))}
+        edges = [(new_id[a], new_id[b], new_c[c])
+                 for a, row in self._nbr.items()
+                 for c, b in row.items() if a < b]
         return build_graph(self.n, edges)

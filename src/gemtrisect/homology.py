@@ -361,9 +361,8 @@ def pi1_presentation(g):
 def h1(g):
     """First homology of the encoded complex: pi1 abelianised, once per graph.
 
-    Memoised on g under "h1".  A caller that has proven g a sphere
-    stores the trivial group there first (see
-    validation._three_manifold_verdict), and then no pi1 of g is built.
+    Memoised on g under "h1".  The H1 of a residue goes through
+    residue_h1, which a sphere proof can answer without any pi1.
     """
     group = g._memo.get("h1")
     if group is None:
@@ -371,16 +370,36 @@ def h1(g):
     return group
 
 
+def residue_h1(g, res):
+    """H1 of the manifold a residue of g encodes, once per residue.
+
+    Memoised on g under _residue_h1_key(res).  A verdict that proves
+    the residue a 3-sphere stores the trivial group there first (see
+    validation._three_manifold_verdict), and then neither the residue's
+    sub-gem nor its pi1 is built; otherwise this is h1 of the sub-gem,
+    whose pi1 stays memoised on it.  The residue over all colors is g
+    itself, a gem being connected, so its H1 is h1(g).
+    """
+    key = _residue_h1_key(res)
+    group = g._memo.get(key)
+    if group is None:
+        sub = g if len(res.colors) == g.n + 1 else residue_subgem(g, res)[0]
+        group = g._memo[key] = h1(sub)
+    return group
+
+
+def _residue_h1_key(res):
+    return ("h1", res.colors, res.vertices[0])
+
+
 def boundary_h1(g):
     """H1 of the boundary 3-manifold: the residue missing the apex color n.
 
-    Callers have checked that this residue is unique.  It is h1 of the
-    residue's sub-gem, which certification shares: the sub-gem is
-    memoised on g, and its H1 is either the trivial group its sphere
-    verdict stored or the group its H1 fallback computed.
+    Callers have checked that this residue is unique.  It is the
+    residue_h1 that certification shares: the trivial group its sphere
+    verdict stored, or the group its H1 fallback computed.
     """
-    res = residues(g, frozenset(g.colors) - {g.n})[0]
-    return h1(residue_subgem(g, res)[0])
+    return residue_h1(g, residues(g, frozenset(g.colors) - {g.n})[0])
 
 
 def _build_pi1(g):

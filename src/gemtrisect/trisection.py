@@ -169,15 +169,23 @@ def stabilization_set(g, eps):
     {eps0,eps3,apex}-residues; a spanning forest of it (lowest edge ids
     first) is the stabilization set, of size
     g_{eps0,eps3} - g_{eps0,eps3,apex}.
+
+    The forest depends on the pair {eps0, eps3} alone, and the 12
+    cyclic orders of a sweep share 6 pairs, so it is memoised on g by
+    that pair, as _squares is; callers must not mutate it.
     """
     eps = _require_apex(g, eps)
     # the {eps0,eps3}-cycles are the {eps0,eps3}-residues
-    pair = (eps.seq[0], eps.seq[3])
-    cyc_of = residue_labels(g, pair)
-    squares = g.edge_ids(4)
-    ends = ((cyc_of[g.edges[e][0]], cyc_of[g.edges[e][1]]) for e in squares)
-    return tuple(squares[i]
-                 for i in spanning_forest(len(residues(g, pair)), ends))
+    pair = frozenset((eps.seq[0], eps.seq[3]))
+    forest = g._memo.get(("forest", pair))
+    if forest is None:
+        cyc_of = residue_labels(g, pair)
+        squares = g.edge_ids(4)
+        ends = ((cyc_of[g.edges[e][0]], cyc_of[g.edges[e][1]])
+                for e in squares)
+        forest = g._memo[("forest", pair)] = tuple(
+            squares[i] for i in spanning_forest(len(residues(g, pair)), ends))
+    return forest
 
 
 class CollapseOrdering:

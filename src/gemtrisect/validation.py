@@ -10,7 +10,6 @@ it, nontrivial first homology refutes it, anything else stays
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 
@@ -18,22 +17,18 @@ from .embedding import _chi_formula, cyclic_permutations
 from .graphs import (
     DipoleReducer,
     GemError,
-    ResidueCensus,
+    _brief,
     residue_cycle_counts,
     residue_labels,
-    residue_subgem,
     residues,
     is_bipartite,
 )
-from .homology import HomologyGroup, boundary_h1, h1, pi1_presentation
+from .homology import (HomologyGroup, _residue_h1_key, boundary_h1, h1,
+                       pi1_presentation, residue_h1)
 
 SPHERE = "sphere"
 NON_SPHERE = "non-sphere"
 UNKNOWN = "unknown"
-
-
-class PrerequisiteFailed(GemError):
-    pass
 
 
 class NotAGem(GemError):
@@ -107,49 +102,60 @@ def _genus_zero(pair_count, order, cycles):
     return any(_chi_formula(pair_count, seq, order) == 2 for seq in cycles)
 
 
-def _three_manifold_verdict(sub, pair_counts=None, labels=None):
-    """sphere / non-sphere / unknown for a 4-colored graph.
+def _three_manifold_verdict(g, res=None):
+    """sphere / non-sphere / unknown for a 4-colored residue of g.
 
-    Genus 0 for some permutation proves the sphere, and dipole
-    cancellation preserves the manifold, so the test is retried down
-    the reduction chain.  Nontrivial H1 refutes the sphere; anything
+    res defaults to all of g.  Genus 0 for some permutation proves the
+    sphere, and dipole cancellation preserves the manifold, so the test
+    is retried down the reduction chain, which runs on g's own ids and
+    counts (see DipoleReducer).  The permutations are those of the
+    residue's own colors.  Nontrivial H1 refutes the sphere; anything
     else stays undecided.  The Euler characteristic refutes nothing
-    here: callers have proven every 3-residue a 2-sphere, so sub is a
+    here: callers have proven every 3-residue a 2-sphere, so res is a
     closed 3-manifold and has chi = 0.
 
-    pair_counts and labels are sub's bicolored-cycle counts and residue
-    labels, as DipoleReducer takes them; by default sub computes its
-    own, and _classify_colors passes the ones its parent already has.
-
-    A proof stores H1 = 0 as sub's memoised h1, so no caller builds
-    pi1 of a proven sphere again.  That is sound because a 4-colored
-    gem of regular genus 0 represents S^3, and so does every gem its
-    dipole cancellations came from: the complex sub encodes is S^3,
-    whose first homology is trivial.  The differential tests build pi1
-    on fresh copies of every proven sphere to check the claim.
+    A proof stores H1 = 0 as the residue's memoised residue_h1, so no
+    caller builds the sub-gem or pi1 of a proven sphere.  That is sound
+    because a 4-colored gem of regular genus 0 represents S^3, and so
+    does every gem its dipole cancellations came from: the complex res
+    encodes is S^3, whose first homology is trivial.  The differential
+    tests build pi1 on fresh copies of every proven sphere to check the
+    claim.
     """
-    if pair_counts is None:
-        pair_counts = ResidueCensus(sub)
-    cycles = [eps.seq for eps in cyclic_permutations(sub.n)]
-    if _genus_zero(pair_counts, sub.nv, cycles):
-        return _proven_sphere(sub)
-    chain = DipoleReducer(sub, pair_counts, labels)
+    if res is None:
+        res = residues(g, g.colors)[0]
+    cols = sorted(res.colors)
+    cycles = [tuple(cols[i] for i in eps.seq)
+              for eps in cyclic_permutations(len(cols) - 1)]
+    counts = residue_cycle_counts(g, cols)[
+        residue_labels(g, cols)[res.vertices[0]]]
+    if _genus_zero(counts, len(res), cycles):
+        return _proven_sphere(g, res)
+    chain = DipoleReducer(g, res)
     while chain.cancel_next() is not None:
         if _genus_zero(chain.pair_counts, chain.nv, cycles):
             try:
                 chain.graph()   # welds keep a gem; validated once, here
             except GemError:
                 break
-            return _proven_sphere(sub)
-    if h1(sub).min_generators != 0:
+            return _proven_sphere(g, res)
+    if residue_h1(g, res).min_generators != 0:
         return NON_SPHERE
     return UNKNOWN
 
 
-def _proven_sphere(sub):
-    """SPHERE, after storing sub's H1 = 0 for h1 to return."""
-    sub._memo["h1"] = HomologyGroup(0)
+def _proven_sphere(g, res):
+    """SPHERE, after storing the residue's H1 = 0 for residue_h1."""
+    g._memo[_residue_h1_key(res)] = HomologyGroup(0)
     return SPHERE
+
+
+def _require_surface_spheres(g):
+    """Raise NotAGem unless every 3-colored residue is a 2-sphere."""
+    bad = sorted(k for k, v in check_surface_residues(g).items()
+                 if v == NON_SPHERE)
+    if bad:
+        raise NotAGem("3-colored residues are not all spheres: %s" % bad)
 
 
 def classify_colors(g):
@@ -157,54 +163,19 @@ def classify_colors(g):
 
     Returns (singular, undetermined, verdicts) where verdicts maps
     each color to the tuple of its residues' verdicts in residue
-    order.  Requires every 3-colored residue to pass the sphere
-    criterion first.
+    order.  Raises NotAGem unless every 3-colored residue passes the
+    sphere criterion.
     """
-    surface = check_surface_residues(g)
-    bad = [k for k, v in surface.items() if v == NON_SPHERE]
-    if bad:
-        raise PrerequisiteFailed(
-            "3-colored residues fail the sphere criterion: %s"
-            % sorted(bad))
+    _require_surface_spheres(g)
     verdicts = _classify_colors(g)
     return (*_singular_undetermined(verdicts), verdicts)
 
 
 def _classify_colors(g):
-    """Per-color verdicts once the surface residues are known spheres.
-
-    A color's verdicts read their sub-gems' cycle counts and residue
-    labels off g, whose pairs and triples check_surface_residues has
-    labelled: a {c,d}-cycle or a C-residue of g inside a residue R is
-    one of R's sub-gem, so no sub-gem labels residues of its own.
-    """
-    out = {}
-    for c in g.colors:
-        cols = [x for x in g.colors if x != c]      # sub-gem color i
-        rows = residue_cycle_counts(g, cols)
-        out[c] = tuple(
-            _three_manifold_verdict(
-                residue_subgem(g, res)[0],
-                {frozenset(map(cols.index, p)): k for p, k in row.items()},
-                functools.partial(_parent_labels, g, cols, res.vertices))
-            for res, row in zip(residues(g, cols), rows))
-    return out
-
-
-def _parent_labels(g, cols, verts, colors):
-    """residue_labels of a sub-gem's colors, read off its parent g.
-
-    verts are the residue's vertices, so sub-gem vertex x is verts[x],
-    and sub-gem color i is cols[i].  The sub-gem numbers its residues
-    by minimum vertex, as g does, and keeps the order of verts, so
-    renumbering g's labels by first appearance gives its own; when the
-    residue is all of g they are g's labels.
-    """
-    label = residue_labels(g, [cols[i] for i in colors])
-    if len(verts) == g.nv:
-        return label
-    first = {}
-    return [first.setdefault(label[v], len(first)) for v in verts]
+    """Per-color verdicts once the surface residues are known spheres."""
+    return {c: tuple(_three_manifold_verdict(g, res)
+                     for res in residues(g, frozenset(g.colors) - {c}))
+            for c in g.colors}
 
 
 def _singular_undetermined(verdicts):
@@ -232,20 +203,25 @@ def parse_attestations(attest):
             except ValueError:
                 raise GemError(
                     "sphere attestation items must look like c or c:idx, "
-                    "got %r" % item.strip()) from None
+                    "got %s" % _brief(item.strip())) from None
     boundary = attest.pop("boundary", None)
     if boundary is not None:
         m = _BOUNDARY_RE.match(str(boundary).strip())
         if not m:
             raise GemError(
-                "boundary attestation must look like #m(S1xS2), got %r"
-                % boundary)
-        out["boundary"] = int(m.group(1))
+                "boundary attestation must look like #m(S1xS2), got %s"
+                % _brief(boundary))
+        try:
+            out["boundary"] = int(m.group(1))
+        except ValueError:      # past Python's limit on int digits
+            raise GemError("boundary attestation count has too many digits"
+                           ) from None
     sc = attest.pop("simply-connected", attest.pop("simply_connected", None))
     if sc is not None:
         out["simply_connected"] = str(sc).lower() in ("yes", "true", "1")
     if attest:
-        raise GemError("unknown attestation keys: %s" % sorted(attest))
+        raise GemError("unknown attestation keys: [%s]"
+                       % ", ".join(map(_brief, sorted(attest))))
     return out
 
 
@@ -259,10 +235,7 @@ def certify_Gs4(g, attestations=None):
     if g.n != 4:
         raise GemError("classification requires dimension 4")
     apex = 4
-    surface = check_surface_residues(g)
-    bad = sorted(k for k, v in surface.items() if v == NON_SPHERE)
-    if bad:
-        raise NotAGem("3-colored residues are not all spheres: %s" % bad)
+    _require_surface_spheres(g)
 
     apex_key = frozenset(c for c in g.colors if c != apex)
     apex_residues = residues(g, apex_key)
@@ -280,8 +253,8 @@ def certify_Gs4(g, attestations=None):
     upgraded = {c: list(v) for c, v in verdicts.items()}
     for (c, idx) in sorted(att["sphere"]):
         if c not in upgraded or not 0 <= idx < len(upgraded[c]):
-            conflicts.append("sphere attestation %d:%d matches no residue"
-                             % (c, idx))
+            conflicts.append("sphere attestation %s:%s matches no residue"
+                             % (_brief(c), _brief(idx)))
             continue
         cur = upgraded[c][idx]
         if cur == UNKNOWN:
@@ -308,11 +281,12 @@ def certify_Gs4(g, attestations=None):
         h1b = boundary_h1(g)
         if h1b.rank != m or h1b.torsion:
             conflicts.append(
-                "boundary attestation #%d(S1xS2) inconsistent with H1=%r"
-                % (m, h1b))
+                "boundary attestation #%s(S1xS2) inconsistent with H1=%r"
+                % (_brief(m), h1b))
         elif boundary_verdict == SPHERE and m > 0:
             conflicts.append(
-                "boundary attested #%d(S1xS2) but proven a 3-sphere" % m)
+                "boundary attested #%s(S1xS2) but proven a 3-sphere"
+                % _brief(m))
         elif boundary_verdict == NON_SPHERE and m == 0:
             conflicts.append(
                 "boundary attested a 3-sphere but proven otherwise")

@@ -244,9 +244,10 @@ def test_fixed_eps_disables_sweep():
     {"budget": "3"}, {"budget": True}, {"budget": 2.0},
     {"eps": (0, 1, 2, 3, "x")}, {"eps": (0, 1, 2, 3, True)}, {"eps": 5},
     {"sweep": "no"}, {"sweep": 1}, {"apex_color": 2.0},
-    {"apex_color": True},
+    {"apex_color": True}, {"budget": -1}, {"budget": -3},
 ], ids=["budget-str", "budget-bool", "budget-float", "eps-str", "eps-bool",
-        "eps-int", "sweep-str", "sweep-int", "apex-float", "apex-bool"])
+        "eps-int", "sweep-str", "sweep-int", "apex-float", "apex-bool",
+        "budget-minus-1", "budget-minus-3"])
 def test_ill_typed_options_raise_gem_error(options, tmp_path):
     path = tmp_path / "s.gem"
     path.write_text(SPHERE_TEXT)
@@ -255,6 +256,16 @@ def test_ill_typed_options_raise_gem_error(options, tmp_path):
         run_pipeline(gf, options)
     with pytest.raises(GemError):
         batch([str(path)], options)
+
+
+def test_negative_minimize_k_exits_invalid(tmp_path, capsys):
+    # a negative budget would run as 0 under a cache key of its own
+    ok = _write(tmp_path, "ok.gem", SPHERE_TEXT)
+    assert main([ok, "--minimize-k", "-3"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("error: budget must be a non-negative integer"
+            in captured.err)
 
 
 def test_int_valued_options_keep_their_records(datadir_gem):
@@ -611,6 +622,32 @@ def test_large_dimension_header_exits_invalid_briefly(tmp_path, capsys, n):
     assert main([bad]) == EXIT_INVALID
     line, = capsys.readouterr().out.splitlines()
     assert "error exit=1" in line and len(line.encode()) < 200
+
+
+@pytest.mark.parametrize("attest, code", [
+    ("boundary=#%s(S1xS2)" % ("7" * 5000), EXIT_INVALID),
+    ("sphere=1:%s" % ("7" * 5000), EXIT_INVALID),
+    ("boundary=#%s(S1xS2)" % ("7" * 3000), EXIT_OK),
+    ("sphere=1:%s" % ("7" * 3000), EXIT_OK),
+], ids=["boundary-5000-digits", "sphere-5000-digits", "boundary-3000-digits",
+        "sphere-3000-digits"])
+def test_long_attestation_integers_stay_brief(tmp_path, capsys, attest,
+                                              code):
+    # 5000 digits are past Python's limit on int digits: a refusal, not
+    # a traceback; 3000 digits parse, and the conflict names the count
+    # by its size
+    path = _write(tmp_path, "a.gem", "gem n=4\nattest %s\n%s" % (
+        attest, "".join("0 1 %d\n" % c for c in range(5))))
+    assert main([path]) == code
+    line, = capsys.readouterr().out.splitlines()
+    assert len(line.encode()) < 200
+    row, = batch([path])
+    rec = json.loads(row.record_bytes)
+    messages = [rec["error"] or ""]
+    if rec["report"]:
+        messages += rec["report"]["conflicts"]
+    assert (code == EXIT_OK) == (len(messages) == 2)
+    assert all(len(m) < 120 for m in messages), messages
 
 
 # a path of 2000 edges colored 0/1 on 2001 vertices under n = 1999 has

@@ -4,6 +4,7 @@ Residue counts asserted here were derived with the miniature
 component counter below, which shares no code with the package.
 """
 
+import itertools
 import random
 
 import pytest
@@ -22,7 +23,6 @@ from gemtrisect.graphs import (
     build_graph,
     connected_sum,
     is_bipartite,
-    residue_census,
     residue_labels,
     residue_subgem,
     residues,
@@ -201,28 +201,24 @@ def test_edge_order_canonical(blob4_gem):
 
 
 def test_sphere_residue_counts(s4_gem):
-    census = residue_census(s4_gem)
-    for key, count in census.items():
-        assert count == 1, key
-    assert census.g_of(0, 1, 2, 3) == 1
+    for r in (2, 3, 4):
+        for sub in itertools.combinations(range(5), r):
+            assert len(residues(s4_gem, sub)) == 1, sub
 
 
 def test_blob_gem_residue_counts(blob4_gem):
-    census = residue_census(blob4_gem)
     for a in range(5):
         for b in range(a + 1, 5):
-            expect = _oracle_census(blob4_gem, {a, b})
-            assert census.g_of(a, b) == expect
-            assert census.g_of(a, b) == (1 if 4 in (a, b) else 2)
+            count = len(residues(blob4_gem, (a, b)))
+            assert count == _oracle_census(blob4_gem, {a, b})
+            assert count == (1 if 4 in (a, b) else 2)
 
 
 def test_residue_counts_match_oracle_on_corpus():
-    import itertools
     for g in embedding_corpus(count=12, seed=5):
-        census = residue_census(g)
         for r in (2, 3):
             for sub in itertools.combinations(range(5), r):
-                assert census.g_of(*sub) == _oracle_census(g, set(sub))
+                assert len(residues(g, sub)) == _oracle_census(g, set(sub))
 
 
 def test_empty_colorset_residues(s4_gem):
@@ -269,7 +265,6 @@ def _label_corpus(seed=3):
 
 
 def test_residue_labels_match_component_bfs():
-    import itertools
     for g in _label_corpus():
         subsets = [frozenset(sub) for r in range(g.n + 2)
                    for sub in itertools.combinations(g.colors, r)]
@@ -310,7 +305,6 @@ def test_spanning_forest_by_hand():
 
 
 def test_spanning_forest_counts_bfs_components():
-    import itertools
     for g in _label_corpus():
         for r in range(g.n + 1):
             for cs in itertools.combinations(g.colors, r):

@@ -9,25 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemtrisect.cli import GemFile, relabel_apex
+from gemtrisect.diagrams import assemble_diagram
 from gemtrisect.embedding import cyclic_permutations, rho
 from gemtrisect.graphs import (
     DipoleReducer,
     GemError,
     blob_insert,
     build_graph,
-    residue_labels,
     residue_subgem,
     residues,
 )
-from gemtrisect.homology import (HomologyGroup, boundary_h1, chain_complex,
-                                 pi1_presentation)
+from gemtrisect.homology import (HomologyGroup, bound_ledger, boundary_h1,
+                                 chain_complex, pi1_presentation)
+from gemtrisect.trisection import sweep
 from gemtrisect.validation import (
     NON_SPHERE,
     SPHERE,
     UNKNOWN,
     MultipleApexResidues,
     NotAGem,
-    PrerequisiteFailed,
     certify_Gs4,
     check_surface_residues,
     classify_colors,
@@ -61,9 +61,10 @@ def test_surface_criterion_flags_torus():
     g = _torus_inside_gem()
     verdicts = check_surface_residues(g)
     assert verdicts[((0, 1, 2), 0)] == NON_SPHERE
+    # one condition, one exception, from one check
     with pytest.raises(NotAGem):
         certify_Gs4(g)
-    with pytest.raises(PrerequisiteFailed):
+    with pytest.raises(NotAGem):
         classify_colors(g)
 
 
@@ -356,16 +357,27 @@ def _reference_chain(sub):
         cur = cancel_dipole(cur, u, v, colors)
 
 
-def _reducer_chain(sub, pair_counts=None, labels=None):
-    """The same chain on a DipoleReducer; mirrors _three_manifold_verdict."""
-    cycles = [eps.seq for eps in cyclic_permutations(sub.n)]
-    chain = DipoleReducer(sub, pair_counts, labels)
+def _reducer_chain(g, res=None):
+    """The same chain on a DipoleReducer; mirrors _three_manifold_verdict.
+
+    The chain runs on the residue res of g (all of g by default) in g's
+    ids; its dipoles are mapped to the ids and colors of the residue's
+    sub-gem, which numbers both in g's order.
+    """
+    if res is None:
+        res = residues(g, g.colors)[0]
+    cols = sorted(res.colors)
+    vmap = {v: i for i, v in enumerate(res.vertices)}
+    cycles = [tuple(cols[i] for i in eps.seq)
+              for eps in cyclic_permutations(len(cols) - 1)]
+    chain = DipoleReducer(g, res)
     dipoles = []
     while not _genus_zero(chain.pair_counts, chain.nv, cycles):
         dip = chain.cancel_next()
         if dip is None:
             return dipoles, chain.graph(), False
-        dipoles.append(dip)
+        u, v, colors = dip
+        dipoles.append((vmap[u], vmap[v], frozenset(map(cols.index, colors))))
     return dipoles, chain.graph(), True
 
 
@@ -427,37 +439,82 @@ def test_dipole_reducer_matches_reference_chain():
     assert subs >= 400 and dipoles >= 1000 and unfinished >= 30
 
 
-def test_verdicts_seeded_from_the_parent_match_reference_chain(monkeypatch):
-    # _classify_colors hands each sub-gem its parent's cycle counts and
-    # residue labels; catch them, rerun the chain from them, and compare
-    # with the reference chain on a fresh copy of the sub-gem
+def _scanned_subgem(g, res):
+    """The residue's gem, built from a scan of g's edges: no memo shared."""
+    cmap = {c: i for i, c in enumerate(sorted(res.colors))}
+    vmap = {v: i for i, v in enumerate(res.vertices)}
+    return build_graph(len(cmap) - 1, [
+        (vmap[u], vmap[v], cmap[c]) for u, v, c in g.edges
+        if c in cmap and u in vmap])
+
+
+def _check_residue_chains(g):
+    """Chains and verdicts on g's residues against the reference chain.
+
+    Every residue missing one color runs its chain on g; the mapped
+    dipoles, the end graph and the verdict must equal the reference
+    chain's on a fresh sub-gem.  Returns the number of colors whose
+    complement splits into several residues.
+    """
     import gemtrisect.validation as validation
 
-    seeded = []
-    verdict = validation._three_manifold_verdict
-    monkeypatch.setattr(validation, "_three_manifold_verdict",
-                        lambda *args: seeded.append(args) or verdict(*args))
-    split = 0
-    for g in _chain_corpus():
-        check_surface_residues(g)
-        seeded.clear()
-        verdicts = validation._classify_colors(g)
-        expect = []
-        for sub, pair_counts, labels in seeded:
-            fresh = build_graph(sub.n, sub.edges)
-            assert pair_counts == {frozenset(p): len(residues(fresh, p))
-                                   for p in itertools.combinations(range(4), 2)}
-            for cs in itertools.chain(itertools.combinations(range(4), 2),
-                                      itertools.combinations(range(4), 3)):
-                assert list(labels(cs)) == list(residue_labels(fresh, cs))
+    check_surface_residues(g)
+    verdicts = validation._classify_colors(g)
+    for c in g.colors:
+        split = residues(g, frozenset(g.colors) - {c})
+        assert len(split) == len(verdicts[c])
+        for res, verdict in zip(split, verdicts[c]):
+            fresh = _scanned_subgem(g, res)
             ref = _reference_chain(fresh)
-            assert _reducer_chain(sub, pair_counts, labels) == ref
-            expect.append(SPHERE if ref[2] else _fallback(fresh))
-        assert [v for c in g.colors for v in verdicts[c]] == expect
-        split += sum(len(vs) > 1 for vs in verdicts.values())
-    # colors with several 4-residues, where a count filed under the
-    # wrong residue would show
-    assert split >= 50
+            assert _reducer_chain(g, res) == ref
+            assert verdict == (SPHERE if ref[2] else _fallback(fresh))
+    return sum(len(vs) > 1 for vs in verdicts.values())
+
+
+def test_verdicts_seeded_from_the_parent_match_reference_chain():
+    # colors with several 4-residues, where a count or a label read off
+    # the wrong residue of g would show
+    assert sum(_check_residue_chains(g) for g in _chain_corpus()) >= 50
+
+
+@pytest.mark.slow
+def test_residue_chains_match_reference_chain_on_random_sums():
+    """Seeded fuzz: random-weld sums of all four fixtures, plus blobs.
+
+    Blobs go on any color, so colors split into several residues.  Kept
+    out of the default run: its 600 gems take about 11 s on one core
+    of a 2-CPU virtual machine.
+    """
+    rng = random.Random(1517)
+    fixtures = [fixture_graph(name) for name in FIXTURES_4D]
+    split = 0
+    for _ in range(600):
+        g = rng.choice(fixtures)
+        for _ in range(rng.randrange(0, 5)):
+            g = weld(g, rng.choice(fixtures), rng)
+        g = grow_gem(g, rng.randrange(0, 6), rng)
+        split += _check_residue_chains(shuffled(g, rng))
+    assert split >= 1000
+
+
+def test_pipeline_builds_no_subgem():
+    # every 4-residue of a #8 chain sum is proven a 3-sphere on g
+    # itself, and the ledger's and the verifier's boundary H1 is the
+    # one that proof stored, so no stage builds a residue's sub-gem
+    rng = random.Random(8)
+    fixture = g = fixture_graph("projective_plane_like.gem")
+    for _ in range(7):
+        g = weld(g, fixture, rng, at=(1, 0))
+    g = shuffled(g, rng)
+    rep = certify_Gs4(g)
+    assert rep.gs4_member and rep.closed
+    best = sweep(g, cyclic_permutations(4))
+    assert best.genus == 8
+    ledger = bound_ledger(g, best.eps, best, rep.boundary_spheres)
+    assert ledger.violations() == []
+    assert assemble_diagram(g, best.eps, best).record.ok
+    assert [k for k in g._memo
+            if isinstance(k, tuple) and k[0] == "subgem"] == []
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -534,13 +591,9 @@ def test_trusted_subgems_equal_built_ones():
     for g in _h1_corpus():
         for r in range(2, g.n + 2):
             for cs in itertools.combinations(g.colors, r):
-                cmap = {c: i for i, c in enumerate(cs)}
                 for res in residues(g, cs):
-                    sub, vmap, _ = residue_subgem(g, res)
-                    # the residue's edges found by scanning the parent
-                    ref = build_graph(r - 1, [
-                        (vmap[u], vmap[v], cmap[c]) for u, v, c in g.edges
-                        if c in cmap and u in vmap])
+                    sub = residue_subgem(g, res)[0]
+                    ref = _scanned_subgem(g, res)
                     assert (sub.n, sub.nv, sub.edges, sub._inc) == (
                         ref.n, ref.nv, ref.edges, ref._inc)
 
