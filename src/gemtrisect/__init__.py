@@ -6,4 +6,4 @@ of curves on a surface whose genus is read off the graph's regular
 embeddings.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

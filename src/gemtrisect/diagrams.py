@@ -4,8 +4,8 @@ The three systems live combinatorially on the surface built by
 `stabilized_surface`: alpha and beta are bicolored cycles of the two
 color pairs that avoid the apex (minus a spanning forest's worth per
 wall graph, plus the handle meridians), gamma is the surviving part of
-the square-complex 1-skeleton, rewritten through witness cycles until
-no apex edge remains.
+the square-complex 1-skeleton, its shortest cycles, rewritten through
+witness cycles until no apex edge remains.
 
 Verification is homological plus cut-combinatorial, on the oriented
 rotation scheme of the surface: every rotation reads counterclockwise,
@@ -33,8 +33,9 @@ import json
 from .embedding import _permutation, stabilized_surface
 from .graphs import (GemError, bicolored_cycles, residue_labels, residues,
                      spanning_forest)
-from .homology import HomologyGroup, _cokernel, _gf2_rank_bits, boundary_h1
-from .trisection import build_Q
+from .homology import (HomologyGroup, _cokernel, _gf2_rank_bits, boundary_h1,
+                       euler_characteristic)
+from .trisection import build_Q, cycle_sizes
 
 
 class CountMismatch(GemError):
@@ -155,9 +156,14 @@ def alpha_beta_curves(g, eps, certificate):
 def gamma_curves(Q, certificate):
     """Expand the non-witness, non-forest {apex,i}-cycles to surface walks.
 
-    Every apex edge inside a surviving cycle is rewritten: stabilized
-    edges become handle traversals, collapsed edges are replaced by the
-    rest of their witness cycle, walked against the cycle orientation.
+    The forest over the kept cycles takes the longest first (see
+    _gamma_forest), so the cycles it leaves out, gamma, have the least
+    total expanded size a spanning forest can leave; only those are
+    expanded, in Q1 edge order.  Every
+    apex edge inside a surviving cycle is rewritten: stabilized edges
+    become handle traversals, collapsed edges are replaced by the rest
+    of their witness cycle, walked against the cycle orientation, and
+    collapse_schedule picked each witness as the shortest on offer.
     The ordering property bounds the rewriting depth by the number of
     squares; exceeding it raises ExpansionDiverged.
     """
@@ -172,9 +178,8 @@ def gamma_curves(Q, certificate):
     if len(witness_set) != len(ordering.collapsed):
         raise GemError("witness cycles are not distinct")
 
-    kept = [edge for edge in Q.q1_edges if edge.index not in witness_set]
-    forest = {kept[i].index for i in spanning_forest(
-        len(Q.q1_nodes), (Q.edge_nodes[edge.index] for edge in kept))}
+    forest = _gamma_forest(Q, [edge.index for edge in Q.q1_edges
+                               if edge.index not in witness_set], ordering)
 
     cache = {}
     in_progress = set()
@@ -226,6 +231,27 @@ def gamma_curves(Q, certificate):
         gamma.append(Curve("gamma", _reduce(steps, _step_inverse),
                            edge.index))
     return gamma
+
+
+def _gamma_forest(Q, kept, ordering):
+    """The kept Q1 edges that a spanning forest of the Q1 graph takes.
+
+    Gamma is what the forest leaves out, and any spanning forest leaves
+    a complete meridian system of the handlebody.  So the forest takes
+    the longest cycles first by cycle_sizes, ties to the lowest index:
+    greedy, that is a forest of greatest total size, and gamma keeps
+    the shortest.  When the forest takes every kept
+    edge, gamma is empty whatever the order, and no size is computed.
+    """
+    def grow(order):
+        return {order[i] for i in spanning_forest(
+            len(Q.q1_nodes), (Q.edge_nodes[idx] for idx in order))}
+
+    forest = grow(kept)
+    if len(forest) < len(kept):
+        size_on = cycle_sizes(Q, ordering)
+        forest = grow(sorted(kept, key=lambda idx: (-size_on[idx], idx)))
+    return forest
 
 
 def _step_inverse(s):
@@ -513,7 +539,12 @@ def verify_diagram(diagram):
     counts, alpha/beta disjointness, Z/2 rank per system, the cut test
     per system (crossing-free strand resolution with connected
     complement), the (alpha, beta) pairing against the boundary
-    homology, and the gamma cokernel ranks as k1/k2 candidates.
+    homology, and the gamma cokernels.  With k1 and k2 the ranks of
+    the (alpha, gamma) and (beta, gamma) cokernels and k3 the pairing's
+    rank, a closed-mode diagram must have torsion-free k1 and k2 and
+    2 + g - k1 - k2 - k3 equal to the gem's Euler characteristic, as
+    a trisection of a closed 4-manifold has (Feller, Klug, Schirmer and
+    Zemke, PNAS 2018); bounded mode records the ranks unchecked.
 
     A resolved system of k curves cuts the surface into 1 + k - rank
     pieces, rank being its Z/2 rank (each independent Z/2 relation
@@ -627,10 +658,14 @@ def verify_diagram(diagram):
         gcok[kname] = cok.rank
         gcok[kname + "_torsion"] = list(cok.torsion)
     gcok["pass"] = True
+    if diagram.mode == "trisection":
+        gcok["chi"] = euler_characteristic(surf.graph)
+        gcok["chi_diagram"] = 2 + g_ - gcok["k1"] - gcok["k2"] - pairing.rank
+        gcok["pass"] = (not gcok["k1_torsion"] and not gcok["k2_torsion"]
+                        and gcok["chi"] == gcok["chi_diagram"])
     checks["gamma_cokernels"] = gcok
 
-    ok = all(checks[c]["pass"] for c in
-             ("counts", "disjoint", "z2", "cut", "pairing_ab"))
+    ok = all(check["pass"] for check in checks.values())
     record = VerificationRecord(checks, ok, notes)
     diagram.record = record
     return record

@@ -551,11 +551,18 @@ class DipoleReducer:
     residue's vertices and labels, so once g has labelled its residues
     a chain costs O(len(res)) to set up however large g is.
 
+    chi[j] is the Euler characteristic of the regular embedding for
+    the color sequence cycles[j], as embedding._chi_formula computes it
+    from pair_counts and nv: the sum of the counts of the sequence's
+    consecutive pairs, plus (2 - len(sequence)) * nv / 2.  A
+    cancellation changes it by the counts it lowers and the two
+    vertices it drops, so it is kept up to date, not re-summed.
+
     Welds keep the graph proper and regular; graph() rebuilds the
     current graph through build_graph, which validates it.
     """
 
-    def __init__(self, g, res=None):
+    def __init__(self, g, res=None, cycles=()):
         if res is None:
             res = residues(g, g.colors)[0]
         colors = self._colors = res.colors
@@ -563,6 +570,18 @@ class DipoleReducer:
         self.nv = len(res)
         self.pair_counts = dict(residue_cycle_counts(g, colors)[
             residue_labels(g, colors)[res.vertices[0]]])
+        # per pair, the sequences it is a consecutive pair of, with
+        # multiplicity; per sequence, the shift when two vertices go
+        self._seqs_of = {pair: [] for pair in self.pair_counts}
+        self._shift = [len(seq) - 2 for seq in cycles]
+        self.chi = []
+        for j, seq in enumerate(cycles):
+            keys = [frozenset((c, seq[(i + 1) % len(seq)]))
+                    for i, c in enumerate(seq)]
+            for key in keys:
+                self._seqs_of[key].append(j)
+            self.chi.append(sum(self.pair_counts[key] for key in keys)
+                            - self._shift[j] * (self.nv // 2))
         # the live vertices, each with its neighbor by color
         self._nbr = {v: {c: g.neighbor(v, c)[0] for c in colors}
                      for v in res.vertices}
@@ -607,9 +626,14 @@ class DipoleReducer:
         nbr = self._nbr
         nu, nw = nbr.pop(u), nbr.pop(v)
         self.nv -= 2
-        for pair in self.pair_counts:
+        chi = self.chi
+        for j, shift in enumerate(self._shift):
+            chi[j] += shift
+        for pair, seqs in self._seqs_of.items():
             if pair <= colors or not pair & colors:
                 self.pair_counts[pair] -= 1
+                for j in seqs:
+                    chi[j] -= 1
         # when cset meets colors, u and v already share a residue
         for cset, (_, parent) in self._uf.items():
             if not cset & colors:

@@ -58,10 +58,12 @@ class QComplex:
     """Squares (apex edges) glued along {apex,i}-cycles.
 
     sides[e][i] is the q1 edge index of the {apex,i}-cycle through
-    square e.  q1_nodes[j] = (colorset, residue) for the mixed
-    3-residues, the colorsets being {i, j, apex} with i from the even
-    and j from the odd positions of eps; edge_nodes[idx] is the pair of
-    q1 node ids that q1 edge idx joins, low first.
+    square e; q1 edges are numbered color by color, and sides[e] lists
+    them by color, so by ascending index.  q1_nodes[j] = (colorset,
+    residue) for the mixed 3-residues, the colorsets being {i, j, apex}
+    with i from the even and j from the odd positions of eps;
+    edge_nodes[idx] is the pair of q1 node ids that q1 edge idx joins,
+    low first.
 
     Only q1_nodes and edge_nodes depend on eps.  A square is an apex
     edge and its sides are the {apex,i}-cycles through it, so the gem
@@ -221,7 +223,10 @@ def collapse_schedule(Q, stabilized):
     Q is a QComplex, or the eps-free parts of one: only its squares,
     sides and q1_edges are read.  A square is schedulable when one of
     its four cycles has no other unplaced square.  Ties break to the
-    lowest square id, then the lowest q1 edge index for the witness.
+    lowest square id.  Of the cycles that free a square, the witness is
+    the one of least expanded size (see cycle_sizes), then of lowest q1
+    edge index, so the diagram rewrites each collapsed square by the
+    shortest walk on offer; the choice leaves the collapse order alone.
     Raises Incomplete when the residual squares all sit on cycles with
     two or more of them.
     """
@@ -232,18 +237,21 @@ def collapse_schedule(Q, stabilized):
             raise GemError("edge %d is not a square of the complex" % e)
 
     unplaced_on = [set(edge.squares) for edge in Q.q1_edges]
+    size_on = _step_counts(Q)
     placed = set()
     heap = []
 
-    def place(e):
+    def place(e, size):
         placed.add(e)
         for idx in Q.sides[e].values():
-            unplaced_on[idx].discard(e)
-            if len(unplaced_on[idx]) == 1:
-                heapq.heappush(heap, (next(iter(unplaced_on[idx])), idx))
+            size_on[idx] += size
+            on = unplaced_on[idx]
+            on.discard(e)
+            if len(on) == 1:
+                heapq.heappush(heap, (next(iter(on)), idx))
 
     for e in stabilized:
-        place(e)
+        place(e, 1)
     for idx, on in enumerate(unplaced_on):
         if len(on) == 1:
             heapq.heappush(heap, (next(iter(on)), idx))
@@ -252,18 +260,53 @@ def collapse_schedule(Q, stabilized):
     witnesses = []
     while heap:
         e, idx = heapq.heappop(heap)
-        if e in placed or unplaced_on[idx] != {e}:
+        # a queued square stays alone on its cycle until it is placed
+        if e in placed:
             continue
-        # e may sit alone on several cycles; report the lowest one
-        best = min(i for i in Q.sides[e].values() if unplaced_on[i] == {e})
+        # e may sit alone on several cycles; they come by ascending
+        # index, and min keeps the first of equal sizes
+        best = min((i for i in Q.sides[e].values()
+                    if len(unplaced_on[i]) == 1), key=size_on.__getitem__)
         collapsed.append(e)
         witnesses.append((Q.q1_edges[best].color, best))
-        place(e)
+        place(e, size_on[best])
 
     if len(placed) != len(Q.squares):
         residual = [e for e in Q.squares if e not in placed]
         raise Incomplete(residual, (len(s) for s in unplaced_on))
     return CollapseOrdering(stabilized, collapsed, witnesses)
+
+
+def _step_counts(Q):
+    """Non-apex step count of each Q1 edge: one per square on its cycle."""
+    return [len(edge.squares) for edge in Q.q1_edges]
+
+
+def cycle_sizes(Q, ordering):
+    """Expanded size of each Q1 edge's walk under an ordering.
+
+    The diagram rewrites a stabilized square as one handle step and a
+    collapsed square as the rest of its witness cycle, so a square's
+    expanded size is 1 when stabilized, and otherwise the size of its
+    witness cycle without it.  A cycle's size is its non-apex step
+    count, one per square since the cycle alternates colors, plus the
+    sizes of its squares.  Summed in placement order, a cycle holds
+    every placed square's size, so when a square is collapsed its
+    witness holds the others' sizes: collapse_schedule keeps the same
+    sums to pick each witness, and this replays a finished ordering.
+    Integers only, so the sums are exact.
+    """
+    size_on = _step_counts(Q)
+
+    def place(e, size):
+        for idx in Q.sides[e].values():
+            size_on[idx] += size
+
+    for e in ordering.stabilized:
+        place(e, 1)
+    for e, (_, idx) in zip(ordering.collapsed, ordering.witnesses):
+        place(e, size_on[idx])
+    return size_on
 
 
 def verify_ordering(Q, ordering):

@@ -131,9 +131,9 @@ def _three_manifold_verdict(g, res=None):
         residue_labels(g, cols)[res.vertices[0]]]
     if _genus_zero(counts, len(res), cycles):
         return _proven_sphere(g, res)
-    chain = DipoleReducer(g, res)
+    chain = DipoleReducer(g, res, cycles)
     while chain.cancel_next() is not None:
-        if _genus_zero(chain.pair_counts, chain.nv, cycles):
+        if 2 in chain.chi:
             try:
                 chain.graph()   # welds keep a gem; validated once, here
             except GemError:

@@ -6,11 +6,13 @@ reads the whole chain complex, the one-pair intersection count, the
 pairwise chord-crossing test, the pairwise lane comparator, the central
 surface built with sign-reversing edges, the square complex built whole
 for each cyclic order, the sweep that schedules every order afresh,
-the dipole chain that rebuilds the graph
+the witness and gamma forest rules that took the lowest index whatever
+the curve length, the dipole chain that rebuilds the graph
 after every cancellation, and the gem check that scans every vertex
 for missing colors after filling a full incidence table.
 """
 
+import heapq
 from collections import deque
 from functools import cmp_to_key
 from types import SimpleNamespace
@@ -20,9 +22,10 @@ from gemtrisect.embedding import RotationScheme, _permutation
 from gemtrisect.graphs import (ColoredGraph, DisconnectedError, GemError,
                                LoopEdgeError, NotProperError, NotRegularError,
                                bicolored_cycles, build_graph, is_bipartite,
-                               residue_labels, residues)
+                               residue_labels, residues, spanning_forest)
 from gemtrisect.homology import GroupPresentation, _rotations, chain_complex
-from gemtrisect.trisection import _require_apex, minimize_k
+from gemtrisect.trisection import (CollapseOrdering, Incomplete,
+                                   _require_apex, minimize_k)
 
 
 def _free_reduce(word):
@@ -349,6 +352,65 @@ def sweep(g, orders, budget=0, mode="closed"):
         if best is None or cert.sort_key() < best.sort_key():
             best = cert
     return best
+
+
+def collapse_schedule(Q, stabilized):
+    """The greedy collapse with each witness the lowest-index free cycle.
+
+    Same collapse order as trisection.collapse_schedule, which picks the
+    free cycle of least expanded size instead.
+    """
+    stabilized = tuple(sorted(set(stabilized)))
+    unplaced_on = [set(edge.squares) for edge in Q.q1_edges]
+    placed = set()
+    heap = []
+
+    def place(e):
+        placed.add(e)
+        for idx in Q.sides[e].values():
+            unplaced_on[idx].discard(e)
+            if len(unplaced_on[idx]) == 1:
+                heapq.heappush(heap, (next(iter(unplaced_on[idx])), idx))
+
+    for e in stabilized:
+        place(e)
+    for idx, on in enumerate(unplaced_on):
+        if len(on) == 1:
+            heapq.heappush(heap, (next(iter(on)), idx))
+    collapsed, witnesses = [], []
+    while heap:
+        e, idx = heapq.heappop(heap)
+        if e in placed or unplaced_on[idx] != {e}:
+            continue
+        best = min(i for i in Q.sides[e].values() if unplaced_on[i] == {e})
+        collapsed.append(e)
+        witnesses.append((Q.q1_edges[best].color, best))
+        place(e)
+    if len(placed) != len(Q.squares):
+        raise Incomplete([e for e in Q.squares if e not in placed],
+                         (len(s) for s in unplaced_on))
+    return CollapseOrdering(stabilized, collapsed, witnesses)
+
+
+def gamma_forest(Q, kept, ordering):
+    """The kept Q1 edges a spanning forest takes, in index order."""
+    return {kept[i] for i in spanning_forest(
+        len(Q.q1_nodes), (Q.edge_nodes[idx] for idx in kept))}
+
+
+def square_sizes(Q, ordering):
+    """Expanded size of each square, read off its witness cycle's steps.
+
+    1 for a stabilized square; for a collapsed one, each other step of
+    its witness cycle counts 1 if it avoids the apex and its square's
+    size if not.  The ordering places those squares first.
+    """
+    g = Q.graph
+    size = {e: 1 for e in ordering.stabilized}
+    for e, (_, idx) in zip(ordering.collapsed, ordering.witnesses):
+        size[e] = sum(size[eid] if g.edges[eid][2] == g.n else 1
+                      for eid, _ in Q.q1_edges[idx].cycle.steps if eid != e)
+    return size
 
 
 def find_dipole(g):

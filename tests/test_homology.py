@@ -26,6 +26,7 @@ from gemtrisect.homology import (
     bound_ledger,
     boundary_h1,
     chain_complex,
+    euler_characteristic,
     h1,
     homology,
     pi1_presentation,
@@ -152,6 +153,27 @@ def test_euler_characteristic_equals_betti_alternation():
         h = homology(g)
         assert cc.euler_characteristic() == sum(
             (-1) ** d * grp.rank for d, grp in enumerate(h))
+
+
+def test_euler_characteristic_from_residue_counts():
+    # against the chain complex's cells, on gems of both dimensions and
+    # on sums: #m of the CP^2-like fixture has chi = 2 + m
+    gems = embedding_corpus(count=15) + pipeline_corpus(count=15)
+    gems += [torus_gem(), prism_gem(), k4_gem()]
+    rng = random.Random(3)
+    for name in ("projective_plane_like.gem", "nonzero_forest.gem",
+                 "bounded_s1s2.gem"):
+        fixture = g = fixture_graph(name)
+        for _ in range(3):
+            gems.append(g)
+            g = weld(g, fixture, rng)
+    for g in gems:
+        assert euler_characteristic(g) == (
+            chain_complex(g).euler_characteristic())
+    fixture = g = fixture_graph("projective_plane_like.gem")
+    for m in range(1, 5):
+        assert euler_characteristic(g) == 2 + m
+        g = weld(g, fixture, rng)
 
 
 def test_z2_betti_alternation_matches_chi():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gemtrisect.cli import GemFile, relabel_apex
 from gemtrisect.diagrams import assemble_diagram
-from gemtrisect.embedding import cyclic_permutations, rho
+from gemtrisect.embedding import _chi_formula, cyclic_permutations, rho
 from gemtrisect.graphs import (
     DipoleReducer,
     GemError,
@@ -437,6 +437,28 @@ def test_dipole_reducer_matches_reference_chain():
             unfinished += not ref[2]
     # the corpus must reach deep chains and chains that end unproven
     assert subs >= 400 and dipoles >= 1000 and unfinished >= 30
+
+
+def test_dipole_reducer_keeps_chi_sums_up_to_date():
+    # the chain of every residue missing one color, run on g itself as
+    # the verdict runs it: after each cancellation the kept sums equal
+    # the ones re-summed from the pair counts
+    steps = 0
+    for g in _chain_corpus():
+        for c in g.colors:
+            for res in residues(g, frozenset(g.colors) - {c}):
+                cols = sorted(res.colors)
+                cycles = [tuple(cols[i] for i in eps.seq)
+                          for eps in cyclic_permutations(len(cols) - 1)]
+                chain = DipoleReducer(g, res, cycles)
+                while True:
+                    assert chain.chi == [
+                        _chi_formula(chain.pair_counts, seq, chain.nv)
+                        for seq in cycles]
+                    if chain.cancel_next() is None:
+                        break
+                    steps += 1
+    assert steps >= 1000
 
 
 def _scanned_subgem(g, res):
