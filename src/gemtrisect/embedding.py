@@ -81,11 +81,14 @@ def _canonical(seq):
     return rot if rot[0] < rev[0] else rev
 
 
+@functools.lru_cache(maxsize=8)
 def cyclic_permutations(n):
     """The n!/2 canonical cyclic permutations of the colors 0..n.
 
     Rotations and the reversal of a cycle are identified, so the
-    (n+1)! orderings fall into classes of 2(n+1).
+    (n+1)! orderings fall into classes of 2(n+1).  Memoised, and a
+    tuple so that no caller can change what the next one gets: a run
+    asks for the 4-color orders once per 3-manifold verdict.
     """
     import itertools
     seen = set()
@@ -96,7 +99,7 @@ def cyclic_permutations(n):
             seen.add(cp.seq)
             out.append(cp)
     out.sort(key=lambda cp: cp.seq)
-    return out
+    return tuple(out)
 
 
 # -- census-formula genus ------------------------------------------------

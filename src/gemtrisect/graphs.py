@@ -11,9 +11,11 @@ endpoint) and are addressed everywhere by their index in that order.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
-from collections import deque
+import operator
+from collections import deque, namedtuple
 
 
 class GemError(ValueError):
@@ -133,9 +135,15 @@ class ColoredGraph:
         return range(self.n + 1)
 
     def edge_ids(self, color=None):
+        """Ids of all edges, or of one color's: a contiguous range.
+
+        Edges are sorted by color and each color pairs up the vertices,
+        so color c owns ids c * nv / 2 up to (c + 1) * nv / 2.
+        """
         if color is None:
             return range(len(self.edges))
-        return [i for i, (u, v, c) in enumerate(self.edges) if c == color]
+        half = self.nv // 2
+        return range(color * half, (color + 1) * half)
 
     def incident(self, v, c):
         """Edge id of the unique c-colored edge at vertex v."""
@@ -233,11 +241,18 @@ def residue_labels(g, colorset):
 
 
 def _label_residues(g, colorset):
-    """Residues and labels of one color set from one pass, cached together.
+    """Residues and labels of one color set, cached together.
 
-    Starting each residue at the first unlabelled vertex numbers the
-    residues by minimum vertex.
+    A set of three or more colors whose subset without its largest
+    color is memoised is joined from that subset (_join_residues); any
+    other set is walked in one pass.  Starting each residue at the
+    first unlabelled vertex numbers the residues by minimum vertex.
     """
+    if len(colorset) >= 3:
+        top = max(colorset)
+        base = g._memo.get(colorset - {top})
+        if base is not None:
+            return _join_residues(g, colorset, base, top)
     edges = g.edges
     inc = g._inc
     label = [-1] * g.nv
@@ -262,6 +277,48 @@ def _label_residues(g, colorset):
     return cached
 
 
+def _join_residues(g, colorset, base, c):
+    """Residues and labels of colorset from base, those of colorset - {c}.
+
+    Each residue of colorset - {c} lies in one of colorset, and the
+    c-colored edges, one slice of g.edges, join them.  The union-find
+    over base labels keeps each group's least label as its root, so the
+    groups, numbered in order of their roots and filled in vertex order,
+    stay numbered by minimum vertex and list their vertices sorted.
+    """
+    base_res, base_label = base
+    parent = list(range(len(base_res)))
+    ids = g.edge_ids(c)
+    for a, b, _ in g.edges[ids.start:ids.stop]:
+        ra, rb = base_label[a], base_label[b]
+        while parent[ra] != ra:
+            parent[ra] = ra = parent[parent[ra]]
+        while parent[rb] != rb:
+            parent[rb] = rb = parent[parent[rb]]
+        if ra < rb:
+            parent[rb] = ra
+        elif rb < ra:
+            parent[ra] = rb
+    # parent[x] <= x, so each label's group is numbered before it is read
+    new_of = []
+    count = 0
+    for x, p in enumerate(parent):
+        if p == x:
+            new_of.append(count)
+            count += 1
+        else:
+            new_of.append(new_of[p])
+    label = [new_of[x] for x in base_label]
+    comps = [[] for _ in range(count)]
+    for v, i in enumerate(label):
+        comps[i].append(v)
+    inc = g._inc
+    cached = g._memo[colorset] = (
+        tuple(Residue(colorset, tuple(comp), inc) for comp in comps),
+        tuple(label))
+    return cached
+
+
 def residue_cycle_counts(g, colorset):
     """Per colorset-residue, how many cycles of each pair lie inside it.
 
@@ -275,12 +332,15 @@ def residue_cycle_counts(g, colorset):
     key = ("cycles", colorset)
     rows = g._memo.get(key)
     if rows is None:
-        label = residue_labels(g, colorset)
         pairs = [frozenset(p)
                  for p in itertools.combinations(sorted(colorset), 2)]
+        # the pairs first, so a 3-set is joined from one of them and a
+        # 4-set from a memoised 3-set (see _label_residues)
+        cycles = [residues(g, pair) for pair in pairs]
+        label = residue_labels(g, colorset)
         rows = [dict.fromkeys(pairs, 0) for _ in residues(g, colorset)]
-        for pair in pairs:
-            for r in residues(g, pair):
+        for pair, found in zip(pairs, cycles):
+            for r in found:
                 rows[label[r.vertices[0]]][pair] += 1
         g._memo[key] = rows
     return rows
@@ -525,12 +585,16 @@ class DipoleReducer:
     by the vertex ids and colors of g: the sub-gem keeps g's order of
     vertices and colors, and cancel_dipole renumbers the survivors in
     their old order, so the first dipole in sorted (u, v) order is the
-    same pair under every numbering.  Each cancellation costs O(1)
-    besides heap and union-find operations, because
+    same pair under every numbering.
+
+    A color set is a bitmask over the positions of res's sorted colors,
+    and neighbor rows are lists by position.  Each cancellation costs
+    O(1) besides heap and union-find operations, because
 
     - candidate pairs sit in a min-heap and are re-checked when popped.
-      A rejected pair can become a dipole only when a weld adds a color
-      between its two vertices, and that weld pushes the pair again;
+      Set-up queues only the pairs that are dipoles then: a rejected
+      pair can become a dipole only when a weld adds a color between
+      its two vertices, and that weld pushes the pair again;
     - cancelling a dipole of colors S lowers the {c,d}-cycle count by
       one when {c,d} lies inside S or misses S, and keeps it otherwise;
     - for a color set C the C-residues of the dipole's two vertices
@@ -539,7 +603,12 @@ class DipoleReducer:
       tells whether a pair lies in different residues of the
       complementary colors;
     - a pair joined by all colors but c is always a dipole, as neither
-      vertex is the other's c-neighbor, so one-color sets need none.
+      vertex is the other's c-neighbor, so one-color sets need none;
+    - all of that depends on S and on positions only, so it is worked
+      out once per mask, the first time the mask is seen, as a plan
+      (_dipole_plan, memoised across chains): the pair keys whose count
+      drops, each sequence's chi delta, the union-find masks that miss
+      S, the positions to weld, and the color set to return.
 
     pair_counts maps each pair of the residue's colors to its current
     cycle count.  The counts start from residue_cycle_counts(g,
@@ -547,9 +616,10 @@ class DipoleReducer:
     len(res.colors) - 1 colors, join the labels of residue_labels(g,
     colors): a bicolored cycle, or a residue over colors of res, that
     meets res lies inside it, so g's counts and labels are the
-    residue's.  The neighbor and union-find tables are dicts over the
-    residue's vertices and labels, so once g has labelled its residues
-    a chain costs O(len(res)) to set up however large g is.
+    residue's.  The neighbor rows are a dict over the residue's
+    vertices, and each union-find's parent dict holds merged labels
+    only, so once g has labelled its residues a chain costs
+    O(len(res)) to set up however large g is.
 
     chi[j] is the Euler characteristic of the regular embedding for
     the color sequence cycles[j], as embedding._chi_formula computes it
@@ -565,34 +635,61 @@ class DipoleReducer:
     def __init__(self, g, res=None, cycles=()):
         if res is None:
             res = residues(g, g.colors)[0]
-        colors = self._colors = res.colors
-        self.n = len(colors) - 1
+        cols = self._cols = tuple(sorted(res.colors))
+        k = len(cols)
+        pos = {c: i for i, c in enumerate(cols)}
+        self._seqs = tuple(tuple(pos[c] for c in seq) for seq in cycles)
+        self.n = k - 1
         self.nv = len(res)
-        self.pair_counts = dict(residue_cycle_counts(g, colors)[
-            residue_labels(g, colors)[res.vertices[0]]])
-        # per pair, the sequences it is a consecutive pair of, with
-        # multiplicity; per sequence, the shift when two vertices go
-        self._seqs_of = {pair: [] for pair in self.pair_counts}
-        self._shift = [len(seq) - 2 for seq in cycles]
-        self.chi = []
-        for j, seq in enumerate(cycles):
-            keys = [frozenset((c, seq[(i + 1) % len(seq)]))
-                    for i, c in enumerate(seq)]
-            for key in keys:
-                self._seqs_of[key].append(j)
-            self.chi.append(sum(self.pair_counts[key] for key in keys)
-                            - self._shift[j] * (self.nv // 2))
-        # the live vertices, each with its neighbor by color
-        self._nbr = {v: {c: g.neighbor(v, c)[0] for c in colors}
-                     for v in res.vertices}
-        self._heap = sorted({(u, w) for u, row in self._nbr.items()
-                             for w in row.values() if u < w})
-        self._uf = {}       # color set -> (g's labels, parent by label)
-        for size in range(2, len(colors)):
-            for cs in itertools.combinations(sorted(colors), size):
-                label = residue_labels(g, cs)
-                self._uf[frozenset(cs)] = (
-                    label, {label[v]: label[v] for v in res.vertices})
+        self.pair_counts = dict(residue_cycle_counts(g, cols)[
+            residue_labels(g, cols)[res.vertices[0]]])
+        self.chi = [sum(self.pair_counts[frozenset(p)]
+                        for p in zip(seq, seq[1:] + seq[:1]))
+                    - (len(seq) - 2) * (self.nv // 2) for seq in cycles]
+        self._plans = [None] * (1 << k)     # by dipole mask, built lazily
+        # the live vertices, each with its neighbor by position
+        edges, inc = g.edges, g._inc
+        self._nbr = nbr = {}
+        for v in res.vertices:
+            row = inc[v]
+            nbr[v] = [edges[row[c]][0] + edges[row[c]][1] - v for c in cols]
+        # per color set of 2 to k - 1 colors: g's labels, merged labels
+        self._uf = [None] * (1 << k)
+        for mask in range(1 << k):
+            if 1 < mask.bit_count() < k:
+                self._uf[mask] = (residue_labels(
+                    g, [c for i, c in enumerate(cols) if mask >> i & 1]), {})
+        # queue the pairs that are dipoles now, as _apart tells them;
+        # nothing is merged yet, so g's labels are the roots
+        full = self._full = (1 << k) - 1
+        uf = self._uf
+        heap = self._heap = []
+        for u, row in nbr.items():
+            joins = {}              # each adjacent pair once, with its mask
+            for i, w in enumerate(row):
+                if u < w:
+                    joins[w] = joins.get(w, 0) | 1 << i
+            for w, S in joins.items():
+                found = uf[full ^ S]
+                if S != full and (found is None
+                                  or found[0][u] != found[0][w]):
+                    heap.append((u, w))
+        heapq.heapify(heap)
+
+    def _apart(self, u, v, comp):
+        """u and v lie in different residues of the colors of mask comp.
+
+        A pair joined by colors S is a dipole when this holds for the
+        complement of S; with one color it always does, and with none
+        never.
+        """
+        if not comp:
+            return False
+        found = self._uf[comp]
+        if found is None:
+            return True
+        label, parent = found
+        return _find(parent, label[u]) != _find(parent, label[v])
 
     def cancel_next(self):
         """Cancel the first dipole; return (u, v, colors) or None."""
@@ -600,49 +697,45 @@ class DipoleReducer:
         nbr = self._nbr
         while heap:
             u, v = heapq.heappop(heap)
+            # edges between live vertices outlast every weld, so a
+            # queued pair of live vertices is still adjacent
             if u not in nbr or v not in nbr:
                 continue
-            # edges between live vertices outlast every weld, so a
-            # queued pair is still adjacent
-            nu = nbr[u]
-            S = frozenset(c for c in self._colors if nu[c] == v)
-            comp = self._colors - S
-            if not comp or (len(comp) > 1 and
-                            self._root(comp, u) == self._root(comp, v)):
-                continue
-            self._cancel(u, v, S)
-            return (u, v, S)
+            S = bit = 0
+            for w in nbr[u]:
+                if w == v:
+                    S |= 1 << bit
+                bit += 1
+            if self._apart(u, v, self._full ^ S):
+                plan = self._plans[S]
+                if plan is None:
+                    plan = self._plans[S] = _dipole_plan(
+                        self._cols, self._seqs, S)
+                self._cancel(u, v, plan)
+                return (u, v, plan.colors)
         return None
 
-    def _root(self, colors, x):
-        label, parent = self._uf[colors]
-        r = label[x]
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        return r
-
-    def _cancel(self, u, v, colors):
+    def _cancel(self, u, v, plan):
         nbr = self._nbr
         nu, nw = nbr.pop(u), nbr.pop(v)
         self.nv -= 2
-        chi = self.chi
-        for j, shift in enumerate(self._shift):
-            chi[j] += shift
-        for pair, seqs in self._seqs_of.items():
-            if pair <= colors or not pair & colors:
-                self.pair_counts[pair] -= 1
-                for j in seqs:
-                    chi[j] -= 1
-        # when cset meets colors, u and v already share a residue
-        for cset, (_, parent) in self._uf.items():
-            if not cset & colors:
-                parent[self._root(cset, u)] = self._root(cset, v)
-        for c in self._colors - colors:
-            a, b = nu[c], nw[c]
-            nbr[a][c] = b
-            nbr[b][c] = a
-            heapq.heappush(self._heap, (a, b) if a < b else (b, a))
+        counts = self.pair_counts
+        for key in plan.drops:
+            counts[key] -= 1
+        self.chi[:] = map(operator.add, self.chi, plan.dchi)
+        # when a color set meets S, u and v already share a residue
+        uf = self._uf
+        for mask in plan.merges:
+            label, parent = uf[mask]
+            ru, rv = _find(parent, label[u]), _find(parent, label[v])
+            if ru != rv:
+                parent[ru] = rv
+        heap = self._heap
+        for i in plan.weld:
+            a, b = nu[i], nw[i]
+            nbr[a][i] = b
+            nbr[b][i] = a
+            heapq.heappush(heap, (a, b) if a < b else (b, a))
 
     def graph(self):
         """The current graph, numbered as the sub-gem's chain numbers it.
@@ -651,8 +744,55 @@ class DipoleReducer:
         residue_subgem and cancel_dipole number them.
         """
         new_id = {w: i for i, w in enumerate(sorted(self._nbr))}
-        new_c = {c: i for i, c in enumerate(sorted(self._colors))}
-        edges = [(new_id[a], new_id[b], new_c[c])
+        edges = [(new_id[a], new_id[b], i)
                  for a, row in self._nbr.items()
-                 for c, b in row.items() if a < b]
+                 for i, b in enumerate(row) if a < b]
         return build_graph(self.n, edges)
+
+
+def _find(parent, r):
+    """Root of label r in a union-find whose parent dict holds merged
+    labels only; halves the path it walks."""
+    while r in parent:
+        p = parent[r]
+        if p in parent:
+            p = parent[r] = parent[p]
+        r = p
+    return r
+
+
+_Plan = namedtuple("_Plan", "colors drops dchi merges weld")
+
+
+@functools.lru_cache(maxsize=512)
+def _dipole_plan(cols, seqs, S):
+    """What cancelling a dipole of mask S does, in positions of cols.
+
+    colors is the set S names, to return.  drops are the pair keys
+    whose count falls by one: the pairs inside S or missing it.
+    dchi[j] is the change of chi for sequence seqs[j]: its shift
+    len - 2 for the two vertices that go, minus its consecutive pairs
+    in drops.  merges are the masks of two or more colors that miss S,
+    whose union-finds join the two vertices' labels, and weld the
+    positions outside S.  The key holds the colors themselves, not
+    just their count, so that a plan can hold the keys it names; a run
+    sees a few dozen plans.
+    """
+    k = len(cols)
+    comp = ((1 << k) - 1) ^ S
+
+    def drops(i, j):
+        pair = 1 << i | 1 << j
+        return (pair & S) in (0, pair)
+
+    return _Plan(
+        colors=frozenset(c for i, c in enumerate(cols) if S >> i & 1),
+        drops=tuple(frozenset((cols[i], cols[j]))
+                    for i, j in itertools.combinations(range(k), 2)
+                    if drops(i, j)),
+        dchi=tuple(len(seq) - 2 - sum(drops(a, b) for a, b in
+                                      zip(seq, seq[1:] + seq[:1]))
+                   for seq in seqs),
+        merges=tuple(m for m in range(1, comp + 1)
+                     if not m & ~comp and m.bit_count() > 1),
+        weld=tuple(i for i in range(k) if not S >> i & 1))

@@ -8,11 +8,13 @@ surface built with sign-reversing edges, the square complex built whole
 for each cyclic order, the sweep that schedules every order afresh,
 the witness and gamma forest rules that took the lowest index whatever
 the curve length, the dipole chain that rebuilds the graph
-after every cancellation, and the gem check that scans every vertex
-for missing colors after filling a full incidence table.
+after every cancellation and the incremental one on dicts that
+followed it, and the gem check that scans every vertex for missing
+colors after filling a full incidence table.
 """
 
 import heapq
+import itertools
 from collections import deque
 from functools import cmp_to_key
 from types import SimpleNamespace
@@ -22,7 +24,8 @@ from gemtrisect.embedding import RotationScheme, _permutation
 from gemtrisect.graphs import (ColoredGraph, DisconnectedError, GemError,
                                LoopEdgeError, NotProperError, NotRegularError,
                                bicolored_cycles, build_graph, is_bipartite,
-                               residue_labels, residues, spanning_forest)
+                               residue_cycle_counts, residue_labels, residues,
+                               spanning_forest)
 from gemtrisect.homology import GroupPresentation, _rotations, chain_complex
 from gemtrisect.trisection import (CollapseOrdering, Incomplete,
                                    _require_apex, minimize_k)
@@ -518,3 +521,110 @@ def build(n, edge_list):
     if len(component(g, colors, 0)) != nv:
         raise DisconnectedError("graph is not connected")
     return g
+
+
+class DipoleReducer:
+    """The dipole chain on dicts: the class graphs.DipoleReducer replaced.
+
+    Neighbor rows are dicts by color, every adjacent pair starts in the
+    heap, each cancellation tests every pair of colors against the
+    dipole's color set, and one union-find per color set of two to
+    len(res.colors) - 1 colors holds a parent entry for every label of
+    the residue.  Same surface as the library class: cancel_next(),
+    chi, nv, pair_counts and graph().
+    """
+
+    def __init__(self, g, res=None, cycles=()):
+        if res is None:
+            res = residues(g, g.colors)[0]
+        colors = self._colors = res.colors
+        self.n = len(colors) - 1
+        self.nv = len(res)
+        self.pair_counts = dict(residue_cycle_counts(g, colors)[
+            residue_labels(g, colors)[res.vertices[0]]])
+        # per pair, the sequences it is a consecutive pair of, with
+        # multiplicity; per sequence, the shift when two vertices go
+        self._seqs_of = {pair: [] for pair in self.pair_counts}
+        self._shift = [len(seq) - 2 for seq in cycles]
+        self.chi = []
+        for j, seq in enumerate(cycles):
+            keys = [frozenset((c, seq[(i + 1) % len(seq)]))
+                    for i, c in enumerate(seq)]
+            for key in keys:
+                self._seqs_of[key].append(j)
+            self.chi.append(sum(self.pair_counts[key] for key in keys)
+                            - self._shift[j] * (self.nv // 2))
+        # the live vertices, each with its neighbor by color
+        self._nbr = {v: {c: g.neighbor(v, c)[0] for c in colors}
+                     for v in res.vertices}
+        self._heap = sorted({(u, w) for u, row in self._nbr.items()
+                             for w in row.values() if u < w})
+        self._uf = {}       # color set -> (g's labels, parent by label)
+        for size in range(2, len(colors)):
+            for cs in itertools.combinations(sorted(colors), size):
+                label = residue_labels(g, cs)
+                self._uf[frozenset(cs)] = (
+                    label, {label[v]: label[v] for v in res.vertices})
+
+    def cancel_next(self):
+        """Cancel the first dipole; return (u, v, colors) or None."""
+        heap = self._heap
+        nbr = self._nbr
+        while heap:
+            u, v = heapq.heappop(heap)
+            if u not in nbr or v not in nbr:
+                continue
+            # edges between live vertices outlast every weld, so a
+            # queued pair is still adjacent
+            nu = nbr[u]
+            S = frozenset(c for c in self._colors if nu[c] == v)
+            comp = self._colors - S
+            if not comp or (len(comp) > 1 and
+                            self._root(comp, u) == self._root(comp, v)):
+                continue
+            self._cancel(u, v, S)
+            return (u, v, S)
+        return None
+
+    def _root(self, colors, x):
+        label, parent = self._uf[colors]
+        r = label[x]
+        while parent[r] != r:
+            parent[r] = parent[parent[r]]
+            r = parent[r]
+        return r
+
+    def _cancel(self, u, v, colors):
+        nbr = self._nbr
+        nu, nw = nbr.pop(u), nbr.pop(v)
+        self.nv -= 2
+        chi = self.chi
+        for j, shift in enumerate(self._shift):
+            chi[j] += shift
+        for pair, seqs in self._seqs_of.items():
+            if pair <= colors or not pair & colors:
+                self.pair_counts[pair] -= 1
+                for j in seqs:
+                    chi[j] -= 1
+        # when cset meets colors, u and v already share a residue
+        for cset, (_, parent) in self._uf.items():
+            if not cset & colors:
+                parent[self._root(cset, u)] = self._root(cset, v)
+        for c in self._colors - colors:
+            a, b = nu[c], nw[c]
+            nbr[a][c] = b
+            nbr[b][c] = a
+            heapq.heappush(self._heap, (a, b) if a < b else (b, a))
+
+    def graph(self):
+        """The current graph, numbered as the sub-gem's chain numbers it.
+
+        Survivors and colors are numbered in g's order, as
+        residue_subgem and cancel_dipole number them.
+        """
+        new_id = {w: i for i, w in enumerate(sorted(self._nbr))}
+        new_c = {c: i for i, c in enumerate(sorted(self._colors))}
+        edges = [(new_id[a], new_id[b], new_c[c])
+                 for a, row in self._nbr.items()
+                 for c, b in row.items() if a < b]
+        return build_graph(self.n, edges)

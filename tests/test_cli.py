@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 import tempfile
 import tracemalloc
 
@@ -49,6 +50,16 @@ attest simply-connected=yes
 
 EMPTY_DIAGRAM = (b'{"alpha":[],"beta":[],"gamma":[],"genus":0,"k":0,'
                  b'"permutation":[0,1,2,3,4]}\n')
+
+
+def test_pyproject_version_is_the_package_version():
+    # a version bump touches both files; a regex, as Python 3.10 has no
+    # tomllib
+    text = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    found = re.findall(r'^version\s*=\s*"([^"]+)"\s*$', project.group(1),
+                       re.M)
+    assert found == [__version__]
 
 
 def test_parse_text():

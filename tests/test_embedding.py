@@ -7,6 +7,8 @@ bottle: 9 edges, 2 faces; K4 projective plane: 6 edges, 3 faces).
 
 from fractions import Fraction
 
+import pytest
+
 from gemtrisect.embedding import (
     CyclicPermutation,
     cyclic_permutations,
@@ -26,6 +28,15 @@ def test_canonical_count():
     assert len(cyclic_permutations(4)) == 12
     assert len(cyclic_permutations(2)) == 1
     assert len(cyclic_permutations(3)) == 3
+
+
+def test_cyclic_permutations_memoised_and_immutable():
+    for n in (2, 3, 4):
+        first = cyclic_permutations(n)
+        assert isinstance(first, tuple)
+        assert cyclic_permutations(n) is first
+        with pytest.raises(TypeError):
+            first[0] = first[-1]
 
 
 def test_rotation_and_reversal_identified():

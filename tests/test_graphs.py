@@ -289,6 +289,34 @@ def test_residue_labels_match_component_bfs():
                 assert all(label[v] == idx for v in r.vertices)
 
 
+def test_joined_labels_equal_walked_labels():
+    # color sets first requested in a random order: a set whose subset
+    # without its largest color is memoised is joined from it, and must
+    # equal the walk on a copy of g with an empty memo
+    rng = random.Random(1903)
+    joined = 0
+    for g in _label_corpus():
+        subsets = [frozenset(sub) for r in range(g.n + 2)
+                   for sub in itertools.combinations(g.colors, r)]
+        rng.shuffle(subsets)
+        for cs in subsets:
+            joined += len(cs) >= 3 and cs - {max(cs)} in g._memo
+            walked = ColoredGraph._indexed(g.n, g.nv, g.edges)
+            assert residue_labels(g, cs) == residue_labels(walked, cs)
+            assert ([(r.colors, r.vertices) for r in residues(g, cs)]
+                    == [(r.colors, r.vertices)
+                        for r in residues(walked, cs)]), (g, sorted(cs))
+    assert joined >= 100
+
+
+def test_edge_ids_of_a_color_match_a_scan():
+    for g in _label_corpus() + embedding_corpus(count=10, seed=11):
+        assert g.edge_ids() == range(len(g.edges))
+        for c in g.colors:
+            assert list(g.edge_ids(c)) == [
+                i for i, (_, _, d) in enumerate(g.edges) if d == c]
+
+
 # -- spanning forests ---------------------------------------------------
 
 

@@ -39,6 +39,7 @@ from gemtrisect.graphs import standard_sphere_gem
 
 from conftest import (complementary_subgems, fixture_graph, grow_gem,
                       pipeline_corpus, shuffled, weld)
+import reference
 from reference import cancel_dipole, find_dipole
 
 
@@ -559,18 +560,18 @@ def test_dipole_reducer_pair_counts_track_rebuilt_graph(seed):
 
 # -- proven spheres carry H1 = 0; sub-gems skip build's checks ------------
 
-def _h1_corpus(seed=4434):
+def _h1_corpus(seed=4434, sums_to=8):
     """Gems whose 4-residues are proven spheres, and some that are not.
 
-    pipeline_corpus, shuffled chain sums #2-#8 of projective_plane_like.gem
-    and nonzero_forest.gem, sphere blobs, and bounded_s1s2.gem, whose
-    boundary has H1 = Z.
+    pipeline_corpus, shuffled chain sums #2-#sums_to of
+    projective_plane_like.gem and nonzero_forest.gem, sphere blobs, and
+    bounded_s1s2.gem, whose boundary has H1 = Z.
     """
     rng = random.Random(seed)
     out = pipeline_corpus(count=20)
     for name in FIXTURES_4D[:2]:
         fixture = g = fixture_graph(name)
-        for m in range(2, 9):
+        for m in range(2, sums_to + 1):
             g = weld(g, fixture, rng, at=(1, 0))
             out.append(shuffled(g, rng))
     for _ in range(6):
@@ -625,3 +626,31 @@ def test_one_color_residue_is_refused():
     for cs in [(c,) for c in g.colors] + [()]:
         with pytest.raises(GemError):
             residue_subgem(g, residues(g, cs)[0])
+
+
+# -- the chain on bitmask plans against the dict-based chain --------------
+
+def test_dipole_reducer_matches_dict_reducer_at_every_step():
+    # every chain of a residue missing one color, as the verdict runs
+    # it on g but on to its end: after each cancellation both chains
+    # agree on the dipole, chi, the pair counts, the order and the graph
+    steps = 0
+    for g in _h1_corpus(sums_to=16):
+        check_surface_residues(g)
+        for c in g.colors:
+            for res in residues(g, frozenset(g.colors) - {c}):
+                cols = sorted(res.colors)
+                cycles = [tuple(cols[i] for i in eps.seq)
+                          for eps in cyclic_permutations(len(cols) - 1)]
+                new = DipoleReducer(g, res, cycles)
+                old = reference.DipoleReducer(g, res, cycles)
+                while True:
+                    assert (new.chi, new.pair_counts, new.nv) == (
+                        old.chi, old.pair_counts, old.nv)
+                    assert new.graph() == old.graph()
+                    step = new.cancel_next()
+                    assert step == old.cancel_next()
+                    if step is None:
+                        break
+                    steps += 1
+    assert steps >= 4000
