@@ -28,8 +28,6 @@ chord pairs that share a vertex.
 
 from __future__ import annotations
 
-import json
-
 from .embedding import _permutation, stabilized_surface
 from .graphs import (GemError, bicolored_cycles, residue_labels, residues,
                      spanning_forest)
@@ -549,7 +547,10 @@ def verify_diagram(diagram):
     A resolved system of k curves cuts the surface into 1 + k - rank
     pieces, rank being its Z/2 rank (each independent Z/2 relation
     among disjoint circles bounds a piece); only the resolution itself
-    is checked combinatorially.
+    is checked combinatorially.  An alpha or beta system that passed
+    the disjointness check meets each vertex disk in at most one chord,
+    so it is crossing-free as it stands and is not resolved; gamma, and
+    any system that is not vertex-disjoint, is.
 
     Self-intersections, the pairing and the gamma columns come from one
     chord index per system: the total walk length plus the chord pairs
@@ -620,7 +621,11 @@ def verify_diagram(diagram):
             entry["empty_curve"] = True
             cut["systems"][name] = entry
             continue
-        ok, witness = _crossing_free(*_resolve(scheme, ws))
+        if disj.get(name):
+            # vertex-disjoint simple walks: one chord per vertex disk
+            ok, witness = True, None
+        else:
+            ok, witness = _crossing_free(*_resolve(scheme, ws))
         entry["resolved"] = ok
         if not ok:
             entry["crossing_at"] = witness[0]
@@ -673,32 +678,32 @@ def verify_diagram(diagram):
 
 # -- export ----------------------------------------------------------------
 
-def _step_json(s):
+def _step_text(s):
+    """One step as json text, keys sorted; handles are shown 1-based."""
     if s[0] == "e":
-        return {"t": "e", "id": s[1], "d": s[2]}
+        return '{"d":%d,"id":%d,"t":"e"}' % (s[2], s[1])
     if s[0] == "h":
-        return {"t": "h", "j": s[1] + 1, "d": s[2]}
-    return {"t": "sc", "j": s[1] + 1}
+        return '{"d":%d,"j":%d,"t":"h"}' % (s[2], s[1] + 1)
+    return '{"j":%d,"t":"sc"}' % (s[1] + 1)
 
 
-def diagram_json_dict(diagram):
-    certificate_eps = diagram.surface.eps
-    return {
-        "genus": diagram.genus,
-        "k": diagram.surface.k,
-        "permutation": list(certificate_eps.seq),
-        "alpha": [[_step_json(s) for s in c.steps] for c in diagram.alpha],
-        "beta": [[_step_json(s) for s in c.steps] for c in diagram.beta],
-        "gamma": [[_step_json(s) for s in c.steps] for c in diagram.gamma],
-    }
+def _curves_json(curves):
+    return "[%s]" % ",".join("[%s]" % ",".join(map(_step_text, c.steps))
+                             for c in curves)
 
 
 def export_diagram(diagram, fmt="json"):
     """Serialize: canonical json, a dot overlay, or a best-effort svg."""
     if fmt == "json":
-        payload = json.dumps(diagram_json_dict(diagram), sort_keys=True,
-                             separators=(",", ":"))
-        return (payload + "\n").encode("ascii")
+        # json.dumps(..., sort_keys=True, separators=(",", ":")) of the
+        # diagram's fields, written directly
+        return ('{"alpha":%s,"beta":%s,"gamma":%s,"genus":%d,"k":%d,'
+                '"permutation":[%s]}\n' % (
+                    _curves_json(diagram.alpha), _curves_json(diagram.beta),
+                    _curves_json(diagram.gamma), diagram.genus,
+                    diagram.surface.k,
+                    ",".join("%d" % c for c in diagram.surface.eps.seq))
+                ).encode("ascii")
     if fmt == "dot":
         return _export_dot(diagram)
     if fmt == "svg":

@@ -49,15 +49,20 @@ class ColoredGraph:
         n: dimension (colors are 0..n).
         nv: number of vertices (always even).
         edges: tuple of (u, v, c) triples with u < v, sorted by (c, u, v).
+
+    Two tables indexed [v][c], filled together: _inc holds the id of
+    the c-colored edge at v and _nbr the vertex across it, so a walk
+    reads neighbors without decoding edges.
     """
 
-    __slots__ = ("n", "nv", "edges", "_inc", "_memo")
+    __slots__ = ("n", "nv", "edges", "_inc", "_nbr", "_memo")
 
-    def __init__(self, n, nv, edges, _inc):
+    def __init__(self, n, nv, edges, _inc, _nbr):
         self.n = n
         self.nv = nv
         self.edges = edges
         self._inc = _inc  # per vertex: tuple of edge ids indexed by color
+        self._nbr = _nbr  # per vertex: tuple of neighbors indexed by color
         self._memo = {}     # invariants, residues and sub-gems, by key
 
     # -- construction ------------------------------------------------
@@ -109,24 +114,28 @@ class ColoredGraph:
         """The graph of an edge list on vertices 0..nv-1, in canonical order.
 
         The step build runs after its checks: sort the edges by (color,
-        low end, high end) and fill the incidence table.  It refuses a
-        dimension below 1 and two edges of one color at a vertex, which
-        filling the table detects for free; loops, the edge count and
-        connectivity are the caller's to check or to know.
+        low end, high end) and fill the incidence and neighbor tables.
+        It refuses a dimension below 1 and two edges of one color at a
+        vertex, which filling the table detects for free; loops, the
+        edge count and connectivity are the caller's to check or to
+        know.
         """
         if n < 1:
             raise GemError("dimension must be at least 1")
         canon = sorted((c, u, v) if u < v else (c, v, u)
                        for u, v, c in edge_list)
         inc = [[None] * (n + 1) for _ in range(nv)]
+        nbr = [[None] * (n + 1) for _ in range(nv)]
         for eid, (c, u, v) in enumerate(canon):
-            for w in (u, v):
-                if inc[w][c] is not None:
-                    raise NotProperError(
-                        "vertex %d has two edges of color %d" % (w, c))
-                inc[w][c] = eid
+            if inc[u][c] is not None or inc[v][c] is not None:
+                w = u if inc[u][c] is not None else v
+                raise NotProperError(
+                    "vertex %d has two edges of color %d" % (w, c))
+            inc[u][c] = inc[v][c] = eid
+            nbr[u][c] = v
+            nbr[v][c] = u
         return ColoredGraph(n, nv, tuple((u, v, c) for c, u, v in canon),
-                            tuple(map(tuple, inc)))
+                            tuple(map(tuple, inc)), tuple(map(tuple, nbr)))
 
     # -- basic queries -----------------------------------------------
 
@@ -151,13 +160,7 @@ class ColoredGraph:
 
     def neighbor(self, v, c):
         """(vertex, edge id) across the c-colored edge at v."""
-        eid = self._inc[v][c]
-        u, w, _ = self.edges[eid]
-        return (w if u == v else u, eid)
-
-    def other_end(self, eid, v):
-        u, w, _ = self.edges[eid]
-        return w if u == v else u
+        return (self._nbr[v][c], self._inc[v][c])
 
     def __eq__(self, other):
         return (isinstance(other, ColoredGraph)
@@ -253,8 +256,7 @@ def _label_residues(g, colorset):
         base = g._memo.get(colorset - {top})
         if base is not None:
             return _join_residues(g, colorset, base, top)
-    edges = g.edges
-    inc = g._inc
+    nbr = g._nbr
     label = [-1] * g.nv
     out = []
     for start in range(g.nv):
@@ -264,15 +266,14 @@ def _label_residues(g, colorset):
         label[start] = idx
         comp = [start]
         for v in comp:              # comp grows while it is walked
-            row = inc[v]
+            row = nbr[v]
             for c in colorset:
-                a, b, _ = edges[row[c]]
-                w = b if a == v else a
+                w = row[c]
                 if label[w] < 0:
                     label[w] = idx
                     comp.append(w)
         comp.sort()
-        out.append(Residue(colorset, tuple(comp), inc))
+        out.append(Residue(colorset, tuple(comp), g._inc))
     cached = g._memo[colorset] = (tuple(out), tuple(label))
     return cached
 
@@ -381,14 +382,14 @@ def is_bipartite(g):
     result = g._memo.get("bipartite")
     if result is not None:
         return result
+    nbr = g._nbr
     cls = [None] * g.nv
     parent = [None] * g.nv          # (prev vertex) for witness recovery
     cls[0] = 0
     queue = deque([0])
     while queue and result is None:
         v = queue.popleft()
-        for c in g.colors:
-            w, _ = g.neighbor(v, c)
+        for w in nbr[v]:
             if cls[w] is None:
                 cls[w] = cls[v] ^ 1
                 parent[w] = v
@@ -449,10 +450,11 @@ def bicolored_cycles(g, c, d):
     """All {c,d}-cycles, ordered by their minimum vertex."""
     if c == d:
         raise GemError("need two distinct colors")
-    seen = set()
+    nbr, inc = g._nbr, g._inc
+    seen = [False] * g.nv
     out = []
     for start in range(g.nv):
-        if start in seen:
+        if seen[start]:
             continue
         verts = []
         steps = []
@@ -460,10 +462,10 @@ def bicolored_cycles(g, c, d):
         col = min(c, d)
         while True:
             verts.append(v)
-            seen.add(v)
-            w, eid = g.neighbor(v, col)
-            u, _, _ = g.edges[eid]
-            steps.append((eid, 1 if u == v else -1))
+            seen[v] = True
+            w = nbr[v][col]
+            # +1 runs the stored edge from its low end
+            steps.append((inc[v][col], 1 if v < w else -1))
             v = w
             col = c if col == d else d
             if v == start and col == min(c, d):
@@ -530,9 +532,7 @@ def connected_sum(g1, g2, v1, v2):
         if v2 not in (u, w):
             new_edges.append((map2[u], map2[w], c))
     for c in g1.colors:
-        a1 = g1.other_end(g1.incident(v1, c), v1)
-        a2 = g2.other_end(g2.incident(v2, c), v2)
-        new_edges.append((map1[a1], map2[a2], c))
+        new_edges.append((map1[g1._nbr[v1][c]], map2[g2._nbr[v2][c]], c))
     return ColoredGraph.build(g1.n, new_edges)
 
 
@@ -617,9 +617,13 @@ class DipoleReducer:
     colors): a bicolored cycle, or a residue over colors of res, that
     meets res lies inside it, so g's counts and labels are the
     residue's.  The neighbor rows are a dict over the residue's
-    vertices, and each union-find's parent dict holds merged labels
-    only, so once g has labelled its residues a chain costs
-    O(len(res)) to set up however large g is.
+    vertices, read off g's neighbor table, and the set-up heap reads
+    g's adjacent pairs (_adjacent_pairs, memoised on g and shared by
+    every chain on g) at the residue's vertices only, each pair's mask
+    over g's colors mapped to one over res's positions by a memoised
+    table.  Each union-find's parent dict holds merged labels only, so
+    once g has labelled its residues a chain costs O(len(res)) to set
+    up however large g is.
 
     chi[j] is the Euler characteristic of the regular embedding for
     the color sequence cycles[j], as embedding._chi_formula computes it
@@ -628,8 +632,9 @@ class DipoleReducer:
     cancellation changes it by the counts it lowers and the two
     vertices it drops, so it is kept up to date, not re-summed.
 
-    Welds keep the graph proper and regular; graph() rebuilds the
-    current graph through build_graph, which validates it.
+    Welds keep the graph proper and regular; check() runs build's
+    checks on the rows themselves, and graph() rebuilds the current
+    graph through build_graph, which validates it too.
     """
 
     def __init__(self, g, res=None, cycles=()):
@@ -648,11 +653,8 @@ class DipoleReducer:
                     - (len(seq) - 2) * (self.nv // 2) for seq in cycles]
         self._plans = [None] * (1 << k)     # by dipole mask, built lazily
         # the live vertices, each with its neighbor by position
-        edges, inc = g.edges, g._inc
-        self._nbr = nbr = {}
-        for v in res.vertices:
-            row = inc[v]
-            nbr[v] = [edges[row[c]][0] + edges[row[c]][1] - v for c in cols]
+        gnbr = g._nbr
+        self._nbr = {v: [gnbr[v][c] for c in cols] for v in res.vertices}
         # per color set of 2 to k - 1 colors: g's labels, merged labels
         self._uf = [None] * (1 << k)
         for mask in range(1 << k):
@@ -664,15 +666,15 @@ class DipoleReducer:
         full = self._full = (1 << k) - 1
         uf = self._uf
         heap = self._heap = []
-        for u, row in nbr.items():
-            joins = {}              # each adjacent pair once, with its mask
-            for i, w in enumerate(row):
-                if u < w:
-                    joins[w] = joins.get(w, 0) | 1 << i
-            for w, S in joins.items():
+        joins = _adjacent_pairs(g)
+        to_pos = _position_masks(cols, g.n)
+        for u in res.vertices:
+            for w, gmask in joins[u]:
+                S = to_pos[gmask]
+                if not S or S == full:
+                    continue        # joined by no color of res, or all
                 found = uf[full ^ S]
-                if S != full and (found is None
-                                  or found[0][u] != found[0][w]):
+                if found is None or found[0][u] != found[0][w]:
                     heap.append((u, w))
         heapq.heapify(heap)
 
@@ -737,6 +739,44 @@ class DipoleReducer:
             nbr[b][i] = a
             heapq.heappush(heap, (a, b) if a < b else (b, a))
 
+    def check(self):
+        """Raise GemError unless the current rows form a gem.
+
+        build's checks, run on the rows without building a graph: every
+        row names len(colors) live vertices, none of them the vertex
+        itself; each names the vertex back at the same position; and
+        one walk reaches every survivor.
+        """
+        nbr = self._nbr
+        cols = self._cols
+        if not nbr:
+            raise GemError("empty edge list")
+        for v, row in nbr.items():
+            if len(row) != len(cols):
+                raise NotRegularError("vertex %d has %d of %d colors"
+                                      % (v, len(row), len(cols)))
+            for i, w in enumerate(row):
+                if w == v:
+                    raise LoopEdgeError("loop at vertex %d (color %d)"
+                                        % (v, cols[i]))
+                if w not in nbr:
+                    raise NotRegularError("vertex %d meets no live vertex "
+                                          "of color %d" % (v, cols[i]))
+        for v, row in nbr.items():
+            for i, w in enumerate(row):
+                if nbr[w][i] != v:
+                    raise NotProperError("vertex %d has two edges of color "
+                                         "%d" % (w, cols[i]))
+        walk = [next(iter(nbr))]
+        reached = set(walk)
+        for v in walk:              # walk grows while it is read
+            for w in nbr[v]:
+                if w not in reached:
+                    reached.add(w)
+                    walk.append(w)
+        if len(walk) != len(nbr):
+            raise DisconnectedError("graph is not connected")
+
     def graph(self):
         """The current graph, numbered as the sub-gem's chain numbers it.
 
@@ -748,6 +788,30 @@ class DipoleReducer:
                  for a, row in self._nbr.items()
                  for i, b in enumerate(row) if a < b]
         return build_graph(self.n, edges)
+
+
+def _adjacent_pairs(g):
+    """Per vertex u, (w, mask) for each neighbor w > u of u, mask the
+    bits of g's colors joining them; memoised on g."""
+    pairs = g._memo.get("adjacent pairs")
+    if pairs is None:
+        rows = []
+        for u, row in enumerate(g._nbr):
+            joins = {}
+            for c, w in enumerate(row):
+                if u < w:
+                    joins[w] = joins.get(w, 0) | 1 << c
+            rows.append(tuple(joins.items()))
+        pairs = g._memo["adjacent pairs"] = tuple(rows)
+    return pairs
+
+
+@functools.lru_cache(maxsize=64)
+def _position_masks(cols, n):
+    """table[m] is the mask over positions of cols of the colors of m,
+    a mask over colors 0..n."""
+    return tuple(sum(1 << i for i, c in enumerate(cols) if m >> c & 1)
+                 for m in range(1 << (n + 1)))
 
 
 def _find(parent, r):

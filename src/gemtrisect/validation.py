@@ -108,8 +108,11 @@ def _three_manifold_verdict(g, res=None):
     res defaults to all of g.  Genus 0 for some permutation proves the
     sphere, and dipole cancellation preserves the manifold, so the test
     is retried down the reduction chain, which runs on g's own ids and
-    counts (see DipoleReducer).  The permutations are those of the
-    residue's own colors.  Nontrivial H1 refutes the sphere; anything
+    counts (see DipoleReducer).  A genus-0 step is taken as a proof once
+    the chain's rows pass build's checks (DipoleReducer.check), run on
+    the rows without rebuilding the reduced gem; rows that fail end the
+    chain unproven.  The permutations are those of the residue's own
+    colors.  Nontrivial H1 refutes the sphere; anything
     else stays undecided.  The Euler characteristic refutes nothing
     here: callers have proven every 3-residue a 2-sphere, so res is a
     closed 3-manifold and has chi = 0.
@@ -135,7 +138,7 @@ def _three_manifold_verdict(g, res=None):
     while chain.cancel_next() is not None:
         if 2 in chain.chi:
             try:
-                chain.graph()   # welds keep a gem; validated once, here
+                chain.check()   # welds keep a gem; validated once, here
             except GemError:
                 break
             return _proven_sphere(g, res)

@@ -9,8 +9,9 @@ for each cyclic order, the sweep that schedules every order afresh,
 the witness and gamma forest rules that took the lowest index whatever
 the curve length, the dipole chain that rebuilds the graph
 after every cancellation and the incremental one on dicts that
-followed it, and the gem check that scans every vertex for missing
-colors after filling a full incidence table.
+followed it, the gem check that scans every vertex for missing
+colors after filling a full incidence table, and the diagram's json
+document built as dicts for json.dumps.
 """
 
 import heapq
@@ -503,12 +504,14 @@ def build(n, edge_list):
     canon = sorted((c, u, v) if u < v else (c, v, u)
                    for u, v, c in edge_list)
     inc = [[None] * (n + 1) for _ in range(nv)]
+    nbr = [[None] * (n + 1) for _ in range(nv)]
     for eid, (c, u, v) in enumerate(canon):
-        for w in (u, v):
+        for w, x in ((u, v), (v, u)):
             if inc[w][c] is not None:
                 raise NotProperError(
                     "vertex %d has two edges of color %d" % (w, c))
             inc[w][c] = eid
+            nbr[w][c] = x
     for w, row in enumerate(inc):
         missing = [c for c in colors if row[c] is None]
         if missing:
@@ -517,7 +520,7 @@ def build(n, edge_list):
     if nv % 2:
         raise OddOrderError("odd number of vertices (%d)" % nv)
     g = ColoredGraph(n, nv, tuple((u, v, c) for c, u, v in canon),
-                     tuple(map(tuple, inc)))
+                     tuple(map(tuple, inc)), tuple(map(tuple, nbr)))
     if len(component(g, colors, 0)) != nv:
         raise DisconnectedError("graph is not connected")
     return g
@@ -628,3 +631,27 @@ class DipoleReducer:
                  for a, row in self._nbr.items()
                  for c, b in row.items() if a < b]
         return build_graph(self.n, edges)
+
+
+def _step_json(s):
+    if s[0] == "e":
+        return {"t": "e", "id": s[1], "d": s[2]}
+    if s[0] == "h":
+        return {"t": "h", "j": s[1] + 1, "d": s[2]}
+    return {"t": "sc", "j": s[1] + 1}
+
+
+def diagram_json_dict(diagram):
+    """The diagram's json document as nested dicts: the export's oracle.
+
+    export_diagram(diagram, "json") writes its bytes directly; they
+    must equal json.dumps of this with sorted keys and no spaces.
+    """
+    return {
+        "genus": diagram.genus,
+        "k": diagram.surface.k,
+        "permutation": list(diagram.surface.eps.seq),
+        "alpha": [[_step_json(s) for s in c.steps] for c in diagram.alpha],
+        "beta": [[_step_json(s) for s in c.steps] for c in diagram.beta],
+        "gamma": [[_step_json(s) for s in c.steps] for c in diagram.gamma],
+    }

@@ -26,7 +26,6 @@ from gemtrisect.diagrams import (
     _to_walk,
     alpha_beta_curves,
     assemble_diagram,
-    diagram_json_dict,
     export_diagram,
     gamma_curves,
     verify_diagram,
@@ -294,6 +293,97 @@ def test_json_export_stable_and_schema(datadir_gem):
     assert doc["permutation"] == list(cert.eps.seq)
     frozen = (gf_dir() / "projective_plane_like.diagram.json").read_bytes()
     assert blob == frozen
+
+
+def _diagram_corpus(datadir_gem):
+    """Verified diagrams with every kind of step.
+
+    The sweep winners of pipeline_corpus and of chain sums #2-#6 of
+    both closed fixtures (edge steps only), and forced-k diagrams:
+    chain sums of nonzero_forest.gem with seeded extra squares, whose
+    alpha and beta run over stabilized circles ("sc") and whose gamma
+    runs through handles ("h").
+    """
+    rng = random.Random(20)
+    orders = cyclic_permutations(4)
+    gems = pipeline_corpus(count=12)
+    for name in ("projective_plane_like.gem", "nonzero_forest.gem"):
+        gems += [_chain_sum(datadir_gem(name).graph, m) for m in range(2, 7)]
+    out = []
+    for g in gems:
+        cert = sweep(g, orders)
+        out.append(assemble_diagram(g, cert.eps, cert))
+    fixture = datadir_gem("nonzero_forest.gem").graph
+    for m in range(1, 7):
+        g = _chain_sum(fixture, m)
+        eps = rng.choice(orders)
+        spare = sorted(set(g.edge_ids(4)) - set(stabilization_set(g, eps)))
+        extra = rng.sample(spare, min(m, len(spare)))
+        out.append(assemble_diagram(g, eps, _forced(g, eps, extra)))
+    assert all(d.record.ok for d in out)
+    return out
+
+
+def test_json_export_bytes_match_json_dumps(datadir_gem):
+    kinds = set()
+    for d in _diagram_corpus(datadir_gem):
+        doc = reference.diagram_json_dict(d)
+        assert export_diagram(d, "json") == (
+            json.dumps(doc, sort_keys=True, separators=(",", ":"))
+            + "\n").encode("ascii")
+        kinds |= {s[0] for _, curves in d.systems() for c in curves
+                  for s in c.steps}
+    assert kinds == {"e", "h", "sc"}
+
+
+def test_vertex_disjoint_systems_are_crossing_free(datadir_gem):
+    # verify_diagram records an alpha or beta system that passes the
+    # disjointness check as resolved without resolving it: each vertex
+    # disk holds one chord of it at most
+    skipped = 0
+    for d in _diagram_corpus(datadir_gem):
+        scheme = d.surface.scheme
+        for name in ("alpha", "beta"):
+            ws = [_to_walk(d.surface, c) for c in getattr(d, name)]
+            assert d.record.checks["disjoint"][name]
+            assert _crossing_free(*_resolve(scheme, ws)) == (True, None)
+            assert d.record.checks["cut"]["systems"][name]["resolved"]
+            skipped += bool(ws)
+    assert skipped >= 20
+
+
+def test_only_systems_that_are_not_vertex_disjoint_are_resolved(
+        datadir_gem, monkeypatch):
+    corpus = _verifier_corpus(datadir_gem)
+    monkeypatch.setattr(diagrams, "_to_walk", lambda surf, walk: walk)
+    resolve = diagrams._resolve
+    calls = []
+
+    def recording(scheme, ws):
+        calls.append(ws)
+        return resolve(scheme, ws)
+
+    monkeypatch.setattr(diagrams, "_resolve", recording)
+    crossed = set()
+    for surf, walks in corpus:
+        calls.clear()
+        record = verify_diagram(types.SimpleNamespace(
+            surface=surf, genus=(2 - surf.chi) // 2, mode="trisection",
+            systems=walks.items))
+        disjoint = record.checks["disjoint"]
+        assert disjoint["alpha"] and disjoint["beta"]
+        resolved = [name for name in walks if not disjoint.get(name)]
+        assert calls == [walks[name] for name in resolved]
+        for name, ws in walks.items():
+            ok, witness = _crossing_free(*resolve(surf.scheme, ws))
+            entry = record.checks["cut"]["systems"][name]
+            assert entry["resolved"] == ok
+            if not ok:
+                assert name in resolved
+                assert entry["crossing_at"] == witness[0]
+                crossed.add(name)
+    assert {"alpha:=beta", "duplicated", "alpha+beta"} <= set(resolved)
+    assert crossed
 
 
 def gf_dir():
@@ -785,8 +875,10 @@ def test_random_weld_diagrams_pass_the_cokernel_check():
     """Seeded fuzz: random-weld sums #2-#14 of both closed fixtures.
 
     Every winner's diagram must verify, the chi identity included, with
-    chi equal to the chain complex's.  Kept out of the default run: its
-    1000 gems take about 15 s on one core of a 2-CPU virtual machine.
+    chi equal to the chain complex's, and its vertex-disjoint alpha and
+    beta systems must resolve crossing-free.  Kept out of the default
+    run: its 1000 gems take about 15 s on one core of a 2-CPU virtual
+    machine.
     """
     rng = random.Random(2018)
     orders = cyclic_permutations(4)
@@ -801,6 +893,13 @@ def test_random_weld_diagrams_pass_the_cokernel_check():
         assert d.record.ok, (case, d.record.checks["gamma_cokernels"])
         gcok = d.record.checks["gamma_cokernels"]
         assert gcok["chi"] == chain_complex(g).euler_characteristic()
+        # alpha and beta pass the disjointness check, so the verifier
+        # took them as crossing-free without resolving them
+        for name in ("alpha", "beta"):
+            assert d.record.checks["disjoint"][name]
+            ws = [_to_walk(d.surface, c) for c in getattr(d, name)]
+            assert _crossing_free(*_resolve(d.surface.scheme, ws)) == (
+                True, None)
 
 
 def _old_reduce(items, inverse, keep=lambda s: True):

@@ -18,6 +18,7 @@ from gemtrisect.graphs import (
     NotProperError,
     NotRegularError,
     Residue,
+    _adjacent_pairs,
     bicolored_cycles,
     blob_insert,
     build_graph,
@@ -176,6 +177,7 @@ def test_build_matches_reference_check():
         if isinstance(ref, ColoredGraph):
             assert isinstance(new, ColoredGraph), (n, edges, new)
             assert new.edges == ref.edges and new._inc == ref._inc
+            assert new._nbr == ref._nbr
             seen.add("accepted")
             continue
         nv = len({w for u, v, c in edges for w in (u, v)})
@@ -185,6 +187,9 @@ def test_build_matches_reference_check():
             expect = NotRegularError
             seen.add("count:" + type(ref).__name__)
         assert type(new) is expect, (n, edges, ref, new)
+        if expect is NotProperError:
+            # the same first vertex found with two edges of one color
+            assert str(new) == str(ref)
         seen.add(expect.__name__)
     # every outcome occurs, including the one where the classes differ
     assert seen >= {"accepted", "GemError", "LoopEdgeError",
@@ -396,6 +401,55 @@ def test_cycles_alternate_and_cover():
                 covered.extend(cyc.vertices)
             assert sorted(covered) == list(range(g.nv))
             assert len(cycles) == _oracle_census(g, {c, d})
+
+
+# -- the neighbor table --------------------------------------------------
+
+def _decoded_neighbors(g):
+    """The vertex across each edge of the incidence table, from g.edges."""
+    out = []
+    for v, row in enumerate(g._inc):
+        ends = [g.edges[eid][:2] for eid in row]
+        out.append(tuple(b if a == v else a for a, b in ends))
+    return tuple(out)
+
+
+def _table_corpus():
+    """Graphs from every constructor that fills the tables."""
+    rng = random.Random(71)
+    built = _label_corpus()
+    out = list(built)
+    for g in built:
+        for cs in itertools.combinations(g.colors, min(3, g.n)):
+            out += [residue_subgem(g, r)[0] for r in residues(g, cs)]
+        if is_bipartite(g)[0]:
+            v1 = rng.randrange(g.nv)
+            other = [w for w in range(g.nv)
+                     if is_bipartite(g)[1][w] != is_bipartite(g)[1][v1]]
+            out.append(connected_sum(g, g, v1, rng.choice(other)))
+        out.append(blob_insert(g, rng.randrange(len(g.edges))))
+        out.append(reference_build(g.n, list(g.edges)))
+    return out
+
+
+def test_neighbor_table_matches_decoded_edges():
+    kinds = set()
+    for g in _table_corpus():
+        assert g._nbr == _decoded_neighbors(g)
+        assert all(g.neighbor(v, c) == (g._nbr[v][c], g._inc[v][c])
+                   for v in range(g.nv) for c in g.colors)
+        kinds.add(g.n)
+    assert kinds == {1, 2, 3, 4}
+
+
+def test_adjacent_pairs_match_an_edge_scan():
+    # the pairs every dipole chain on g starts from, memoised on g
+    for g in _label_corpus():
+        scan = [{} for _ in range(g.nv)]
+        for u, v, c in g.edges:
+            scan[u][v] = scan[u].get(v, 0) | 1 << c
+        assert [dict(row) for row in _adjacent_pairs(g)] == scan
+        assert _adjacent_pairs(g) is _adjacent_pairs(g)
 
 
 # -- constructions ------------------------------------------------------

@@ -13,7 +13,11 @@ from gemtrisect.diagrams import assemble_diagram
 from gemtrisect.embedding import _chi_formula, cyclic_permutations, rho
 from gemtrisect.graphs import (
     DipoleReducer,
+    DisconnectedError,
     GemError,
+    LoopEdgeError,
+    NotProperError,
+    NotRegularError,
     blob_insert,
     build_graph,
     residue_subgem,
@@ -654,3 +658,80 @@ def test_dipole_reducer_matches_dict_reducer_at_every_step():
                         break
                     steps += 1
     assert steps >= 4000
+
+
+# -- proven spheres checked on the chain's own rows ------------------------
+
+def _gem_error(call):
+    """The GemError class call raises, or None."""
+    try:
+        call()
+    except GemError as exc:
+        return type(exc)
+    return None
+
+
+def test_chain_check_passes_where_the_rebuilt_graph_does():
+    steps = 0
+    for g in _chain_corpus():
+        for c in g.colors:
+            for res in residues(g, frozenset(g.colors) - {c}):
+                chain = DipoleReducer(g, res)
+                while True:
+                    assert _gem_error(chain.check) == _gem_error(chain.graph)
+                    if chain.cancel_next() is None:
+                        break
+                    steps += 1
+    assert steps >= 1000
+
+
+def test_chain_check_refuses_broken_rows():
+    g = _chain_corpus()[1]
+    res = residues(g, frozenset(range(4)))[0]
+
+    def chain():
+        """The chain three cancellations down, and one vertex it dropped."""
+        ch = DipoleReducer(g, res)
+        gone = [ch.cancel_next()[0] for _ in range(3)]
+        ch.check()
+        return ch, gone[0]
+
+    ch, _ = chain()
+    v = min(ch._nbr)
+    mutants = []
+    ch, _ = chain()             # v's color-0 end moved: asymmetric rows
+    ch._nbr[v][0] = next(x for x in ch._nbr
+                         if x != v and ch._nbr[x][0] != v)
+    mutants.append((ch, NotProperError))
+    ch, _ = chain()
+    ch._nbr[v][1] = v
+    mutants.append((ch, LoopEdgeError))
+    ch, _ = chain()
+    ch._nbr[v].pop()
+    mutants.append((ch, NotRegularError))
+    ch, gone = chain()          # an edge to a cancelled vertex
+    ch._nbr[v][2] = gone
+    mutants.append((ch, NotRegularError))
+    ch, _ = chain()             # an order-2 gem beside the survivors
+    ch._nbr.update({-1: [-2] * 4, -2: [-1] * 4})
+    mutants.append((ch, DisconnectedError))
+    for ch, error in mutants:
+        with pytest.raises(error):
+            ch.check()
+
+
+def test_verdict_does_not_prove_a_sphere_whose_check_fails(monkeypatch):
+    # a chain whose rows fail check() breaks off, and the verdict falls
+    # back to H1, as it did when graph() was rebuilt to validate them
+    def broken(self):
+        raise GemError("rows refused")
+
+    # spheres the chain has to prove: no order has genus 0 at the start
+    chained = [sub for g in _chain_corpus()[:4]
+               for sub in complementary_subgems(g)
+               if all(rho(sub, eps) for eps in cyclic_permutations(3))
+               and _three_manifold_verdict(sub) == SPHERE]
+    assert len(chained) >= 3
+    monkeypatch.setattr(DipoleReducer, "check", broken)
+    assert all(_three_manifold_verdict(build_graph(g.n, g.edges)) == UNKNOWN
+               for g in chained)
