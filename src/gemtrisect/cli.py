@@ -38,7 +38,6 @@ EXIT_IO = 4
 
 _DEFAULT_OPTIONS = {
     "eps": None,        # fixed permutation, or None to sweep
-    "sweep": True,      # follows from eps
     "apex_color": 4,
     "budget": 0,        # minimize_k search budget
     "mode": "auto",     # auto | closed | gts
@@ -301,8 +300,6 @@ def normalize_options(options=None):
         raise GemError("budget must be a non-negative integer")
     if not _is_int(opts["apex_color"]):
         raise GemError("apex_color must be an integer")
-    if not isinstance(opts["sweep"], bool):
-        raise GemError("sweep must be a boolean")
     if opts["eps"] is not None:
         try:
             opts["eps"] = tuple(opts["eps"])
@@ -310,9 +307,6 @@ def normalize_options(options=None):
             raise GemError("eps must be a sequence of integers") from None
         if not all(_is_int(c) for c in opts["eps"]):
             raise GemError("eps must be a sequence of integers")
-        opts["sweep"] = False
-    elif not opts["sweep"]:
-        raise GemError("sweep=false needs a fixed eps")
     if opts["mode"] not in ("auto", "closed", "gts"):
         raise GemError("mode must be auto, closed or gts")
     if opts["format"] not in ("json", "dot", "svg"):
@@ -320,10 +314,19 @@ def normalize_options(options=None):
     return opts
 
 
+def _recorded_options(opts):
+    """Normalized options as records and cache keys carry them.
+
+    They add `sweep`, which follows from eps: true when no fixed eps is
+    given.
+    """
+    return _jsonable(dict(opts, sweep=opts["eps"] is None))
+
+
 def run_key(gf, opts):
     """Content address of a run: gem, options, tool version."""
     blob = (gem_text(gf) + "\0"
-            + json.dumps(_jsonable(opts), sort_keys=True) + "\0"
+            + json.dumps(_recorded_options(opts), sort_keys=True) + "\0"
             + __version__)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -345,7 +348,8 @@ def run_pipeline(gf, options=None):
     def record(exit_code, error=None):
         timings["total"] = round(time.perf_counter() - t_start, 6)
         return RunRecord(input_hash=key, name=gf.name,
-                         options=_jsonable(opts), version=__version__,
+                         options=_recorded_options(opts),
+                         version=__version__,
                          timings=timings, exit_code=exit_code, error=error,
                          **done)
 
@@ -396,8 +400,7 @@ def run_pipeline(gf, options=None):
     done["certificate"] = best.as_dict()
 
     t0 = time.perf_counter()
-    ledger = bound_ledger(g, best.eps, best,
-                          boundary_spheres=report.boundary_spheres)
+    ledger = bound_ledger(g, best, boundary_spheres=report.boundary_spheres)
     done["ledger"] = ledger.as_dict()
     done["violations"] = ledger.violations()
     timings["ledger"] = round(time.perf_counter() - t0, 6)

@@ -110,7 +110,10 @@ def _chi_formula(pair_count, cyc_seq, order):
     pair_count maps frozenset({c, d}) to the number of {c,d}-cycles,
     cyc_seq is a tuple of colors and order the number of vertices.
     The consecutive pairs of cyc_seq come from _pair_keys, so a call is
-    len(cyc_seq) lookups: the dipole chain asks after every cancellation.
+    len(cyc_seq) lookups.  rho, subgraph_rho and validation._genus_zero
+    call it.  The dipole chain does not: it sums its starting chi from
+    the same counts and then keeps it up to date through its
+    _dipole_plan deltas (see graphs.DipoleReducer).
     """
     total = 0
     for key in _pair_keys(cyc_seq):
@@ -123,8 +126,9 @@ def _pair_keys(cyc_seq):
     """frozenset({c, d}) for each consecutive pair around cyc_seq.
 
     A pipeline run asks for a few dozen sequences: the 12 cyclic orders
-    of five colors, the 4-color orders they induce, and the three of a
-    4-colored sub-gem.
+    of five colors (rho), the 4-color orders they induce (subgraph_rho),
+    and the three orders of each 4-residue's colors that
+    validation._genus_zero tries before the residue's dipole chain.
     """
     n = len(cyc_seq)
     return tuple(frozenset((cyc_seq[i], cyc_seq[(i + 1) % n]))

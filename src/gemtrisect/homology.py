@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 
 from .graphs import (GemError, is_bipartite, residue_labels, residue_subgem,
                      residues)
-
-
-class MissingCertificate(GemError):
-    pass
 
 
 class HomologyGroup:
@@ -146,112 +143,73 @@ def euler_characteristic(g):
 
 # -- integer elimination -------------------------------------------------
 
-def _snf_divisors(columns, nrows):
-    """Nonzero Smith divisors of a sparse integer matrix.
+def _snf_divisors(columns):
+    """Nonzero Smith divisors of a sparse integer matrix, as a divisor chain.
 
-    columns is a list of {row: value} dicts.  Unit pivots are cleared
-    sparsely (they dominate on these matrices); whatever remains is
-    reduced by the classical dense algorithm.
+    columns is a list of {row: value} dicts; explicit zeros are dropped
+    on copying, so a zero is never a pivot.  The pivot is the first +-1
+    entry in column order or, when there is none, the first entry of
+    least magnitude.  Its row is reduced modulo the pivot in every other
+    column.  A unit pivot leaves that row clear, so its column is a
+    divisor and goes.  A larger pivot whose row came out clear has only
+    its own column left to row operations: that column is reduced
+    modulo the pivot in place, and the pivot is a divisor when nothing
+    is left beside it.  Otherwise the remainders, all smaller than the
+    pivot, hold the next one, so the least magnitude falls with every
+    pass that finds no divisor.  The divisors above 1 are turned into
+    invariant factors by gcd/lcm over pairs.
     """
-    cols = [dict(c) for c in columns if c]
-    divisors = []
-    # sparse phase: repeatedly eliminate with +-1 pivots
-    while True:
+    cols = [c for c in ({r: v for r, v in col.items() if v}
+                        for col in columns) if c]
+    units = 0
+    big = []
+    while cols:
         pivot = None
         for j, col in enumerate(cols):
             for r, v in col.items():
                 if v == 1 or v == -1:
-                    pivot = (j, r, v)
+                    pivot = (j, r)
                     break
             if pivot:
                 break
-        if not pivot:
-            break
-        j, r, v = pivot
-        pcol = cols.pop(j)
-        divisors.append(1)
+        if pivot is None:
+            _, j, r = min((abs(v), j, r) for j, col in enumerate(cols)
+                          for r, v in col.items())
+        else:
+            j, r = pivot
+        pcol = cols[j]
+        p = pcol[r]
+        clear = True
         for col in cols:
-            if r in col:
-                f = col[r] * v  # pcol scaled by v has +1 in row r
+            if col is not pcol and r in col:
+                q = col[r] // p
                 for rr, vv in pcol.items():
-                    nv = col.get(rr, 0) - f * vv
+                    nv = col.get(rr, 0) - q * vv
                     if nv:
                         col[rr] = nv
                     elif rr in col:
                         del col[rr]
+                if r in col:
+                    clear = False
+        if p == 1 or p == -1:
+            units += 1
+            pcol.clear()
+        elif clear:
+            for rr in [rr for rr in pcol if rr != r]:
+                nv = pcol[rr] % p
+                if nv:
+                    pcol[rr] = nv
+                else:
+                    del pcol[rr]
+            if len(pcol) == 1:
+                big.append(abs(p))
+                pcol.clear()
         cols = [c for c in cols if c]
-
-    if not cols:
-        return divisors
-
-    # dense phase on the small residual block
-    rows = sorted({r for c in cols for r in c})
-    rmap = {r: i for i, r in enumerate(rows)}
-    m = [[0] * len(cols) for _ in rows]
-    for j, col in enumerate(cols):
-        for r, v in col.items():
-            m[rmap[r]][j] = v
-    divisors.extend(_dense_snf(m))
-    return divisors
-
-
-def _dense_snf(m):
-    """Divisors of a small dense integer matrix, classical algorithm."""
-    m = [row[:] for row in m]
-    nr, nc = len(m), len(m[0]) if m else 0
-    out = []
-    t = 0
-    while t < nr and t < nc:
-        # find smallest nonzero entry to use as pivot
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if m[i][j] and (best is None
-                                or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i, j = best
-        m[t], m[i] = m[i], m[t]
-        for row in m:
-            row[t], row[j] = row[j], row[t]
-        # clear row and column t; restart when a remainder appears
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, nr):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    for j in range(t, nc):
-                        m[i][j] -= q * m[t][j]
-                    if m[i][t]:
-                        m[t], m[i] = m[i], m[t]
-                        dirty = True
-            for j in range(t + 1, nc):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    for i in range(t, nr):
-                        m[i][j] -= q * m[i][t]
-                    if m[t][j]:
-                        for i in range(t, nr):
-                            m[i][t], m[i][j] = m[i][j], m[i][t]
-                        dirty = True
-        # enforce divisibility of later entries by the pivot
-        p = abs(m[t][t])
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if m[i][j] % p:
-                    for jj in range(t, nc):
-                        m[t][jj] += m[i][jj]
-                    dirty = True
-                    break
-            if dirty:
-                break
-        if dirty:
-            continue  # redo pivot t with the merged row
-        out.append(p)
-        t += 1
-    return out
+    for i in range(len(big)):
+        for k in range(i + 1, len(big)):
+            d = math.gcd(big[i], big[k])
+            big[i], big[k] = d, big[i] // d * big[k]
+    return [1] * units + big
 
 
 def _gf2_rank(columns):
@@ -275,7 +233,7 @@ def _gf2_rank_bits(vectors):
 
 def _cokernel(columns, size):
     """Cokernel of an integer matrix with `size` rows, as a HomologyGroup."""
-    divs = _snf_divisors(columns, size)
+    divs = _snf_divisors(columns)
     return HomologyGroup(size - len(divs), sorted(x for x in divs if x > 1))
 
 
@@ -296,7 +254,7 @@ def homology(g, coefficients="Z"):
     if not is_bipartite(g)[0]:
         raise GemError("integral homology is only offered for bipartite "
                        "graphs; use Z/2")
-    divs = [[]] + [_snf_divisors(cx.boundaries[d], counts[d - 1])
+    divs = [[]] + [_snf_divisors(cx.boundaries[d])
                    for d in range(1, g.n + 1)]
     divs.append([])
     out = []
@@ -633,22 +591,15 @@ class BoundLedger:
             "%s=%s" % (f, getattr(self, f)) for f in self.FIELDS)
 
 
-def bound_ledger(g, eps, certificate, boundary_spheres=None):
+def bound_ledger(g, certificate, boundary_spheres=None):
     """Assemble the bound ledger for one pipeline run.
 
     certificate: a completed trisection certificate (duck-typed: needs
-    genus and mode).  boundary_spheres: number m from an
-    attested or proven boundary of the form #_m(S1xS2); 0 means closed.
+    genus, mode, rho_surface and rho_base, the regular genera of g and
+    of its apex-free residue under the certificate's eps).
+    boundary_spheres: number m from an attested or proven boundary of
+    the form #_m(S1xS2); 0 means closed.
     """
-    from .embedding import rho, subgraph_rho
-
-    if certificate is None:
-        raise MissingCertificate("trisection certificate required")
-    rg = rho(g, eps)
-    rh = subgraph_rho(g, eps, g.n)
-    if isinstance(rh, list):
-        raise GemError("boundary-role residue is disconnected")
-
     pres = pi1_presentation(g)
     ab = h1(g)
 
@@ -656,12 +607,12 @@ def bound_ledger(g, eps, certificate, boundary_spheres=None):
     if certificate.mode == "closed" or boundary_spheres is not None:
         g_T = certificate.genus
     return BoundLedger(
-        rho_eps_gamma=rg,
-        rho_eps_gamma_hat4=rh,
+        rho_eps_gamma=certificate.rho_surface,
+        rho_eps_gamma_hat4=certificate.rho_base,
         rk_lower=ab.min_generators,
         rk_upper=pres.num_generators,
         heegaard_lower=boundary_h1(g).min_generators,
-        heegaard_upper=rh,
+        heegaard_upper=certificate.rho_base,
         g_GT_upper=certificate.genus,
         g_T_upper=g_T,
         notes=["rho sweep values bound the per-gem invariant only"],

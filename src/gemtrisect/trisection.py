@@ -448,7 +448,7 @@ def minimize_k(g, eps, budget=0, mode="closed", schedules=None):
         subsets = itertools.chain.from_iterable(
             itertools.combinations(Q.squares, size) for size in range(best.k))
         subsets = (c for c in subsets if frozenset(c) not in stuck_sets)
-        for combo in itertools.islice(subsets, budget):
+        for _, combo in zip(range(budget), subsets):
             out = schedule(combo)
             if not isinstance(out, Incomplete):
                 best = out

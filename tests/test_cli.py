@@ -235,20 +235,27 @@ def test_sweep_is_argmin_over_fixed_eps(datadir_gem):
 
 def test_fixed_eps_disables_sweep():
     opts = normalize_options({"eps": (0, 1, 3, 2, 4)})
-    assert opts["sweep"] is False
     assert opts["eps"] == (0, 1, 3, 2, 4)
+    assert normalize_options(opts) == opts
     with pytest.raises(GemError):
         normalize_options({"bogus": 1})
     with pytest.raises(GemError):
         normalize_options({"mode": "sideways"})
-    # sweep follows from eps: without a fixed eps there is nothing else
-    with pytest.raises(GemError):
-        normalize_options({"sweep": False})
-    assert normalize_options({"sweep": True})["sweep"] is True
+    # sweep follows from eps, so it is no run option of its own
+    for value in (True, False):
+        with pytest.raises(GemError, match="unknown option 'sweep'"):
+            normalize_options({"sweep": value})
+    # records and cache keys still carry it, with the bytes they had
+    # when it was an option
     gf = parse_gem(SPHERE_TEXT)
-    assert run_key(gf, normalize_options({})) == run_key(
-        gf, normalize_options({"sweep": True}))
-    assert normalize_options({"sweep": False, "eps": (0, 1, 3, 2, 4)}) == opts
+    swept, _ = run_pipeline(gf)
+    fixed, _ = run_pipeline(gf, opts)
+    assert swept.as_dict()["options"]["sweep"] is True
+    assert fixed.as_dict()["options"]["sweep"] is False
+    assert run_key(gf, normalize_options({})) == (
+        "1a657d59e3f34e6b295994be5b06b9b8ccb56f485a5e0e546a56cd479420fe6a")
+    assert run_key(gf, opts) == (
+        "4540d123d894d77f06189eeba3cde2e386a48dd70534398721848d31f9405bb0")
 
 
 @pytest.mark.parametrize("options", [

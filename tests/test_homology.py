@@ -20,6 +20,7 @@ from gemtrisect.homology import (
     GroupPresentation,
     HomologyGroup,
     _build_pi1,
+    _cokernel,
     _gf2_rank,
     _snf_divisors,
     _tietze,
@@ -82,21 +83,55 @@ def _random_columns(rng, nrows, ncols, density=0.5, lo=-5, hi=5):
     return cols
 
 
-def test_snf_divisors_match_sympy():
-    rng = random.Random(20260814)
-    for _ in range(60):
-        nrows = rng.randrange(1, 7)
-        ncols = rng.randrange(0, 7)
-        cols = _random_columns(rng, nrows, ncols)
-        assert sorted(_snf_divisors(cols, nrows)) == sorted(
-            _oracle_divisors(cols, nrows))
+_ENTRY = st.integers(min_value=-12, max_value=12)      # 0: an explicit zero
+_NON_UNIT = _ENTRY.filter(lambda v: abs(v) != 1)
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """Columns of an up to 8x8 matrix with explicit zeros, empty columns
+    and zero rows; half the time with no +-1 entry, so the elimination
+    takes a non-unit pivot from the first pass."""
+    nrows = draw(st.integers(min_value=1, max_value=8))
+    entry = draw(st.sampled_from((_ENTRY, _NON_UNIT)))
+    column = st.dictionaries(st.integers(min_value=0, max_value=nrows - 1),
+                             entry, max_size=nrows)
+    return draw(st.lists(column, max_size=8)), nrows
+
+
+@st.composite
+def _diagonal_torsion(draw):
+    """A diagonal of torsion entries, rows in shuffled order: coprime
+    entries must merge, as diag(2, 3) has the single divisor 6."""
+    values = draw(st.lists(st.integers(min_value=2, max_value=30),
+                           min_size=1, max_size=8))
+    rows = draw(st.permutations(range(len(values))))
+    return [{r: v} for r, v in zip(rows, values)], len(values)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(_sparse_matrices(), _diagonal_torsion()))
+def test_snf_divisors_match_sympy(case):
+    cols, nrows = case
+    before = [dict(c) for c in cols]
+    assert _snf_divisors(cols) == sorted(_oracle_divisors(cols, nrows))
+    assert cols == before
+
+
+def test_snf_merges_coprime_torsion():
+    # min_generators, and with it the ledger's rk_lower, counts the
+    # invariant factors: Z/2 + Z/3 is the cyclic Z/6
+    assert _snf_divisors([{0: 2}, {1: 3}]) == [1, 6]
+    group = _cokernel([{0: 2}, {1: 3}], 2)
+    assert group == HomologyGroup(0, [6])
+    assert group.min_generators == 1
 
 
 def test_snf_divisor_chain_divides():
     rng = random.Random(7)
     for _ in range(40):
         cols = _random_columns(rng, rng.randrange(1, 6), rng.randrange(1, 6))
-        divs = _snf_divisors(cols, 6)
+        divs = _snf_divisors(cols)
         for a, b in zip(divs, divs[1:]):
             assert b % a == 0
 
@@ -270,7 +305,7 @@ def test_bound_ledger_sphere_all_zero(s4_gem):
     from gemtrisect.trisection import minimize_k
     eps = CyclicPermutation((0, 1, 2, 3, 4))
     cert = minimize_k(s4_gem, eps)
-    led = bound_ledger(s4_gem, eps, cert)
+    led = bound_ledger(s4_gem, cert)
     assert led.violations() == []
     for f in BoundLedger.FIELDS:
         assert getattr(led, f) == 0
@@ -287,9 +322,27 @@ def test_bound_ledger_reads_h1_once(datadir_gem, monkeypatch):
     def again(pres):
         raise AssertionError("H1 abelianised a second time")
     monkeypatch.setattr(GroupPresentation, "abelianization", again)
-    led = bound_ledger(g, eps, cert)
+    led = bound_ledger(g, cert)
     assert led.rk_lower == group.min_generators
     assert led.heegaard_lower == boundary.min_generators
+
+
+def test_bound_ledger_rho_fields_match_a_fresh_census():
+    # the ledger reads the certificate's regular genera; they are the
+    # census values of the chosen eps, for g and its apex-free residue.
+    # The corpus gems are spheres with both genera 0; the fixtures are
+    # not, and their two genera differ
+    from gemtrisect.embedding import cyclic_permutations, rho, subgraph_rho
+    from gemtrisect.trisection import sweep
+    fixtures = [fixture_graph(name) for name in (
+        "projective_plane_like.gem", "nonzero_forest.gem",
+        "two_singular_colors.gem", "bounded_s1s2.gem")]
+    for g in pipeline_corpus() + fixtures:
+        cert = sweep(g, cyclic_permutations(4))
+        led = bound_ledger(g, cert)
+        assert led.rho_eps_gamma == cert.rho_surface == rho(g, cert.eps)
+        assert led.rho_eps_gamma_hat4 == led.heegaard_upper == \
+            cert.rho_base == subgraph_rho(g, cert.eps, 4)
 
 
 def test_bound_ledger_flags_violations():

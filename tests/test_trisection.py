@@ -277,6 +277,15 @@ def test_budget_search_tries_small_subsets_in_order(monkeypatch):
     assert cert.ordering.stabilized == forest
 
 
+def test_budget_above_maxsize_is_a_large_budget(datadir_gem):
+    # a budget past sys.maxsize only caps the search, as any budget
+    # above the number of subsets tried does
+    g = datadir_gem("two_singular_colors.gem").graph
+    cert = minimize_k(g, IDENT, budget=5)
+    assert cert.k == 1
+    assert minimize_k(g, IDENT, budget=2**63).as_dict() == cert.as_dict()
+
+
 def _differential_corpus():
     """The pipeline corpus, shuffled chain sums and a bounded gem."""
     rng = random.Random(8)

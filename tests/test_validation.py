@@ -537,7 +537,7 @@ def test_pipeline_builds_no_subgem():
     assert rep.gs4_member and rep.closed
     best = sweep(g, cyclic_permutations(4))
     assert best.genus == 8
-    ledger = bound_ledger(g, best.eps, best, rep.boundary_spheres)
+    ledger = bound_ledger(g, best, rep.boundary_spheres)
     assert ledger.violations() == []
     assert assemble_diagram(g, best.eps, best).record.ok
     assert [k for k in g._memo
