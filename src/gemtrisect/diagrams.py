@@ -74,72 +74,43 @@ class Curve:
             self.kind, len(self.steps), self.cycle_index)
 
 
-class WallGraph:
-    """Residue pair families joined by the complementary bicolored cycles.
+def _wall_curves(g, kind, node_colors, cycle_colors):
+    """The cycle_colors-cycles a spanning forest of their wall graph
+    leaves out, as curves of this kind.
 
-    For node families c, d the edges are the {a,b}-cycles of the other
-    two non-apex colors; each cycle joins the hat-c and hat-d residues
-    (of the apex-free subgraph) containing it.
+    The wall graph's nodes are the residues of the two families
+    delta3 - {c}, c in node_colors, delta3 the non-apex colors; each
+    bicolored cycle joins the residue of either family that contains
+    it.  The forest is greedy in bicolored_cycles order.
     """
-
-    __slots__ = ("cycle_colors", "nodes", "cycles", "forest")
-
-    def __init__(self, cycle_colors, nodes, cycles, forest):
-        self.cycle_colors = cycle_colors
-        self.nodes = nodes              # (colorset, residue) per node
-        self.cycles = cycles            # the edges, in bicolored_cycles order
-        self.forest = forest            # cycle indices, minimum-id greedy
-
-    def __repr__(self):
-        return "WallGraph(nodes=%d, edges=%d, forest=%d)" % (
-            len(self.nodes), len(self.cycles), len(self.forest))
-
-
-def _wall_graph(g, node_colors, cycle_colors):
     delta3 = frozenset(g.colors) - {g.n}
-    fams = sorted((delta3 - {c} for c in node_colors), key=sorted)
-    nodes = [(fam, res) for fam in fams for res in residues(g, fam)]
-    label_a, label_b = residue_labels(g, fams[0]), residue_labels(g, fams[1])
-    first_b = len(residues(g, fams[0]))     # fams[1]'s nodes follow
-    a, b = sorted(cycle_colors)
-    cycles = bicolored_cycles(g, a, b)
-    ends = ((label_a[c.vertices[0]], first_b + label_b[c.vertices[0]])
-            for c in cycles)
-    return WallGraph(frozenset(cycle_colors), tuple(nodes), tuple(cycles),
-                     tuple(spanning_forest(len(nodes), ends)))
-
-
-def wall_graphs(g, eps):
-    """(K over the {eps0,eps2} families, K over {eps1,eps3}).
-
-    The first carries the {eps1,eps3}-cycles as edges and prunes beta;
-    the second carries {eps0,eps2}-cycles and prunes alpha.
-    """
-    eps = _permutation(g, eps)
-    e0, e1, e2, e3 = eps.seq[:4]
-    k02 = _wall_graph(g, (e0, e2), (e1, e3))
-    k13 = _wall_graph(g, (e1, e3), (e0, e2))
-    return k02, k13
-
-
-def _cycle_curve(kind, cyc, index):
-    return Curve(kind, tuple(("e", eid, d) for eid, d in cyc.steps), index)
+    fam_a, fam_b = sorted((delta3 - {c} for c in node_colors), key=sorted)
+    label_a, label_b = residue_labels(g, fam_a), residue_labels(g, fam_b)
+    first_b = len(residues(g, fam_a))       # fam_b's nodes follow
+    cycles = bicolored_cycles(g, *sorted(cycle_colors))
+    forest = set(spanning_forest(
+        first_b + len(residues(g, fam_b)),
+        ((label_a[c.vertices[0]], first_b + label_b[c.vertices[0]])
+         for c in cycles)))
+    return [Curve(kind, (("e", eid, d) for eid, d in cyc.steps), ci)
+            for ci, cyc in enumerate(cycles) if ci not in forest]
 
 
 def alpha_beta_curves(g, eps, certificate):
-    """Wall cycles minus forests, plus one meridian per handle, per side."""
-    eps = _permutation(g, eps)
-    k02, k13 = wall_graphs(g, eps)
-    k = certificate.k
+    """Wall cycles minus forests, plus one meridian per handle, per side.
+
+    Alpha is the {eps0,eps2}-cycles left out by the forest of their
+    wall graph over the {eps1,eps3} families, beta the {eps1,eps3}-cycles
+    left out over the {eps0,eps2} families.
+    """
+    e0, e1, e2, e3 = _permutation(g, eps).seq[:4]
     genus = certificate.genus
     if genus.denominator != 1:
         raise CountMismatch("non-integral genus %s" % genus)
     genus = int(genus)
-    alpha = [_cycle_curve("alpha", cyc, ci)
-             for ci, cyc in enumerate(k13.cycles) if ci not in k13.forest]
-    beta = [_cycle_curve("beta", cyc, ci)
-            for ci, cyc in enumerate(k02.cycles) if ci not in k02.forest]
-    for j in range(k):
+    alpha = _wall_curves(g, "alpha", (e1, e3), (e0, e2))
+    beta = _wall_curves(g, "beta", (e0, e2), (e1, e3))
+    for j in range(certificate.k):
         alpha.append(Curve("stab_circle", (("sc", j),)))
         beta.append(Curve("stab_circle", (("sc", j),)))
     if len(alpha) != genus or len(beta) != genus:
@@ -159,11 +130,14 @@ def gamma_curves(Q, certificate):
     total expanded size a spanning forest can leave; only those are
     expanded, in Q1 edge order.  Every
     apex edge inside a surviving cycle is rewritten: stabilized edges
-    become handle traversals, collapsed edges are replaced by the rest
-    of their witness cycle, walked against the cycle orientation, and
-    collapse_schedule picked each witness as the shortest on offer.
-    The ordering property bounds the rewriting depth by the number of
-    squares; exceeding it raises ExpansionDiverged.
+    become handle traversals, and a collapsed edge e is replaced by the
+    rest of its witness cycle, collapse_schedule's shortest on offer.
+    Each collapsed edge is rewritten once: run against the cycle, e is
+    the rest walked forward; run along it, e is that walk's inverse,
+    which is exact because every step's opposite direction expands to
+    the inverse of its own.  The ordering property keeps a witness from
+    leading back to its own edge; a square re-entered during its own
+    rewrite raises ExpansionDiverged.
     """
     g = Q.graph
     apex = g.n
@@ -179,56 +153,40 @@ def gamma_curves(Q, certificate):
     forest = _gamma_forest(Q, [edge.index for edge in Q.q1_edges
                                if edge.index not in witness_set], ordering)
 
-    cache = {}
+    rewritten = {}          # collapsed edge -> {direction: walk}
     in_progress = set()
 
     def expand(e, d):
-        key = (e, d)
-        if key in cache:
-            return cache[key]
-        if key in in_progress or len(in_progress) > len(Q.squares):
-            raise ExpansionDiverged("rewriting loop through edge %d" % e)
         if e in handle_of:
-            out = (("h", handle_of[e], d),)
-            cache[key] = out
-            return out
-        in_progress.add(key)
-        if e not in witness_of:
-            raise GemError("apex edge %d is neither stabilized nor collapsed"
-                           % e)
-        cyc = Q.q1_edges[witness_of[e]].cycle
-        x = next(i for i, (eid, _) in enumerate(cyc.steps) if eid == e)
-        d_c = cyc.steps[x][1]
-        L = len(cyc.steps)
-        if d == d_c:
-            # against the cycle: walk the complement backwards, inverted
-            raw = [(cyc.steps[(x - 1 - t) % L][0],
-                    -cyc.steps[(x - 1 - t) % L][1]) for t in range(L - 1)]
-        else:
-            raw = [cyc.steps[(x + 1 + t) % L] for t in range(L - 1)]
-        out = []
-        for eid, dd in raw:
-            if g.edges[eid][2] == apex:
-                out.extend(expand(eid, dd))
-            else:
-                out.append(("e", eid, dd))
-        in_progress.discard(key)
-        cache[key] = tuple(out)
-        return cache[key]
+            return (("h", handle_of[e], d),)
+        if e not in rewritten:
+            if e in in_progress:
+                raise ExpansionDiverged("rewriting loop through edge %d" % e)
+            if e not in witness_of:
+                raise GemError("apex edge %d is neither stabilized nor "
+                               "collapsed" % e)
+            in_progress.add(e)
+            steps = Q.q1_edges[witness_of[e]].cycle.steps
+            x = next(i for i, (eid, _) in enumerate(steps) if eid == e)
+            forward = tuple(rewrite(steps[x + 1:] + steps[:x]))
+            in_progress.discard(e)
+            backward = tuple(_step_inverse(s) for s in reversed(forward))
+            rewritten[e] = {-steps[x][1]: forward, steps[x][1]: backward}
+        return rewritten[e][d]
 
-    gamma = []
-    for edge in Q.q1_edges:
-        if edge.index in witness_set or edge.index in forest:
-            continue
-        steps = []
-        for eid, d in edge.cycle.steps:
+    def rewrite(steps):
+        out = []
+        for eid, d in steps:
             if g.edges[eid][2] == apex:
-                steps.extend(expand(eid, d))
+                out.extend(expand(eid, d))
             else:
-                steps.append(("e", eid, d))
-        gamma.append(Curve("gamma", _reduce(steps, _step_inverse),
-                           edge.index))
-    return gamma
+                out.append(("e", eid, d))
+        return out
+
+    return [Curve("gamma", _reduce(rewrite(edge.cycle.steps), _step_inverse),
+                  edge.index)
+            for edge in Q.q1_edges
+            if edge.index not in witness_set and edge.index not in forest]
 
 
 def _gamma_forest(Q, kept, ordering):

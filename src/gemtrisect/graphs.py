@@ -633,8 +633,7 @@ class DipoleReducer:
     vertices it drops, so it is kept up to date, not re-summed.
 
     Welds keep the graph proper and regular; check() runs build's
-    checks on the rows themselves, and graph() rebuilds the current
-    graph through build_graph, which validates it too.
+    checks on the rows themselves.
     """
 
     def __init__(self, g, res=None, cycles=()):
@@ -776,18 +775,6 @@ class DipoleReducer:
                     walk.append(w)
         if len(walk) != len(nbr):
             raise DisconnectedError("graph is not connected")
-
-    def graph(self):
-        """The current graph, numbered as the sub-gem's chain numbers it.
-
-        Survivors and colors are numbered in g's order, as
-        residue_subgem and cancel_dipole number them.
-        """
-        new_id = {w: i for i, w in enumerate(sorted(self._nbr))}
-        edges = [(new_id[a], new_id[b], i)
-                 for a, row in self._nbr.items()
-                 for i, b in enumerate(row) if a < b]
-        return build_graph(self.n, edges)
 
 
 def _adjacent_pairs(g):

@@ -242,6 +242,9 @@ def homology(g, coefficients="Z"):
 
     coefficients: "Z" (bipartite graphs only) or "Z/2".
     """
+    # No pipeline stage calls this (the tests and tools/search_gems.py
+    # do); it and chain_complex stay in the package because the
+    # acceptance gate, tests/test_acceptance.py, imports it.
     cx = chain_complex(g)
     counts = cx.cell_counts()
     if coefficients == "Z/2":

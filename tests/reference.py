@@ -5,11 +5,13 @@ never needed: the pass-by-pass Tietze loop and the pi1 builder that
 reads the whole chain complex, the one-pair intersection count, the
 pairwise chord-crossing test, the pairwise lane comparator, the central
 surface built with sign-reversing edges, the square complex built whole
-for each cyclic order, the sweep that schedules every order afresh,
-the witness and gamma forest rules that took the lowest index whatever
-the curve length, the dipole chain that rebuilds the graph
-after every cancellation and the incremental one on dicts that
-followed it, the gem check that scans every vertex for missing
+for each cyclic order, the sweep that schedules every order afresh, the
+witness and gamma forest rules that took the lowest index whatever the
+curve length, the wall graphs built as records and the witness rewriting
+that walks each collapsed square once per direction, the dipole chain
+that rebuilds the graph after every cancellation and the incremental one
+on dicts that followed it, the library chain's current graph rebuilt
+through build_graph, the gem check that scans every vertex for missing
 colors after filling a full incidence table, and the diagram's json
 document built as dicts for json.dumps.
 """
@@ -20,7 +22,9 @@ from collections import deque
 from functools import cmp_to_key
 from types import SimpleNamespace
 
-from gemtrisect.diagrams import _chord_index, _intersection_columns
+from gemtrisect.diagrams import (Curve, ExpansionDiverged, _chord_index,
+                                 _gamma_forest, _intersection_columns,
+                                 _reduce, _step_inverse)
 from gemtrisect.embedding import RotationScheme, _permutation
 from gemtrisect.graphs import (ColoredGraph, DisconnectedError, GemError,
                                LoopEdgeError, NotProperError, NotRegularError,
@@ -533,8 +537,9 @@ class DipoleReducer:
     heap, each cancellation tests every pair of colors against the
     dipole's color set, and one union-find per color set of two to
     len(res.colors) - 1 colors holds a parent entry for every label of
-    the residue.  Same surface as the library class: cancel_next(),
-    chi, nv, pair_counts and graph().
+    the residue.  Same surface as the library class (cancel_next(),
+    chi, nv and pair_counts), plus graph(), which dipole_chain_graph
+    gives the library class.
     """
 
     def __init__(self, g, res=None, cycles=()):
@@ -631,6 +636,125 @@ class DipoleReducer:
                  for a, row in self._nbr.items()
                  for c, b in row.items() if a < b]
         return build_graph(self.n, edges)
+
+
+def dipole_chain_graph(chain):
+    """The library chain's current graph, numbered as the sub-gem's
+    chain numbers it: survivors and colors in g's order, as
+    residue_subgem and cancel_dipole number them."""
+    new_id = {w: i for i, w in enumerate(sorted(chain._nbr))}
+    edges = [(new_id[a], new_id[b], i)
+             for a, row in chain._nbr.items()
+             for i, b in enumerate(row) if a < b]
+    return build_graph(chain.n, edges)
+
+
+def _wall_graph(g, node_colors, cycle_colors):
+    delta3 = frozenset(g.colors) - {g.n}
+    fams = sorted((delta3 - {c} for c in node_colors), key=sorted)
+    nodes = [(fam, res) for fam in fams for res in residues(g, fam)]
+    label_a, label_b = residue_labels(g, fams[0]), residue_labels(g, fams[1])
+    first_b = len(residues(g, fams[0]))     # fams[1]'s nodes follow
+    a, b = sorted(cycle_colors)
+    cycles = bicolored_cycles(g, a, b)
+    ends = ((label_a[c.vertices[0]], first_b + label_b[c.vertices[0]])
+            for c in cycles)
+    return SimpleNamespace(cycle_colors=frozenset(cycle_colors),
+                           nodes=tuple(nodes), cycles=tuple(cycles),
+                           forest=tuple(spanning_forest(len(nodes), ends)))
+
+
+def wall_graphs(g, eps):
+    """(K over the {eps0,eps2} families, K over {eps1,eps3}).
+
+    For node families c, d the edges are the {a,b}-cycles of the other
+    two non-apex colors; each cycle joins the hat-c and hat-d residues
+    containing it.  The first carries the {eps1,eps3}-cycles and prunes
+    beta; the second carries the {eps0,eps2}-cycles and prunes alpha.
+    """
+    e0, e1, e2, e3 = _permutation(g, eps).seq[:4]
+    return (_wall_graph(g, (e0, e2), (e1, e3)),
+            _wall_graph(g, (e1, e3), (e0, e2)))
+
+
+def alpha_beta_curves(g, eps, certificate):
+    """Alpha and beta read off the wall graph records."""
+    k02, k13 = wall_graphs(g, eps)
+    alpha = [Curve("alpha", (("e", eid, d) for eid, d in cyc.steps), ci)
+             for ci, cyc in enumerate(k13.cycles) if ci not in k13.forest]
+    beta = [Curve("beta", (("e", eid, d) for eid, d in cyc.steps), ci)
+            for ci, cyc in enumerate(k02.cycles) if ci not in k02.forest]
+    for j in range(certificate.k):
+        alpha.append(Curve("stab_circle", (("sc", j),)))
+        beta.append(Curve("stab_circle", (("sc", j),)))
+    return alpha, beta
+
+
+def gamma_curves(Q, certificate):
+    """Gamma with each collapsed square walked once per direction.
+
+    Run along its witness cycle, a square is the rest of the cycle
+    walked backwards with every step inverted; run against it, the rest
+    walked forwards.  Each direction is expanded and cached on its own.
+    """
+    g = Q.graph
+    apex = g.n
+    ordering = certificate.ordering
+    handle_of = {e: j for j, e in enumerate(ordering.stabilized)}
+    witness_of = {e: idx for e, (_, idx) in
+                  zip(ordering.collapsed, ordering.witnesses)}
+    witness_set = set(witness_of.values())
+    if len(witness_set) != len(ordering.collapsed):
+        raise GemError("witness cycles are not distinct")
+    forest = _gamma_forest(Q, [edge.index for edge in Q.q1_edges
+                               if edge.index not in witness_set], ordering)
+    cache = {}
+    in_progress = set()
+
+    def expand(e, d):
+        key = (e, d)
+        if key in cache:
+            return cache[key]
+        if key in in_progress or len(in_progress) > len(Q.squares):
+            raise ExpansionDiverged("rewriting loop through edge %d" % e)
+        if e in handle_of:
+            cache[key] = (("h", handle_of[e], d),)
+            return cache[key]
+        in_progress.add(key)
+        if e not in witness_of:
+            raise GemError("apex edge %d is neither stabilized nor collapsed"
+                           % e)
+        cyc = Q.q1_edges[witness_of[e]].cycle
+        x = next(i for i, (eid, _) in enumerate(cyc.steps) if eid == e)
+        L = len(cyc.steps)
+        if d == cyc.steps[x][1]:
+            raw = [(cyc.steps[(x - 1 - t) % L][0],
+                    -cyc.steps[(x - 1 - t) % L][1]) for t in range(L - 1)]
+        else:
+            raw = [cyc.steps[(x + 1 + t) % L] for t in range(L - 1)]
+        out = []
+        for eid, dd in raw:
+            if g.edges[eid][2] == apex:
+                out.extend(expand(eid, dd))
+            else:
+                out.append(("e", eid, dd))
+        in_progress.discard(key)
+        cache[key] = tuple(out)
+        return cache[key]
+
+    gamma = []
+    for edge in Q.q1_edges:
+        if edge.index in witness_set or edge.index in forest:
+            continue
+        steps = []
+        for eid, d in edge.cycle.steps:
+            if g.edges[eid][2] == apex:
+                steps.extend(expand(eid, d))
+            else:
+                steps.append(("e", eid, d))
+        gamma.append(Curve("gamma", _reduce(steps, _step_inverse),
+                           edge.index))
+    return gamma
 
 
 def _step_json(s):

@@ -464,6 +464,13 @@ def test_golden_diagram_bytes(datadir_gem):
     assert dgm == (DATA / "projective_plane_like.diagram.json").read_bytes()
 
 
+def test_golden_diagram_bytes_pp_sum3(datadir_gem):
+    # the #3 chain sum: its gamma rewrites 9 collapsed squares, 3 of
+    # them in both directions
+    _, dgm = run_pipeline(datadir_gem("pp_sum3.gem"))
+    assert dgm == (DATA / "pp_sum3.diagram.json").read_bytes()
+
+
 def test_diagram_format_options(datadir_gem):
     gf = datadir_gem("projective_plane_like.gem")
     rec, dot = run_pipeline(gf, {"format": "dot"})

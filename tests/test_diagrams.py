@@ -24,17 +24,18 @@ from gemtrisect.diagrams import (
     _self_intersections,
     _strand_order,
     _to_walk,
+    _wall_curves,
     alpha_beta_curves,
     assemble_diagram,
     export_diagram,
     gamma_curves,
     verify_diagram,
-    wall_graphs,
 )
 from gemtrisect.embedding import (CyclicPermutation, cyclic_permutations,
                                   stabilized_surface)
-from gemtrisect.graphs import (GemError, build_graph, connected_sum,
-                               is_bipartite, standard_sphere_gem)
+from gemtrisect.graphs import (GemError, bicolored_cycles, build_graph,
+                               connected_sum, is_bipartite, residues,
+                               standard_sphere_gem)
 from gemtrisect.homology import chain_complex
 from gemtrisect.trisection import (
     CollapseOrdering,
@@ -96,12 +97,13 @@ def test_forced_handle_diagram(s4_gem):
 
 
 def test_wall_graphs_sphere(s4_gem):
-    k02, k13 = wall_graphs(s4_gem, IDENT)
-    for wg, cyc_colors in ((k02, {1, 3}), (k13, {0, 2})):
-        assert wg.cycle_colors == frozenset(cyc_colors)
-        assert len(wg.nodes) == 2
-        assert len(wg.cycles) == 1
-        assert wg.forest == (0,)   # the lone cycle joins the two walls
+    # each pair has one cycle, and it joins the two walls: the forest
+    # takes it, so neither side keeps a curve
+    for node_colors, cycle_colors in (((0, 2), (1, 3)), ((1, 3), (0, 2))):
+        assert len(bicolored_cycles(s4_gem, *cycle_colors)) == 1
+        for fam in node_colors:
+            assert len(residues(s4_gem, {0, 1, 2, 3} - {fam})) == 1
+        assert _wall_curves(s4_gem, "alpha", node_colors, cycle_colors) == []
 
 
 def test_alpha_beta_pruning_matches_genus():
@@ -178,11 +180,68 @@ def test_expansion_loop_detected(datadir_gem):
         gamma_curves(Q, types.SimpleNamespace(ordering=ordering))
 
 
-def test_gamma_requires_distinct_witnesses(s4_gem):
+def test_gamma_refuses_unplaced_square(datadir_gem):
+    # square 19 is neither stabilized nor collapsed, yet cycle 10, the
+    # one cycle the gamma forest leaves out, runs through it
+    g = datadir_gem("nonzero_forest.gem").graph
+    Q = build_Q(g, IDENT)
+    assert 19 in Q.q1_edges[10].squares
+    ordering = CollapseOrdering(
+        (), (16, 17, 18),
+        ((Q.q1_edges[0].color, 0), (Q.q1_edges[1].color, 1),
+         (Q.q1_edges[7].color, 7)))
+    with pytest.raises(GemError, match="apex edge 19 is neither stabilized"):
+        gamma_curves(Q, types.SimpleNamespace(ordering=ordering))
+
+
+def test_curve_systems_match_reference():
+    # kind, steps and cycle index of all three systems against the wall
+    # graph records and the two-direction witness rewriting, over seeded
+    # gems and orders, welded sums, and forced handles (k > 0)
+    rng = random.Random(20261020)
+    perms = list(cyclic_permutations(4))
+    pp = fixture_graph("projective_plane_like.gem")
+    nf = fixture_graph("nonzero_forest.gem")
+    cases = []
+    for g in pipeline_corpus(count=10, seed=23):
+        cases.extend((g, eps, None) for eps in rng.sample(perms, 3))
+    for _ in range(4):
+        g = pp
+        for _ in range(rng.randrange(1, 5)):
+            g = weld(g, rng.choice((pp, nf)), rng)
+        cases.extend((g, eps, None) for eps in rng.sample(perms, 3))
+    for g in (pp, nf, weld(pp, nf, rng)):
+        for eps in rng.sample(perms, 2):
+            free = sorted(set(build_Q(g, eps).squares)
+                          - set(stabilization_set(g, eps)))
+            cases.append((g, eps, rng.sample(free, 2)))
+    handles = 0
+    for g, eps, extra in cases:
+        cert = (minimize_k(g, eps) if extra is None
+                else _forced(g, eps, extra))
+        handles += cert.k
+        Q = build_Q(g, eps)
+        got = alpha_beta_curves(g, eps, cert) + (gamma_curves(Q, cert),)
+        want = (reference.alpha_beta_curves(g, eps, cert)
+                + (reference.gamma_curves(Q, cert),))
+        for mine, theirs in zip(got, want):
+            assert ([(c.kind, c.steps, c.cycle_index) for c in mine]
+                    == [(c.kind, c.steps, c.cycle_index) for c in theirs])
+    assert handles >= 12
+
+
+def test_gamma_requires_distinct_witnesses(s4_gem, datadir_gem):
     Q = build_Q(s4_gem, IDENT)
     sq = Q.squares[0]
     ordering = CollapseOrdering((), (sq, sq), ((0, 0), (0, 0)))
-    with pytest.raises(GemError):
+    with pytest.raises(GemError, match="witness cycles are not distinct"):
+        gamma_curves(Q, types.SimpleNamespace(ordering=ordering))
+    # two distinct collapsed squares of cycle 2 both claim it
+    Q = build_Q(datadir_gem("nonzero_forest.gem").graph, IDENT)
+    ordering = CollapseOrdering(
+        (16, 17), (18, 19),
+        ((Q.q1_edges[2].color, 2), (Q.q1_edges[2].color, 2)))
+    with pytest.raises(GemError, match="witness cycles are not distinct"):
         gamma_curves(Q, types.SimpleNamespace(ordering=ordering))
 
 
