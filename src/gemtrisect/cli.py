@@ -23,12 +23,13 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .diagrams import assemble_diagram, export_diagram
+from .diagrams import assemble_diagram, export_diagram, prove_pi1_trivial
 from .embedding import _permutation, cyclic_permutations
 from .graphs import GemError, build_graph
 from .homology import bound_ledger
 from .trisection import Incomplete, sweep
-from .validation import MultipleApexResidues, NotAGem, certify_Gs4
+from .validation import (MultipleApexResidues, NotAGem, certify_Gs4,
+                         settle_simply_connected)
 
 EXIT_OK = 0
 EXIT_INVALID = 1        # parse or validation failure
@@ -332,11 +333,20 @@ def run_key(gf, opts):
 
 
 def run_pipeline(gf, options=None):
-    """certify -> sweep -> ledger -> diagram -> verify.
+    """certify -> sweep -> diagram (assemble, verify, export) -> ledger.
 
     Returns (RunRecord, diagram bytes or None).  Deterministic given
     the gem and options; all failures land in the record's exit_code
     and error fields rather than escaping.
+
+    pi1 is built only where no theorem answers it.  A verified closed
+    diagram with some k_i = 0 proves pi1 = 1 and stores the trivial
+    presentation (diagrams.prove_pi1_trivial), so the ledger runs after
+    the diagram; otherwise the ledger builds pi1.  Every record that
+    carries a report has its simply_connected flag settled first
+    (validation.settle_simply_connected), early exits included.  A
+    ledger violation wins over a diagram failure and leaves no
+    diagram_ref; a diagram failure keeps the ledger's fields.
     """
     opts = normalize_options(options)
     key = run_key(gf, opts)
@@ -344,8 +354,11 @@ def run_pipeline(gf, options=None):
     t_start = time.perf_counter()
     # record fields, filled in as stages finish; unreached ones stay null
     done = {}
+    report = None
 
     def record(exit_code, error=None):
+        if report is not None:
+            done["report"] = settle_simply_connected(g, report).as_dict()
         timings["total"] = round(time.perf_counter() - t_start, 6)
         return RunRecord(input_hash=key, name=gf.name,
                          options=_recorded_options(opts),
@@ -367,7 +380,6 @@ def run_pipeline(gf, options=None):
     except GemError as exc:
         return record(EXIT_INVALID, str(exc)), None
     timings["validate"] = round(time.perf_counter() - t0, 6)
-    done["report"] = report.as_dict()
     if not report.gs4_member:
         return record(EXIT_NOT_MEMBER,
                       "gem is outside the singular-apex class"), None
@@ -399,6 +411,33 @@ def run_pipeline(gf, options=None):
     timings["sweep"] = round(time.perf_counter() - t0, 6)
     done["certificate"] = best.as_dict()
 
+    diagram_bytes = failure = None
+    t0 = time.perf_counter()
+    if report.orientable:
+        try:
+            diagram = assemble_diagram(g, best.eps, best)
+        except GemError as exc:
+            failure = "diagram assembly failed: %s" % exc
+        else:
+            if diagram.record.ok:
+                prove_pi1_trivial(diagram)
+                diagram_bytes = export_diagram(diagram, opts["format"])
+                diagram_ref = {
+                    "sha256": hashlib.sha256(diagram_bytes).hexdigest(),
+                    "format": opts["format"],
+                    "mode": diagram.mode,
+                    "verified": True,
+                }
+            else:
+                failed = {k: v for k, v in diagram.record.checks.items()
+                          if not v["pass"]}
+                failure = ("diagram verification failed: %s"
+                           % json.dumps(_jsonable(failed), sort_keys=True))
+    else:
+        diagram_ref = {"skipped": "diagram machinery needs an "
+                                  "orientable (bipartite) gem"}
+    timings["diagram"] = round(time.perf_counter() - t0, 6)
+
     t0 = time.perf_counter()
     ledger = bound_ledger(g, best, boundary_spheres=report.boundary_spheres)
     done["ledger"] = ledger.as_dict()
@@ -406,32 +445,9 @@ def run_pipeline(gf, options=None):
     timings["ledger"] = round(time.perf_counter() - t0, 6)
     if done["violations"]:
         return record(EXIT_INTERNAL, "bound ledger violated"), None
-
-    diagram_bytes = None
-    t0 = time.perf_counter()
-    if report.orientable:
-        try:
-            diagram = assemble_diagram(g, best.eps, best)
-        except GemError as exc:
-            return record(EXIT_INTERNAL,
-                          "diagram assembly failed: %s" % exc), None
-        if not diagram.record.ok:
-            failed = {k: v for k, v in diagram.record.checks.items()
-                      if not v["pass"]}
-            return record(EXIT_INTERNAL, "diagram verification failed: %s"
-                          % json.dumps(_jsonable(failed), sort_keys=True)
-                          ), None
-        diagram_bytes = export_diagram(diagram, opts["format"])
-        done["diagram_ref"] = {
-            "sha256": hashlib.sha256(diagram_bytes).hexdigest(),
-            "format": opts["format"],
-            "mode": diagram.mode,
-            "verified": True,
-        }
-    else:
-        done["diagram_ref"] = {"skipped": "diagram machinery needs an "
-                                          "orientable (bipartite) gem"}
-    timings["diagram"] = round(time.perf_counter() - t0, 6)
+    if failure is not None:
+        return record(EXIT_INTERNAL, failure), None
+    done["diagram_ref"] = diagram_ref
     return record(EXIT_OK), diagram_bytes
 
 

@@ -31,8 +31,8 @@ from __future__ import annotations
 from .embedding import _permutation, stabilized_surface
 from .graphs import (GemError, bicolored_cycles, residue_labels, residues,
                      spanning_forest)
-from .homology import (HomologyGroup, _cokernel, _gf2_rank_bits, boundary_h1,
-                       euler_characteristic)
+from .homology import (GroupPresentation, HomologyGroup, _cokernel,
+                       _gf2_rank_bits, boundary_h1, euler_characteristic)
 from .trisection import build_Q, cycle_sizes
 
 
@@ -632,6 +632,33 @@ def verify_diagram(diagram):
     record = VerificationRecord(checks, ok, notes)
     diagram.record = record
     return record
+
+
+def prove_pi1_trivial(diagram):
+    """Store pi1 = 1 on the diagram's gem when the diagram proves it.
+
+    In a (g; k1, k2, k3) trisection of a closed X, the sector X1 is
+    the boundary sum of k1 copies of S1 x B3 and X is X1 with handles
+    of index 2 and more attached, so pi1(X) is a quotient of the free
+    group of rank k1, and likewise of rank k2 and k3 (Gay and Kirby,
+    "Trisecting 4-manifolds", Geom. Topol. 2016).  A verified
+    closed-mode diagram whose k1, k2 or pairing rank k3 is 0 therefore
+    proves pi1 = 1.  That rests on the paper's second result, that the
+    diagram assembled from a certified member gem is a trisection
+    diagram of its 4-manifold, so callers pass only diagrams of such
+    gems.  The trivial presentation goes under the gem's "pi1" memo,
+    where pi1_presentation, h1 and the ledger read it, unless a
+    presentation is already there.  Returns whether the diagram proves
+    pi1 = 1.
+    """
+    checks = diagram.record.checks
+    if not (diagram.record.ok and diagram.mode == "trisection"
+            and 0 in (checks["gamma_cokernels"]["k1"],
+                      checks["gamma_cokernels"]["k2"],
+                      checks["pairing_ab"]["rank"])):
+        return False
+    diagram.surface.graph._memo.setdefault("pi1", GroupPresentation(0, ()))
+    return True
 
 
 # -- export ----------------------------------------------------------------

@@ -21,8 +21,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .graphs import (GemError, bicolored_cycles, is_bipartite,
-                     residue_cycle_counts, residues)
+from .graphs import GemError, is_bipartite, residue_cycle_counts, residues
 
 
 # -- cyclic permutations ------------------------------------------------

@@ -320,7 +320,10 @@ def pi1_presentation(g):
     (kill trivialized generators, merge identified pairs, drop
     generators occurring once in a single relator) run to a fix point.
     Built once per graph and memoised on it, so every caller gets the
-    same presentation.
+    same presentation.  Nothing is built where a theorem answers first:
+    a verified closed trisection diagram with some k_i = 0 stores the
+    trivial presentation under the memo (diagrams.prove_pi1_trivial),
+    and the pipeline settles pi1 only after its diagram stage.
 
     Cost: labelling the residues of the 2-skeleton, O(order) per color
     set and shared through the residue cache, then O(cells) to number
@@ -602,6 +605,11 @@ def bound_ledger(g, certificate, boundary_spheres=None):
     of its apex-free residue under the certificate's eps).
     boundary_spheres: number m from an attested or proven boundary of
     the form #_m(S1xS2); 0 means closed.
+
+    rk_lower and rk_upper read pi1_presentation(g): the trivial group
+    when the verified diagram proved pi1 = 1, which is why run_pipeline
+    runs the ledger after the diagram, else the Tietze-reduced
+    presentation built here.
     """
     pres = pi1_presentation(g)
     ab = h1(g)

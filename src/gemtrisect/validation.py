@@ -40,7 +40,11 @@ class MultipleApexResidues(GemError):
 
 
 class ValidationReport:
-    """Everything certify_Gs4 decided, with its evidence trail."""
+    """Everything certify_Gs4 decided, with its evidence trail.
+
+    simply_connected stays None until settle_simply_connected decides
+    it; simply_connected_attested is the attestation it weighs.
+    """
 
     apex_color = 4
 
@@ -53,7 +57,8 @@ class ValidationReport:
         self.boundary_spheres = kw["boundary_spheres"]
         self.closed = kw["closed"]
         self.orientable = kw["orientable"]
-        self.simply_connected = kw["simply_connected"]
+        self.simply_connected = None
+        self.simply_connected_attested = kw["simply_connected_attested"]
         self.attestations_used = tuple(kw["attestations_used"])
         self.conflicts = tuple(kw["conflicts"])
 
@@ -233,7 +238,10 @@ def certify_Gs4(g, attestations=None):
 
     The apex is color 4.  Attestations can only upgrade "unknown"
     verdicts, never flip a proven one; every upgrade and every conflict
-    is recorded.
+    is recorded.  pi1 is not settled here: the report's simply_connected
+    stays None until settle_simply_connected, which the pipeline calls
+    after the diagram stage, where a verified trisection may prove pi1
+    trivial without building it.
     """
     if g.n != 4:
         raise GemError("classification requires dimension 4")
@@ -306,17 +314,6 @@ def certify_Gs4(g, attestations=None):
     elif boundary_verdict == NON_SPHERE or boundary_spheres is not None:
         closed = False
 
-    # A presentation with no generators left after reduction proves pi1 = 1.
-    simply_connected = pi1_presentation(g).num_generators == 0
-    if att["simply_connected"] and not simply_connected:
-        h1g = h1(g)
-        if h1g.min_generators != 0:
-            conflicts.append(
-                "simply-connected attestation inconsistent with H1=%r" % h1g)
-        else:
-            simply_connected = True
-            used.append("simply-connected=yes")
-
     singular, undetermined = _singular_undetermined(upgraded)
     return ValidationReport(
         color_verdicts={c: tuple(v) for c, v in upgraded.items()},
@@ -327,7 +324,33 @@ def certify_Gs4(g, attestations=None):
         boundary_spheres=boundary_spheres,
         closed=closed,
         orientable=is_bipartite(g)[0],
-        simply_connected=simply_connected,
+        simply_connected_attested=att["simply_connected"],
         attestations_used=used,
         conflicts=conflicts,
     )
+
+
+def settle_simply_connected(g, report):
+    """Decide report.simply_connected; returns the report.
+
+    A presentation of pi1 with no generators proves pi1 = 1.
+    pi1_presentation(g) is the trivial one when a verified closed
+    trisection diagram with some k_i = 0 proved it (see
+    diagrams.prove_pi1_trivial), and is otherwise built from the
+    2-skeleton and reduced by Tietze moves.  An attested
+    simply-connected gem that the presentation leaves open stands when
+    H1 = 0 and is a conflict otherwise; either entry goes last in its
+    list.
+    """
+    simply_connected = pi1_presentation(g).num_generators == 0
+    if report.simply_connected_attested and not simply_connected:
+        h1g = h1(g)
+        if h1g.min_generators != 0:
+            report.conflicts += (
+                "simply-connected attestation inconsistent with H1=%r"
+                % h1g,)
+        else:
+            simply_connected = True
+            report.attestations_used += ("simply-connected=yes",)
+    report.simply_connected = simply_connected
+    return report

@@ -30,10 +30,11 @@ from gemtrisect.cli import (
     run_key,
     run_pipeline,
 )
-from gemtrisect.graphs import GemError, standard_sphere_gem
+from gemtrisect.graphs import GemError
 from gemtrisect.validation import parse_attestations
 
 DATA = pathlib.Path(__file__).parent / "data"
+ROOT = pathlib.Path(__file__).parents[1]
 
 SPHERE_TEXT = """\
 # the two-vertex gem
@@ -345,9 +346,7 @@ def test_split_apex_exit(s4_gem, blob4_gem):
 
 
 def test_internal_failure_maps_to_exit_3(monkeypatch, datadir_gem):
-    def boom(*a, **kw):
-        raise GemError("synthetic assembly failure")
-    monkeypatch.setattr(cli, "assemble_diagram", boom)
+    _raising_assembly(monkeypatch)
     rec, dgm = run_pipeline(datadir_gem("projective_plane_like.gem"))
     assert rec.exit_code == EXIT_INTERNAL
     assert "diagram assembly failed" in rec.error
@@ -355,30 +354,213 @@ def test_internal_failure_maps_to_exit_3(monkeypatch, datadir_gem):
     assert rec.as_dict()["certificate"] is not None
 
 
-@pytest.mark.parametrize("name, attest, dims", [
-    # the boundary is a proven 3-sphere, whose H1 = 0 the proof stored
-    ("projective_plane_like.gem", {}, [4]),
-    ("projective_plane_like.gem", {"boundary": "#0(S1xS2)"}, [4]),
-    # the boundary verdict falls back to H1, whose pi1 boundary_h1 reuses
-    ("bounded_s1s2.gem", {}, [3, 4]),
-], ids=["plain", "boundary-attested", "boundary-verdict-from-h1"])
-def test_pipeline_builds_pi1_once_per_graph(datadir_gem, monkeypatch,
-                                            name, attest, dims):
+def _count_pi1_builds(monkeypatch):
+    """The gems whose pi1 _build_pi1 builds from now on, in call order."""
     import gemtrisect.homology as homology
 
     built = []
     build = homology._build_pi1
     monkeypatch.setattr(homology, "_build_pi1",
                         lambda g: built.append(g) or build(g))
+    return built
+
+
+@pytest.mark.parametrize("name, attest, dims", [
+    # the boundary is a proven 3-sphere, whose H1 = 0 the proof stored,
+    # and the verified closed diagram has some k_i = 0, which proves
+    # pi1 = 1: no pi1 is built at all
+    ("projective_plane_like.gem", {}, []),
+    ("projective_plane_like.gem", {"boundary": "#0(S1xS2)"}, []),
+    # the boundary verdict falls back to H1, whose pi1 boundary_h1 reuses;
+    # a bounded run proves nothing about pi1, so the gem's is built
+    ("bounded_s1s2.gem", {}, [3, 4]),
+], ids=["plain", "boundary-attested", "boundary-verdict-from-h1"])
+def test_pipeline_builds_pi1_once_per_graph(datadir_gem, monkeypatch,
+                                            name, attest, dims):
+    built = _count_pi1_builds(monkeypatch)
     gf = datadir_gem(name)
     gf = GemFile(gf.n, gf.name, dict(gf.attestations, **attest), gf.graph)
     rec, dgm = run_pipeline(gf)
     assert rec.exit_code == EXIT_OK and dgm is not None
     if attest:
         assert rec.report["attestations_used"] == ["boundary=#0(S1xS2)"]
-    # certify, the ledger and the diagram check share one pi1 of the gem
-    # and one H1 of its boundary sub-gem, built only when not proven S^3
+    # the ledger and the simply-connected flag share one pi1 of the gem,
+    # built only when the diagram did not prove it trivial, and one H1
+    # of its boundary sub-gem, built only when not proven S^3
     assert sorted(g.n for g in built) == dims
+
+
+def _failing_verification(monkeypatch):
+    """Make every assembled diagram fail its pairing check."""
+    assemble = cli.assemble_diagram
+
+    def failing(*args):
+        d = assemble(*args)
+        d.record.checks["pairing_ab"]["pass"] = False
+        d.record.ok = False
+        return d
+
+    monkeypatch.setattr(cli, "assemble_diagram", failing)
+
+
+@pytest.mark.parametrize("name, options, failing, exit_code", [
+    ("two_singular_colors.gem", {}, False, EXIT_NOT_MEMBER),
+    ("projective_plane_like.gem", {"mode": "gts"}, False, EXIT_OK),
+    ("projective_plane_like.gem", {"eps": [0, 1, 2, 3]}, False,
+     EXIT_INVALID),
+    ("bounded_s1s2.gem", {"mode": "closed"}, False, EXIT_INVALID),
+    ("projective_plane_like.gem", {}, True, EXIT_INTERNAL),
+], ids=["non-member", "gts", "bad-eps", "not-closed", "failed-diagram"])
+def test_pi1_is_built_where_no_diagram_proves_it(datadir_gem, monkeypatch,
+                                                 name, options, failing,
+                                                 exit_code):
+    built = _count_pi1_builds(monkeypatch)
+    if failing:
+        _failing_verification(monkeypatch)
+    rec, _ = run_pipeline(datadir_gem(name), options)
+    assert rec.exit_code == exit_code
+    # the gem's pi1, built once, settles the report's flag on every exit
+    # (a non-sphere residue's H1 builds the pi1 of its 3-dimensional
+    # sub-gem)
+    assert [g.n for g in built if g.n == 4] == [4]
+    assert rec.report["simply_connected"] is True
+
+
+def _violated_ledger(monkeypatch):
+    real = cli.bound_ledger
+
+    def violated(*args, **kwargs):
+        ledger = real(*args, **kwargs)
+        ledger.rk_lower = ledger.rk_upper + 1
+        return ledger
+
+    monkeypatch.setattr(cli, "bound_ledger", violated)
+
+
+def _raising_assembly(monkeypatch):
+    def boom(*args):
+        raise GemError("synthetic assembly failure")
+
+    monkeypatch.setattr(cli, "assemble_diagram", boom)
+
+
+@pytest.mark.parametrize("ledger, diagram, error", [
+    (True, None, "bound ledger violated"),
+    (False, _raising_assembly, "diagram assembly failed"),
+    (False, _failing_verification, "diagram verification failed"),
+    (True, _raising_assembly, "bound ledger violated"),
+    (True, _failing_verification, "bound ledger violated"),
+], ids=["ledger", "assembly", "verification", "ledger-and-assembly",
+        "ledger-and-verification"])
+def test_ledger_violation_wins_over_a_diagram_failure(datadir_gem,
+                                                      monkeypatch, ledger,
+                                                      diagram, error):
+    # the ledger runs after the diagram, but its violation is reported
+    # first and drops diagram_ref; a diagram failure keeps the ledger
+    if ledger:
+        _violated_ledger(monkeypatch)
+    if diagram:
+        diagram(monkeypatch)
+    rec, dgm = run_pipeline(datadir_gem("projective_plane_like.gem"))
+    assert rec.exit_code == EXIT_INTERNAL and dgm is None
+    assert rec.error.startswith(error)
+    assert rec.diagram_ref is None
+    assert rec.ledger is not None and rec.certificate is not None
+    assert bool(rec.violations) == ledger
+    assert rec.report["simply_connected"] is True
+
+
+def _without_timings(rec):
+    d = rec.as_dict()
+    del d["timings"]
+    return (json.dumps(d, sort_keys=True, separators=(",", ":"))
+            + "\n").encode("ascii")
+
+
+def _route_corpus():
+    """Seeded gems of every family the pi1 route meets."""
+    import random
+
+    from conftest import fixture_graph, pipeline_corpus, weld
+
+    gems = list(pipeline_corpus())
+    rng = random.Random(2311)
+    pp = fixture_graph("projective_plane_like.gem")
+    nf = fixture_graph("nonzero_forest.gem")
+    for _ in range(16):
+        g = rng.choice((pp, nf))
+        for _ in range(rng.randrange(1, 4)):
+            g = weld(g, rng.choice((pp, nf)), rng)
+        gems.append(g)
+    gems += _workloads().sphere_blobs([16, 32, 64, 128], rng)
+    gems.append(fixture_graph("pp_sum3.gem"))
+    return gems
+
+
+def _workloads():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pi1_route_matches_the_built_group(monkeypatch):
+    import gemtrisect.homology as homology
+    from gemtrisect.graphs import build_graph
+
+    prove = cli.prove_pi1_trivial
+    fired = []
+    monkeypatch.setattr(cli, "prove_pi1_trivial",
+                        lambda d: prove(d) and not fired.append(d))
+    gems = _route_corpus()
+    routed = []
+    for g in gems:
+        fired.clear()
+        rec, dgm = run_pipeline(GemFile(4, None, {}, g))
+        routed.append((rec, dgm, bool(fired)))
+        if fired:
+            # the theorem's trivial group is what Tietze moves reach
+            fresh = build_graph(g.n, g.edges)
+            assert homology._build_pi1(fresh).num_generators == 0
+    assert sum(f for _, _, f in routed) == len(gems)
+
+    # a fresh copy, as g keeps the pi1 the route stored in its memo
+    monkeypatch.setattr(cli, "prove_pi1_trivial", lambda d: False)
+    for g, (rec, dgm, _) in zip(gems, routed):
+        off, off_dgm = run_pipeline(
+            GemFile(4, None, {}, build_graph(g.n, g.edges)))
+        assert _without_timings(off) == _without_timings(rec)
+        assert off_dgm == dgm
+
+
+@pytest.mark.parametrize("workload", ["pp_ladder", "blob_ladder"])
+def test_ladder_rungs_build_no_pi1(monkeypatch, workload):
+    workloads = _workloads()
+    built = _count_pi1_builds(monkeypatch)
+    for rung in workloads.MAKE_INPUTS[workload](7, True, None):
+        for item in rung.items:
+            rec, _ = workloads.op_pipeline(item, None)
+            assert rec.exit_code == EXIT_OK
+            assert rec.report["simply_connected"] is True
+            assert rec.ledger["rk_upper"] == 0
+    # boundary spheres are proven, so no residue's pi1 is built either
+    assert built == []
+
+
+@pytest.mark.parametrize("name", [
+    "projective_plane_like",    # closed: the diagram proves pi1 = 1
+    "bounded_s1s2",             # bounded: pi1 is built
+    "two_singular_colors",      # exit 2: pi1 still fills simply_connected
+])
+def test_golden_record_bytes(datadir_gem, name):
+    # whole records without timings, pinned from the version that built
+    # pi1 during certification
+    rec, _ = run_pipeline(datadir_gem(name + ".gem"))
+    assert _without_timings(rec) == (
+        DATA / (name + ".record.json")).read_bytes()
 
 
 def test_pipeline_builds_square_complex_once_per_graph(datadir_gem,
@@ -564,9 +746,12 @@ NON_ORIENTABLE_EDGES = """0 9 0
 """
 
 
-def test_non_orientable_member_skips_the_diagram():
+def test_non_orientable_member_skips_the_diagram(monkeypatch):
+    built = _count_pi1_builds(monkeypatch)
     gf = parse_gem("gem n=4\n" + NON_ORIENTABLE_EDGES)
     rec, dgm = run_pipeline(gf)
+    # no diagram proves pi1 trivial, so the gem's pi1 is built
+    assert [g.n for g in built if g.n == 4] == [4]
     d = rec.as_dict()
     assert rec.exit_code == EXIT_OK and dgm is None
     assert d["report"]["orientable"] is False

@@ -994,3 +994,41 @@ def test_cyclic_reduction_matches_pop_loop():
         assert _reduce(steps, diagrams._step_inverse) == tuple(_old_reduce(
             steps, lambda s: s if s[0] == "sc" else (s[0], s[1], -s[2]),
             keep=lambda s: s[0] != "sc"))
+
+
+@pytest.mark.slow
+def test_no_gem_found_where_the_pi1_route_fires_and_tietze_stalls(
+        monkeypatch):
+    """Seeded search: random welds #1-#14 of both closed fixtures, half of
+    them grown further by blobs and sphere sums.
+
+    Wherever a verified closed diagram proves pi1 = 1, Tietze moves on a
+    fresh copy of the gem must leave no generator: a gem where they stall
+    would read rk_upper 0 from the theorem but more from the built
+    presentation.  Kept out of the default run: its 2000 gems take about
+    20 s on one core of a 2-CPU virtual machine.
+    """
+    from conftest import grow_gem
+    from gemtrisect import cli, homology
+
+    prove = cli.prove_pi1_trivial
+    fired = []
+    monkeypatch.setattr(cli, "prove_pi1_trivial",
+                        lambda d: prove(d) and not fired.append(d))
+    rng = random.Random(2016)
+    fixtures = [fixture_graph(name) for name in
+                ("projective_plane_like.gem", "nonzero_forest.gem")]
+    stalled = []
+    for case in range(2000):
+        g = rng.choice(fixtures)
+        for _ in range(rng.randrange(0, 14)):
+            g = weld(g, rng.choice(fixtures), rng)
+        if rng.random() < 0.5:
+            g = grow_gem(g, rng.randrange(1, 12), rng, colors=(0, 1, 2, 3))
+        fired.clear()
+        rec, _ = run_pipeline(GemFile(4, None, {}, g))
+        assert rec.exit_code == 0 and fired, case
+        fresh = build_graph(g.n, g.edges)
+        if homology._build_pi1(fresh).num_generators:
+            stalled.append(case)
+    assert stalled == []

@@ -1,0 +1,40 @@
+"""Static checks on the package source."""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).parents[1] / "src" / "gemtrisect"
+
+
+def _unused_imports(tree):
+    """Names a module imports and never reads, in source order."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name.partition(".")[0], node.lineno)
+                         for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(a.asname or a.name, node.lineno)
+                         for a in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in imported
+                  if name not in read)
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # __init__.py imports to re-export, so it is not checked
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _unused_imports(tree) == []
+
+
+def test_unused_import_check_sees_what_it_should():
+    tree = ast.parse("import os, a.b as c\nfrom x import (y, z as w)\n"
+                     "from __future__ import annotations\n"
+                     "def f(v=y):\n    return os.sep, w.q\n")
+    assert _unused_imports(tree) == [(1, "c")]

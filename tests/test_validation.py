@@ -36,6 +36,7 @@ from gemtrisect.validation import (
     check_surface_residues,
     classify_colors,
     parse_attestations,
+    settle_simply_connected,
     _genus_zero,
     _three_manifold_verdict,
 )
@@ -133,7 +134,8 @@ def test_certify_sphere_gem(s4_gem):
     assert rep.gs4_member
     assert rep.closed
     assert rep.orientable
-    assert rep.simply_connected
+    assert rep.simply_connected is None     # settled after the diagram
+    assert settle_simply_connected(s4_gem, rep).simply_connected
     assert rep.boundary_spheres == 0
     assert rep.singular_colors == frozenset()
     assert rep.undetermined_colors == frozenset()
@@ -163,10 +165,11 @@ def test_corpus_certifies_closed():
 
 
 def test_fixture_closed_manifold(datadir_gem):
-    rep = certify_Gs4(*_gf(datadir_gem, "projective_plane_like.gem"))
+    g, att = _gf(datadir_gem, "projective_plane_like.gem")
+    rep = certify_Gs4(g, att)
     assert rep.gs4_member
     assert rep.closed
-    assert rep.simply_connected
+    assert settle_simply_connected(g, rep).simply_connected
     assert rep.singular_colors == frozenset()
 
 
@@ -210,6 +213,7 @@ def test_sphere_attestation_cannot_flip_proof(datadir_gem):
 
 def test_redundant_attestations_not_recorded(s4_gem):
     rep = certify_Gs4(s4_gem, {"sphere": "0:0", "simply-connected": "yes"})
+    settle_simply_connected(s4_gem, rep)
     assert rep.attestations_used == ()
     assert rep.conflicts == ()
     assert rep.gs4_member
@@ -276,18 +280,43 @@ def test_simply_connected_attestation_checked_against_h1(s4_gem,
     # attestation then stands or falls with H1
     import gemtrisect.validation as validation
 
+    def settled(attestations=None):
+        return settle_simply_connected(s4_gem,
+                                       certify_Gs4(s4_gem, attestations))
+
     monkeypatch.setattr(validation, "pi1_presentation",
                         lambda g: types.SimpleNamespace(num_generators=1))
-    assert not certify_Gs4(s4_gem).simply_connected
-    rep = certify_Gs4(s4_gem, {"simply-connected": "yes"})
+    assert not settled().simply_connected
+    rep = settled({"simply-connected": "yes"})
     assert rep.simply_connected
     assert rep.attestations_used == ("simply-connected=yes",)
     monkeypatch.setattr(validation, "h1", lambda g: HomologyGroup(1))
-    rep = certify_Gs4(s4_gem, {"simply-connected": "yes"})
+    rep = settled({"simply-connected": "yes"})
     assert not rep.simply_connected and rep.attestations_used == ()
     assert rep.conflicts == (
         "simply-connected attestation inconsistent with H1=%r"
         % HomologyGroup(1),)
+
+
+def test_simply_connected_entries_come_last(s4_gem, monkeypatch):
+    # settled after certification, the flag's entries follow the
+    # sphere and boundary ones in both lists
+    import gemtrisect.validation as validation
+
+    _verdicts_unknown(monkeypatch)
+    monkeypatch.setattr(validation, "pi1_presentation",
+                        lambda g: types.SimpleNamespace(num_generators=1))
+    att = {"sphere": "0,1:0,2,3,4,9", "boundary": "#0(S1xS2)",
+           "simply-connected": "yes"}
+    rep = settle_simply_connected(s4_gem, certify_Gs4(s4_gem, att))
+    assert rep.attestations_used[-1] == "simply-connected=yes"
+    assert rep.attestations_used[:-1] == tuple(
+        "sphere=%d:0" % c for c in range(5)) + ("boundary=#0(S1xS2)",)
+    assert rep.conflicts == ("sphere attestation 9:0 matches no residue",)
+    monkeypatch.setattr(validation, "h1", lambda g: HomologyGroup(1))
+    rep = settle_simply_connected(s4_gem, certify_Gs4(s4_gem, att))
+    assert rep.conflicts[-1].startswith("simply-connected attestation")
+    assert len(rep.conflicts) == 2
 
 
 def test_zero_boundary_attestation_on_closed_gem(s4_gem):
