@@ -11,9 +11,10 @@ Verification is homological plus cut-combinatorial, on the oriented
 rotation scheme of the surface: every rotation reads counterclockwise,
 so a half-edge's slot is `scheme.pos_of`.  Curves are resolved into
 disjoint strands inside edge corridors, laid in lanes by one rank of
-all strands (their counterclockwise turns, ranked by prefix doubling),
-so parallel copies of a curve resolve side by side, and crossings are
-decided at vertex disks by the rotation order.  Once a
+all strands (their counterclockwise turns, ranked from blocks of up to
+64 turns, then by prefix doubling), so parallel copies of a curve
+resolve side by side, and crossings are decided at vertex disks by the
+rotation order.  Once a
 system of k curves resolves into disjoint simple closed curves C, the
 Z/2 exact sequence H2(S) -> H2(S, C) -> H1(C) -> H1(S) of the closed
 connected surface S gives 1 + k - rank<[c1], ..., [ck]> regions of S
@@ -23,7 +24,9 @@ numbers are the honest surrogate.
 
 Cost: every walk's chords are indexed by vertex once, so all
 intersection numbers together cost the total walk length plus the
-chord pairs that share a vertex.
+chord pairs that share a vertex.  Self-intersections are counted only
+for a system that is not vertex-disjoint, and the face vectors are
+eliminated once for the Z/2 ranks of all three systems.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .embedding import _permutation, stabilized_surface
 from .graphs import (GemError, bicolored_cycles, residue_labels, residues,
                      spanning_forest)
 from .homology import (GroupPresentation, HomologyGroup, _cokernel,
-                       _gf2_rank_bits, boundary_h1, euler_characteristic)
+                       _gf2_extend, boundary_h1, euler_characteristic)
 from .trisection import build_Q, cycle_sizes
 
 
@@ -329,36 +332,68 @@ def _strand_order(scheme, walks):
     Traversals t number the walks' steps in turn.  State 2t reads step
     t's walk forwards, 2t + 1 backwards with each half-edge reversed;
     a state's symbol is the counterclockwise offset of its next leaving
-    half-edge from its arrival.  Strands order by the symbols of the
-    state that runs them upward, ranked by prefix doubling (Manber and
-    Myers): once a round splits no class, states agreeing on m symbols
-    agree on 2m, so the ranks are final.  Of two strands that never
-    diverge (parallel copies) the lower t goes first exactly when it
-    runs upward, so a copy keeps its side whichever way it is run.
+    half-edge from its arrival, below the vertex degree (at most 5), so
+    one byte.  Strands order by the symbols of the state that runs them
+    upward.  The states rank first by their next K = min(2 maxL, 64)
+    symbols, maxL the longest walk: each walk's forward and backward
+    strings are repeated and sliced into bytes keys, sorted once.  Then
+    the ranks double (Manber and Myers), the jumps by index arithmetic
+    within a walk, until a round splits no class (states agreeing on m
+    symbols then agree on 2m) or m reaches 2 maxL.  Walks of lengths L1
+    and L2 that agree on L1 + L2 symbols agree forever (Fine and Wilf,
+    Proc. AMS 1965), so 2 maxL symbols settle every class, and when
+    2 maxL fits in a block the sort alone is final.  Of two strands that
+    never diverge (parallel copies) the lower t goes first exactly when
+    it runs upward, so a copy keeps its side whichever way it is run.
     """
     pos, rot, vertex_of = scheme.pos_of, scheme.rot, scheme.vertex_of
-    sym, jump, down = [], [], []
+    settled = 2 * max(map(len, walks), default=0)
+    K = min(settled, 64)
+    fwd_keys, back_keys, spans, down = [], [], [], []
     for walk in walks:
-        base, L = len(down), len(walk)
+        L = len(walk)
+        if not L:
+            continue
+        spans.append((len(down), L))
+        fwd, back = bytearray(L), bytearray(L)
         for i, h in enumerate(walk):
-            fwd, back = walk[(i + 1) % L], walk[i - 1] ^ 1
-            sym += ((pos[fwd] - pos[h ^ 1]) % len(rot[vertex_of[fwd]]),
-                    (pos[back] - pos[h]) % len(rot[vertex_of[back]]))
-            jump += (2 * (base + (i + 1) % L), 2 * (base + (i - 1) % L) + 1)
+            nxt, prv = walk[(i + 1) % L], walk[i - 1] ^ 1
+            fwd[i] = (pos[nxt] - pos[h ^ 1]) % len(rot[vertex_of[nxt]])
+            # backward state i reads back[L - 1 - i], then onwards
+            back[L - 1 - i] = (pos[prv] - pos[h]) % len(rot[vertex_of[prv]])
             down.append(h & 1)
+        reps = (L - 1 + K) // L + 1
+        fwd, back = bytes(fwd) * reps, bytes(back) * reps
+        fwd_keys += [fwd[i:i + K] for i in range(L)]
+        back_keys += [back[i:i + K] for i in range(L - 1, -1, -1)]
 
     def dense(keys):
         ids = {k: r for r, k in enumerate(sorted(set(keys)))}
         return [ids[k] for k in keys], len(ids)
 
-    n = len(sym)
-    rank, classes = dense(sym)
-    while True:
+    n = 2 * len(down)
+    keys = [None] * n
+    keys[::2], keys[1::2] = fwd_keys, back_keys
+    rank, classes = dense(keys)
+    m = K
+    while m < settled:
+        # m steps on: forward states ahead in their walk, backward behind
+        jump = [None] * n
+        ahead, behind = [], []
+        for base, L in spans:
+            s = m % L
+            states = range(2 * base, 2 * (base + L), 2)
+            ahead += states[s:]
+            ahead += states[:s]
+            behind += states[L - s:]
+            behind += states[:L - s]
+        jump[::2] = ahead
+        jump[1::2] = [t + 1 for t in behind]
         rank2, classes2 = dense([r * n + rank[j] for r, j in zip(rank, jump)])
         if classes2 == classes:
             break
         rank, classes = rank2, classes2
-        jump = [jump[j] for j in jump]
+        m *= 2
     order = sorted(range(len(down)), key=lambda t: (
         rank[2 * t + down[t]], down[t], -t if down[t] else t))
     place = [0] * len(order)
@@ -489,6 +524,14 @@ def assemble_diagram(g, eps, certificate):
     return d
 
 
+def _edge_vector(walk):
+    """The walk's edges as a Z/2 bitmask, bit i for edge i."""
+    vec = 0
+    for h in walk:
+        vec ^= 1 << (h >> 1)
+    return vec
+
+
 def verify_diagram(diagram):
     """Run the combinatorial checks and attach the record.
 
@@ -512,7 +555,13 @@ def verify_diagram(diagram):
 
     Self-intersections, the pairing and the gamma columns come from one
     chord index per system: the total walk length plus the chord pairs
-    sharing a vertex, not a rescan of both walks per curve pair.
+    sharing a vertex, not a rescan of both walks per curve pair.  A
+    system that passed the disjointness check has none: each walk puts
+    one chord in each disk it meets, and a chord never crosses its own
+    push-off, since a reduced walk never leaves by the slot it arrived
+    on; so self-intersections are counted for the other systems only.
+    The face vectors are eliminated once, and each system's Z/2 rank
+    is what it adds to a copy of that basis.
     """
     surf = diagram.surface
     scheme = surf.scheme
@@ -546,26 +595,17 @@ def verify_diagram(diagram):
     index = {name: _chord_index(scheme, ws) for name, ws in walks.items()}
 
     ne = len(scheme.edge_ends)
-    face_vecs = []
-    for orbit in surf.faces:
-        vec = 0
-        for h in orbit:
-            vec ^= 1 << (h >> 1)
-        face_vecs.append(vec)
-    base_rank = _gf2_rank_bits(face_vecs)
+    face_basis = {}
+    base_rank = _gf2_extend(face_basis, (_edge_vector(orbit)
+                                         for orbit in surf.faces))
     dim_h1 = (ne - scheme.nv + 1) - base_rank
     z2 = {"dim_h1": dim_h1, "expected_dim": 2 * g_, "ranks": {},
           "self_zero": True}
     for name, ws in walks.items():
-        vecs = []
-        for walk in ws:
-            vec = 0
-            for h in walk:
-                vec ^= 1 << (h >> 1)
-            vecs.append(vec)
-        z2["ranks"][name] = (_gf2_rank_bits(face_vecs + vecs)
-                             - base_rank)
-        if any(_self_intersections(scheme, index[name], len(ws))):
+        z2["ranks"][name] = _gf2_extend(dict(face_basis),
+                                        map(_edge_vector, ws))
+        if not disj.get(name) and any(
+                _self_intersections(scheme, index[name], len(ws))):
             z2["self_zero"] = False
     z2["pass"] = (dim_h1 == 2 * g_ and z2["self_zero"]
                   and all(r == g_ for r in z2["ranks"].values()))

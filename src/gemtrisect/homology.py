@@ -220,7 +220,16 @@ def _gf2_rank(columns):
 
 def _gf2_rank_bits(vectors):
     """Rank over Z/2 of vectors given as int bitmasks, by elimination."""
-    basis = {}      # lowest set bit -> basis vector
+    return _gf2_extend({}, vectors)
+
+
+def _gf2_extend(basis, vectors):
+    """Reduce int-bitmask vectors into basis; return how many it gains.
+
+    basis maps a lowest set bit to its basis vector and grows in place,
+    so a caller can eliminate shared vectors once and extend copies.
+    """
+    before = len(basis)
     for vec in vectors:
         while vec:
             low = vec & -vec
@@ -228,7 +237,7 @@ def _gf2_rank_bits(vectors):
                 basis[low] = vec
                 break
             vec ^= basis[low]
-    return len(basis)
+    return len(basis) - before
 
 
 def _cokernel(columns, size):

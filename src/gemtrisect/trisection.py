@@ -114,7 +114,8 @@ def _squares(g):
     they are kept on g; callers must not mutate them.  The memo holds
     them without g: a QComplex there would tie g into a reference cycle
     and keep it alive until the cyclic collector runs.  The scheduler
-    reads only these three parts.
+    reads only these three parts.  An {i,4}-cycle's walk starts on its
+    color-i edge and alternates, so its squares are its odd steps.
     """
     parts = g._memo.get("Q")
     if parts is None:
@@ -122,8 +123,7 @@ def _squares(g):
         sides = {eid: {} for eid in g.edge_ids(4)}
         for i in range(4):
             for cyc in bicolored_cycles(g, i, 4):
-                sqs = tuple(sorted(e for e in cyc.edge_ids
-                                   if g.edges[e][2] == 4))
+                sqs = tuple(sorted(e for e, _ in cyc.steps[1::2]))
                 edge = Q1Edge(len(q1_edges), i, cyc, sqs)
                 q1_edges.append(edge)
                 for e in sqs:
@@ -460,15 +460,29 @@ def minimize_k(g, eps, budget=0, mode="closed", schedules=None):
 def sweep(g, orders, budget=0, mode="closed"):
     """The certificate of least sort_key over the cyclic orders.
 
-    Runs minimize_k for each order, first order first on ties, with one
-    schedules dict for the whole sweep, so each stabilized set is
-    scheduled once however many orders try it.  The dict lives for this
-    call only: it holds every set tried, which is at most the greedy's
-    steps plus `budget` per order.
+    An order's certificate has genus floor + k with k >= 0, its floor
+    being subgraph_rho(g, eps, 4), so its sort_key is at least
+    (floor, 0, eps.seq).  One census of the apex-free residue gives
+    every floor.  The orders run by (floor, eps.seq), and the sweep
+    stops at the first whose bound is not below the best sort_key so
+    far: every later order's bound is higher still, so the winner is
+    the one a run of every order would pick.
+
+    The orders that run share one schedules dict, so each stabilized
+    set is scheduled once however many orders try it.  The dict lives
+    for this call only: it holds every set tried, which is at most the
+    greedy's steps plus `budget` per order.
     """
+    floors = []
+    for eps in orders:
+        eps = _require_apex(g, eps)
+        floors.append((subgraph_rho(g, eps, 4), eps.seq, eps))
+    floors.sort(key=lambda f: f[:2])
     schedules = {}
     best = None
-    for eps in orders:
+    for floor, seq, eps in floors:
+        if best is not None and (floor, 0, seq) >= best.sort_key():
+            break
         cert = minimize_k(g, eps, budget, mode, schedules)
         if best is None or cert.sort_key() < best.sort_key():
             best = cert

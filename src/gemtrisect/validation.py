@@ -102,6 +102,24 @@ def check_surface_residues(g):
     return out
 
 
+def all_surfaces_spheres(g):
+    """Whether every 3-colored residue of g is a 2-sphere.
+
+    A 3-colored residue on 2q vertices has Euler characteristic chi =
+    (its three bicolored-cycle counts) - q, at most 2 and 2 only for
+    the 2-sphere.  The chi of a color set's residues add up, so they are
+    all spheres iff the set's three cycle totals less nv / 2 come to
+    twice its residue count.  Each pair is labelled before its triple,
+    which is then joined from its lowest pair.
+    """
+    for sub in itertools.combinations(g.colors, 3):
+        cycles = sum(len(residues(g, pair))
+                     for pair in itertools.combinations(sub, 2))
+        if 2 * cycles - g.nv != 4 * len(residues(g, sub)):
+            return False
+    return True
+
+
 def _genus_zero(pair_count, order, cycles):
     """Some cyclic permutation in cycles has regular genus 0 (chi = 2)."""
     return any(_chi_formula(pair_count, seq, order) == 2 for seq in cycles)
@@ -159,10 +177,14 @@ def _proven_sphere(g, res):
 
 
 def _require_surface_spheres(g):
-    """Raise NotAGem unless every 3-colored residue is a 2-sphere."""
-    bad = sorted(k for k, v in check_surface_residues(g).items()
-                 if v == NON_SPHERE)
-    if bad:
+    """Raise NotAGem unless every 3-colored residue is a 2-sphere.
+
+    all_surfaces_spheres decides from residue totals; only a gem that
+    fails it runs check_surface_residues, to name the bad residues.
+    """
+    if not all_surfaces_spheres(g):
+        bad = sorted(k for k, v in check_surface_residues(g).items()
+                     if v == NON_SPHERE)
         raise NotAGem("3-colored residues are not all spheres: %s" % bad)
 
 

@@ -8,7 +8,6 @@ import pytest
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 from gemtrisect.graphs import (
-    ColoredGraph,
     blob_insert,
     build_graph,
     connected_sum,

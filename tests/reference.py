@@ -3,7 +3,8 @@
 These are the plain versions the optimised library code replaced or
 never needed: the pass-by-pass Tietze loop and the pi1 builder that
 reads the whole chain complex, the one-pair intersection count, the
-pairwise chord-crossing test, the pairwise lane comparator, the central
+pairwise chord-crossing test, the pairwise lane comparator, the strand
+order ranked from one symbol by prefix doubling, the central
 surface built with sign-reversing edges, the square complex built whole
 for each cyclic order, the sweep that schedules every order afresh, the
 witness and gamma forest rules that took the lowest index whatever the
@@ -244,6 +245,44 @@ def crossing_free(marks, chords_at):
                 if inside_c != inside_d:
                     return False, (v, chords[i], chords[j])
     return True, None
+
+
+def strand_order(scheme, walks):
+    """Each traversal's place in one order of all corridor strands.
+
+    The ranks start from each state's single next symbol and double
+    (Manber and Myers) until a round splits no class; diagrams'
+    _strand_order starts from blocks of symbols instead.
+    """
+    pos, rot, vertex_of = scheme.pos_of, scheme.rot, scheme.vertex_of
+    sym, jump, down = [], [], []
+    for walk in walks:
+        base, L = len(down), len(walk)
+        for i, h in enumerate(walk):
+            fwd, back = walk[(i + 1) % L], walk[i - 1] ^ 1
+            sym += ((pos[fwd] - pos[h ^ 1]) % len(rot[vertex_of[fwd]]),
+                    (pos[back] - pos[h]) % len(rot[vertex_of[back]]))
+            jump += (2 * (base + (i + 1) % L), 2 * (base + (i - 1) % L) + 1)
+            down.append(h & 1)
+
+    def dense(keys):
+        ids = {k: r for r, k in enumerate(sorted(set(keys)))}
+        return [ids[k] for k in keys], len(ids)
+
+    n = len(sym)
+    rank, classes = dense(sym)
+    while True:
+        rank2, classes2 = dense([r * n + rank[j] for r, j in zip(rank, jump)])
+        if classes2 == classes:
+            break
+        rank, classes = rank2, classes2
+        jump = [jump[j] for j in jump]
+    order = sorted(range(len(down)), key=lambda t: (
+        rank[2 * t + down[t]], down[t], -t if down[t] else t))
+    place = [0] * len(order)
+    for p, t in enumerate(order):
+        place[t] = p
+    return place
 
 
 def corridor_map(walks):

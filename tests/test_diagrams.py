@@ -1,5 +1,6 @@
 """Curve systems, surface resolution checks, and diagram export."""
 
+import itertools
 import json
 import random
 import types
@@ -18,6 +19,7 @@ from gemtrisect.diagrams import (
     UnsupportedFormat,
     _chord_index,
     _crossing_free,
+    _edge_vector,
     _intersection_columns,
     _reduce,
     _resolve,
@@ -36,7 +38,7 @@ from gemtrisect.embedding import (CyclicPermutation, cyclic_permutations,
 from gemtrisect.graphs import (GemError, bicolored_cycles, build_graph,
                                connected_sum, is_bipartite, residues,
                                standard_sphere_gem)
-from gemtrisect.homology import chain_complex
+from gemtrisect.homology import _gf2_rank_bits, chain_complex
 from gemtrisect.trisection import (
     CollapseOrdering,
     build_Q,
@@ -776,10 +778,10 @@ def test_region_count_and_lanes_match_references(datadir_gem, monkeypatch):
     assert {"duplicated", "alpha+face"} <= set(split)
 
 
-def test_strand_order_matches_comparator_on_random_welds(datadir_gem):
-    """Seeded random-weld sums verify, with the comparator's lanes."""
+def _random_weld_systems(datadir_gem):
+    """(scheme, walks) of every system of seeded random-weld sums."""
     rng = random.Random(29)
-    systems = 0
+    out = []
     for name in ("projective_plane_like.gem", "nonzero_forest.gem"):
         fixture = datadir_gem(name).graph
         for m in (3, 4, 5, 6) * 6:
@@ -791,14 +793,71 @@ def test_strand_order_matches_comparator_on_random_welds(datadir_gem):
             extra = rng.sample(spare, rng.randrange(0, 3))
             d = assemble_diagram(g, IDENT, _forced(g, IDENT, extra))
             assert d.record.ok, (name, m, extra)
-            scheme = d.surface.scheme
-            for _, curves in d.systems():
-                ws = [_to_walk(d.surface, c) for c in curves]
-                corridors = corridor_map(ws)
-                assert (_lanes_by_place(scheme, ws, corridors)
-                        == lane_orders(scheme, ws, corridors))
-                systems += 1
-    assert systems == 144
+            out += ((d.surface.scheme, [_to_walk(d.surface, c) for c in cs])
+                    for _, cs in d.systems())
+    return out
+
+
+def test_strand_order_matches_comparator_on_random_welds(datadir_gem):
+    """Seeded random-weld sums verify, with the comparator's lanes."""
+    systems = _random_weld_systems(datadir_gem)
+    for scheme, ws in systems:
+        corridors = corridor_map(ws)
+        assert (_lanes_by_place(scheme, ws, corridors)
+                == lane_orders(scheme, ws, corridors))
+    assert len(systems) == 144
+
+
+def test_block_strand_order_matches_single_symbol_doubling(datadir_gem):
+    # every system of the verifier corpus (mutants included) and of the
+    # random welds, an empty system (a genus-0 gem has no curves), and
+    # the gamma systems of two #14 sums, whose long walks take the
+    # doubling past the first 64-symbol block
+    systems = [(surf.scheme, ws) for surf, walks in
+               _verifier_corpus(datadir_gem) for ws in walks.values()]
+    systems += _random_weld_systems(datadir_gem)
+    systems.append((systems[0][0], []))
+    for seed, longest, states in ((3, 1738, 9544), (9, 2394, 10808)):
+        g = _weld_sum(seed)
+        cert = sweep(g, cyclic_permutations(4))
+        d = assemble_diagram(g, cert.eps, cert)
+        ws = [_to_walk(d.surface, c) for c in d.gamma]
+        assert (max(map(len, ws)), 2 * sum(map(len, ws))) == (longest,
+                                                              states)
+        systems.append((d.surface.scheme, ws))
+    for scheme, ws in systems:
+        assert _strand_order(scheme, ws) == reference.strand_order(scheme,
+                                                                   ws)
+
+
+def test_disjoint_systems_and_shared_face_basis(datadir_gem, monkeypatch):
+    # a vertex-simple, vertex-disjoint system has no self-intersection,
+    # so verify_diagram computes none for it; each system's rank is
+    # reduced against one copy of the eliminated face vectors
+    corpus = _verifier_corpus(datadir_gem)
+    monkeypatch.setattr(diagrams, "_to_walk", lambda surf, walk: walk)
+    disjoint = 0
+    for surf, walks in corpus:
+        scheme = surf.scheme
+        record = verify_diagram(types.SimpleNamespace(
+            surface=surf, genus=(2 - surf.chi) // 2, mode="trisection",
+            systems=walks.items))
+        face_vecs = [_edge_vector(orbit) for orbit in surf.faces]
+        base_rank = _gf2_rank_bits(face_vecs)
+        all_zero = True
+        for name, ws in walks.items():
+            selfs = _self_intersections(scheme, _chord_index(scheme, ws),
+                                        len(ws))
+            seen = [scheme.vertex_of[h] for h in itertools.chain(*ws)]
+            if len(set(seen)) == len(seen):
+                assert not any(selfs), name
+                disjoint += 1
+            all_zero &= not any(selfs)
+            vecs = [_edge_vector(w) for w in ws]
+            assert record.checks["z2"]["ranks"][name] == (
+                _gf2_rank_bits(face_vecs + vecs) - base_rank)
+        assert record.checks["z2"]["self_zero"] == all_zero
+    assert disjoint >= 20
 
 
 @pytest.mark.slow

@@ -16,7 +16,7 @@ from gemtrisect.embedding import (
     rho,
     subgraph_rho,
 )
-from gemtrisect.graphs import bicolored_cycles, standard_sphere_gem
+from gemtrisect.graphs import bicolored_cycles
 
 from conftest import embedding_corpus, k4_gem, prism_gem, torus_gem
 

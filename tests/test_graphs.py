@@ -17,7 +17,6 @@ from gemtrisect.graphs import (
     LoopEdgeError,
     NotProperError,
     NotRegularError,
-    Residue,
     _adjacent_pairs,
     bicolored_cycles,
     blob_insert,

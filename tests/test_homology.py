@@ -6,7 +6,6 @@ checked across the random corpora.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 import sympy
@@ -14,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
-from gemtrisect.graphs import build_graph, standard_sphere_gem
+from gemtrisect.graphs import standard_sphere_gem
 from gemtrisect.homology import (
     BoundLedger,
     GroupPresentation,

@@ -25,19 +25,19 @@ def search_gems():
 
 def test_closed_fixture_passes_closed_role(search_gems):
     g = fixture_graph("projective_plane_like.gem")
-    assert search_gems.all_residues_spherical(g)
+    assert search_gems.all_surfaces_spheres(g)
     assert search_gems._closed_or_pseudo(g) == "closed"
 
 
 def test_pseudomanifold_fixture_passes_pseudo_role(search_gems):
     g = fixture_graph("two_singular_colors.gem")
-    assert search_gems.all_residues_spherical(g)
+    assert search_gems.all_surfaces_spheres(g)
     assert search_gems._closed_or_pseudo(g) == "pseudo"
 
 
 def test_bounded_fixture_passes_bounded_role_unchanged(search_gems):
     g = fixture_graph("bounded_s1s2.gem")
-    assert search_gems.all_residues_spherical(g)
+    assert search_gems.all_surfaces_spheres(g)
     # the fixture is stored with its singular color as the apex, so the
     # filter hands back the graph without relabelling it
     assert search_gems._match_bounded(g) is g

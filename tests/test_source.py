@@ -1,11 +1,12 @@
-"""Static checks on the package source."""
+"""Static checks on the package, test and tool sources."""
 
 import ast
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).parents[1] / "src" / "gemtrisect"
+ROOT = pathlib.Path(__file__).parents[1]
+PACKAGE = ROOT / "src" / "gemtrisect"
 
 
 def _unused_imports(tree):
@@ -24,9 +25,17 @@ def _unused_imports(tree):
                   if name not in read)
 
 
+def _source_id(path):
+    """A package module by its name, a test or tool by its directory too."""
+    if path.parent == PACKAGE:
+        return path.name
+    return "%s/%s" % (path.parent.name, path.name)
+
+
 @pytest.mark.parametrize("path", sorted(
-    p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
-    ids=lambda p: p.name)
+    p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("tools/*.py")),
+    ids=_source_id)
 def test_no_unused_imports(path):
     # __init__.py imports to re-export, so it is not checked
     tree = ast.parse(path.read_text(), filename=str(path))

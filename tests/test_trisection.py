@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gemtrisect.embedding import CyclicPermutation, cyclic_permutations, rho, subgraph_rho
-from gemtrisect.graphs import GemError, blob_insert, residues, standard_sphere_gem
+from gemtrisect.graphs import GemError, blob_insert, residues
 from gemtrisect.trisection import (
     ApexResidueDisconnected,
     CollapseOrdering,
@@ -15,7 +15,6 @@ from gemtrisect.trisection import (
     QComplex,
     TrisectionCertificate,
     build_Q,
-    certificate,
     collapse_schedule,
     minimize_k,
     stabilization_set,
@@ -377,6 +376,79 @@ def test_sweep_shares_budget_outcomes_like_the_loop(monkeypatch):
     assert found == len(orders)
 
 
+def _floor_corpus():
+    """The pipeline corpus, pp_sum3.gem and 12 seeded welds of both
+    closed fixtures."""
+    out = pipeline_corpus() + [fixture_graph("pp_sum3.gem")]
+    fixtures = [fixture_graph(name) for name in
+                ("projective_plane_like.gem", "nonzero_forest.gem")]
+    for seed in range(12):
+        rng = random.Random(seed)
+        g = rng.choice(fixtures)
+        for _ in range(rng.randrange(1, 5)):
+            g = weld(g, rng.choice(fixtures), rng)
+        out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("budget", [0, 10])
+def test_sweep_stops_at_its_genus_floor(budget, monkeypatch):
+    orders = cyclic_permutations(4)
+    calls = []
+    run = trisection.minimize_k
+    monkeypatch.setattr(trisection, "minimize_k",
+                        lambda g, eps, *a: calls.append(eps) or run(g, eps, *a))
+    for g in _floor_corpus():
+        calls.clear()
+        cert = sweep(g, orders, budget)
+        assert cert.as_dict() == reference.sweep(g, orders, budget).as_dict()
+        # the least-floor order reaches its floor: no other one runs
+        assert calls == [cert.eps] and cert.k == 0
+        assert cert.genus == min(subgraph_rho(g, eps, 4) for eps in orders)
+
+
+def _stub_sweep(s4_gem, monkeypatch, floors, ks):
+    """sweep with stubbed floors and k; the orders minimize_k ran."""
+    orders = cyclic_permutations(4)
+    floor_of = dict(zip(orders, floors))
+    k_of = dict(zip(orders, ks))
+    ran = []
+
+    def stub_minimize_k(g, eps, budget, mode, schedules):
+        ran.append(eps)
+        ordering = CollapseOrdering(range(k_of[eps]), (), ())
+        return TrisectionCertificate(eps, ordering, floor_of[eps] + k_of[eps],
+                                     mode, Fraction(0), floor_of[eps])
+
+    monkeypatch.setattr(trisection, "subgraph_rho",
+                        lambda g, eps, c: floor_of[eps])
+    monkeypatch.setattr(trisection, "minimize_k", stub_minimize_k)
+    return sweep(s4_gem, orders), orders, ran
+
+
+def test_sweep_runs_same_floor_orders_until_one_reaches_it(s4_gem,
+                                                            monkeypatch):
+    # orders 3, 7 and 11 share the least floor; 3 needs k = 2, 7 none
+    floors = [5, 4, 5, 3, 6, 4, 5, 3, 6, 4, 5, 3]
+    ks = [0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0]
+    best, orders, ran = _stub_sweep(s4_gem, monkeypatch, floors, ks)
+    assert ran == [orders[3], orders[7]]
+    assert best.eps == orders[7] and (best.genus, best.k) == (3, 0)
+
+
+def test_sweep_never_schedules_a_higher_floor(s4_gem, monkeypatch):
+    # every floor-3 order needs k = 1, so a floor-4 order with k = 0
+    # wins on k at the same genus; the floor-5 and floor-6 orders,
+    # k = 0 or not, never run
+    floors = [5, 4, 5, 3, 6, 4, 5, 3, 6, 4, 5, 3]
+    ks = [0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 0, 1]
+    best, orders, ran = _stub_sweep(s4_gem, monkeypatch, floors, ks)
+    assert ran == [orders[3], orders[7], orders[11], orders[1]]
+    assert best.eps == orders[1] and (best.genus, best.k) == (4, 0)
+    assert best.sort_key() == min((f + k, k, eps.seq) for f, k, eps
+                                  in zip(floors, ks, orders))
+
+
 def test_certificate_shape(s4_gem):
     cert = minimize_k(s4_gem, IDENT)
     d = cert.as_dict()
@@ -411,6 +483,8 @@ def test_split_apex_complement_rejected(blob4_gem):
         stabilization_set(blob4_gem, IDENT)
     with pytest.raises(ApexResidueDisconnected):
         minimize_k(blob4_gem, IDENT)
+    with pytest.raises(ApexResidueDisconnected):
+        sweep(blob4_gem, cyclic_permutations(4))
 
 
 def test_apex_must_sit_last(s4_gem, s3_gem):

@@ -32,6 +32,7 @@ from gemtrisect.validation import (
     UNKNOWN,
     MultipleApexResidues,
     NotAGem,
+    all_surfaces_spheres,
     certify_Gs4,
     check_surface_residues,
     classify_colors,
@@ -67,14 +68,19 @@ def test_surface_criterion_flags_torus():
     g = _torus_inside_gem()
     verdicts = check_surface_residues(g)
     assert verdicts[((0, 1, 2), 0)] == NON_SPHERE
+    assert not all_surfaces_spheres(g)
     # one condition, one exception, from one check
-    with pytest.raises(NotAGem):
+    message = "3-colored residues are not all spheres: [((0, 1, 2), 0)]"
+    with pytest.raises(NotAGem) as raised:
         certify_Gs4(g)
-    with pytest.raises(NotAGem):
+    assert str(raised.value) == message
+    with pytest.raises(NotAGem) as raised:
         classify_colors(g)
+    assert str(raised.value) == message
 
 
 def test_certify_checks_surfaces_once(datadir_gem, monkeypatch):
+    # the totals settle a member; only a failing gem names its residues
     import gemtrisect.validation as validation
 
     calls = []
@@ -83,7 +89,40 @@ def test_certify_checks_surfaces_once(datadir_gem, monkeypatch):
                         lambda g: calls.append(g) or check(g))
     g = datadir_gem("projective_plane_like.gem").graph
     certify_Gs4(g)
-    assert calls == [g]
+    assert calls == []
+    torus = _torus_inside_gem()
+    with pytest.raises(NotAGem):
+        certify_Gs4(torus)
+    assert calls == [torus]
+
+
+def _random_matching_graphs(count=300, seed=23):
+    """Connected 5-colored bipartite graphs: five random perfect
+    matchings between two classes of 4 to 12 vertices."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        half = rng.randrange(4, 13)
+        edges = []
+        for c in range(5):
+            partner = list(range(half, 2 * half))
+            rng.shuffle(partner)
+            edges += [(u, v, c) for u, v in enumerate(partner)]
+        try:
+            out.append(build_graph(4, edges))
+        except DisconnectedError:
+            continue
+    return out
+
+
+def test_surface_totals_match_per_residue_check():
+    outcomes = set()
+    for g in _random_matching_graphs():
+        spheres = all_surfaces_spheres(g)
+        assert spheres == all(v == SPHERE for v in
+                              check_surface_residues(g).values())
+        outcomes.add(spheres)
+    assert outcomes == {True, False}
 
 
 def test_surface_criterion_on_corpus():

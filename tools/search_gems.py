@@ -30,7 +30,7 @@ from gemtrisect.cli import GemFile, gem_text              # noqa: E402
 from gemtrisect.graphs import (GemError, build_graph, residues,
                                residue_subgem)             # noqa: E402
 from gemtrisect.homology import homology, pi1_presentation  # noqa: E402
-from gemtrisect.validation import (SPHERE, check_surface_residues,
+from gemtrisect.validation import (all_surfaces_spheres,
                                    classify_colors)         # noqa: E402
 
 NV = 8
@@ -54,10 +54,6 @@ def assemble(n, colored_matchings):
     return build_graph(n, edges)
 
 
-def all_residues_spherical(g):
-    return all(v == SPHERE for v in check_surface_residues(g).values())
-
-
 def search_3manifold(h1_rank, h1_torsion=()):
     """First 8-vertex 4-colored closed-3-manifold gem with given H1."""
     ms = matchings()
@@ -69,7 +65,7 @@ def search_3manifold(h1_rank, h1_torsion=()):
                     g = assemble(3, (fixed, m1, m2, m3))
                 except GemError:
                     continue
-                if not all_residues_spherical(g):
+                if not all_surfaces_spheres(g):
                     continue
                 h = homology(g)
                 h1 = h[1]
@@ -96,7 +92,7 @@ def enumerate_surface_spherical():
                 probe = assemble(2, (fixed, m1, m2))
             except GemError:
                 continue
-            if not all_residues_spherical(probe):
+            if not all_surfaces_spheres(probe):
                 continue
             for m3 in ms:
                 for m4 in ms:
@@ -104,7 +100,7 @@ def enumerate_surface_spherical():
                         g = assemble(4, (fixed, m1, m2, m3, m4))
                     except GemError:
                         continue
-                    if all_residues_spherical(g):
+                    if all_surfaces_spheres(g):
                         yield g
 
 
