@@ -138,7 +138,49 @@ def _one_line(x):
     return isinstance(x, str) and "".join(x.splitlines()) == x
 
 
+# a body of plain edge lines: ASCII digits, single spaces, "\n" endings
+_EDGE_LINES_RE = re.compile(
+    r"(?:[0-9]+ [0-9]+ [0-9]+\n)*(?:[0-9]+ [0-9]+ [0-9]+)?")
+_DIGIT_LINE_RE = re.compile(r"^[0-9]", re.MULTILINE)
+
+
 def _parse_text(text):
+    """Parse the text format: the line scan, or one pass over the body.
+
+    The body starts at the first line that starts with a digit.  When
+    it holds plain "u v c" lines only, the lines before it are scanned
+    and the body's fields are split and converted at once; whenever it
+    holds anything else, or a field past Python's limit on int digits,
+    the line scan reads the whole text, so every message and line
+    number is the scan's.  A plain body raises no error of its own, and
+    an error before it is the first the scan would meet.
+    """
+    fields = None
+    found = _DIGIT_LINE_RE.search(text)
+    if found is not None and _EDGE_LINES_RE.fullmatch(text, found.start()):
+        fields = _scan_lines(text[:found.start()])
+        try:
+            values = list(map(int, text[found.start():].split()))
+        except ValueError:      # past Python's limit on int digits
+            fields = None
+        else:
+            triples = iter(values)
+            fields[3].extend(zip(triples, triples, triples))
+    if fields is None or fields[0] is None:
+        fields = _scan_lines(text)
+    n, name, attest, edges = fields
+    if n is None:
+        raise ParseError("empty input: no gem header")
+    g = build_graph(n, edges)
+    return GemFile(n, name, attest, g)
+
+
+def _scan_lines(text):
+    """[n, name, attestations, edges] of text, read line by line.
+
+    n stays None when no header is found; any other malformed line
+    raises ParseError with its 1-based number.
+    """
     n = None
     name = None
     attest = {}
@@ -175,10 +217,7 @@ def _parse_text(text):
         except ValueError:
             raise ParseError("edge fields must be integers", lno) from None
         edges.append((u, v, c))
-    if n is None:
-        raise ParseError("empty input: no gem header")
-    g = build_graph(n, edges)
-    return GemFile(n, name, attest, g)
+    return [n, name, attest, edges]
 
 
 def gem_text(gf):

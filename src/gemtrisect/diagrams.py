@@ -25,15 +25,16 @@ numbers are the honest surrogate.
 Cost: every walk's chords are indexed by vertex once, so all
 intersection numbers together cost the total walk length plus the
 chord pairs that share a vertex.  Self-intersections are counted only
-for a system that is not vertex-disjoint, and the face vectors are
-eliminated once for the Z/2 ranks of all three systems.
+for a system that is not vertex-disjoint.  A system's Z/2 rank is read
+off a pairing that is invertible mod 2 where there is one, and the face
+vectors are eliminated, once, only for the systems left unsettled.
 """
 
 from __future__ import annotations
 
 from .embedding import _permutation, stabilized_surface
-from .graphs import (GemError, bicolored_cycles, residue_labels, residues,
-                     spanning_forest)
+from .graphs import (GemError, bicolored_cycles, residue_count,
+                     residue_labels, spanning_forest)
 from .homology import (GroupPresentation, HomologyGroup, _cokernel,
                        _gf2_extend, boundary_h1, euler_characteristic)
 from .trisection import build_Q, cycle_sizes
@@ -89,10 +90,10 @@ def _wall_curves(g, kind, node_colors, cycle_colors):
     delta3 = frozenset(g.colors) - {g.n}
     fam_a, fam_b = sorted((delta3 - {c} for c in node_colors), key=sorted)
     label_a, label_b = residue_labels(g, fam_a), residue_labels(g, fam_b)
-    first_b = len(residues(g, fam_a))       # fam_b's nodes follow
+    first_b = residue_count(g, fam_a)       # fam_b's nodes follow
     cycles = bicolored_cycles(g, *sorted(cycle_colors))
     forest = set(spanning_forest(
-        first_b + len(residues(g, fam_b)),
+        first_b + residue_count(g, fam_b),
         ((label_a[c.vertices[0]], first_b + label_b[c.vertices[0]])
          for c in cycles)))
     return [Curve(kind, (("e", eid, d) for eid, d in cyc.steps), ci)
@@ -553,15 +554,28 @@ def verify_diagram(diagram):
     so it is crossing-free as it stands and is not resolved; gamma, and
     any system that is not vertex-disjoint, is.
 
-    Self-intersections, the pairing and the gamma columns come from one
-    chord index per system: the total walk length plus the chord pairs
-    sharing a vertex, not a rescan of both walks per curve pair.  A
-    system that passed the disjointness check has none: each walk puts
-    one chord in each disk it meets, and a chord never crosses its own
-    push-off, since a reduced walk never leaves by the slot it arrived
-    on; so self-intersections are counted for the other systems only.
-    The face vectors are eliminated once, and each system's Z/2 rank
-    is what it adds to a copy of that basis.
+    Self-intersections, the pairings and the gamma columns come from
+    one chord index per system: the total walk length plus the chord
+    pairs sharing a vertex, not a rescan of both walks per curve pair.
+    A system that passed the disjointness check has none: each walk
+    puts one chord in each disk it meets, and a chord never crosses its
+    own push-off, since a reduced walk never leaves by the slot it
+    arrived on; so self-intersections are counted for the other systems
+    only.  On closed walks of the oriented surface every
+    self-intersection is 0, so self_zero can fail only through a wrong
+    chord index, and then the pairings cannot be trusted either.
+
+    The Z/2 ranks come from the pairings where they can: the mod 2
+    intersection number is a pairing on H1(S; Z/2), so a Z/2 relation
+    among curves makes their rows of an intersection matrix sum to 0
+    mod 2.  Two systems of g curves each whose cokernel has free rank 0
+    and only odd torsion have an intersection matrix of odd
+    determinant, so both have Z/2 rank g (_ranks_from_pairings).  The
+    surface is closed and connected, its apex-free graph being a
+    residue of the gem that build_Q's _require_apex proves connected,
+    so dim H1(S; Z/2) = 2 - chi(S).  The face vectors are eliminated
+    only for a system the pairings leave unsettled, once, and each such
+    system's rank is what it adds to a copy of that basis.
     """
     surf = diagram.surface
     scheme = surf.scheme
@@ -594,20 +608,29 @@ def verify_diagram(diagram):
 
     index = {name: _chord_index(scheme, ws) for name, ws in walks.items()}
 
-    ne = len(scheme.edge_ends)
-    face_basis = {}
-    base_rank = _gf2_extend(face_basis, (_edge_vector(orbit)
-                                         for orbit in surf.faces))
-    dim_h1 = (ne - scheme.nv + 1) - base_rank
-    z2 = {"dim_h1": dim_h1, "expected_dim": 2 * g_, "ranks": {},
+    # the pairing and the gamma cokernels, by the pair of systems
+    cokernels = {}
+    for a, b in (("alpha", "beta"), ("alpha", "gamma"), ("beta", "gamma")):
+        cols = _intersection_columns(scheme, index[a], index[b],
+                                     len(walks[b]))
+        cokernels[a, b] = _cokernel(cols, g_)
+
+    z2 = {"dim_h1": 2 - surf.chi, "expected_dim": 2 * g_, "ranks": {},
           "self_zero": True}
+    forced = _ranks_from_pairings(counts, g_, cokernels)
+    face_basis = None
     for name, ws in walks.items():
-        z2["ranks"][name] = _gf2_extend(dict(face_basis),
-                                        map(_edge_vector, ws))
+        rank = forced.get(name)
+        if rank is None:
+            if face_basis is None:
+                face_basis = {}
+                _gf2_extend(face_basis, map(_edge_vector, surf.faces))
+            rank = _gf2_extend(dict(face_basis), map(_edge_vector, ws))
+        z2["ranks"][name] = rank
         if not disj.get(name) and any(
                 _self_intersections(scheme, index[name], len(ws))):
             z2["self_zero"] = False
-    z2["pass"] = (dim_h1 == 2 * g_ and z2["self_zero"]
+    z2["pass"] = (z2["dim_h1"] == 2 * g_ and z2["self_zero"]
                   and all(r == g_ for r in z2["ranks"].values()))
     checks["z2"] = z2
 
@@ -641,9 +664,7 @@ def verify_diagram(diagram):
                       for e in cut["systems"].values())
     checks["cut"] = cut
 
-    pair_cols = _intersection_columns(scheme, index["alpha"], index["beta"],
-                                      len(walks["beta"]))
-    pairing = _cokernel(pair_cols, g_)
+    pairing = cokernels["alpha", "beta"]
     h1b = boundary_h1(surf.graph)
     expected = HomologyGroup(surf.k + h1b.rank, h1b.torsion)
     checks["pairing_ab"] = {
@@ -655,9 +676,7 @@ def verify_diagram(diagram):
 
     gcok = {}
     for name, kname in (("alpha", "k1"), ("beta", "k2")):
-        cols = _intersection_columns(scheme, index[name], index["gamma"],
-                                     len(walks["gamma"]))
-        cok = _cokernel(cols, g_)
+        cok = cokernels[name, "gamma"]
         gcok[kname] = cok.rank
         gcok[kname + "_torsion"] = list(cok.torsion)
     gcok["pass"] = True
@@ -672,6 +691,23 @@ def verify_diagram(diagram):
     record = VerificationRecord(checks, ok, notes)
     diagram.record = record
     return record
+
+
+def _ranks_from_pairings(counts, genus, cokernels):
+    """{system: genus} for the systems a pairing proves of Z/2 rank genus.
+
+    cokernels maps a pair of systems to the cokernel of their
+    intersection matrix.  When both hold genus curves and the cokernel
+    has free rank 0 and only odd torsion, the square matrix has odd
+    determinant, so it is invertible mod 2 and neither system has a
+    Z/2 relation (see verify_diagram).
+    """
+    out = {}
+    for (a, b), cok in cokernels.items():
+        if (counts[a] == counts[b] == genus and cok.rank == 0
+                and all(t % 2 for t in cok.torsion)):
+            out[a] = out[b] = genus
+    return out
 
 
 def prove_pi1_trivial(diagram):

@@ -171,6 +171,25 @@ def subgraph_rho(g, eps, drop_color):
     return vals[0] if len(vals) == 1 else vals
 
 
+def apex_free_rho(g, eps):
+    """subgraph_rho(g, eps, g.n), memoised on g by the induced order.
+
+    The genus of the subgraph missing the apex color n reads only the
+    cycle counts of the consecutive pairs of the order eps induces on
+    the other colors, so orders whose induced cycles have the same set
+    of consecutive pairs share it: the 12 cyclic orders of five colors
+    induce 3 cycles of four.  The sweep, the certificate and the
+    stabilized surface all read it here.  Callers must not mutate a
+    list result.
+    """
+    eps = _permutation(g, eps)
+    key = ("floor", frozenset(_pair_keys(eps.drop(g.n))))
+    floor = g._memo.get(key)
+    if floor is None:
+        floor = g._memo[key] = subgraph_rho(g, eps, g.n)
+    return floor
+
+
 # -- rotation schemes and face tracing -----------------------------------
 
 class RotationScheme:
@@ -414,7 +433,7 @@ def stabilized_surface(g, eps, stabilized):
     faces = scheme.trace_faces()
     surf = StabilizedSurface(g, eps, stabilized, scheme, faces,
                              tuple(handles), edge_of_gem)
-    base = subgraph_rho(g, eps, apex)
+    base = apex_free_rho(g, eps)
     if not isinstance(base, list) and surf.genus != base + len(handles):
         raise GemError("stabilized surface genus %s, expected %s + %d"
                        % (surf.genus, base, len(handles)))

@@ -105,7 +105,7 @@ class ColoredGraph:
                 "%d edges on %d vertices cannot give each vertex all %s "
                 "colors" % (len(edge_list), nv, _brief(n + 1)))
         g = ColoredGraph._indexed(n, nv, edge_list)
-        if len(residues(g, colors)) != 1:
+        if residue_count(g, colors) != 1:
             raise DisconnectedError("graph is not connected")
         return g
 
@@ -229,40 +229,78 @@ class Residue:
 def residues(g, colorset):
     """Components of the colorset-induced subgraph, by minimum vertex.
 
-    An empty colorset yields one residue per vertex.
+    An empty colorset yields one residue per vertex.  Built from the
+    census (_census) on the first call and memoised; callers that only
+    count the residues, or read a vertex's residue, take residue_count
+    or residue_labels, which build no Residue.
     """
     colorset = frozenset(colorset)
-    cached = g._memo.get(colorset) or _label_residues(g, colorset)
-    return cached[0]
+    key = ("residues", colorset)
+    out = g._memo.get(key)
+    if out is None:
+        label, firsts = _census(g, colorset)
+        if len(firsts) == 1:
+            comps = [range(g.nv)]
+        else:
+            comps = [[] for _ in firsts]
+            for v, i in enumerate(label):
+                comps[i].append(v)
+        inc = g._inc
+        out = g._memo[key] = tuple(Residue(colorset, tuple(comp), inc)
+                                   for comp in comps)
+    return out
+
+
+def residue_count(g, colorset):
+    """How many residues colorset has: len(residues(g, colorset))."""
+    return len(_census(g, frozenset(colorset))[1])
 
 
 def residue_labels(g, colorset):
     """label[v] is the index in residues(g, colorset) of v's residue."""
-    colorset = frozenset(colorset)
-    cached = g._memo.get(colorset) or _label_residues(g, colorset)
-    return cached[1]
+    return _census(g, frozenset(colorset))[0]
 
 
-def _label_residues(g, colorset):
-    """Residues and labels of one color set, cached together.
+def _census(g, colorset):
+    """(labels, first vertices) of one color set's residues, memoised.
 
-    A set of three or more colors whose subset without its largest
-    color is memoised is joined from that subset (_join_residues); any
-    other set is walked in one pass.  Starting each residue at the
-    first unlabelled vertex numbers the residues by minimum vertex.
+    labels[v] numbers v's residue by minimum vertex and firsts[i] is
+    residue i's minimum vertex.  A pair is labelled by walking its
+    alternating cycles.  A set of three or more colors whose subset
+    without its largest color is memoised is joined from that subset
+    (_join_residues); any other set is walked in one pass.
     """
-    if len(colorset) >= 3:
-        top = max(colorset)
-        base = g._memo.get(colorset - {top})
-        if base is not None:
-            return _join_residues(g, colorset, base, top)
+    cached = g._memo.get(colorset)
+    if cached is None:
+        if not colorset <= frozenset(g.colors):
+            raise GemError("colors %s outside 0..%d"
+                           % (sorted(colorset - frozenset(g.colors)), g.n))
+        if len(colorset) == 2:
+            cached = _walk_cycles(g, *colorset)
+        else:
+            base = None
+            if len(colorset) >= 3:
+                top = max(colorset)
+                base = g._memo.get(colorset - {top})
+            if base is None:
+                cached = _walk_residues(g, colorset)
+            else:
+                cached = _join_residues(g, base, top)
+        g._memo[colorset] = cached
+    return cached
+
+
+def _walk_residues(g, colorset):
+    """The census of colorset, walked from each vertex no earlier walk
+    reached, so the residues are numbered by minimum vertex."""
     nbr = g._nbr
     label = [-1] * g.nv
-    out = []
-    for start in range(g.nv):
-        if label[start] >= 0:
+    firsts = []
+    for start, seen in enumerate(label):    # reads labels set by walks
+        if seen >= 0:
             continue
-        idx = len(out)
+        idx = len(firsts)
+        firsts.append(start)
         label[start] = idx
         comp = [start]
         for v in comp:              # comp grows while it is walked
@@ -272,23 +310,43 @@ def _label_residues(g, colorset):
                 if label[w] < 0:
                     label[w] = idx
                     comp.append(w)
-        comp.sort()
-        out.append(Residue(colorset, tuple(comp), g._inc))
-    cached = g._memo[colorset] = (tuple(out), tuple(label))
-    return cached
+    return tuple(label), tuple(firsts)
 
 
-def _join_residues(g, colorset, base, c):
-    """Residues and labels of colorset from base, those of colorset - {c}.
+def _walk_cycles(g, c, d):
+    """The census of {c, d}: each cycle is walked from its least vertex,
+    one c-edge and one d-edge per step, and its vertices labelled."""
+    nbr = g._nbr
+    across_c = list(map(operator.itemgetter(c), nbr))
+    across_d = list(map(operator.itemgetter(d), nbr))
+    label = [-1] * g.nv
+    firsts = []
+    for start, seen in enumerate(label):    # reads labels set by walks
+        if seen >= 0:
+            continue
+        idx = len(firsts)
+        firsts.append(start)
+        v = start
+        while True:
+            w = across_c[v]
+            label[v] = label[w] = idx
+            v = across_d[w]
+            if v == start:
+                break
+    return tuple(label), tuple(firsts)
 
-    Each residue of colorset - {c} lies in one of colorset, and the
+
+def _join_residues(g, base, c):
+    """The census of a color set from base, that of the set without c.
+
+    Each residue of the smaller set lies in one of the set, and the
     c-colored edges, one slice of g.edges, join them.  The union-find
     over base labels keeps each group's least label as its root, so the
-    groups, numbered in order of their roots and filled in vertex order,
-    stay numbered by minimum vertex and list their vertices sorted.
+    groups, numbered in order of their roots, stay numbered by minimum
+    vertex, and a group's first vertex is its root's.
     """
-    base_res, base_label = base
-    parent = list(range(len(base_res)))
+    base_label, base_firsts = base
+    parent = list(range(len(base_firsts)))
     ids = g.edge_ids(c)
     for a, b, _ in g.edges[ids.start:ids.stop]:
         ra, rb = base_label[a], base_label[b]
@@ -302,22 +360,14 @@ def _join_residues(g, colorset, base, c):
             parent[ra] = rb
     # parent[x] <= x, so each label's group is numbered before it is read
     new_of = []
-    count = 0
+    firsts = []
     for x, p in enumerate(parent):
         if p == x:
-            new_of.append(count)
-            count += 1
+            new_of.append(len(firsts))
+            firsts.append(base_firsts[x])
         else:
             new_of.append(new_of[p])
-    label = [new_of[x] for x in base_label]
-    comps = [[] for _ in range(count)]
-    for v, i in enumerate(label):
-        comps[i].append(v)
-    inc = g._inc
-    cached = g._memo[colorset] = (
-        tuple(Residue(colorset, tuple(comp), inc) for comp in comps),
-        tuple(label))
-    return cached
+    return tuple(map(new_of.__getitem__, base_label)), tuple(firsts)
 
 
 def residue_cycle_counts(g, colorset):
@@ -327,7 +377,7 @@ def residue_cycle_counts(g, colorset):
     residues(g, colorset), for every pair = frozenset({c, d}) of colors
     in colorset.  A bicolored cycle never straddles residues, so each is
     filed under the residue of its first vertex.  Memoised on g, like
-    the residues; callers must not mutate the rows.
+    the census; callers must not mutate the rows.
     """
     colorset = frozenset(colorset)
     key = ("cycles", colorset)
@@ -336,13 +386,16 @@ def residue_cycle_counts(g, colorset):
         pairs = [frozenset(p)
                  for p in itertools.combinations(sorted(colorset), 2)]
         # the pairs first, so a 3-set is joined from one of them and a
-        # 4-set from a memoised 3-set (see _label_residues)
-        cycles = [residues(g, pair) for pair in pairs]
-        label = residue_labels(g, colorset)
-        rows = [dict.fromkeys(pairs, 0) for _ in residues(g, colorset)]
-        for pair, found in zip(pairs, cycles):
-            for r in found:
-                rows[label[r.vertices[0]]][pair] += 1
+        # 4-set from a memoised 3-set (see _census)
+        cycles = [_census(g, pair)[1] for pair in pairs]
+        label, firsts = _census(g, colorset)
+        rows = [dict.fromkeys(pairs, 0) for _ in firsts]
+        for pair, cycle_firsts in zip(pairs, cycles):
+            if len(rows) == 1:
+                rows[0][pair] = len(cycle_firsts)
+            else:
+                for v in cycle_firsts:
+                    rows[label[v]][pair] += 1
         g._memo[key] = rows
     return rows
 
@@ -651,15 +704,14 @@ class DipoleReducer:
                         for p in zip(seq, seq[1:] + seq[:1]))
                     - (len(seq) - 2) * (self.nv // 2) for seq in cycles]
         self._plans = [None] * (1 << k)     # by dipole mask, built lazily
-        # the live vertices, each with its neighbor by position
-        gnbr = g._nbr
-        self._nbr = {v: [gnbr[v][c] for c in cols] for v in res.vertices}
+        # the live vertices, each with its neighbors by position, read
+        # off g's rows in one pass
+        verts = res.vertices
+        rows = map(operator.itemgetter(*cols), map(g._nbr.__getitem__, verts))
+        self._nbr = dict(zip(verts, map(list, rows)))
         # per color set of 2 to k - 1 colors: g's labels, merged labels
-        self._uf = [None] * (1 << k)
-        for mask in range(1 << k):
-            if 1 < mask.bit_count() < k:
-                self._uf[mask] = (residue_labels(
-                    g, [c for i, c in enumerate(cols) if mask >> i & 1]), {})
+        self._uf = [None if cs is None else (residue_labels(g, cs), {})
+                    for cs in _union_find_sets(cols)]
         # queue the pairs that are dipoles now, as _apart tells them;
         # nothing is merged yet, so g's labels are the roots
         full = self._full = (1 << k) - 1
@@ -667,7 +719,7 @@ class DipoleReducer:
         heap = self._heap = []
         joins = _adjacent_pairs(g)
         to_pos = _position_masks(cols, g.n)
-        for u in res.vertices:
+        for u in verts:
             for w, gmask in joins[u]:
                 S = to_pos[gmask]
                 if not S or S == full:
@@ -682,7 +734,8 @@ class DipoleReducer:
 
         A pair joined by colors S is a dipole when this holds for the
         complement of S; with one color it always does, and with none
-        never.
+        never.  The finds are inlined, halving the paths they walk: the
+        parent dict holds merged labels only.
         """
         if not comp:
             return False
@@ -690,7 +743,18 @@ class DipoleReducer:
         if found is None:
             return True
         label, parent = found
-        return _find(parent, label[u]) != _find(parent, label[v])
+        ru, rv = label[u], label[v]
+        while ru in parent:
+            p = parent[ru]
+            if p in parent:
+                p = parent[ru] = parent[p]
+            ru = p
+        while rv in parent:
+            p = parent[rv]
+            if p in parent:
+                p = parent[rv] = parent[p]
+            rv = p
+        return ru != rv
 
     def cancel_next(self):
         """Cancel the first dipole; return (u, v, colors) or None."""
@@ -724,11 +788,22 @@ class DipoleReducer:
         for key in plan.drops:
             counts[key] -= 1
         self.chi[:] = map(operator.add, self.chi, plan.dchi)
-        # when a color set meets S, u and v already share a residue
+        # when a color set meets S, u and v already share a residue; the
+        # finds are inlined as in _apart
         uf = self._uf
         for mask in plan.merges:
             label, parent = uf[mask]
-            ru, rv = _find(parent, label[u]), _find(parent, label[v])
+            ru, rv = label[u], label[v]
+            while ru in parent:
+                p = parent[ru]
+                if p in parent:
+                    p = parent[ru] = parent[p]
+                ru = p
+            while rv in parent:
+                p = parent[rv]
+                if p in parent:
+                    p = parent[rv] = parent[p]
+                rv = p
             if ru != rv:
                 parent[ru] = rv
         heap = self._heap
@@ -794,22 +869,20 @@ def _adjacent_pairs(g):
 
 
 @functools.lru_cache(maxsize=64)
+def _union_find_sets(cols):
+    """Per mask over positions of cols, the frozenset of its colors
+    when it has 2 to len(cols) - 1 of them, else None."""
+    k = len(cols)
+    return tuple(frozenset(c for i, c in enumerate(cols) if m >> i & 1)
+                 if 1 < m.bit_count() < k else None for m in range(1 << k))
+
+
+@functools.lru_cache(maxsize=64)
 def _position_masks(cols, n):
     """table[m] is the mask over positions of cols of the colors of m,
     a mask over colors 0..n."""
     return tuple(sum(1 << i for i, c in enumerate(cols) if m >> c & 1)
                  for m in range(1 << (n + 1)))
-
-
-def _find(parent, r):
-    """Root of label r in a union-find whose parent dict holds merged
-    labels only; halves the path it walks."""
-    while r in parent:
-        p = parent[r]
-        if p in parent:
-            p = parent[r] = parent[p]
-        r = p
-    return r
 
 
 _Plan = namedtuple("_Plan", "colors drops dchi merges weld")

@@ -13,8 +13,8 @@ import heapq
 import itertools
 import math
 
-from .graphs import (GemError, is_bipartite, residue_labels, residue_subgem,
-                     residues)
+from .graphs import (GemError, is_bipartite, residue_count, residue_labels,
+                     residue_subgem, residues)
 
 
 class HomologyGroup:
@@ -129,14 +129,14 @@ def euler_characteristic(g):
     """Euler characteristic of the encoded complex, from residue counts.
 
     A d-cell is a residue over n-d colors (see _cells), so this is the
-    alternating count of the memoised residues: the vertices and edges
+    alternating sum of the memoised residue counts: the vertices and edges
     of g are the top two dimensions, counted off g itself.  No chain
     complex is built.
     """
     chi = (-1) ** g.n * (g.nv - len(g.edges))
     for d in range(g.n - 1):
         chi += (-1) ** d * sum(
-            len(residues(g, sub))
+            residue_count(g, sub)
             for sub in itertools.combinations(g.colors, g.n - d))
     return chi
 

@@ -14,9 +14,9 @@ import collections
 import heapq
 import itertools
 
-from .embedding import _permutation, rho, subgraph_rho
-from .graphs import (GemError, bicolored_cycles, residue_labels, residues,
-                     spanning_forest)
+from .embedding import _permutation, apex_free_rho, rho
+from .graphs import (GemError, bicolored_cycles, residue_count,
+                     residue_labels, spanning_forest)
 
 
 class ApexResidueDisconnected(GemError):
@@ -59,9 +59,10 @@ class QComplex:
 
     sides[e][i] is the q1 edge index of the {apex,i}-cycle through
     square e; q1 edges are numbered color by color, and sides[e] lists
-    them by color, so by ascending index.  q1_nodes[j] = (colorset,
-    residue) for the mixed 3-residues, the colorsets being {i, j, apex}
-    with i from the even and j from the odd positions of eps;
+    them by color, so by ascending index.  q1_nodes[j] = (colorset, i)
+    names the mixed 3-residue residues(g, colorset)[i], the colorsets
+    being {i, j, apex} with i from the even and j from the odd
+    positions of eps;
     edge_nodes[idx] is the pair of q1 node ids that q1 edge idx joins,
     low first.
 
@@ -96,10 +97,10 @@ def _require_apex(g, eps):
         raise GemError("square complex needs dimension 4, got %d" % g.n)
     eps = _permutation(g, eps)
     others = frozenset(g.colors) - {4}
-    if len(residues(g, others)) != 1:
+    count = residue_count(g, others)
+    if count != 1:
         raise ApexResidueDisconnected(
-            "complement of color 4 splits into %d residues"
-            % len(residues(g, others)))
+            "complement of color 4 splits into %d residues" % count)
     return eps
 
 
@@ -141,7 +142,7 @@ def build_Q(g, eps):
 
     The squares, Q1 edges and sides come from _squares, once per graph.
     Each call adds only the Q1 node labels of its order, read off the
-    residue labels g already caches; of the pipeline, only the diagram's
+    residue census g already caches; of the pipeline, only the diagram's
     gamma curves read them, so the sweep schedules on _squares alone.
     """
     eps = _require_apex(g, eps)
@@ -154,7 +155,7 @@ def build_Q(g, eps):
                     key=sorted):
         for i in s - {4}:
             ends[i].append((len(q1_nodes), residue_labels(g, s)))
-        q1_nodes.extend((s, res) for res in residues(g, s))
+        q1_nodes.extend((s, idx) for idx in range(residue_count(g, s)))
     edge_nodes = tuple(
         tuple(sorted(first + label[edge.cycle.vertices[0]]
                      for first, label in ends[edge.color]))
@@ -186,7 +187,7 @@ def stabilization_set(g, eps):
         ends = ((cyc_of[g.edges[e][0]], cyc_of[g.edges[e][1]])
                 for e in squares)
         forest = g._memo[("forest", pair)] = tuple(
-            squares[i] for i in spanning_forest(len(residues(g, pair)), ends))
+            squares[i] for i in spanning_forest(residue_count(g, pair), ends))
     return forest
 
 
@@ -387,7 +388,7 @@ class TrisectionCertificate:
 def certificate(g, eps, ordering, mode="closed"):
     """Assemble a certificate from a completed ordering."""
     eps = _require_apex(g, eps)
-    base = subgraph_rho(g, eps, 4)
+    base = apex_free_rho(g, eps)
     return TrisectionCertificate(eps, ordering, base + ordering.k, mode,
                                  rho(g, eps), base)
 
@@ -461,9 +462,11 @@ def sweep(g, orders, budget=0, mode="closed"):
     """The certificate of least sort_key over the cyclic orders.
 
     An order's certificate has genus floor + k with k >= 0, its floor
-    being subgraph_rho(g, eps, 4), so its sort_key is at least
+    being apex_free_rho(g, eps), so its sort_key is at least
     (floor, 0, eps.seq).  One census of the apex-free residue gives
-    every floor.  The orders run by (floor, eps.seq), and the sweep
+    every floor, and the floor is memoised per induced 4-color order,
+    so the 12 orders compute 3 and the winner's certificate reuses
+    its own.  The orders run by (floor, eps.seq), and the sweep
     stops at the first whose bound is not below the best sort_key so
     far: every later order's bound is higher still, so the winner is
     the one a run of every order would pick.
@@ -476,7 +479,7 @@ def sweep(g, orders, budget=0, mode="closed"):
     floors = []
     for eps in orders:
         eps = _require_apex(g, eps)
-        floors.append((subgraph_rho(g, eps, 4), eps.seq, eps))
+        floors.append((apex_free_rho(g, eps), eps.seq, eps))
     floors.sort(key=lambda f: f[:2])
     schedules = {}
     best = None

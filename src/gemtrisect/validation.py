@@ -18,6 +18,7 @@ from .graphs import (
     DipoleReducer,
     GemError,
     _brief,
+    residue_count,
     residue_cycle_counts,
     residue_labels,
     residues,
@@ -113,9 +114,9 @@ def all_surfaces_spheres(g):
     which is then joined from its lowest pair.
     """
     for sub in itertools.combinations(g.colors, 3):
-        cycles = sum(len(residues(g, pair))
+        cycles = sum(residue_count(g, pair)
                      for pair in itertools.combinations(sub, 2))
-        if 2 * cycles - g.nv != 4 * len(residues(g, sub)):
+        if 2 * cycles - g.nv != 4 * residue_count(g, sub):
             return False
     return True
 
@@ -271,11 +272,11 @@ def certify_Gs4(g, attestations=None):
     _require_surface_spheres(g)
 
     apex_key = frozenset(c for c in g.colors if c != apex)
-    apex_residues = residues(g, apex_key)
-    if len(apex_residues) != 1:
+    apex_count = residue_count(g, apex_key)
+    if apex_count != 1:
         raise MultipleApexResidues(
             "%d residues miss color %d; need exactly one"
-            % (len(apex_residues), apex))
+            % (apex_count, apex))
 
     verdicts = _classify_colors(g)
     att = parse_attestations(attestations)

@@ -13,8 +13,9 @@ that walks each collapsed square once per direction, the dipole chain
 that rebuilds the graph after every cancellation and the incremental one
 on dicts that followed it, the library chain's current graph rebuilt
 through build_graph, the gem check that scans every vertex for missing
-colors after filling a full incidence table, and the diagram's json
-document built as dicts for json.dumps.
+colors after filling a full incidence table, the diagram's json
+document built as dicts for json.dumps, and the text parser that reads
+every line on its own.
 """
 
 import heapq
@@ -23,6 +24,7 @@ from collections import deque
 from functools import cmp_to_key
 from types import SimpleNamespace
 
+from gemtrisect.cli import _HEADER_RE, GemFile, ParseError
 from gemtrisect.diagrams import (Curve, ExpansionDiverged, _chord_index,
                                  _gamma_forest, _intersection_columns,
                                  _reduce, _step_inverse)
@@ -818,3 +820,47 @@ def diagram_json_dict(diagram):
         "beta": [[_step_json(s) for s in c.steps] for c in diagram.beta],
         "gamma": [[_step_json(s) for s in c.steps] for c in diagram.gamma],
     }
+
+
+def parse_text(text):
+    """The text format read line by line, each edge line on its own."""
+    n = None
+    name = None
+    attest = {}
+    edges = []
+    for lno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        # whole-line comments only: attestation values may contain "#"
+        if not line or line.startswith("#"):
+            continue
+        if n is None:
+            m = _HEADER_RE.match(line)
+            if not m:
+                raise ParseError('expected "gem n=<n>" header', lno)
+            try:
+                n = int(m.group(1))
+            except ValueError:      # past Python's limit on int digits
+                raise ParseError("n has too many digits", lno) from None
+            continue
+        if line.startswith("name "):
+            name = line[5:].strip()
+            continue
+        if line.startswith("attest "):
+            body = line[7:].strip()
+            if "=" not in body:
+                raise ParseError("attest needs key=value", lno)
+            key, _, value = body.partition("=")
+            attest[key.strip()] = value.strip()
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError('expected "u v c"', lno)
+        try:
+            u, v, c = (int(p) for p in parts)
+        except ValueError:
+            raise ParseError("edge fields must be integers", lno) from None
+        edges.append((u, v, c))
+    if n is None:
+        raise ParseError("empty input: no gem header")
+    g = build_graph(n, edges)
+    return GemFile(n, name, attest, g)

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import random
 import re
 import tempfile
 import tracemalloc
@@ -32,6 +33,9 @@ from gemtrisect.cli import (
 )
 from gemtrisect.graphs import GemError
 from gemtrisect.validation import parse_attestations
+
+import reference
+from conftest import pipeline_corpus
 
 DATA = pathlib.Path(__file__).parent / "data"
 ROOT = pathlib.Path(__file__).parents[1]
@@ -134,6 +138,105 @@ def test_serializations_round_trip(datadir_gem):
         assert again.name == gf.name
         third = parse_gem(gem_json_bytes(gf))
         assert gem_text(third) == gem_text(gf)
+
+
+# -- the text parser against the line-by-line oracle ----------------------
+
+def _parse_outcome(parse, data):
+    """The GemFile's fields, or the error's type, message and line."""
+    try:
+        gf = parse(data)
+    except GemError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None))
+    return (gf.n, gf.name, gf.attestations, gf.graph.edges)
+
+
+def _oracle_corpus():
+    graphs = [parse_gem((DATA / name).read_bytes()).graph
+              for name in ("projective_plane_like.gem", "bounded_s1s2.gem",
+                           "nonzero_forest.gem", "two_singular_colors.gem")]
+    return graphs + pipeline_corpus(count=4, seed=5)
+
+
+_ORACLE_GEMS = _oracle_corpus()
+# a corrupted token: int() takes the first three, 5000 digits pass its limit
+_BAD_TOKENS = ("+1", "1_0", "١", "7" * 5000, "x")
+
+
+def _render_gem(seed):
+    """A seeded gem as text: blank, comment, name and attest lines
+    anywhere, extra spaces, CRLF, and at times one corrupted token or
+    field count."""
+    rng = random.Random(seed)
+    g = rng.choice(_ORACLE_GEMS)
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    lines = [["%d" % x for x in e] for e in edges]
+    if rng.random() < 0.4:
+        fields = rng.choice(lines)
+        what = rng.randrange(len(_BAD_TOKENS) + 2)
+        if what < len(_BAD_TOKENS):
+            fields[rng.randrange(3)] = _BAD_TOKENS[what]
+        elif what == len(_BAD_TOKENS):
+            fields.pop()
+        else:
+            fields.append("0")
+    text = [" ".join(f) for f in lines]
+    if rng.random() < 0.5:
+        text = [(" " * rng.randrange(2) + line.replace(" ", rng.choice(
+            (" ", "  ", "\t"))) + " " * rng.randrange(2)) for line in text]
+    text.insert(0, "gem n=%d" % g.n)
+    for _ in range(rng.randrange(4)):
+        extra = rng.choice(("", "   ", "# a comment", "name seed %d" % seed,
+                            "attest sphere=0", "attest boundary=#0(S1xS2)"))
+        # position 0 puts the line before the header
+        text.insert(rng.randrange(len(text) + 1), extra)
+    end = rng.choice(("\n", "\r\n"))
+    return (end.join(text) + end * rng.randrange(2)).encode()
+
+
+def _parse_like_oracle(seed):
+    data = _render_gem(seed)
+    assert (_parse_outcome(parse_gem, data)
+            == _parse_outcome(reference.parse_text, data.decode())), seed
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_text_parser_matches_line_oracle(seed):
+    _parse_like_oracle(seed)
+
+
+@pytest.mark.slow
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_text_parser_matches_line_oracle_at_length(seed):
+    _parse_like_oracle(seed)
+
+
+def test_input_selects_the_parse_path(monkeypatch):
+    # a plain body is split in one pass after the lines before it are
+    # scanned, even when those lines or the graph are then refused;
+    # anything else in the body sends the whole text through the line
+    # scan, as do the benchmark's malformed files with a bad field or
+    # field count
+    scanned = []
+    scan = cli._scan_lines
+    monkeypatch.setattr(cli, "_scan_lines",
+                        lambda text: scanned.append(text) or scan(text))
+    plain = (DATA / "bounded_s1s2.gem").read_text()
+    head = plain[:plain.index("\n0 ") + 1]
+    split = [(plain, head), ("gem n=4\n0 1 0\n0 1 1\n", "gem n=4\n"),
+             ("gem n=4\n0 0 0\n", "gem n=4\n"),
+             ("gam n=4\n0 1 0\n", "gam n=4\n")]
+    scanned_whole = ["gem n=4\n0 1 x\n",
+                     "gem n=4\n0 1 0 7\n", "", plain.replace("\n", "\r\n"),
+                     plain + "# end\n", plain.replace("\n0 1 0", "\n0  1 0")]
+    for text, scans in split + [(t, t) for t in scanned_whole]:
+        scanned.clear()
+        assert (_parse_outcome(parse_gem, text.encode())
+                == _parse_outcome(reference.parse_text, text))
+        assert scanned == [scans], text
 
 
 def test_parse_errors_carry_line_numbers():

@@ -832,8 +832,9 @@ def test_block_strand_order_matches_single_symbol_doubling(datadir_gem):
 
 def test_disjoint_systems_and_shared_face_basis(datadir_gem, monkeypatch):
     # a vertex-simple, vertex-disjoint system has no self-intersection,
-    # so verify_diagram computes none for it; each system's rank is
-    # reduced against one copy of the eliminated face vectors
+    # so verify_diagram computes none for it; each system's rank, read
+    # off a pairing or reduced against one copy of the eliminated face
+    # vectors, is what it adds to those vectors
     corpus = _verifier_corpus(datadir_gem)
     monkeypatch.setattr(diagrams, "_to_walk", lambda surf, walk: walk)
     disjoint = 0
@@ -858,6 +859,84 @@ def test_disjoint_systems_and_shared_face_basis(datadir_gem, monkeypatch):
                 _gf2_rank_bits(face_vecs + vecs) - base_rank)
         assert record.checks["z2"]["self_zero"] == all_zero
     assert disjoint >= 20
+
+
+def _eliminated_record(diagram, monkeypatch):
+    """The record with every system's Z/2 rank eliminated against the
+    face basis, none read off a pairing."""
+    with monkeypatch.context() as m:
+        m.setattr(diagrams, "_ranks_from_pairings", lambda *args: {})
+        return verify_diagram(diagram).as_dict()
+
+
+def test_ranks_from_pairings_keep_the_record(datadir_gem, monkeypatch):
+    # the pipeline corpus, chain sums and forced-handle diagrams, whose
+    # pairings settle all three ranks, and every verifier mutant put in
+    # place of alpha or of gamma, plus an alpha whose first curve runs
+    # twice: null mod 2, so its rows of both pairings are even
+    cases = []
+    for d in _diagram_corpus(datadir_gem):
+        walks = {name: [_to_walk(d.surface, c) for c in curves]
+                 for name, curves in d.systems()}
+        cases.append((d.surface, walks, True))
+    for surf, walks in _verifier_corpus(datadir_gem):
+        a = walks["alpha"]
+        mutants = {name: ws for name, ws in walks.items()
+                   if name not in ("alpha", "beta", "gamma")}
+        mutants["doubled"] = [list(a[0]) * 2] + a[1:]
+        for ws in mutants.values():
+            cases.append((surf, dict(walks, alpha=ws), False))
+            cases.append((surf, dict(walks, gamma=ws), False))
+    monkeypatch.setattr(diagrams, "_to_walk", lambda surf, walk: walk)
+    forcing = diagrams._ranks_from_pairings
+    settled = []
+
+    def recording(counts, genus, cokernels):
+        out = forcing(counts, genus, cokernels)
+        settled.append(out)
+        return out
+
+    monkeypatch.setattr(diagrams, "_ranks_from_pairings", recording)
+    unsettled = 0
+    for surf, walks, real in cases:
+        systems = {name: walks[name] for name in ("alpha", "beta", "gamma")}
+        d = types.SimpleNamespace(surface=surf, genus=(2 - surf.chi) // 2,
+                                  mode="trisection", systems=systems.items)
+        record = verify_diagram(d).as_dict()
+        assert record == _eliminated_record(d, monkeypatch)
+        forced = settled[-1]
+        if real:
+            assert sorted(forced) == ["alpha", "beta", "gamma"]
+        # a system of g curves whose pairings are all singular mod 2
+        unsettled += any(len(ws) == d.genus and name not in forced
+                         for name, ws in systems.items())
+    assert len(cases) > 150 and unsettled >= 10
+
+
+def test_corrupted_chord_slots_flip_self_zero(datadir_gem, monkeypatch):
+    # every self-intersection of a closed walk on the oriented surface
+    # is 0, so self_zero can fail only through a wrong chord index: a
+    # chord with its slots swapped, of a gamma walk that meets its
+    # vertex more than once, flips it
+    g = _chain_sum(datadir_gem("projective_plane_like.gem").graph, 3)
+    cert = sweep(g, cyclic_permutations(4))
+    d = assemble_diagram(g, cert.eps, cert)
+    assert d.record.ok and d.record.checks["z2"]["self_zero"]
+    chord_index = diagrams._chord_index
+    gamma = [_to_walk(d.surface, c) for c in d.gamma]
+
+    def corrupted(scheme, walks):
+        index = chord_index(scheme, walks)
+        if walks == gamma:
+            chords = min((v, chords) for v, groups in index.items()
+                         for _, chords in groups if len(chords) > 1)[1]
+            t, h = chords[0]
+            chords[0] = (h, t)
+        return index
+
+    monkeypatch.setattr(diagrams, "_chord_index", corrupted)
+    record = verify_diagram(d)
+    assert not record.ok and not record.checks["z2"]["self_zero"]
 
 
 @pytest.mark.slow

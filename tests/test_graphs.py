@@ -23,6 +23,7 @@ from gemtrisect.graphs import (
     build_graph,
     connected_sum,
     is_bipartite,
+    residue_count,
     residue_labels,
     residue_subgem,
     residues,
@@ -30,8 +31,11 @@ from gemtrisect.graphs import (
     standard_sphere_gem,
 )
 
+from gemtrisect import graphs
+from gemtrisect.cli import parse_gem
+
 from conftest import (DATA_DIR, embedding_corpus, k4_gem, pipeline_corpus,
-                      prism_gem, torus_gem)
+                      prism_gem, torus_gem, weld)
 from reference import build as reference_build
 from reference import component
 
@@ -246,8 +250,6 @@ def test_residue_partitions_vertices(blob4_gem):
 def _label_corpus(seed=3):
     """Sphere blobs, shuffled #m sums of projective_plane_like.gem, and
     every fixture, in dimensions 2 to 4."""
-    from gemtrisect.cli import parse_gem
-
     rng = random.Random(seed)
     fixtures = [parse_gem(p.read_bytes()).graph
                 for p in sorted(DATA_DIR.glob("*.gem"))]
@@ -293,24 +295,63 @@ def test_residue_labels_match_component_bfs():
                 assert all(label[v] == idx for v in r.vertices)
 
 
+def _walked_census(g, cs):
+    """Labels, first vertices and sorted vertex tuples of cs's residues,
+    by a component walk from each vertex no earlier walk reached."""
+    label = [None] * g.nv
+    parts = []
+    for v in range(g.nv):
+        if label[v] is None:
+            part = tuple(sorted(component(g, cs, v)))
+            for w in part:
+                label[w] = len(parts)
+            parts.append(part)
+    return tuple(label), tuple(p[0] for p in parts), parts
+
+
 def test_joined_labels_equal_walked_labels():
-    # color sets first requested in a random order: a set whose subset
-    # without its largest color is memoised is joined from it, and must
-    # equal the walk on a copy of g with an empty memo
+    # color sets first requested in a random order, and residues()
+    # asked for before or after the census: a pair is labelled by its
+    # alternating walk, a set whose subset without its largest color is
+    # memoised is joined from it, any other set is walked, and labels,
+    # count, first vertices and the lazily built residues must equal a
+    # component walk, on blobs, chain sums, fixtures and random welds of
+    # both closed fixtures
     rng = random.Random(1903)
-    joined = 0
-    for g in _label_corpus():
+    gems = _label_corpus()
+    for name in ("projective_plane_like.gem", "nonzero_forest.gem"):
+        fixture = g = parse_gem((DATA_DIR / name).read_bytes()).graph
+        for _ in range(5):
+            g = weld(g, fixture, rng)
+            gems.append(g)
+    joined = lazy = 0
+    for g in gems:
         subsets = [frozenset(sub) for r in range(g.n + 2)
                    for sub in itertools.combinations(g.colors, r)]
         rng.shuffle(subsets)
         for cs in subsets:
             joined += len(cs) >= 3 and cs - {max(cs)} in g._memo
-            walked = ColoredGraph._indexed(g.n, g.nv, g.edges)
-            assert residue_labels(g, cs) == residue_labels(walked, cs)
-            assert ([(r.colors, r.vertices) for r in residues(g, cs)]
-                    == [(r.colors, r.vertices)
-                        for r in residues(walked, cs)]), (g, sorted(cs))
-    assert joined >= 100
+            label, firsts, parts = _walked_census(g, cs)
+            walked = [(cs, part) for part in parts]
+            if rng.random() < 0.5:
+                assert [(r.colors, r.vertices)
+                        for r in residues(g, cs)] == walked
+            else:
+                lazy += 1
+            assert residue_labels(g, cs) == label, (g, sorted(cs))
+            assert residue_count(g, cs) == len(parts)
+            assert graphs._census(g, cs) == (label, firsts)
+            assert [(r.colors, r.vertices)
+                    for r in residues(g, cs)] == walked, (g, sorted(cs))
+    assert joined >= 100 and lazy >= 300
+
+
+def test_census_refuses_colors_outside_the_gem(s4_gem):
+    # a color past n, or below 0, names no edge of the gem
+    for cs in ({5}, {-1, 2}, {0, 1, 7}):
+        for query in (residues, residue_labels, residue_count):
+            with pytest.raises(GemError, match="outside 0..4"):
+                query(s4_gem, cs)
 
 
 def test_edge_ids_of_a_color_match_a_scan():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from gemtrisect import embedding
+from gemtrisect.cli import GemFile, run_pipeline
 from gemtrisect.embedding import CyclicPermutation, cyclic_permutations, rho, subgraph_rho
 from gemtrisect.graphs import GemError, blob_insert, residues
 from gemtrisect.trisection import (
@@ -306,13 +308,17 @@ def test_square_complex_matches_per_order_reference(monkeypatch):
     def nodes(Q):
         return [(s, res.vertices) for s, res in Q.q1_nodes]
 
+    def indexed_nodes(Q):
+        # build_Q names each node by its index among the residues
+        return [(s, residues(Q.graph, s)[i].vertices) for s, i in Q.q1_nodes]
+
     for g in _differential_corpus():
         for eps in cyclic_permutations(4):
             Q, ref = build_Q(g, eps), reference.build_Q(g, eps)
             assert Q.squares == ref.squares
             assert Q.sides == ref.sides
             assert edges(Q) == edges(ref)
-            assert nodes(Q) == nodes(ref)
+            assert indexed_nodes(Q) == nodes(ref)
             assert Q.edge_nodes == tuple(e.nodes for e in ref.q1_edges)
 
             # every corpus certificate has k = 0; forest seeds cover k > 0
@@ -408,11 +414,16 @@ def test_sweep_stops_at_its_genus_floor(budget, monkeypatch):
 
 
 def _stub_sweep(s4_gem, monkeypatch, floors, ks):
-    """sweep with stubbed floors and k; the orders minimize_k ran."""
+    """sweep with stubbed floors and k; the orders minimize_k ran.
+
+    The stub stands in for the memoised floor, apex_free_rho, and
+    checks that the sweep asks it once for each order, in order.
+    """
     orders = cyclic_permutations(4)
     floor_of = dict(zip(orders, floors))
     k_of = dict(zip(orders, ks))
     ran = []
+    asked = []
 
     def stub_minimize_k(g, eps, budget, mode, schedules):
         ran.append(eps)
@@ -420,10 +431,12 @@ def _stub_sweep(s4_gem, monkeypatch, floors, ks):
         return TrisectionCertificate(eps, ordering, floor_of[eps] + k_of[eps],
                                      mode, Fraction(0), floor_of[eps])
 
-    monkeypatch.setattr(trisection, "subgraph_rho",
-                        lambda g, eps, c: floor_of[eps])
+    monkeypatch.setattr(trisection, "apex_free_rho",
+                        lambda g, eps: asked.append(eps) or floor_of[eps])
     monkeypatch.setattr(trisection, "minimize_k", stub_minimize_k)
-    return sweep(s4_gem, orders), orders, ran
+    best = sweep(s4_gem, orders)
+    assert asked == list(orders)
+    return best, orders, ran
 
 
 def test_sweep_runs_same_floor_orders_until_one_reaches_it(s4_gem,
@@ -447,6 +460,30 @@ def test_sweep_never_schedules_a_higher_floor(s4_gem, monkeypatch):
     assert best.eps == orders[1] and (best.genus, best.k) == (4, 0)
     assert best.sort_key() == min((f + k, k, eps.seq) for f, k, eps
                                   in zip(floors, ks, orders))
+
+
+def test_pipeline_computes_one_floor_per_induced_order(monkeypatch):
+    # the 12 cyclic orders induce 3 cycles of the four apex-free colors,
+    # and the sweep, the winner's certificate and its stabilized surface
+    # read each floor from the memo: 3 runs of subgraph_rho, not 14
+    rng = random.Random(8)
+    fixture = g = fixture_graph("projective_plane_like.gem")
+    for _ in range(7):
+        g = weld(g, fixture, rng, at=(1, 0))
+    g = shuffled(g, rng)
+    induced = []
+    run = embedding.subgraph_rho
+
+    def counting(g, eps, drop_color):
+        seq = eps.drop(drop_color)
+        induced.append(frozenset(map(frozenset, zip(seq, seq[1:] + seq[:1]))))
+        return run(g, eps, drop_color)
+
+    monkeypatch.setattr(embedding, "subgraph_rho", counting)
+    rec, _ = run_pipeline(GemFile(4, None, {}, g))
+    assert rec.exit_code == 0 and rec.as_dict()["diagram_ref"]["verified"]
+    assert rec.as_dict()["certificate"]["genus"] == 8
+    assert len(induced) == len(set(induced)) == 3
 
 
 def test_certificate_shape(s4_gem):
