@@ -36,7 +36,8 @@ from .embedding import _permutation, stabilized_surface
 from .graphs import (GemError, bicolored_cycles, residue_count,
                      residue_labels, spanning_forest)
 from .homology import (GroupPresentation, HomologyGroup, _cokernel,
-                       _gf2_extend, boundary_h1, euler_characteristic)
+                       _free_reduce, _gf2_extend, boundary_h1,
+                       euler_characteristic)
 from .trisection import build_Q, cycle_sizes
 
 
@@ -187,7 +188,8 @@ def gamma_curves(Q, certificate):
                 out.append(("e", eid, d))
         return out
 
-    return [Curve("gamma", _reduce(rewrite(edge.cycle.steps), _step_inverse),
+    return [Curve("gamma",
+                  _free_reduce(rewrite(edge.cycle.steps), _step_inverse),
                   edge.index)
             for edge in Q.q1_edges
             if edge.index not in witness_set and edge.index not in forest]
@@ -219,21 +221,6 @@ def _step_inverse(s):
     return None if s[0] == "sc" else (s[0], s[1], -s[2])
 
 
-def _reduce(walk, inverse):
-    """Cyclic free reduction: cancel each item against its inverse."""
-    out = []
-    for x in walk:
-        if out and out[-1] == inverse(x):
-            out.pop()
-        else:
-            out.append(x)
-    i, j = 0, len(out)
-    while j - i >= 2 and out[j - 1] == inverse(out[i]):
-        i += 1
-        j -= 1
-    return tuple(out[i:j])
-
-
 # -- curves as half-edge walks on the surface scheme ----------------------
 
 def _to_walk(surf, curve):
@@ -253,7 +240,7 @@ def _to_walk(surf, curve):
             walk.append(2 * surf.handles[s[1]].m)
         else:
             raise GemError("unknown step %r" % (s,))
-    walk = _reduce(walk, lambda h: h ^ 1)
+    walk = _free_reduce(walk, lambda h: h ^ 1)
     vo = surf.scheme.vertex_of
     for i, h in enumerate(walk):
         if vo[walk[(i + 1) % len(walk)]] != vo[h ^ 1]:

@@ -500,30 +500,32 @@ class Cycle:
 
 
 def bicolored_cycles(g, c, d):
-    """All {c,d}-cycles, ordered by their minimum vertex."""
+    """All {c,d}-cycles, ordered by their minimum vertex.
+
+    Each cycle is walked from its first vertex in the census of {c, d},
+    which refuses a color outside 0..n.
+    """
     if c == d:
         raise GemError("need two distinct colors")
+    pair = frozenset((c, d))
+    lo, hi = sorted(pair)
     nbr, inc = g._nbr, g._inc
-    seen = [False] * g.nv
     out = []
-    for start in range(g.nv):
-        if seen[start]:
-            continue
+    for start in _census(g, pair)[1]:
         verts = []
         steps = []
         v = start
-        col = min(c, d)
+        col = lo
         while True:
             verts.append(v)
-            seen[v] = True
             w = nbr[v][col]
             # +1 runs the stored edge from its low end
             steps.append((inc[v][col], 1 if v < w else -1))
             v = w
-            col = c if col == d else d
-            if v == start and col == min(c, d):
+            col = hi if col == lo else lo
+            if v == start and col == lo:
                 break
-        out.append(Cycle(frozenset((c, d)), tuple(verts), tuple(steps)))
+        out.append(Cycle(pair, tuple(verts), tuple(steps)))
     return out
 
 

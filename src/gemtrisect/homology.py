@@ -12,8 +12,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 
-from .graphs import (GemError, is_bipartite, residue_count, residue_labels,
+from .graphs import (GemError, _census, is_bipartite, residue_count,
                      residue_subgem, residues)
 
 
@@ -46,21 +47,23 @@ class HomologyGroup:
 class ChainComplex:
     """Cells per dimension and integer boundary matrices.
 
+    cells[d] lists the d-cells as (colorset, first vertex) pairs.
     boundaries[d] maps dimension-d chains to dimension-(d-1) chains,
-    stored as one column per d-cell: a dict {row: +-1}; chain_complex
-    fills them in.
+    stored as one column per d-cell: a dict {row: +-1}; boundaries[0]
+    is None.
     """
 
-    def __init__(self, g, cells, first):
-        self.n = g.n
-        self.graph = g
+    def __init__(self, cells, table, boundaries):
         self.cells = cells
-        self._first = first     # colorset -> position of its first cell
-        self.boundaries = [None]
+        self._table = table     # colorset -> v -> position of v's cell
+        self.boundaries = boundaries
 
     def position(self, colorset, v):
-        """Position, among its dimension's cells, of v's colorset-residue."""
-        return self._first[colorset] + residue_labels(self.graph, colorset)[v]
+        """Position, among its dimension's cells, of v's colorset-residue.
+
+        Offered below the top dimension, where cells are boundary rows.
+        """
+        return self._table[colorset][v]
 
     def cell_counts(self):
         return tuple(len(c) for c in self.cells)
@@ -70,7 +73,7 @@ class ChainComplex:
 
     def validate(self):
         """Check that consecutive boundaries compose to zero."""
-        for d in range(2, self.n + 1):
+        for d in range(2, len(self.boundaries)):
             for col in self.boundaries[d]:
                 acc = {}
                 for mid, s1 in col.items():
@@ -81,57 +84,46 @@ class ChainComplex:
         return True
 
 
-def _cells(g, top):
-    """Cells of dimensions 0..top and the first position of each colorset.
+def chain_complex(g, top=None):
+    """Dual cell structure of the graph's colored triangulation, in
+    dimensions 0..top (all of them by default).
 
-    A d-cell is a residue over n-d colors; a dimension's cells are
-    numbered colorset by colorset in combinations order, each
-    colorset's residues by minimum vertex.
-    """
-    cells = []
-    first = {}
-    for d in range(top + 1):
-        layer = []
-        for sub in itertools.combinations(g.colors, g.n - d):
-            key = frozenset(sub)
-            first[key] = len(layer)
-            layer.extend(residues(g, key))
-        cells.append(layer)
-    return cells, first
-
-
-def chain_complex(g):
-    """Dual cell structure of the graph's colored triangulation.
-
-    d-cells are the residues over color subsets of size n-d; the face
-    of a cell obtained by dropping the i-th smallest complementary
-    color gets sign (-1)^i.
+    d-cells are the residues over color subsets of size n-d, read off
+    the census; a dimension's cells are numbered colorset by colorset
+    in combinations order, each colorset's residues by first vertex.
+    The face of a cell obtained by dropping the i-th smallest
+    complementary color gets sign (-1)^i, and a column lists its faces
+    in that order.
     """
     n = g.n
-    colors = list(g.colors)
-    cells, first = _cells(g, n)
-
-    cx = ChainComplex(g, cells, first)
-    for d in range(1, n + 1):
-        cols = []
-        for r in cells[d]:
-            labels = sorted(set(colors) - r.colors)
-            col = {}
-            for i, c in enumerate(labels):
-                row = cx.position(r.colors | {c}, r.vertices[0])
-                col[row] = 1 if i % 2 == 0 else -1
-            cols.append(col)
-        cx.boundaries.append(cols)
-    return cx
+    top = n if top is None else top
+    colors = frozenset(g.colors)
+    cells, table, boundaries = [], {}, [None]
+    for d in range(top + 1):
+        layer, cols = [], []
+        for sub in itertools.combinations(g.colors, n - d):
+            key = frozenset(sub)
+            labels, firsts = _census(g, key)
+            if d < top:
+                table[key] = [len(layer) + x for x in labels]
+            if d:
+                rows = [(table[key | {c}], -1 if i % 2 else 1)
+                        for i, c in enumerate(sorted(colors - key))]
+                cols.extend({t[v]: s for t, s in rows} for v in firsts)
+            layer.extend((key, v) for v in firsts)
+        cells.append(layer)
+        if d:
+            boundaries.append(cols)
+    return ChainComplex(cells, table, boundaries)
 
 
 def euler_characteristic(g):
     """Euler characteristic of the encoded complex, from residue counts.
 
-    A d-cell is a residue over n-d colors (see _cells), so this is the
-    alternating sum of the memoised residue counts: the vertices and edges
-    of g are the top two dimensions, counted off g itself.  No chain
-    complex is built.
+    A d-cell is a residue over n-d colors (see chain_complex), so this
+    is the alternating sum of the memoised residue counts: the vertices
+    and edges of g are the top two dimensions, counted off g itself.  No
+    chain complex is built.
     """
     chi = (-1) ** g.n * (g.nv - len(g.edges))
     for d in range(g.n - 1):
@@ -214,13 +206,8 @@ def _snf_divisors(columns):
 
 def _gf2_rank(columns):
     """Rank over Z/2 of a sparse sign matrix."""
-    return _gf2_rank_bits(sum(1 << r for r, v in col.items() if v % 2)
-                          for col in columns)
-
-
-def _gf2_rank_bits(vectors):
-    """Rank over Z/2 of vectors given as int bitmasks, by elimination."""
-    return _gf2_extend({}, vectors)
+    return _gf2_extend({}, (sum(1 << r for r, v in col.items() if v % 2)
+                            for col in columns))
 
 
 def _gf2_extend(basis, vectors):
@@ -252,8 +239,9 @@ def homology(g, coefficients="Z"):
     coefficients: "Z" (bipartite graphs only) or "Z/2".
     """
     # No pipeline stage calls this (the tests and tools/search_gems.py
-    # do); it and chain_complex stay in the package because the
-    # acceptance gate, tests/test_acceptance.py, imports it.
+    # do); it stays in the package because the acceptance gate,
+    # tests/test_acceptance.py, imports it.  The pipeline reads
+    # chain_complex's 2-skeleton, chain_complex(g, 2), for pi1.
     cx = chain_complex(g)
     counts = cx.cell_counts()
     if coefficients == "Z/2":
@@ -306,16 +294,20 @@ class GroupPresentation:
             self.num_generators, len(self.relators))
 
 
-def _free_reduce(word):
-    """Free and cyclic reduction of a word, as a tuple."""
+def _free_reduce(word, inverse=operator.neg):
+    """Free and cyclic reduction of a word, as a tuple.
+
+    Each letter cancels against its inverse: a generator's negation in a
+    relator; a surface walk passes its step or half-edge inverse.
+    """
     out = []
     for x in word:
-        if out and out[-1] == -x:
+        if out and out[-1] == inverse(x):
             out.pop()
         else:
             out.append(x)
     i, j = 0, len(out) - 1
-    while j > i and out[i] == -out[j]:
+    while j > i and out[i] == inverse(out[j]):
         i += 1
         j -= 1
     return tuple(out[i:j + 1])
@@ -394,36 +386,21 @@ def boundary_h1(g):
 def _build_pi1(g):
     """pi1_presentation's builder, run once per graph.
 
-    Reads the 2-skeleton only: the 4-, 3- and 2-colour residues (for
-    n = 4) as vertices, edges and triangles.
+    Reads the 2-skeleton only, chain_complex(g, 2): the 4-, 3- and
+    2-colour residues (for n = 4) as vertices, edges and triangles.
     """
-    cells, first = _cells(g, 2)
-    colors = frozenset(g.colors)
-    tables = {}
+    cx = chain_complex(g, 2)
 
-    def cell_of(colorset):
-        """v -> position of v's colorset-residue among its dimension."""
-        table = tables.get(colorset)
-        if table is None:
-            base = first[colorset]
-            table = tables[colorset] = [
-                base + x for x in residue_labels(g, colorset)]
-        return table
-
-    # edges are directed from their smaller-label endpoint to the larger one
-    ends = []
-    for r in cells[1]:
-        x, y = sorted(colors - r.colors)
-        v = r.vertices[0]
-        ends.append((cell_of(r.colors | {y})[v], cell_of(r.colors | {x})[v]))
-
-    # spanning tree by breadth-first search over the multigraph
-    nodes = len(cells[0])
+    # spanning tree by breadth-first search over the multigraph; an
+    # edge with labels x<y runs from its x-labelled end, its column's
+    # -1 row, to its y-labelled end, the +1 row listed first
+    edges = cx.boundaries[1]
+    nodes = len(cx.cells[0])
     adj = [[] for _ in range(nodes)]
-    for eid, (t, h) in enumerate(ends):
+    for eid, (h, t) in enumerate(edges):
         adj[t].append((h, eid))
         adj[h].append((t, eid))
-    in_tree = [False] * len(ends)
+    in_tree = [False] * len(edges)
     seen = [False] * nodes
     seen[0] = True
     order = [0]
@@ -433,22 +410,19 @@ def _build_pi1(g):
                 seen[w] = True
                 in_tree[eid] = True
                 order.append(w)
-    gen_of = [0] * len(ends)    # 1-based letters, 0 on tree edges
+    gen_of = [0] * len(edges)   # 1-based letters, 0 on tree edges
     k = 0
-    for eid in range(len(ends)):
+    for eid in range(len(edges)):
         if not in_tree[eid]:
             k += 1
             gen_of[eid] = k
 
-    # one relator per triangle: with labels a<b<c the boundary path is
-    # (a->b)(b->c)(c->a), i.e. E_ab . E_bc . E_ac^-1
+    # one relator per triangle: with labels a<b<c its column lists E_bc,
+    # E_ac, E_ab, and the boundary path (a->b)(b->c)(c->a) is
+    # E_ab . E_bc . E_ac^-1
     words = []
-    for r in cells[2]:
-        a, b, c = sorted(colors - r.colors)
-        v = r.vertices[0]
-        word = _free_reduce([s for s in (gen_of[cell_of(r.colors | {c})[v]],
-                                         gen_of[cell_of(r.colors | {a})[v]],
-                                         -gen_of[cell_of(r.colors | {b})[v]])
+    for bc, ac, ab in cx.boundaries[2]:
+        word = _free_reduce([s for s in (gen_of[ab], gen_of[bc], -gen_of[ac])
                              if s])
         if word:
             words.append(word)

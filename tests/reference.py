@@ -27,7 +27,7 @@ from types import SimpleNamespace
 from gemtrisect.cli import _HEADER_RE, GemFile, ParseError
 from gemtrisect.diagrams import (Curve, ExpansionDiverged, _chord_index,
                                  _gamma_forest, _intersection_columns,
-                                 _reduce, _step_inverse)
+                                 _step_inverse)
 from gemtrisect.embedding import RotationScheme, _permutation
 from gemtrisect.graphs import (ColoredGraph, DisconnectedError, GemError,
                                LoopEdgeError, NotProperError, NotRegularError,
@@ -35,6 +35,7 @@ from gemtrisect.graphs import (ColoredGraph, DisconnectedError, GemError,
                                residue_cycle_counts, residue_labels, residues,
                                spanning_forest)
 from gemtrisect.homology import GroupPresentation, _rotations, chain_complex
+from gemtrisect.homology import _free_reduce as _reduce_walk
 from gemtrisect.trisection import (CollapseOrdering, Incomplete,
                                    _require_apex, minimize_k)
 
@@ -71,11 +72,10 @@ def build_pi1(g):
 
     # edges are directed from their smaller-label endpoint to the larger one
     ends = []
-    for r in cx.cells[1]:
-        x, y = sorted(colors - r.colors)
-        v = r.vertices[0]
-        ends.append((cx.position(r.colors | {y}, v),
-                     cx.position(r.colors | {x}, v)))
+    for colorset, v in cx.cells[1]:
+        x, y = sorted(colors - colorset)
+        ends.append((cx.position(colorset | {y}, v),
+                     cx.position(colorset | {x}, v)))
 
     # spanning tree by breadth-first search over the multigraph
     nodes = len(cx.cells[0])
@@ -102,12 +102,11 @@ def build_pi1(g):
     # one relator per triangle: with labels a<b<c the boundary path is
     # (a->b)(b->c)(c->a), i.e. E_ab . E_bc . E_ac^-1
     words = []
-    for r in cx.cells[2]:
-        a, b, c = sorted(colors - r.colors)
-        v = r.vertices[0]
-        e_bc = cx.position(r.colors | {a}, v)
-        e_ac = cx.position(r.colors | {b}, v)
-        e_ab = cx.position(r.colors | {c}, v)
+    for colorset, v in cx.cells[2]:
+        a, b, c = sorted(colors - colorset)
+        e_bc = cx.position(colorset | {a}, v)
+        e_ac = cx.position(colorset | {b}, v)
+        e_ab = cx.position(colorset | {c}, v)
         word = []
         for eid, sign in ((e_ab, 1), (e_bc, 1), (e_ac, -1)):
             if eid in gen_of:
@@ -793,7 +792,7 @@ def gamma_curves(Q, certificate):
                 steps.extend(expand(eid, d))
             else:
                 steps.append(("e", eid, d))
-        gamma.append(Curve("gamma", _reduce(steps, _step_inverse),
+        gamma.append(Curve("gamma", _reduce_walk(steps, _step_inverse),
                            edge.index))
     return gamma
 

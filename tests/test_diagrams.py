@@ -21,7 +21,6 @@ from gemtrisect.diagrams import (
     _crossing_free,
     _edge_vector,
     _intersection_columns,
-    _reduce,
     _resolve,
     _self_intersections,
     _strand_order,
@@ -38,7 +37,7 @@ from gemtrisect.embedding import (CyclicPermutation, cyclic_permutations,
 from gemtrisect.graphs import (GemError, bicolored_cycles, build_graph,
                                connected_sum, is_bipartite, residues,
                                standard_sphere_gem)
-from gemtrisect.homology import _gf2_rank_bits, chain_complex
+from gemtrisect.homology import _free_reduce, _gf2_extend, chain_complex
 from gemtrisect.trisection import (
     CollapseOrdering,
     build_Q,
@@ -844,7 +843,7 @@ def test_disjoint_systems_and_shared_face_basis(datadir_gem, monkeypatch):
             surface=surf, genus=(2 - surf.chi) // 2, mode="trisection",
             systems=walks.items))
         face_vecs = [_edge_vector(orbit) for orbit in surf.faces]
-        base_rank = _gf2_rank_bits(face_vecs)
+        base_rank = _gf2_extend({}, face_vecs)
         all_zero = True
         for name, ws in walks.items():
             selfs = _self_intersections(scheme, _chord_index(scheme, ws),
@@ -856,7 +855,7 @@ def test_disjoint_systems_and_shared_face_basis(datadir_gem, monkeypatch):
             all_zero &= not any(selfs)
             vecs = [_edge_vector(w) for w in ws]
             assert record.checks["z2"]["ranks"][name] == (
-                _gf2_rank_bits(face_vecs + vecs) - base_rank)
+                _gf2_extend({}, face_vecs + vecs) - base_rank)
         assert record.checks["z2"]["self_zero"] == all_zero
     assert disjoint >= 20
 
@@ -1114,12 +1113,14 @@ def _old_reduce(items, inverse, keep=lambda s: True):
 
 
 def test_cyclic_reduction_matches_pop_loop():
+    # one free reduction serves half-edge walks, surface steps (a
+    # meridian step has no inverse) and relator words
     rng = random.Random(11)
     for _ in range(300):
         core = [rng.randrange(12) for _ in range(rng.randrange(0, 8))]
         wrap = [rng.randrange(12) for _ in range(rng.randrange(0, 6))]
         walk = wrap + core + [h ^ 1 for h in reversed(wrap)]
-        assert _reduce(walk, lambda h: h ^ 1) == tuple(
+        assert _free_reduce(walk, lambda h: h ^ 1) == tuple(
             _old_reduce(walk, lambda h: h ^ 1))
 
         kinds = [("e", rng.randrange(4), rng.choice((1, -1))) if
@@ -1129,9 +1130,15 @@ def test_cyclic_reduction_matches_pop_loop():
         steps = (head + kinds[len(wrap):]
                  + [s if s[0] == "sc" else (s[0], s[1], -s[2])
                     for s in reversed(head)])
-        assert _reduce(steps, diagrams._step_inverse) == tuple(_old_reduce(
-            steps, lambda s: s if s[0] == "sc" else (s[0], s[1], -s[2]),
-            keep=lambda s: s[0] != "sc"))
+        assert _free_reduce(steps, diagrams._step_inverse) == tuple(
+            _old_reduce(steps,
+                        lambda s: s if s[0] == "sc" else (s[0], s[1], -s[2]),
+                        keep=lambda s: s[0] != "sc"))
+
+        letters = [rng.choice((1, -1)) * rng.randrange(1, 4)
+                   for _ in range(len(core) + len(wrap))]
+        word = letters + [-x for x in reversed(letters[:len(wrap)])]
+        assert _free_reduce(word) == tuple(_old_reduce(word, lambda x: -x))
 
 
 @pytest.mark.slow

@@ -352,6 +352,10 @@ def test_census_refuses_colors_outside_the_gem(s4_gem):
         for query in (residues, residue_labels, residue_count):
             with pytest.raises(GemError, match="outside 0..4"):
                 query(s4_gem, cs)
+    # bicolored_cycles walks from the census of its pair
+    for c, d in ((-1, 0), (0, 7), (2, 5)):
+        with pytest.raises(GemError, match="outside 0..4"):
+            bicolored_cycles(s4_gem, c, d)
 
 
 def test_edge_ids_of_a_color_match_a_scan():
@@ -431,6 +435,9 @@ def test_cycles_alternate_and_cover():
                 cols = [g.edges[e][2] for e, _ in cyc.steps]
                 assert set(cols) == {c, d}
                 assert all(x != y for x, y in zip(cols, cols[1:]))
+                # each starts at its minimum vertex along min(c, d)
+                assert cyc.vertices[0] == min(cyc.vertices)
+                assert cols[0] == min(c, d)
                 # walk consistency: each step leaves the listed vertex
                 for i, (eid, direction) in enumerate(cyc.steps):
                     u, v, _ = g.edges[eid]
@@ -441,6 +448,8 @@ def test_cycles_alternate_and_cover():
                 covered.extend(cyc.vertices)
             assert sorted(covered) == list(range(g.nv))
             assert len(cycles) == _oracle_census(g, {c, d})
+            starts = [cyc.vertices[0] for cyc in cycles]
+            assert starts == sorted(starts)
 
 
 # -- the neighbor table --------------------------------------------------

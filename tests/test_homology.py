@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
-from gemtrisect.graphs import standard_sphere_gem
+from gemtrisect.graphs import residue_labels, standard_sphere_gem
 from gemtrisect.homology import (
     BoundLedger,
     GroupPresentation,
@@ -261,6 +261,27 @@ def test_pi1_matches_chain_complex_reference():
         assert _same(pres, reference.build_pi1(g))
         nontrivial += pres.num_generators > 0
     assert nontrivial >= 4
+
+
+def test_two_skeleton_is_the_whole_complex_cut_at_dimension_two():
+    # _build_pi1 reads chain_complex(g, 2): the cells, columns (rows in
+    # face order) and positions of the whole complex's dimensions 0..2
+    for g in _pi1_corpus():
+        whole, cut = chain_complex(g), chain_complex(g, 2)
+        assert cut.cells == whole.cells[:3]
+        assert len(cut.boundaries) == 3
+        for d in (1, 2):
+            assert [list(col.items()) for col in cut.boundaries[d]] == [
+                list(col.items()) for col in whole.boundaries[d]]
+        for d in (0, 1):
+            for colorset in {cs for cs, _ in whole.cells[d]}:
+                label = residue_labels(g, colorset)
+                for v in range(g.nv):
+                    pos = cut.position(colorset, v)
+                    assert pos == whole.position(colorset, v)
+                    cs, first = cut.cells[d][pos]
+                    assert cs == colorset and label[first] == label[v]
+        assert cut.validate()
 
 
 @st.composite
