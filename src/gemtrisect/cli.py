@@ -388,7 +388,12 @@ def run_pipeline(gf, options=None):
     diagram_ref; a diagram failure keeps the ledger's fields.
     """
     opts = normalize_options(options)
-    key = run_key(gf, opts)
+    return _run_keyed(gf, opts, run_key(gf, opts))
+
+
+def _run_keyed(gf, opts, key):
+    """run_pipeline on normalized options whose run_key is key, so that
+    run_cached, which needs the key first, computes it once."""
     timings = {}
     t_start = time.perf_counter()
     # record fields, filled in as stages finish; unreached ones stay null
@@ -555,7 +560,7 @@ def run_cached(gf, options=None, cache_dir=None):
             if entry is not None:
                 return entry + (True,)
             # damaged entry (e.g. a truncated write): a miss, rewritten
-    rec, dgm = run_pipeline(gf, opts)
+    rec, dgm = _run_keyed(gf, opts, key)
     blob = rec.to_bytes()
     if cache_dir:
         if dgm is not None:

@@ -7,6 +7,12 @@ wall graph, plus the handle meridians), gamma is the surviving part of
 the square-complex 1-skeleton, its shortest cycles, rewritten through
 witness cycles until no apex edge remains.
 
+Curves are half-edge walks on that surface's scheme from the start
+(see Curve): alpha and beta read theirs off their cycles' steps, gamma
+expands its witnesses in half-edges and is freely reduced by cancelling
+h against h ^ 1, the verifier reads the walks as they are, checking
+only that each closes up, and the exports decode them into label steps.
+
 Verification is homological plus cut-combinatorial, on the oriented
 rotation scheme of the surface: every rotation reads counterclockwise,
 so a half-edge's slot is `scheme.pos_of`.  Curves are resolved into
@@ -56,27 +62,63 @@ class UnsupportedFormat(GemError):
 # -- curves and wall graphs ------------------------------------------------
 
 class Curve:
-    """Closed walk on the stabilized surface, in label vocabulary.
+    """Closed walk on the stabilized surface, as leaving half-edges.
 
-    steps: ("e", gem edge id, +-1) traverses an apex-free edge (+1 is
-    low to high); ("h", j, +-1) runs through handle j (+1 from the low
-    endpoint of the stabilized edge); ("sc", j) is the meridian of
-    handle j.  Handle indices are 0-based here, 1-based in exports.
+    walk holds half-edge ids of the surface's scheme (see
+    StabilizedSurface): scheme edge i < base is gem edge i, run from
+    its low end by half-edge 2i and back by 2i + 1; handle j owns edges
+    a = base + 3j (from the low end u of the stabilized edge to the
+    handle vertex), b = a + 1 (on to the high end) and the meridian
+    m = a + 2.  steps decodes the walk into label vocabulary, in which
+    exports write it: ("e", gem edge id, +-1) traverses an apex-free
+    edge (+1 is low to high); ("h", j, +-1) runs through handle j (+1
+    from u, walk 2a, 2b; -1 is 2b + 1, 2a + 1); ("sc", j) is the
+    meridian of handle j (walk 2m).  Handle indices are 0-based here,
+    1-based in exports.
     """
 
-    __slots__ = ("kind", "steps", "cycle_index")
+    __slots__ = ("kind", "walk", "cycle_index", "base")
 
-    def __init__(self, kind, steps, cycle_index=None):
+    def __init__(self, kind, walk, cycle_index, base):
         self.kind = kind
-        self.steps = tuple(steps)
+        self.walk = walk
         self.cycle_index = cycle_index
+        self.base = base
+
+    @property
+    def steps(self):
+        return _steps(self.walk, self.base)
 
     def __len__(self):
         return len(self.steps)
 
     def __repr__(self):
         return "Curve(%s, steps=%d, from=%r)" % (
-            self.kind, len(self.steps), self.cycle_index)
+            self.kind, len(self), self.cycle_index)
+
+
+def _steps(walk, base):
+    """The label steps of a walk, read a step at a time."""
+    out = []
+    it = iter(walk)
+    for h in it:
+        e = h >> 1
+        out.append(("e", e, -1 if h & 1 else 1) if e < base
+                   else _handle_step(h, e - base, it))
+    return tuple(out)
+
+
+def _handle_step(h, offset, rest):
+    """The step that starts with half-edge h of handle edge base +
+    offset, taking its second half-edge from rest for a traversal."""
+    j, part = divmod(offset, 3)
+    if part == 2 and not h & 1:
+        return ("sc", j)
+    if part == 0 and not h & 1 and next(rest, None) == h + 2:
+        return ("h", j, 1)
+    if part == 1 and h & 1 and next(rest, None) == h - 2:
+        return ("h", j, -1)
+    raise GemError("half-edge %d starts no step" % h)
 
 
 def _wall_curves(g, kind, node_colors, cycle_colors):
@@ -97,7 +139,9 @@ def _wall_curves(g, kind, node_colors, cycle_colors):
         first_b + residue_count(g, fam_b),
         ((label_a[c.vertices[0]], first_b + label_b[c.vertices[0]])
          for c in cycles)))
-    return [Curve(kind, (("e", eid, d) for eid, d in cyc.steps), ci)
+    base = g.edge_ids(g.n).start
+    return [Curve(kind, tuple(2 * eid + (d < 0) for eid, d in cyc.steps),
+                  ci, base)
             for ci, cyc in enumerate(cycles) if ci not in forest]
 
 
@@ -115,9 +159,11 @@ def alpha_beta_curves(g, eps, certificate):
     genus = int(genus)
     alpha = _wall_curves(g, "alpha", (e1, e3), (e0, e2))
     beta = _wall_curves(g, "beta", (e0, e2), (e1, e3))
+    base = g.edge_ids(g.n).start
     for j in range(certificate.k):
-        alpha.append(Curve("stab_circle", (("sc", j),)))
-        beta.append(Curve("stab_circle", (("sc", j),)))
+        meridian = (2 * (base + 3 * j + 2),)
+        alpha.append(Curve("stab_circle", meridian, None, base))
+        beta.append(Curve("stab_circle", meridian, None, base))
     if len(alpha) != genus or len(beta) != genus:
         raise CountMismatch(
             "expected %d curves per side, built %d alpha / %d beta"
@@ -143,9 +189,15 @@ def gamma_curves(Q, certificate):
     the inverse of its own.  The ordering property keeps a witness from
     leading back to its own edge; a square re-entered during its own
     rewrite raises ExpansionDiverged.
+
+    Everything is built in half-edges (see Curve): an apex-free step
+    (e, d) is 2e + (d < 0), a walk's inverse is its reverse with each
+    half-edge h read as h ^ 1, and the free reduction cancels h against
+    h ^ 1.  A handle traversal or an edge step cancels only against its
+    own inverse, so the walk reduces as its label steps would.
     """
     g = Q.graph
-    apex = g.n
+    base = g.edge_ids(g.n).start        # apex edges are base and up
     ordering = certificate.ordering
     handle_of = {e: j for j, e in enumerate(ordering.stabilized)}
     witness_of = {e: idx for e, (_, idx) in
@@ -163,7 +215,8 @@ def gamma_curves(Q, certificate):
 
     def expand(e, d):
         if e in handle_of:
-            return (("h", handle_of[e], d),)
+            a = 2 * (base + 3 * handle_of[e])
+            return (a, a + 2) if d > 0 else (a + 3, a + 1)
         if e not in rewritten:
             if e in in_progress:
                 raise ExpansionDiverged("rewriting loop through edge %d" % e)
@@ -175,22 +228,21 @@ def gamma_curves(Q, certificate):
             x = next(i for i, (eid, _) in enumerate(steps) if eid == e)
             forward = tuple(rewrite(steps[x + 1:] + steps[:x]))
             in_progress.discard(e)
-            backward = tuple(_step_inverse(s) for s in reversed(forward))
+            backward = tuple(map(_REVERSED, reversed(forward)))
             rewritten[e] = {-steps[x][1]: forward, steps[x][1]: backward}
         return rewritten[e][d]
 
     def rewrite(steps):
         out = []
         for eid, d in steps:
-            if g.edges[eid][2] == apex:
+            if eid >= base:
                 out.extend(expand(eid, d))
             else:
-                out.append(("e", eid, d))
+                out.append(2 * eid + (d < 0))
         return out
 
-    return [Curve("gamma",
-                  _free_reduce(rewrite(edge.cycle.steps), _step_inverse),
-                  edge.index)
+    return [Curve("gamma", _free_reduce(rewrite(edge.cycle.steps),
+                                        _REVERSED), edge.index, base)
             for edge in Q.q1_edges
             if edge.index not in witness_set and edge.index not in forest]
 
@@ -216,36 +268,18 @@ def _gamma_forest(Q, kept, ordering):
     return forest
 
 
-def _step_inverse(s):
-    """The step run backwards; a meridian step has none."""
-    return None if s[0] == "sc" else (s[0], s[1], -s[2])
-
-
 # -- curves as half-edge walks on the surface scheme ----------------------
 
-def _to_walk(surf, curve):
-    """Leaving half-edges of the curve on the stabilized scheme."""
-    walk = []
-    for s in curve.steps:
-        if s[0] == "e":
-            idx = surf.edge_of_gem[s[1]]
-            walk.append(2 * idx if s[2] > 0 else 2 * idx + 1)
-        elif s[0] == "h":
-            h = surf.handles[s[1]]
-            if s[2] > 0:
-                walk.extend((2 * h.a, 2 * h.b))
-            else:
-                walk.extend((2 * h.b + 1, 2 * h.a + 1))
-        elif s[0] == "sc":
-            walk.append(2 * surf.handles[s[1]].m)
-        else:
-            raise GemError("unknown step %r" % (s,))
-    walk = _free_reduce(walk, lambda h: h ^ 1)
-    vo = surf.scheme.vertex_of
-    for i, h in enumerate(walk):
-        if vo[walk[(i + 1) % len(walk)]] != vo[h ^ 1]:
-            raise GemError("curve walk does not close up")
-    return walk
+# h ^ 1: the half-edge h run the other way
+_REVERSED = (1).__xor__
+
+
+def _check_closed(vertex_of, walk):
+    """Raise GemError unless each half-edge of the closed walk leaves
+    the vertex where the one before it arrives."""
+    arrive = [vertex_of[h ^ 1] for h in walk]
+    if arrive[-1:] + arrive[:-1] != [vertex_of[h] for h in walk]:
+        raise GemError("curve walk does not close up")
 
 
 def _chord_index(scheme, walks):
@@ -577,7 +611,9 @@ def verify_diagram(diagram):
 
     walks = {}
     for name, curves in diagram.systems():
-        walks[name] = [_to_walk(surf, c) for c in curves]
+        walks[name] = [c.walk for c in curves]
+        for walk in walks[name]:
+            _check_closed(scheme.vertex_of, walk)
 
     disj = {}
     vo = scheme.vertex_of
@@ -735,8 +771,22 @@ def _step_text(s):
     return '{"j":%d,"t":"sc"}' % (s[1] + 1)
 
 
+def _walk_json(walk, base):
+    """The walk's steps as json text.  Edge steps, the only steps most
+    walks have, are written straight from their half-edges: decoding
+    every walk into step tuples first made the export slower than
+    writing stored steps had been."""
+    out = []
+    it = iter(walk)
+    for h in it:
+        e = h >> 1
+        out.append('{"d":%d,"id":%d,"t":"e"}' % (-1 if h & 1 else 1, e)
+                   if e < base else _step_text(_handle_step(h, e - base, it)))
+    return ",".join(out)
+
+
 def _curves_json(curves):
-    return "[%s]" % ",".join("[%s]" % ",".join(map(_step_text, c.steps))
+    return "[%s]" % ",".join("[%s]" % _walk_json(c.walk, c.base)
                              for c in curves)
 
 
@@ -770,12 +820,13 @@ def _export_dot(diagram):
         lines.append("  v%d;" % v)
     for j in range(surf.k):
         lines.append('  x%d [shape=point, label="handle %d"];' % (j, j + 1))
+    base = g.edge_ids(g.n).start
     used = {}
     for name, curves in diagram.systems():
         for ci, c in enumerate(curves):
-            for s in c.steps:
-                if s[0] == "e":
-                    used.setdefault(s[1], []).append("%s%d" % (name, ci))
+            for h in c.walk:
+                if h >> 1 < base:
+                    used.setdefault(h >> 1, []).append("%s%d" % (name, ci))
     for eid, (u, v, c) in enumerate(g.edges):
         if c == g.n:
             continue
@@ -814,11 +865,11 @@ def _export_svg(diagram):
         color = _DOT_COLORS[name]
         for c in curves:
             try:
-                walk = _to_walk(surf, c)
+                _check_closed(surf.scheme.vertex_of, c.walk)
             except GemError:
                 continue
             coords = []
-            for h in walk:
+            for h in c.walk:
                 u = surf.scheme.vertex_of[h]
                 v = surf.scheme.vertex_of[h ^ 1]
                 coords.append(((pts[u][0] + pts[v][0]) / 2,

@@ -14,11 +14,18 @@ residues and applies the Euler identity
 
 while `regular_embedding` traces faces from the rotation scheme and
 reads the genus off the Euler characteristic.
+
+The oriented central surface of `stabilized_surface` is a third
+scheme: its rotations are read off the gem's incidence table and read
+counterclockwise, no edge reverses orientation, and so each face is
+one orbit of the counterclockwise successor, walked on a flat table
+without the side bit `RotationScheme.trace_faces` carries.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 
 from .graphs import GemError, is_bipartite, residue_cycle_counts, residues
@@ -89,7 +96,6 @@ def cyclic_permutations(n):
     tuple so that no caller can change what the next one gets: a run
     asks for the 4-color orders once per 3-manifold verdict.
     """
-    import itertools
     seen = set()
     out = []
     for perm in itertools.permutations(range(n)):
@@ -206,10 +212,7 @@ class RotationScheme:
         self.neg = neg                    # list of 0/1
         self.rot = rotations              # per vertex: list of half-edge ids
         ne = len(edge_ends)
-        self.vertex_of = [0] * (2 * ne)
-        for e, (u, v) in enumerate(edge_ends):
-            self.vertex_of[2 * e] = u
-            self.vertex_of[2 * e + 1] = v
+        self.vertex_of = list(itertools.chain.from_iterable(edge_ends))
         self.pos_of = [0] * (2 * ne)
         for v, slots in enumerate(rotations):
             for i, h in enumerate(slots):
@@ -350,20 +353,23 @@ class StabilizedSurface:
     Every rotation of the scheme reads counterclockwise and no edge
     reverses orientation, so `scheme.pos_of` is each half-edge's
     counterclockwise slot.
+
+    Scheme edge i < base is gem edge i: the gem's edges are sorted by
+    color and the apex color comes last, so the apex-free edges are the
+    first base = n * nv / 2 ids.  Handle j owns scheme edges a = base +
+    3j, b = a + 1 and m = a + 2.
     """
 
     __slots__ = ("graph", "eps", "stabilized", "scheme", "faces",
-                 "handles", "edge_of_gem", "chi", "genus")
+                 "handles", "chi", "genus")
 
-    def __init__(self, graph, eps, stabilized, scheme, faces, handles,
-                 edge_of_gem):
+    def __init__(self, graph, eps, stabilized, scheme, faces, handles):
         self.graph = graph
         self.eps = eps
         self.stabilized = stabilized
         self.scheme = scheme
         self.faces = faces
         self.handles = handles
-        self.edge_of_gem = edge_of_gem
         self.chi = scheme.nv - len(scheme.edge_ends) + len(faces)
         self.genus = Fraction(2 - self.chi, 2)
 
@@ -380,11 +386,14 @@ def stabilized_surface(g, eps, stabilized):
     apex edges.
 
     Rotations list the edges in eps order without the apex, handle ends
-    in the apex corner.  Those of bipartition class 1 are reversed, a
-    handle vertex taking the class opposite its low end u, so every
-    rotation reads counterclockwise and every edge preserves
-    orientation.  A non-bipartite gem has no orientable central surface
-    and is refused.
+    in the apex corner, read off g's incidence table: at w the c-edge
+    leaves by half-edge 2e when w is its low end, 2e + 1 otherwise.
+    Those of bipartition class 1 are reversed, a handle vertex taking
+    the class opposite its low end u, so every rotation reads
+    counterclockwise and every edge preserves orientation.  The faces
+    are then the orbits of the counterclockwise successor
+    (_oriented_faces).  A non-bipartite gem has no orientable central
+    surface and is refused.
     """
     eps = _permutation(g, eps)
     bip, cls = is_bipartite(g)
@@ -397,21 +406,10 @@ def stabilized_surface(g, eps, stabilized):
         if g.edges[e][2] != apex:
             raise GemError("edge %d does not have the apex color" % e)
 
-    ends = []
-    edge_of_gem = {}
-    for eid, (u, v, c) in enumerate(g.edges):
-        if c == apex:
-            continue
-        edge_of_gem[eid] = len(ends)
-        ends.append((u, v))
-
-    rotations = [[] for _ in range(g.nv)]
-    for w in range(g.nv):
-        for c in base_seq:
-            e = g.incident(w, c)
-            u, v, _ = g.edges[e]
-            idx = edge_of_gem[e]
-            rotations[w].append(2 * idx if u == w else 2 * idx + 1)
+    base = g.edge_ids(apex).start       # the apex edges come last
+    ends = [(u, v) for u, v, _ in g.edges[:base]]
+    rotations = [[2 * inc[c] + (nbr[c] < w) for c in base_seq]
+                 for w, (inc, nbr) in enumerate(zip(g._inc, g._nbr))]
 
     classes = list(cls)
     handles = []
@@ -430,11 +428,44 @@ def stabilized_surface(g, eps, stabilized):
             slots.reverse()
 
     scheme = RotationScheme(len(rotations), ends, rotations, [0] * len(ends))
-    faces = scheme.trace_faces()
-    surf = StabilizedSurface(g, eps, stabilized, scheme, faces,
-                             tuple(handles), edge_of_gem)
-    base = apex_free_rho(g, eps)
-    if not isinstance(base, list) and surf.genus != base + len(handles):
+    surf = StabilizedSurface(g, eps, stabilized, scheme,
+                             _oriented_faces(rotations), tuple(handles))
+    floor = apex_free_rho(g, eps)
+    if not isinstance(floor, list) and surf.genus != floor + len(handles):
         raise GemError("stabilized surface genus %s, expected %s + %d"
-                       % (surf.genus, base, len(handles)))
+                       % (surf.genus, floor, len(handles)))
     return surf
+
+
+def _oriented_faces(rotations):
+    """Faces of a scheme whose edges all preserve orientation.
+
+    Leaving along h, a face walk arrives by h ^ 1 and leaves by the
+    half-edge after it in the counterclockwise rotation there, so each
+    face is one orbit of that successor, listed as its leaving
+    half-edges from the least one.  This is trace_faces with every edge
+    sign 0: its side bit never changes along a walk, and the side-1
+    orbits are the mirrors of these.  The successor table marks each
+    half-edge it has walked with -1.
+    """
+    after = [0] * sum(map(len, rotations))
+    for slots in rotations:
+        prev = slots[-1]
+        for h in slots:
+            after[prev] = h
+            prev = h
+    succ = [after[h ^ 1] for h in range(len(after))]
+    faces = []
+    for h0 in range(len(succ)):
+        h = succ[h0]
+        if h < 0:
+            continue
+        succ[h0] = -1
+        orbit = [h0]
+        while h != h0:
+            if h < 0:
+                raise GemError("face walk failed to close")
+            orbit.append(h)
+            succ[h], h = -1, succ[h]
+        faces.append(orbit)
+    return faces

@@ -7,6 +7,11 @@ parallel edge with the same color impossible.
 
 Edges are kept in a canonical order (color, low endpoint, high
 endpoint) and are addressed everywhere by their index in that order.
+
+The 3-manifold verdicts' dipole chain (DipoleReducer) runs on flat
+integer tables in the gem's own vertex ids: neighbor rows in a list by
+vertex, None once a vertex is cancelled, cycle counts in a list by pair
+of colors, and per-mask plans of what a cancellation changes.
 """
 
 from __future__ import annotations
@@ -642,8 +647,12 @@ class DipoleReducer:
     their old order, so the first dipole in sorted (u, v) order is the
     same pair under every numbering.
 
-    A color set is a bitmask over the positions of res's sorted colors,
-    and neighbor rows are lists by position.  Each cancellation costs
+    The state is flat integer tables.  _nbr is a list indexed by g's
+    vertex ids: a live vertex's row lists its neighbors by position in
+    res's sorted colors, and a cancelled vertex, or one outside res,
+    has None.  A color set is a bitmask over those positions, and the
+    pairs of positions i < j are numbered in combinations order, so the
+    cycle counts are a list by pair number.  Each cancellation costs
     O(1) besides heap and union-find operations, because
 
     - candidate pairs sit in a min-heap and are re-checked when popped.
@@ -658,27 +667,28 @@ class DipoleReducer:
       tells whether a pair lies in different residues of the
       complementary colors;
     - a pair joined by all colors but c is always a dipole, as neither
-      vertex is the other's c-neighbor, so one-color sets need none;
+      vertex is the other's c-neighbor, so one-color sets need none; a
+      pair joined by all colors never is;
     - all of that depends on S and on positions only, so it is worked
       out once per mask, the first time the mask is seen, as a plan
-      (_dipole_plan, memoised across chains): the pair keys whose count
-      drops, each sequence's chi delta, the union-find masks that miss
-      S, the positions to weld, and the color set to return.
+      (_dipole_plan, memoised across chains): the complement mask, the
+      pair numbers whose count drops, each sequence's chi delta, the
+      union-find masks that miss S, the positions to weld, and the
+      color set to return.
 
     pair_counts maps each pair of the residue's colors to its current
-    cycle count.  The counts start from residue_cycle_counts(g,
-    res.colors), and the union-finds, one per set of two to
-    len(res.colors) - 1 colors, join the labels of residue_labels(g,
-    colors): a bicolored cycle, or a residue over colors of res, that
-    meets res lies inside it, so g's counts and labels are the
-    residue's.  The neighbor rows are a dict over the residue's
-    vertices, read off g's neighbor table, and the set-up heap reads
-    g's adjacent pairs (_adjacent_pairs, memoised on g and shared by
-    every chain on g) at the residue's vertices only, each pair's mask
-    over g's colors mapped to one over res's positions by a memoised
-    table.  Each union-find's parent dict holds merged labels only, so
-    once g has labelled its residues a chain costs O(len(res)) to set
-    up however large g is.
+    cycle count, read off the list.  The counts start from
+    residue_cycle_counts(g, res.colors), and the union-finds, one per
+    set of two to len(res.colors) - 1 colors, join the labels of
+    residue_labels(g, colors): a bicolored cycle, or a residue over
+    colors of res, that meets res lies inside it, so g's counts and
+    labels are the residue's.  The set-up heap reads g's adjacent pairs
+    (_adjacent_pairs, memoised on g and shared by every chain on g) at
+    the residue's vertices only, each pair's mask over g's colors
+    mapped to one over res's positions by a memoised table.  Each
+    union-find's parent dict holds merged labels only, so once g has
+    labelled its residues a chain's set-up costs O(len(res)) besides
+    one list of g.nv empty rows.
 
     chi[j] is the Euler characteristic of the regular embedding for
     the color sequence cycles[j], as embedding._chi_formula computes it
@@ -700,24 +710,31 @@ class DipoleReducer:
         self._seqs = tuple(tuple(pos[c] for c in seq) for seq in cycles)
         self.n = k - 1
         self.nv = len(res)
-        self.pair_counts = dict(residue_cycle_counts(g, cols)[
-            residue_labels(g, cols)[res.vertices[0]]])
-        self.chi = [sum(self.pair_counts[frozenset(p)]
+        counts = residue_cycle_counts(g, cols)[
+            residue_labels(g, cols)[res.vertices[0]]]
+        # pairs of positions i < j in combinations order number the counts
+        self._keys = [frozenset(p) for p in itertools.combinations(cols, 2)]
+        self._counts = [counts[key] for key in self._keys]
+        self.chi = [sum(counts[frozenset(p)]
                         for p in zip(seq, seq[1:] + seq[:1]))
                     - (len(seq) - 2) * (self.nv // 2) for seq in cycles]
         self._plans = [None] * (1 << k)     # by dipole mask, built lazily
-        # the live vertices, each with its neighbors by position, read
-        # off g's rows in one pass
+        # the live vertices' rows by position, read off g's rows
         verts = res.vertices
-        rows = map(operator.itemgetter(*cols), map(g._nbr.__getitem__, verts))
-        self._nbr = dict(zip(verts, map(list, rows)))
+        pick = operator.itemgetter(*cols)
+        if len(verts) == g.nv:
+            nbr = list(map(list, map(pick, g._nbr)))
+        else:
+            nbr = [None] * g.nv
+            for v in verts:
+                nbr[v] = list(pick(g._nbr[v]))
+        self._nbr = nbr
         # per color set of 2 to k - 1 colors: g's labels, merged labels
-        self._uf = [None if cs is None else (residue_labels(g, cs), {})
-                    for cs in _union_find_sets(cols)]
-        # queue the pairs that are dipoles now, as _apart tells them;
-        # nothing is merged yet, so g's labels are the roots
+        uf = self._uf = [None if cs is None else (residue_labels(g, cs), {})
+                         for cs in _union_find_sets(cols)]
+        # queue the pairs that are dipoles now; nothing is merged yet,
+        # so g's labels are the roots
         full = self._full = (1 << k) - 1
-        uf = self._uf
         heap = self._heap = []
         joins = _adjacent_pairs(g)
         to_pos = _position_masks(cols, g.n)
@@ -731,89 +748,88 @@ class DipoleReducer:
                     heap.append((u, w))
         heapq.heapify(heap)
 
-    def _apart(self, u, v, comp):
-        """u and v lie in different residues of the colors of mask comp.
-
-        A pair joined by colors S is a dipole when this holds for the
-        complement of S; with one color it always does, and with none
-        never.  The finds are inlined, halving the paths they walk: the
-        parent dict holds merged labels only.
-        """
-        if not comp:
-            return False
-        found = self._uf[comp]
-        if found is None:
-            return True
-        label, parent = found
-        ru, rv = label[u], label[v]
-        while ru in parent:
-            p = parent[ru]
-            if p in parent:
-                p = parent[ru] = parent[p]
-            ru = p
-        while rv in parent:
-            p = parent[rv]
-            if p in parent:
-                p = parent[rv] = parent[p]
-            rv = p
-        return ru != rv
+    @property
+    def pair_counts(self):
+        """{frozenset({c, d}): current {c,d}-cycle count}."""
+        return dict(zip(self._keys, self._counts))
 
     def cancel_next(self):
-        """Cancel the first dipole; return (u, v, colors) or None."""
+        """Cancel the first dipole; return (u, v, colors) or None.
+
+        A popped pair is a dipole when its two vertices lie in
+        different residues of the colors that do not join them (see
+        the class docstring); the finds are inlined and halve the paths
+        they walk, the parent dicts holding merged labels only.
+        """
         heap = self._heap
         nbr = self._nbr
+        uf = self._uf
+        plans = self._plans
+        full = self._full
         while heap:
             u, v = heapq.heappop(heap)
+            nu, nw = nbr[u], nbr[v]
             # edges between live vertices outlast every weld, so a
             # queued pair of live vertices is still adjacent
-            if u not in nbr or v not in nbr:
+            if nu is None or nw is None:
                 continue
-            S = bit = 0
-            for w in nbr[u]:
+            S = 0
+            bit = 1
+            for w in nu:
                 if w == v:
-                    S |= 1 << bit
-                bit += 1
-            if self._apart(u, v, self._full ^ S):
-                plan = self._plans[S]
-                if plan is None:
-                    plan = self._plans[S] = _dipole_plan(
-                        self._cols, self._seqs, S)
-                self._cancel(u, v, plan)
-                return (u, v, plan.colors)
+                    S |= bit
+                bit <<= 1
+            if S == full:
+                continue
+            plan = plans[S]
+            if plan is None:
+                plan = plans[S] = _dipole_plan(self._cols, self._seqs, S)
+            found = uf[plan.comp]
+            if found is not None:
+                label, parent = found
+                ru, rv = label[u], label[v]
+                while ru in parent:
+                    p = parent[ru]
+                    if p in parent:
+                        p = parent[ru] = parent[p]
+                    ru = p
+                while rv in parent:
+                    p = parent[rv]
+                    if p in parent:
+                        p = parent[rv] = parent[p]
+                    rv = p
+                if ru == rv:
+                    continue
+            # cancel: drop u and v, update the counts and chi, merge the
+            # residues that miss S, weld the ends outside S
+            nbr[u] = nbr[v] = None
+            self.nv -= 2
+            counts = self._counts
+            for i in plan.drops:
+                counts[i] -= 1
+            self.chi[:] = map(operator.add, self.chi, plan.dchi)
+            for mask in plan.merges:
+                label, parent = uf[mask]
+                ru, rv = label[u], label[v]
+                while ru in parent:
+                    p = parent[ru]
+                    if p in parent:
+                        p = parent[ru] = parent[p]
+                    ru = p
+                while rv in parent:
+                    p = parent[rv]
+                    if p in parent:
+                        p = parent[rv] = parent[p]
+                    rv = p
+                if ru != rv:
+                    parent[ru] = rv
+            for i in plan.weld:
+                a, b = nu[i], nw[i]
+                nbr[a][i] = b
+                nbr[b][i] = a
+                heapq.heappush(heap, (a, b) if a < b else (b, a))
+            return (u, v, plan.colors)
         return None
-
-    def _cancel(self, u, v, plan):
-        nbr = self._nbr
-        nu, nw = nbr.pop(u), nbr.pop(v)
-        self.nv -= 2
-        counts = self.pair_counts
-        for key in plan.drops:
-            counts[key] -= 1
-        self.chi[:] = map(operator.add, self.chi, plan.dchi)
-        # when a color set meets S, u and v already share a residue; the
-        # finds are inlined as in _apart
-        uf = self._uf
-        for mask in plan.merges:
-            label, parent = uf[mask]
-            ru, rv = label[u], label[v]
-            while ru in parent:
-                p = parent[ru]
-                if p in parent:
-                    p = parent[ru] = parent[p]
-                ru = p
-            while rv in parent:
-                p = parent[rv]
-                if p in parent:
-                    p = parent[rv] = parent[p]
-                rv = p
-            if ru != rv:
-                parent[ru] = rv
-        heap = self._heap
-        for i in plan.weld:
-            a, b = nu[i], nw[i]
-            nbr[a][i] = b
-            nbr[b][i] = a
-            heapq.heappush(heap, (a, b) if a < b else (b, a))
 
     def check(self):
         """Raise GemError unless the current rows form a gem.
@@ -825,9 +841,12 @@ class DipoleReducer:
         """
         nbr = self._nbr
         cols = self._cols
-        if not nbr:
+        size = len(nbr)
+        live = [v for v, row in enumerate(nbr) if row is not None]
+        if not live:
             raise GemError("empty edge list")
-        for v, row in nbr.items():
+        for v in live:
+            row = nbr[v]
             if len(row) != len(cols):
                 raise NotRegularError("vertex %d has %d of %d colors"
                                       % (v, len(row), len(cols)))
@@ -835,22 +854,23 @@ class DipoleReducer:
                 if w == v:
                     raise LoopEdgeError("loop at vertex %d (color %d)"
                                         % (v, cols[i]))
-                if w not in nbr:
+                if not 0 <= w < size or nbr[w] is None:
                     raise NotRegularError("vertex %d meets no live vertex "
                                           "of color %d" % (v, cols[i]))
-        for v, row in nbr.items():
-            for i, w in enumerate(row):
+        for v in live:
+            for i, w in enumerate(nbr[v]):
                 if nbr[w][i] != v:
                     raise NotProperError("vertex %d has two edges of color "
                                          "%d" % (w, cols[i]))
-        walk = [next(iter(nbr))]
-        reached = set(walk)
+        reached = [False] * size
+        reached[live[0]] = True
+        walk = [live[0]]
         for v in walk:              # walk grows while it is read
             for w in nbr[v]:
-                if w not in reached:
-                    reached.add(w)
+                if not reached[w]:
+                    reached[w] = True
                     walk.append(w)
-        if len(walk) != len(nbr):
+        if len(walk) != len(live):
             raise DisconnectedError("graph is not connected")
 
 
@@ -887,21 +907,22 @@ def _position_masks(cols, n):
                  for m in range(1 << (n + 1)))
 
 
-_Plan = namedtuple("_Plan", "colors drops dchi merges weld")
+_Plan = namedtuple("_Plan", "colors comp drops dchi merges weld")
 
 
 @functools.lru_cache(maxsize=512)
 def _dipole_plan(cols, seqs, S):
     """What cancelling a dipole of mask S does, in positions of cols.
 
-    colors is the set S names, to return.  drops are the pair keys
-    whose count falls by one: the pairs inside S or missing it.
-    dchi[j] is the change of chi for sequence seqs[j]: its shift
-    len - 2 for the two vertices that go, minus its consecutive pairs
-    in drops.  merges are the masks of two or more colors that miss S,
-    whose union-finds join the two vertices' labels, and weld the
-    positions outside S.  The key holds the colors themselves, not
-    just their count, so that a plan can hold the keys it names; a run
+    colors is the set S names, to return, and comp the mask of the
+    other positions.  drops are the numbers of the pairs of positions
+    (i < j, in combinations order) whose count falls by one: the pairs
+    inside S or missing it.  dchi[j] is the change of chi for sequence seqs[j]: its
+    shift len - 2 for the two vertices that go, minus its consecutive
+    pairs in drops.  merges are the masks of two or more colors that
+    miss S, whose union-finds join the two vertices' labels, and weld
+    the positions outside S.  The key holds the colors themselves, not
+    just their count, so that a plan can hold the set it names; a run
     sees a few dozen plans.
     """
     k = len(cols)
@@ -913,8 +934,9 @@ def _dipole_plan(cols, seqs, S):
 
     return _Plan(
         colors=frozenset(c for i, c in enumerate(cols) if S >> i & 1),
-        drops=tuple(frozenset((cols[i], cols[j]))
-                    for i, j in itertools.combinations(range(k), 2)
+        comp=comp,
+        drops=tuple(p for p, (i, j) in
+                    enumerate(itertools.combinations(range(k), 2))
                     if drops(i, j)),
         dchi=tuple(len(seq) - 2 - sum(drops(a, b) for a, b in
                                       zip(seq, seq[1:] + seq[:1]))

@@ -142,6 +142,23 @@ def pipeline_corpus(count=60, seed=97, max_steps=8):
     return out
 
 
+def s1s3_welds(count=12, seed=1517, copies=(1, 4)):
+    """Shuffled random welds of s1s3.gem with itself and both closed
+    fixtures: closed gems with pi1 != 1, whose sweep stabilizes one
+    square per S1 x S3 summand."""
+    rng = random.Random(seed)
+    s13 = fixture_graph("s1s3.gem")
+    others = [s13] + [fixture_graph(name) for name in
+                      ("projective_plane_like.gem", "nonzero_forest.gem")]
+    out = []
+    for _ in range(count):
+        g = s13
+        for _ in range(rng.randrange(*copies)):
+            g = weld(g, rng.choice(others), rng)
+        out.append(shuffled(g, rng))
+    return out
+
+
 def pytest_terminal_summary(terminalreporter):
     """Replay the acceptance gate lines after the run summary."""
     import sys

@@ -9,10 +9,12 @@ surface built with sign-reversing edges, the square complex built whole
 for each cyclic order, the sweep that schedules every order afresh, the
 witness and gamma forest rules that took the lowest index whatever the
 curve length, the wall graphs built as records and the witness rewriting
-that walks each collapsed square once per direction, the dipole chain
+that walks each collapsed square once per direction, curves kept in
+label steps (rewritten once per square) and turned into half-edge walks
+only for verification, the dipole chain
 that rebuilds the graph after every cancellation and the incremental one
 on dicts that followed it, the library chain's current graph rebuilt
-through build_graph, the gem check that scans every vertex for missing
+from its list rows through build_graph, the gem check that scans every vertex for missing
 colors after filling a full incidence table, the diagram's json
 document built as dicts for json.dumps, and the text parser that reads
 every line on its own.
@@ -25,9 +27,8 @@ from functools import cmp_to_key
 from types import SimpleNamespace
 
 from gemtrisect.cli import _HEADER_RE, GemFile, ParseError
-from gemtrisect.diagrams import (Curve, ExpansionDiverged, _chord_index,
-                                 _gamma_forest, _intersection_columns,
-                                 _step_inverse)
+from gemtrisect.diagrams import (ExpansionDiverged, _chord_index,
+                                 _gamma_forest, _intersection_columns)
 from gemtrisect.embedding import RotationScheme, _permutation
 from gemtrisect.graphs import (ColoredGraph, DisconnectedError, GemError,
                                LoopEdgeError, NotProperError, NotRegularError,
@@ -681,11 +682,13 @@ class DipoleReducer:
 def dipole_chain_graph(chain):
     """The library chain's current graph, numbered as the sub-gem's
     chain numbers it: survivors and colors in g's order, as
-    residue_subgem and cancel_dipole number them."""
-    new_id = {w: i for i, w in enumerate(sorted(chain._nbr))}
+    residue_subgem and cancel_dipole number them.  The chain's rows are
+    a list by g's vertex ids, None for a vertex that is not live."""
+    live = [w for w, row in enumerate(chain._nbr) if row is not None]
+    new_id = {w: i for i, w in enumerate(live)}
     edges = [(new_id[a], new_id[b], i)
-             for a, row in chain._nbr.items()
-             for i, b in enumerate(row) if a < b]
+             for a in live
+             for i, b in enumerate(chain._nbr[a]) if a < b]
     return build_graph(chain.n, edges)
 
 
@@ -717,16 +720,66 @@ def wall_graphs(g, eps):
             _wall_graph(g, (e1, e3), (e0, e2)))
 
 
+class StepCurve:
+    """A curve in label steps, as the library kept curves before they
+    became half-edge walks: ("e", gem edge id, +-1), ("h", handle, +-1)
+    and ("sc", handle)."""
+
+    __slots__ = ("kind", "steps", "cycle_index")
+
+    def __init__(self, kind, steps, cycle_index=None):
+        self.kind = kind
+        self.steps = tuple(steps)
+        self.cycle_index = cycle_index
+
+
+def _step_inverse(s):
+    """The step run backwards; a meridian step has none."""
+    return None if s[0] == "sc" else (s[0], s[1], -s[2])
+
+
+def _to_walk(surf, curve):
+    """Leaving half-edges of a step curve on the stabilized scheme.
+
+    The apex-free gem edges are numbered in gem order, as the scheme
+    lists them; the walk is freely reduced and must close up.
+    """
+    g = surf.graph
+    edge_of_gem = {eid: i for i, eid in enumerate(
+        e for e, (_, _, c) in enumerate(g.edges) if c != g.n)}
+    walk = []
+    for s in curve.steps:
+        if s[0] == "e":
+            idx = edge_of_gem[s[1]]
+            walk.append(2 * idx if s[2] > 0 else 2 * idx + 1)
+        elif s[0] == "h":
+            h = surf.handles[s[1]]
+            if s[2] > 0:
+                walk.extend((2 * h.a, 2 * h.b))
+            else:
+                walk.extend((2 * h.b + 1, 2 * h.a + 1))
+        elif s[0] == "sc":
+            walk.append(2 * surf.handles[s[1]].m)
+        else:
+            raise GemError("unknown step %r" % (s,))
+    walk = _reduce_walk(walk, lambda h: h ^ 1)
+    vo = surf.scheme.vertex_of
+    for i, h in enumerate(walk):
+        if vo[walk[(i + 1) % len(walk)]] != vo[h ^ 1]:
+            raise GemError("curve walk does not close up")
+    return walk
+
+
 def alpha_beta_curves(g, eps, certificate):
     """Alpha and beta read off the wall graph records."""
     k02, k13 = wall_graphs(g, eps)
-    alpha = [Curve("alpha", (("e", eid, d) for eid, d in cyc.steps), ci)
+    alpha = [StepCurve("alpha", (("e", eid, d) for eid, d in cyc.steps), ci)
              for ci, cyc in enumerate(k13.cycles) if ci not in k13.forest]
-    beta = [Curve("beta", (("e", eid, d) for eid, d in cyc.steps), ci)
+    beta = [StepCurve("beta", (("e", eid, d) for eid, d in cyc.steps), ci)
             for ci, cyc in enumerate(k02.cycles) if ci not in k02.forest]
     for j in range(certificate.k):
-        alpha.append(Curve("stab_circle", (("sc", j),)))
-        beta.append(Curve("stab_circle", (("sc", j),)))
+        alpha.append(StepCurve("stab_circle", (("sc", j),)))
+        beta.append(StepCurve("stab_circle", (("sc", j),)))
     return alpha, beta
 
 
@@ -792,9 +845,65 @@ def gamma_curves(Q, certificate):
                 steps.extend(expand(eid, d))
             else:
                 steps.append(("e", eid, d))
-        gamma.append(Curve("gamma", _reduce_walk(steps, _step_inverse),
-                           edge.index))
+        gamma.append(StepCurve("gamma", _reduce_walk(steps, _step_inverse),
+                               edge.index))
     return gamma
+
+
+def gamma_step_curves(Q, certificate):
+    """Gamma in label steps, each collapsed square rewritten once: the
+    library's rewriting before it worked in half-edges.
+
+    Run against its witness cycle, a square is the rest of the cycle
+    walked forward; run along it, that walk's inverse through
+    _step_inverse.  _to_walk turns the curves into the library's walks.
+    """
+    g = Q.graph
+    apex = g.n
+    ordering = certificate.ordering
+    handle_of = {e: j for j, e in enumerate(ordering.stabilized)}
+    witness_of = {e: idx for e, (_, idx) in
+                  zip(ordering.collapsed, ordering.witnesses)}
+    witness_set = set(witness_of.values())
+    if len(witness_set) != len(ordering.collapsed):
+        raise GemError("witness cycles are not distinct")
+    forest = _gamma_forest(Q, [edge.index for edge in Q.q1_edges
+                               if edge.index not in witness_set], ordering)
+    rewritten = {}          # collapsed edge -> {direction: steps}
+    in_progress = set()
+
+    def expand(e, d):
+        if e in handle_of:
+            return (("h", handle_of[e], d),)
+        if e not in rewritten:
+            if e in in_progress:
+                raise ExpansionDiverged("rewriting loop through edge %d" % e)
+            if e not in witness_of:
+                raise GemError("apex edge %d is neither stabilized nor "
+                               "collapsed" % e)
+            in_progress.add(e)
+            steps = Q.q1_edges[witness_of[e]].cycle.steps
+            x = next(i for i, (eid, _) in enumerate(steps) if eid == e)
+            forward = tuple(rewrite(steps[x + 1:] + steps[:x]))
+            in_progress.discard(e)
+            backward = tuple(_step_inverse(s) for s in reversed(forward))
+            rewritten[e] = {-steps[x][1]: forward, steps[x][1]: backward}
+        return rewritten[e][d]
+
+    def rewrite(steps):
+        out = []
+        for eid, d in steps:
+            if g.edges[eid][2] == apex:
+                out.extend(expand(eid, d))
+            else:
+                out.append(("e", eid, d))
+        return out
+
+    return [StepCurve("gamma",
+                      _reduce_walk(rewrite(edge.cycle.steps), _step_inverse),
+                      edge.index)
+            for edge in Q.q1_edges
+            if edge.index not in witness_set and edge.index not in forest]
 
 
 def _step_json(s):

@@ -657,6 +657,7 @@ def test_ladder_rungs_build_no_pi1(monkeypatch, workload):
     "projective_plane_like",    # closed: the diagram proves pi1 = 1
     "bounded_s1s2",             # bounded: pi1 is built
     "two_singular_colors",      # exit 2: pi1 still fills simply_connected
+    "s1s3",                     # closed, pi1 = Z: the ledger builds pi1
 ])
 def test_golden_record_bytes(datadir_gem, name):
     # whole records without timings, pinned from the version that built
@@ -756,6 +757,47 @@ def test_golden_diagram_bytes_pp_sum3(datadir_gem):
     assert dgm == (DATA / "pp_sum3.diagram.json").read_bytes()
 
 
+def test_golden_diagram_bytes_s1s3(datadir_gem):
+    # the sweep stabilizes one square, so alpha and beta are the handle's
+    # meridian and gamma runs through the handle once
+    _, dgm = run_pipeline(datadir_gem("s1s3.gem"))
+    assert dgm == (DATA / "s1s3.diagram.json").read_bytes()
+
+
+def test_s1s3_fixture_is_s1_cross_s3(datadir_gem):
+    # the one closed fixture with pi1 != 1 and k > 0: S1 x S3 has
+    # trisection genus 1 and rank-1 pi1, and its homology is Z, Z, 0, Z, Z
+    from gemtrisect.homology import HomologyGroup, homology
+
+    gf = datadir_gem("s1s3.gem")
+    assert gf.graph.nv == 10
+    rec, dgm = run_pipeline(gf)
+    assert rec.exit_code == EXIT_OK and dgm is not None
+    assert (rec.certificate["genus"], rec.certificate["k"]) == (1, 1)
+    assert (rec.ledger["rk_lower"], rec.ledger["rk_upper"]) == (1, 1)
+    assert rec.report["simply_connected"] is False
+    z, zero = HomologyGroup(1), HomologyGroup(0)
+    assert homology(datadir_gem("s1s3.gem").graph) == [z, z, zero, z, z]
+
+
+def test_s1s3_welds_with_projective_plane(datadir_gem):
+    # S1 x S3 # (the fixture's 4-manifold): genus adds, one handle
+    # stays, pi1 stays Z
+    from conftest import fixture_graph, shuffled, weld
+
+    rng = random.Random(1982)
+    s13 = fixture_graph("s1s3.gem")
+    pp = fixture_graph("projective_plane_like.gem")
+    for _ in range(8):
+        g = shuffled(weld(pp, s13, rng), rng)
+        rec, dgm = run_pipeline(GemFile(4, None, {}, g))
+        assert rec.exit_code == EXIT_OK and dgm is not None
+        assert rec.diagram_ref["verified"] is True
+        assert (rec.certificate["genus"], rec.certificate["k"]) == (2, 1)
+        assert (rec.ledger["rk_lower"], rec.ledger["rk_upper"]) == (1, 1)
+        assert rec.report["simply_connected"] is False
+
+
 def test_diagram_format_options(datadir_gem):
     gf = datadir_gem("projective_plane_like.gem")
     rec, dot = run_pipeline(gf, {"format": "dot"})
@@ -807,6 +849,27 @@ def test_cache_hits_are_byte_identical(tmp_path, datadir_gem):
     blob3, _, _, hit3 = run_cached(other, None, cache)
     assert hit3 is True
     assert blob3 == blob1
+
+
+def test_cold_miss_computes_its_key_once(tmp_path, datadir_gem,
+                                         monkeypatch):
+    # run_cached needs the key before it runs the pipeline, and hands
+    # it on instead of letting the pipeline hash the gem again
+    gf = datadir_gem("projective_plane_like.gem")
+    want, _ = run_pipeline(gf)
+    keys = []
+    monkeypatch.setattr(cli, "run_key",
+                        lambda *args: keys.append(args) or run_key(*args))
+    cache = str(tmp_path / "cache")
+    blob, dgm, code, hit = run_cached(gf, None, cache)
+    assert (code, hit, len(keys)) == (EXIT_OK, False, 1)
+    assert _untimed(blob) == _untimed(want.to_bytes())
+    keys.clear()
+    assert run_cached(gf, None, cache)[1:] == (dgm, code, True)
+    assert len(keys) == 1
+    keys.clear()
+    assert _untimed(run_pipeline(gf)[0].to_bytes()) == _untimed(blob)
+    assert len(keys) == 1
 
 
 def test_cache_hit_without_a_diagram(tmp_path, datadir_gem):
@@ -1070,7 +1133,8 @@ def test_batch_survives_malformed_attestation(tmp_path):
 def test_batch_maps_unexpected_exceptions_to_exit_3(tmp_path, monkeypatch):
     def boom(*a, **kw):
         raise KeyError("synthetic")
-    monkeypatch.setattr(cli, "run_pipeline", boom)
+    # a stage inside the pipeline, whichever entry point batch takes
+    monkeypatch.setattr(cli, "certify_Gs4", boom)
     rows = batch([_write(tmp_path, "a.gem", SPHERE_TEXT),
                   _write(tmp_path, "b.gem", "gem n=4\n0 1 9\n")])
     assert [r.exit_code for r in rows] == [EXIT_INTERNAL, EXIT_INVALID]

@@ -24,7 +24,6 @@ from gemtrisect.diagrams import (
     _resolve,
     _self_intersections,
     _strand_order,
-    _to_walk,
     _wall_curves,
     alpha_beta_curves,
     assemble_diagram,
@@ -51,9 +50,9 @@ from gemtrisect.trisection import (
 )
 
 import reference
-from conftest import fixture_graph, pipeline_corpus, weld
-from reference import (_signed_intersection, corridor_map, lane_orders,
-                       signed_surface)
+from conftest import fixture_graph, pipeline_corpus, s1s3_welds, weld
+from reference import (_signed_intersection, _to_walk, corridor_map,
+                       lane_orders, signed_surface)
 from reference import crossing_free as _reference_crossing_free
 
 IDENT = CyclicPermutation((0, 1, 2, 3, 4))
@@ -246,6 +245,12 @@ def test_gamma_requires_distinct_witnesses(s4_gem, datadir_gem):
         gamma_curves(Q, types.SimpleNamespace(ordering=ordering))
 
 
+def _as_systems(walks):
+    """A diagram's systems() over raw walks, each held as a curve."""
+    return lambda: [(name, [types.SimpleNamespace(walk=w) for w in ws])
+                    for name, ws in walks.items()]
+
+
 def _mutate(d, **repl):
     m = TrisectionDiagram(d.surface, repl.get("alpha", d.alpha),
                           repl.get("beta", d.beta),
@@ -290,8 +295,7 @@ def test_intersection_antisymmetry_and_self_zero(datadir_gem):
     cert = _forced(g, IDENT, (16, 17))
     d = assemble_diagram(g, IDENT, cert)
     surf = d.surface
-    walks = [_to_walk(surf, c)
-             for _, curves in d.systems() for c in curves]
+    walks = [c.walk for _, curves in d.systems() for c in curves]
     assert len(walks) >= 6
     for wa in walks:
         assert _signed_intersection(surf.scheme, wa, wa) == 0
@@ -328,12 +332,12 @@ def test_alpha_beta_sign_by_hand(datadir_gem, seq, ccw_colors, expected):
     assert [c.steps for c in d.alpha] == [(("e", 3, 1), ("e", 15, -1))]
     assert [c.steps for c in d.beta] == [(("e", 7, 1), ("e", 10, -1))]
     assert is_bipartite(g)[1][7] == 1
-    gem_of = {i: e for e, i in surf.edge_of_gem.items()}
+    # apex-free scheme edge i is gem edge i
     ccw = surf.scheme.rot[7]
-    assert tuple(g.edges[gem_of[h >> 1]][2] for h in ccw) == ccw_colors
+    assert tuple(g.edges[h >> 1][2] for h in ccw) == ccw_colors
 
     scheme = surf.scheme
-    index = {name: _chord_index(scheme, [_to_walk(surf, c) for c in curves])
+    index = {name: _chord_index(scheme, [c.walk for c in curves])
              for name, curves in d.systems()}
     assert _intersection_columns(scheme, index["alpha"], index["beta"],
                                  1) == [{0: expected}]
@@ -404,7 +408,7 @@ def test_vertex_disjoint_systems_are_crossing_free(datadir_gem):
     for d in _diagram_corpus(datadir_gem):
         scheme = d.surface.scheme
         for name in ("alpha", "beta"):
-            ws = [_to_walk(d.surface, c) for c in getattr(d, name)]
+            ws = [c.walk for c in getattr(d, name)]
             assert d.record.checks["disjoint"][name]
             assert _crossing_free(*_resolve(scheme, ws)) == (True, None)
             assert d.record.checks["cut"]["systems"][name]["resolved"]
@@ -415,7 +419,6 @@ def test_vertex_disjoint_systems_are_crossing_free(datadir_gem):
 def test_only_systems_that_are_not_vertex_disjoint_are_resolved(
         datadir_gem, monkeypatch):
     corpus = _verifier_corpus(datadir_gem)
-    monkeypatch.setattr(diagrams, "_to_walk", lambda surf, walk: walk)
     resolve = diagrams._resolve
     calls = []
 
@@ -429,7 +432,7 @@ def test_only_systems_that_are_not_vertex_disjoint_are_resolved(
         calls.clear()
         record = verify_diagram(types.SimpleNamespace(
             surface=surf, genus=(2 - surf.chi) // 2, mode="trisection",
-            systems=walks.items))
+            systems=_as_systems(walks)))
         disjoint = record.checks["disjoint"]
         assert disjoint["alpha"] and disjoint["beta"]
         resolved = [name for name in walks if not disjoint.get(name)]
@@ -533,6 +536,94 @@ def test_oriented_surface_matches_signed_builder(datadir_gem):
     assert signed_surface(_odd_gem(), IDENT, ()).ccw is None
     with pytest.raises(GemError, match="bipartite"):
         stabilized_surface(_odd_gem(), IDENT, ())
+
+
+def _k_corpus():
+    """(gem, order, certificate) with k > 0 throughout.
+
+    Chain sums #1-#4 of nonzero_forest.gem with one to three seeded
+    extra squares under seeded orders, and seeded welds of s1s3.gem
+    at their sweep winners, whose k > 0 is the sweep's own, half of
+    them with an extra square on top.
+    """
+    rng = random.Random(1016)
+    orders = cyclic_permutations(4)
+    cases = []
+    nf = fixture_graph("nonzero_forest.gem")
+    for m in (1, 2, 3, 4):
+        g = _chain_sum(nf, m)
+        for eps in rng.sample(orders, 2):
+            spare = sorted(set(g.edge_ids(4)) - set(stabilization_set(g, eps)))
+            extra = rng.sample(spare, rng.randrange(1, 4))
+            cases.append((g, eps, _forced(g, eps, extra)))
+    for i, g in enumerate(s1s3_welds(count=24, seed=1016, copies=(1, 6))):
+        cert = sweep(g, orders)
+        cases.append((g, cert.eps, cert))
+        if i % 2:
+            spare = sorted(set(g.edge_ids(4))
+                           - set(cert.ordering.stabilized))
+            extra = rng.sample(spare, 1) + list(cert.ordering.stabilized)
+            cases.append((g, cert.eps, _forced(g, cert.eps, extra)))
+    assert all(cert.k > 0 for _, _, cert in cases)
+    return cases
+
+
+def test_oriented_face_orbits_and_walks_match_references():
+    # the faces are the orbits of the counterclockwise successor, and
+    # as edge multisets those of trace_faces on the same scheme and on
+    # the sign-reversing one; every curve's walk is the one the label
+    # steps give, decoded back to the same steps and json bytes
+    handles = 0
+    for g, eps, cert in _k_corpus():
+        d = assemble_diagram(g, eps, cert)
+        assert d.record.ok, d.record.checks
+        surf = d.surface
+        scheme = surf.scheme
+        rot, pos, vo = scheme.rot, scheme.pos_of, scheme.vertex_of
+        assert sorted(h for orbit in surf.faces for h in orbit) == list(
+            range(2 * len(scheme.edge_ends)))
+        for orbit in surf.faces:
+            assert orbit[0] == min(orbit)
+            for h, nxt in zip(orbit, orbit[1:] + orbit[:1]):
+                w = vo[h ^ 1]
+                assert nxt == rot[w][(pos[h ^ 1] + 1) % len(rot[w])]
+        traced = _face_multisets(scheme.trace_faces())
+        assert _face_multisets(surf.faces) == traced
+        assert traced == _face_multisets(
+            signed_surface(g, eps, cert.ordering.stabilized)
+            .scheme.trace_faces())
+
+        Q = build_Q(g, eps)
+        steps = reference.alpha_beta_curves(g, eps, cert) + (
+            reference.gamma_step_curves(Q, cert),)
+        both_ways = reference.gamma_curves(Q, cert)
+        for mine, theirs in zip(d.systems(), steps):
+            _, curves = mine
+            assert [c.walk for c in curves] == [_to_walk(surf, c)
+                                                for c in theirs]
+            assert [(c.kind, c.steps, c.cycle_index) for c in curves] == [
+                (c.kind, c.steps, c.cycle_index) for c in theirs]
+        assert [c.steps for c in d.gamma] == [c.steps for c in both_ways]
+        assert export_diagram(d, "json") == (json.dumps(
+            reference.diagram_json_dict(d), sort_keys=True,
+            separators=(",", ":")) + "\n").encode("ascii")
+        handles += surf.k
+    assert handles >= 120
+
+
+def test_walks_that_start_no_step_are_refused(s4_gem):
+    # a handle traversal split in half, or a meridian run backwards,
+    # does not decode into label steps
+    cert = _forced(s4_gem, IDENT, s4_gem.edge_ids(4))
+    d = assemble_diagram(s4_gem, IDENT, cert)
+    gamma, = d.gamma
+    h = d.surface.handles[0]
+    assert gamma.walk == (6, 2 * h.b + 1, 2 * h.a + 1)
+    assert gamma.steps == (("e", 3, 1), ("h", 0, -1))
+    for walk in ((6, 2 * h.b + 1), (2 * h.a + 1,), (2 * h.m + 1,),
+                 (2 * h.b, 2 * h.a)):
+        with pytest.raises(GemError, match="starts no step"):
+            diagrams.Curve("gamma", walk, 0, gamma.base).steps
 
 
 def test_certificate_eps_must_match(s4_gem):
@@ -694,7 +785,7 @@ def _verifier_corpus(datadir_gem):
             d = assemble_diagram(g, IDENT, _forced(g, IDENT, extra))
             assert d.record.ok, (name, m, extra)
             surf = d.surface
-            walks = {sys_name: [_to_walk(surf, c) for c in curves]
+            walks = {sys_name: [c.walk for c in curves]
                      for sys_name, curves in d.systems()}
             a = walks["alpha"]
             walks.update({
@@ -732,18 +823,17 @@ def test_indexed_intersections_match_pairwise(datadir_gem):
                         assert _signed_intersection(scheme, w_i, w_j) == ref
 
 
-def test_region_count_and_lanes_match_references(datadir_gem, monkeypatch):
+def test_region_count_and_lanes_match_references(datadir_gem):
     corpus = _verifier_corpus(datadir_gem)
     # verify_diagram runs on the corpus walks as they are, so its cut
     # entries can be compared system by system
-    monkeypatch.setattr(diagrams, "_to_walk", lambda surf, walk: walk)
     seen = set()
     split = []
     for surf, walks in corpus:
         scheme = surf.scheme
         record = verify_diagram(types.SimpleNamespace(
             surface=surf, genus=(2 - surf.chi) // 2, mode="trisection",
-            systems=walks.items))
+            systems=_as_systems(walks)))
         for name, ws in walks.items():
             entry = record.checks["cut"]["systems"][name]
             corridors = corridor_map(ws)
@@ -792,7 +882,7 @@ def _random_weld_systems(datadir_gem):
             extra = rng.sample(spare, rng.randrange(0, 3))
             d = assemble_diagram(g, IDENT, _forced(g, IDENT, extra))
             assert d.record.ok, (name, m, extra)
-            out += ((d.surface.scheme, [_to_walk(d.surface, c) for c in cs])
+            out += ((d.surface.scheme, [c.walk for c in cs])
                     for _, cs in d.systems())
     return out
 
@@ -820,7 +910,7 @@ def test_block_strand_order_matches_single_symbol_doubling(datadir_gem):
         g = _weld_sum(seed)
         cert = sweep(g, cyclic_permutations(4))
         d = assemble_diagram(g, cert.eps, cert)
-        ws = [_to_walk(d.surface, c) for c in d.gamma]
+        ws = [c.walk for c in d.gamma]
         assert (max(map(len, ws)), 2 * sum(map(len, ws))) == (longest,
                                                               states)
         systems.append((d.surface.scheme, ws))
@@ -829,19 +919,18 @@ def test_block_strand_order_matches_single_symbol_doubling(datadir_gem):
                                                                    ws)
 
 
-def test_disjoint_systems_and_shared_face_basis(datadir_gem, monkeypatch):
+def test_disjoint_systems_and_shared_face_basis(datadir_gem):
     # a vertex-simple, vertex-disjoint system has no self-intersection,
     # so verify_diagram computes none for it; each system's rank, read
     # off a pairing or reduced against one copy of the eliminated face
     # vectors, is what it adds to those vectors
     corpus = _verifier_corpus(datadir_gem)
-    monkeypatch.setattr(diagrams, "_to_walk", lambda surf, walk: walk)
     disjoint = 0
     for surf, walks in corpus:
         scheme = surf.scheme
         record = verify_diagram(types.SimpleNamespace(
             surface=surf, genus=(2 - surf.chi) // 2, mode="trisection",
-            systems=walks.items))
+            systems=_as_systems(walks)))
         face_vecs = [_edge_vector(orbit) for orbit in surf.faces]
         base_rank = _gf2_extend({}, face_vecs)
         all_zero = True
@@ -875,7 +964,7 @@ def test_ranks_from_pairings_keep_the_record(datadir_gem, monkeypatch):
     # twice: null mod 2, so its rows of both pairings are even
     cases = []
     for d in _diagram_corpus(datadir_gem):
-        walks = {name: [_to_walk(d.surface, c) for c in curves]
+        walks = {name: [c.walk for c in curves]
                  for name, curves in d.systems()}
         cases.append((d.surface, walks, True))
     for surf, walks in _verifier_corpus(datadir_gem):
@@ -886,7 +975,6 @@ def test_ranks_from_pairings_keep_the_record(datadir_gem, monkeypatch):
         for ws in mutants.values():
             cases.append((surf, dict(walks, alpha=ws), False))
             cases.append((surf, dict(walks, gamma=ws), False))
-    monkeypatch.setattr(diagrams, "_to_walk", lambda surf, walk: walk)
     forcing = diagrams._ranks_from_pairings
     settled = []
 
@@ -900,7 +988,8 @@ def test_ranks_from_pairings_keep_the_record(datadir_gem, monkeypatch):
     for surf, walks, real in cases:
         systems = {name: walks[name] for name in ("alpha", "beta", "gamma")}
         d = types.SimpleNamespace(surface=surf, genus=(2 - surf.chi) // 2,
-                                  mode="trisection", systems=systems.items)
+                                  mode="trisection",
+                                  systems=_as_systems(systems))
         record = verify_diagram(d).as_dict()
         assert record == _eliminated_record(d, monkeypatch)
         forced = settled[-1]
@@ -922,7 +1011,7 @@ def test_corrupted_chord_slots_flip_self_zero(datadir_gem, monkeypatch):
     d = assemble_diagram(g, cert.eps, cert)
     assert d.record.ok and d.record.checks["z2"]["self_zero"]
     chord_index = diagrams._chord_index
-    gamma = [_to_walk(d.surface, c) for c in d.gamma]
+    gamma = [c.walk for c in d.gamma]
 
     def corrupted(scheme, walks):
         index = chord_index(scheme, walks)
@@ -1093,7 +1182,7 @@ def test_random_weld_diagrams_pass_the_cokernel_check():
         # took them as crossing-free without resolving them
         for name in ("alpha", "beta"):
             assert d.record.checks["disjoint"][name]
-            ws = [_to_walk(d.surface, c) for c in getattr(d, name)]
+            ws = [c.walk for c in getattr(d, name)]
             assert _crossing_free(*_resolve(d.surface.scheme, ws)) == (
                 True, None)
 
@@ -1130,7 +1219,7 @@ def test_cyclic_reduction_matches_pop_loop():
         steps = (head + kinds[len(wrap):]
                  + [s if s[0] == "sc" else (s[0], s[1], -s[2])
                     for s in reversed(head)])
-        assert _free_reduce(steps, diagrams._step_inverse) == tuple(
+        assert _free_reduce(steps, reference._step_inverse) == tuple(
             _old_reduce(steps,
                         lambda s: s if s[0] == "sc" else (s[0], s[1], -s[2]),
                         keep=lambda s: s[0] != "sc"))

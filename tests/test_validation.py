@@ -44,7 +44,7 @@ from gemtrisect.validation import (
 from gemtrisect.graphs import standard_sphere_gem
 
 from conftest import (complementary_subgems, fixture_graph, grow_gem,
-                      pipeline_corpus, shuffled, weld)
+                      pipeline_corpus, s1s3_welds, shuffled, weld)
 import reference
 from reference import cancel_dipole, find_dipole
 
@@ -702,30 +702,48 @@ def test_one_color_residue_is_refused():
 
 # -- the chain on bitmask plans against the dict-based chain --------------
 
-def test_dipole_reducer_matches_dict_reducer_at_every_step():
-    # every chain of a residue missing one color, as the verdict runs
-    # it on g but on to its end: after each cancellation both chains
-    # agree on the dipole, chi, the pair counts, the order and the graph
+def _step_both_chains(g):
+    """Run every chain of a residue missing one color, as the verdict
+    runs it on g but on to its end, beside the dict-based chain: after
+    each cancellation both agree on the dipole, chi, the pair counts,
+    the order and the graph.  Returns the number of cancellations."""
     steps = 0
-    for g in _h1_corpus(sums_to=16):
-        check_surface_residues(g)
-        for c in g.colors:
-            for res in residues(g, frozenset(g.colors) - {c}):
-                cols = sorted(res.colors)
-                cycles = [tuple(cols[i] for i in eps.seq)
-                          for eps in cyclic_permutations(len(cols) - 1)]
-                new = DipoleReducer(g, res, cycles)
-                old = reference.DipoleReducer(g, res, cycles)
-                while True:
-                    assert (new.chi, new.pair_counts, new.nv) == (
-                        old.chi, old.pair_counts, old.nv)
-                    assert reference.dipole_chain_graph(new) == old.graph()
-                    step = new.cancel_next()
-                    assert step == old.cancel_next()
-                    if step is None:
-                        break
-                    steps += 1
-    assert steps >= 4000
+    check_surface_residues(g)
+    for c in g.colors:
+        for res in residues(g, frozenset(g.colors) - {c}):
+            cols = sorted(res.colors)
+            cycles = [tuple(cols[i] for i in eps.seq)
+                      for eps in cyclic_permutations(len(cols) - 1)]
+            new = DipoleReducer(g, res, cycles)
+            old = reference.DipoleReducer(g, res, cycles)
+            while True:
+                assert (new.chi, new.pair_counts, new.nv) == (
+                    old.chi, old.pair_counts, old.nv)
+                assert reference.dipole_chain_graph(new) == old.graph()
+                step = new.cancel_next()
+                assert step == old.cancel_next()
+                if step is None:
+                    break
+                steps += 1
+    return steps
+
+
+def test_dipole_reducer_matches_dict_reducer_at_every_step():
+    # the chains of the H1 corpus, on the list rows against dict rows
+    assert sum(map(_step_both_chains, _h1_corpus(sums_to=16))) >= 4000
+
+
+def test_dipole_reducer_matches_dict_reducer_on_s1s3_welds():
+    # closed gems with pi1 != 1, and chain sums of nonzero_forest.gem
+    gems = s1s3_welds(count=16, seed=28)
+    nf = fixture_graph("nonzero_forest.gem")
+    rng = random.Random(28)
+    for m in (2, 4, 6):
+        g = nf
+        for _ in range(m - 1):
+            g = weld(g, nf, rng)
+        gems.append(shuffled(g, rng))
+    assert sum(map(_step_both_chains, gems)) >= 800
 
 
 # -- proven spheres checked on the chain's own rows ------------------------
@@ -766,11 +784,11 @@ def test_chain_check_refuses_broken_rows():
         return ch, gone[0]
 
     ch, _ = chain()
-    v = min(ch._nbr)
+    v = next(w for w, row in enumerate(ch._nbr) if row is not None)
     mutants = []
     ch, _ = chain()             # v's color-0 end moved: asymmetric rows
-    ch._nbr[v][0] = next(x for x in ch._nbr
-                         if x != v and ch._nbr[x][0] != v)
+    ch._nbr[v][0] = next(x for x, row in enumerate(ch._nbr)
+                         if row is not None and x != v and row[0] != v)
     mutants.append((ch, NotProperError))
     ch, _ = chain()
     ch._nbr[v][1] = v
@@ -781,8 +799,15 @@ def test_chain_check_refuses_broken_rows():
     ch, gone = chain()          # an edge to a cancelled vertex
     ch._nbr[v][2] = gone
     mutants.append((ch, NotRegularError))
+    ch, _ = chain()             # ids past either end of the rows
+    ch._nbr[v][2] = -1
+    mutants.append((ch, NotRegularError))
+    ch, _ = chain()
+    ch._nbr[v][3] = len(ch._nbr)
+    mutants.append((ch, NotRegularError))
     ch, _ = chain()             # an order-2 gem beside the survivors
-    ch._nbr.update({-1: [-2] * 4, -2: [-1] * 4})
+    top = len(ch._nbr)
+    ch._nbr += [[top + 1] * 4, [top] * 4]
     mutants.append((ch, DisconnectedError))
     for ch, error in mutants:
         with pytest.raises(error):
