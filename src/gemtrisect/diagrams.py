@@ -11,7 +11,8 @@ Curves are half-edge walks on that surface's scheme from the start
 (see Curve): alpha and beta read theirs off their cycles' steps, gamma
 expands its witnesses in half-edges and is freely reduced by cancelling
 h against h ^ 1, the verifier reads the walks as they are, checking
-only that each closes up, and the exports decode them into label steps.
+only that each names half-edges of the surface and closes up, and the
+exports decode them into label steps.
 
 Verification is homological plus cut-combinatorial, on the oriented
 rotation scheme of the surface: every rotation reads counterclockwise,
@@ -28,10 +29,11 @@ minus C, so the cut test reads its region count off the system's Z/2
 rank.  Cross-system geometric disjointness is not claimed; intersection
 numbers are the honest surrogate.
 
-Cost: every walk's chords are indexed by vertex once, so all
-intersection numbers together cost the total walk length plus the
-chord pairs that share a vertex.  Self-intersections are counted only
-for a system that is not vertex-disjoint.  A system's Z/2 rank is read
+Cost: one pass per system reads its walks into a chord table by vertex
+disk, so all intersection numbers together cost the total walk length
+plus the chord pairs that share a disk.  Self-intersections are counted
+only for a system that is not vertex-disjoint, and a resolution keeps
+only the disks with two chords or more.  A system's Z/2 rank is read
 off a pairing that is invertible mod 2 where there is one, and the face
 vectors are eliminated, once, only for the systems left unsettled.
 """
@@ -274,75 +276,71 @@ def _gamma_forest(Q, kept, ordering):
 _REVERSED = (1).__xor__
 
 
-def _check_closed(vertex_of, walk):
-    """Raise GemError unless each half-edge of the closed walk leaves
-    the vertex where the one before it arrives."""
-    arrive = [vertex_of[h ^ 1] for h in walk]
-    if arrive[-1:] + arrive[:-1] != [vertex_of[h] for h in walk]:
-        raise GemError("curve walk does not close up")
-
-
-def _chord_index(scheme, walks):
-    """vertex -> [(curve, chords)] over one system's walks.
-
-    A chord is (3 * slot of the arriving half-edge, 3 * slot of the
-    leaving one) in the vertex's counterclockwise rotation; each walk
-    is read once, so the index costs the total walk length.
+def _chord_table(scheme, walks):
+    """(rows, disjoint): rows[v] lists the chords of one system's walks
+    at vertex disk v as (curve, 3 * slot in, 3 * slot out) in its
+    counterclockwise rotation, () where none passes; disjoint is whether
+    every row holds one chord at most.  Raises GemError on a walk that
+    names a half-edge outside the scheme or does not close up.
     """
     pos, vertex_of = scheme.pos_of, scheme.vertex_of
-    index = {}
+    rows = [()] * scheme.nv
+    disjoint = True
     for ci, walk in enumerate(walks):
-        mine = {}
-        for i, h in enumerate(walk):
-            mine.setdefault(vertex_of[h], []).append(
-                (3 * pos[walk[i - 1] ^ 1], 3 * pos[h]))
-        for v, chords in mine.items():
-            index.setdefault(v, []).append((ci, chords))
-    return index
+        if walk and not 0 <= min(walk) <= max(walk) < len(vertex_of):
+            raise GemError("curve walk names half-edge %d, outside 0..%d" % (
+                min(walk) if min(walk) < 0 else max(walk),
+                len(vertex_of) - 1))
+        t = walk[-1] ^ 1 if walk else 0
+        for h in walk:
+            v = vertex_of[h]
+            if vertex_of[t] != v:
+                raise GemError("curve walk does not close up")
+            if rows[v]:
+                rows[v].append((ci, 3 * pos[t], 3 * pos[h]))
+                disjoint = False
+            else:
+                rows[v] = [(ci, 3 * pos[t], 3 * pos[h])]
+            t = h ^ 1
+    return rows, disjoint
 
 
-def _crossings(n, chords_a, chords_b):
-    """Signed crossings at one vertex disk, chords of b pushed off left.
-
-    n is 3 * degree.  Chords of a sit at exact slot positions; chords
-    of b enter just clockwise and leave just counterclockwise of their
-    slots, so interleaving is never ambiguous and the total over all
-    vertices equals the homological pairing.
-    """
-    total = 0
-    for ta, ha in chords_a:
-        span = (ha - ta) % n
-        for tb, hb in chords_b:
-            total += (((tb - 1 - ta) % n < span)
-                      - ((hb + 1 - ta) % n < span))
-    return total
-
-
-def _intersection_columns(scheme, index_a, index_b, count_b):
+def _pairing(rot, rows_a, rows_b, count_b):
     """Column j maps curve i of a to <a_i, b_j>, zeros left out.
 
-    Only chord pairs sharing a vertex are visited.
+    Only disks both systems meet are visited.  Chords of a sit at their
+    slots, those of b enter just clockwise and leave just
+    counterclockwise of theirs (pushed off left), so interleaving at a
+    disk of n = 3 * degree positions is never ambiguous.
     """
     cols = [{} for _ in range(count_b)]
-    for v, groups_b in index_b.items():
-        groups_a = index_a.get(v)
-        if groups_a is None:
-            continue
-        n = 3 * len(scheme.rot[v])
-        for j, chords_b in groups_b:
-            col = cols[j]
-            for i, chords_a in groups_a:
-                col[i] = col.get(i, 0) + _crossings(n, chords_a, chords_b)
+    for row_a, row_b, slots in zip(rows_a, rows_b, rot):
+        if row_a and row_b:
+            n = 3 * len(slots)
+            for j, tb, hb in row_b:
+                col = cols[j]
+                for i, ta, ha in row_a:
+                    span = (ha - ta) % n
+                    x = (((tb - 1 - ta) % n < span)
+                         - ((hb + 1 - ta) % n < span))
+                    if x:
+                        col[i] = col.get(i, 0) + x
     return [{i: x for i, x in sorted(col.items()) if x} for col in cols]
 
 
-def _self_intersections(scheme, index, count):
-    """<w, w> for each walk of one system."""
+def _self_crossings(rot, rows, count):
+    """<w, w> for each walk of one system; a disk with one chord adds
+    nothing, as a chord never crosses its own push-off."""
     out = [0] * count
-    for v, groups in index.items():
-        n = 3 * len(scheme.rot[v])
-        for i, chords in groups:
-            out[i] += _crossings(n, chords, chords)
+    for row, slots in zip(rows, rot):
+        if len(row) > 1:
+            n = 3 * len(slots)
+            for i, ta, ha in row:
+                span = (ha - ta) % n
+                for j, tb, hb in row:
+                    if j == i:
+                        out[i] += (((tb - 1 - ta) % n < span)
+                                   - ((hb + 1 - ta) % n < span))
     return out
 
 
@@ -424,34 +422,44 @@ def _strand_order(scheme, walks):
     return place
 
 
-def _resolve(scheme, walks):
-    """(marks, chords) per vertex disk: marks are (slot, micro, port) in
-    counterclockwise order, chords pairs of mark indices.
+def _resolve(scheme, walks, rows):
+    """(marks, chords) at the busy disks, whose chord table rows hold
+    two chords or more: marks[v] lists (slot, micro, port) in
+    counterclockwise order, None off the busy disks, and chords maps
+    each busy disk, ascending, to pairs of mark indices.
 
     Marks sort by slot, then by place at a corridor's low end (port 2t
     for traversal t) and against it at the high end (port 2t + 1).
     """
     pos, vo = scheme.pos_of, scheme.vertex_of
     place = _strand_order(scheme, walks)
-    marks = {v: [] for v in range(scheme.nv)}
+    marks = [[] if len(row) > 1 else None for row in rows]
     flat = [h for walk in walks for h in walk]
     for t, h in enumerate(flat):
         low = h & ~1
-        marks[vo[low]].append((pos[low], place[t], 2 * t))
-        marks[vo[low + 1]].append((pos[low + 1], -place[t], 2 * t + 1))
+        at = marks[vo[low]]
+        if at is not None:
+            at.append((pos[low], place[t], 2 * t))
+        at = marks[vo[low + 1]]
+        if at is not None:
+            at.append((pos[low + 1], -place[t], 2 * t + 1))
     index = [0] * (2 * len(flat))
-    for v in marks:
-        marks[v].sort()
-        for i, (_, _, port) in enumerate(marks[v]):
-            index[port] = i
-    chords = {v: [] for v in marks}
+    chords = {}
+    for v, at in enumerate(marks):
+        if at is not None:
+            at.sort()
+            for i, (_, _, port) in enumerate(at):
+                index[port] = i
+            chords[v] = []
     t = 0
     for walk in walks:
         for i, h in enumerate(walk):
-            # the previous step arrives at the end it does not leave
-            prev = t - i + (i - 1) % len(walk)
-            arr = 2 * prev + 1 - (walk[i - 1] & 1)
-            chords[vo[h]].append((index[arr], index[2 * t + (h & 1)]))
+            at = chords.get(vo[h])
+            if at is not None:
+                # the previous step arrives at the end it does not leave
+                prev = t - i + (i - 1) % len(walk)
+                arr = 2 * prev + 1 - (walk[i - 1] & 1)
+                at.append((index[arr], index[2 * t + (h & 1)]))
             t += 1
     return marks, chords
 
@@ -570,21 +578,26 @@ def verify_diagram(diagram):
     A resolved system of k curves cuts the surface into 1 + k - rank
     pieces, rank being its Z/2 rank (each independent Z/2 relation
     among disjoint circles bounds a piece); only the resolution itself
-    is checked combinatorially.  An alpha or beta system that passed
-    the disjointness check meets each vertex disk in at most one chord,
-    so it is crossing-free as it stands and is not resolved; gamma, and
-    any system that is not vertex-disjoint, is.
+    is checked combinatorially.
 
-    Self-intersections, the pairings and the gamma columns come from
-    one chord index per system: the total walk length plus the chord
-    pairs sharing a vertex, not a rescan of both walks per curve pair.
-    A system that passed the disjointness check has none: each walk
-    puts one chord in each disk it meets, and a chord never crosses its
-    own push-off, since a reduced walk never leaves by the slot it
+    One pass per system reads its walks into a chord table by vertex
+    disk: a walk that names a half-edge outside the surface's scheme,
+    or does not close up, raises GemError, and a disk that receives a
+    second chord makes the system not vertex-disjoint (for alpha and
+    beta, the disjointness check).  An alpha or beta system that passed
+    it is crossing-free as it stands and is not resolved; gamma, and any
+    system that is not vertex-disjoint, is, at its busy disks only,
+    those holding two chords or more: one chord cannot cross, so the
+    first failing disk, crossing_at, is the one every disk would give.
+
+    Self-intersections, the pairings and the gamma columns loop over
+    the table rows.  A vertex-disjoint system has none: each
+    walk puts one chord in each disk it meets, and a chord never crosses
+    its own push-off, since a reduced walk never leaves by the slot it
     arrived on; so self-intersections are counted for the other systems
     only.  On closed walks of the oriented surface every
     self-intersection is 0, so self_zero can fail only through a wrong
-    chord index, and then the pairings cannot be trusted either.
+    chord table, and then the pairings cannot be trusted either.
 
     The Z/2 ranks come from the pairings where they can: the mod 2
     intersection number is a pairing on H1(S; Z/2), so a Z/2 relation
@@ -609,33 +622,17 @@ def verify_diagram(diagram):
     checks["counts"] = dict(counts, genus=g_, **{
         "pass": all(c == g_ for c in counts.values())})
 
-    walks = {}
+    walks, rows, disjoint = {}, {}, {}
     for name, curves in diagram.systems():
-        walks[name] = [c.walk for c in curves]
-        for walk in walks[name]:
-            _check_closed(scheme.vertex_of, walk)
-
-    disj = {}
-    vo = scheme.vertex_of
-    for name in ("alpha", "beta"):
-        ok = True
-        seen = set()
-        for walk in walks[name]:
-            mine = [vo[h] for h in walk]
-            if len(set(mine)) != len(mine) or seen & set(mine):
-                ok = False
-                break
-            seen |= set(mine)
-        disj[name] = ok
+        walks[name] = ws = [c.walk for c in curves]
+        rows[name], disjoint[name] = _chord_table(scheme, ws)
+    disj = {name: disjoint[name] for name in ("alpha", "beta")}
     checks["disjoint"] = dict(disj, **{"pass": all(disj.values())})
-
-    index = {name: _chord_index(scheme, ws) for name, ws in walks.items()}
 
     # the pairing and the gamma cokernels, by the pair of systems
     cokernels = {}
     for a, b in (("alpha", "beta"), ("alpha", "gamma"), ("beta", "gamma")):
-        cols = _intersection_columns(scheme, index[a], index[b],
-                                     len(walks[b]))
+        cols = _pairing(scheme.rot, rows[a], rows[b], len(walks[b]))
         cokernels[a, b] = _cokernel(cols, g_)
 
     z2 = {"dim_h1": 2 - surf.chi, "expected_dim": 2 * g_, "ranks": {},
@@ -650,8 +647,8 @@ def verify_diagram(diagram):
                 _gf2_extend(face_basis, map(_edge_vector, surf.faces))
             rank = _gf2_extend(dict(face_basis), map(_edge_vector, ws))
         z2["ranks"][name] = rank
-        if not disj.get(name) and any(
-                _self_intersections(scheme, index[name], len(ws))):
+        if not disjoint[name] and any(
+                _self_crossings(scheme.rot, rows[name], len(ws))):
             z2["self_zero"] = False
     z2["pass"] = (z2["dim_h1"] == 2 * g_ and z2["self_zero"]
                   and all(r == g_ for r in z2["ranks"].values()))
@@ -669,7 +666,7 @@ def verify_diagram(diagram):
             # vertex-disjoint simple walks: one chord per vertex disk
             ok, witness = True, None
         else:
-            ok, witness = _crossing_free(*_resolve(scheme, ws))
+            ok, witness = _crossing_free(*_resolve(scheme, ws, rows[name]))
         entry["resolved"] = ok
         if not ok:
             entry["crossing_at"] = witness[0]
@@ -865,7 +862,7 @@ def _export_svg(diagram):
         color = _DOT_COLORS[name]
         for c in curves:
             try:
-                _check_closed(surf.scheme.vertex_of, c.walk)
+                _chord_table(surf.scheme, [c.walk])
             except GemError:
                 continue
             coords = []

@@ -2,7 +2,10 @@
 
 These are the plain versions the optimised library code replaced or
 never needed: the pass-by-pass Tietze loop and the pi1 builder that
-reads the whole chain complex, the one-pair intersection count, the
+reads the whole chain complex, the walk checks and vertex-disjointness
+test read walk by walk, the chord index of per-curve groups with its
+intersection columns, self-intersections and one-pair intersection
+count, the resolution that places marks at every vertex disk, the
 pairwise chord-crossing test, the pairwise lane comparator, the strand
 order ranked from one symbol by prefix doubling, the central
 surface built with sign-reversing edges, the square complex built whole
@@ -27,8 +30,8 @@ from functools import cmp_to_key
 from types import SimpleNamespace
 
 from gemtrisect.cli import _HEADER_RE, GemFile, ParseError
-from gemtrisect.diagrams import (ExpansionDiverged, _chord_index,
-                                 _gamma_forest, _intersection_columns)
+from gemtrisect.diagrams import (ExpansionDiverged, _gamma_forest,
+                                 _strand_order)
 from gemtrisect.embedding import RotationScheme, _permutation
 from gemtrisect.graphs import (ColoredGraph, DisconnectedError, GemError,
                                LoopEdgeError, NotProperError, NotRegularError,
@@ -180,11 +183,130 @@ def _tietze(pres):
     return GroupPresentation(len(remap), final)
 
 
+def check_walks(scheme, walks):
+    """Raise GemError on the first walk that names a half-edge outside
+    the scheme, or whose half-edges do not each leave the vertex where
+    the one before it arrives, walk by walk."""
+    vertex_of = scheme.vertex_of
+    for walk in walks:
+        for h in walk:
+            if not 0 <= h < len(vertex_of):
+                bad = min(walk) if min(walk) < 0 else max(walk)
+                raise GemError("curve walk names half-edge %d, outside 0..%d"
+                               % (bad, len(vertex_of) - 1))
+        arrive = [vertex_of[h ^ 1] for h in walk]
+        if arrive[-1:] + arrive[:-1] != [vertex_of[h] for h in walk]:
+            raise GemError("curve walk does not close up")
+
+
+def vertex_disjoint(scheme, walks):
+    """Whether each walk is vertex-simple and the walks vertex-disjoint."""
+    seen = [scheme.vertex_of[h] for walk in walks for h in walk]
+    return len(set(seen)) == len(seen)
+
+
+def _chord_index(scheme, walks):
+    """vertex -> [(curve, chords)] over one system's walks.
+
+    A chord is (3 * slot of the arriving half-edge, 3 * slot of the
+    leaving one) in the vertex's counterclockwise rotation; each walk
+    is read once, so the index costs the total walk length.
+    """
+    pos, vertex_of = scheme.pos_of, scheme.vertex_of
+    index = {}
+    for ci, walk in enumerate(walks):
+        mine = {}
+        for i, h in enumerate(walk):
+            mine.setdefault(vertex_of[h], []).append(
+                (3 * pos[walk[i - 1] ^ 1], 3 * pos[h]))
+        for v, chords in mine.items():
+            index.setdefault(v, []).append((ci, chords))
+    return index
+
+
+def _crossings(n, chords_a, chords_b):
+    """Signed crossings at one vertex disk, chords of b pushed off left.
+
+    n is 3 * degree.  Chords of a sit at exact slot positions; chords
+    of b enter just clockwise and leave just counterclockwise of their
+    slots, so interleaving is never ambiguous and the total over all
+    vertices equals the homological pairing.
+    """
+    total = 0
+    for ta, ha in chords_a:
+        span = (ha - ta) % n
+        for tb, hb in chords_b:
+            total += (((tb - 1 - ta) % n < span)
+                      - ((hb + 1 - ta) % n < span))
+    return total
+
+
+def _intersection_columns(scheme, index_a, index_b, count_b):
+    """Column j maps curve i of a to <a_i, b_j>, zeros left out.
+
+    Only chord pairs sharing a vertex are visited.
+    """
+    cols = [{} for _ in range(count_b)]
+    for v, groups_b in index_b.items():
+        groups_a = index_a.get(v)
+        if groups_a is None:
+            continue
+        n = 3 * len(scheme.rot[v])
+        for j, chords_b in groups_b:
+            col = cols[j]
+            for i, chords_a in groups_a:
+                col[i] = col.get(i, 0) + _crossings(n, chords_a, chords_b)
+    return [{i: x for i, x in sorted(col.items()) if x} for col in cols]
+
+
+def _self_intersections(scheme, index, count):
+    """<w, w> for each walk of one system."""
+    out = [0] * count
+    for v, groups in index.items():
+        n = 3 * len(scheme.rot[v])
+        for i, chords in groups:
+            out[i] += _crossings(n, chords, chords)
+    return out
+
+
 def _signed_intersection(scheme, walk_a, walk_b):
     """Signed count of crossings of walk a with walk b pushed off left."""
     col, = _intersection_columns(scheme, _chord_index(scheme, [walk_a]),
                                  _chord_index(scheme, [walk_b]), 1)
     return col.get(0, 0)
+
+
+def resolve_every_disk(scheme, walks):
+    """(marks, chords) per vertex disk, every disk of the scheme: marks
+    are (slot, micro, port) in counterclockwise order, chords pairs of
+    mark indices.
+
+    Marks sort by slot, then by place at a corridor's low end (port 2t
+    for traversal t) and against it at the high end (port 2t + 1).
+    """
+    pos, vo = scheme.pos_of, scheme.vertex_of
+    place = _strand_order(scheme, walks)
+    marks = {v: [] for v in range(scheme.nv)}
+    flat = [h for walk in walks for h in walk]
+    for t, h in enumerate(flat):
+        low = h & ~1
+        marks[vo[low]].append((pos[low], place[t], 2 * t))
+        marks[vo[low + 1]].append((pos[low + 1], -place[t], 2 * t + 1))
+    index = [0] * (2 * len(flat))
+    for v in marks:
+        marks[v].sort()
+        for i, (_, _, port) in enumerate(marks[v]):
+            index[port] = i
+    chords = {v: [] for v in marks}
+    t = 0
+    for walk in walks:
+        for i, h in enumerate(walk):
+            # the previous step arrives at the end it does not leave
+            prev = t - i + (i - 1) % len(walk)
+            arr = 2 * prev + 1 - (walk[i - 1] & 1)
+            chords[vo[h]].append((index[arr], index[2 * t + (h & 1)]))
+            t += 1
+    return marks, chords
 
 
 def signed_surface(g, eps, stabilized):

@@ -17,12 +17,12 @@ from gemtrisect.diagrams import (
     ExpansionDiverged,
     TrisectionDiagram,
     UnsupportedFormat,
-    _chord_index,
+    _chord_table,
     _crossing_free,
     _edge_vector,
-    _intersection_columns,
+    _pairing,
     _resolve,
-    _self_intersections,
+    _self_crossings,
     _strand_order,
     _wall_curves,
     alpha_beta_curves,
@@ -52,7 +52,7 @@ from gemtrisect.trisection import (
 import reference
 from conftest import fixture_graph, pipeline_corpus, s1s3_welds, weld
 from reference import (_signed_intersection, _to_walk, corridor_map,
-                       lane_orders, signed_surface)
+                       lane_orders, resolve_every_disk, signed_surface)
 from reference import crossing_free as _reference_crossing_free
 
 IDENT = CyclicPermutation((0, 1, 2, 3, 4))
@@ -337,10 +337,10 @@ def test_alpha_beta_sign_by_hand(datadir_gem, seq, ccw_colors, expected):
     assert tuple(g.edges[h >> 1][2] for h in ccw) == ccw_colors
 
     scheme = surf.scheme
-    index = {name: _chord_index(scheme, [c.walk for c in curves])
-             for name, curves in d.systems()}
-    assert _intersection_columns(scheme, index["alpha"], index["beta"],
-                                 1) == [{0: expected}]
+    rows = {name: _chord_table(scheme, [c.walk for c in curves])[0]
+            for name, curves in d.systems()}
+    assert _pairing(scheme.rot, rows["alpha"], rows["beta"],
+                    1) == [{0: expected}]
 
 
 def test_json_export_stable_and_schema(datadir_gem):
@@ -410,7 +410,8 @@ def test_vertex_disjoint_systems_are_crossing_free(datadir_gem):
         for name in ("alpha", "beta"):
             ws = [c.walk for c in getattr(d, name)]
             assert d.record.checks["disjoint"][name]
-            assert _crossing_free(*_resolve(scheme, ws)) == (True, None)
+            assert _crossing_free(*resolve_every_disk(scheme, ws)) == (
+                True, None)
             assert d.record.checks["cut"]["systems"][name]["resolved"]
             skipped += bool(ws)
     assert skipped >= 20
@@ -422,9 +423,9 @@ def test_only_systems_that_are_not_vertex_disjoint_are_resolved(
     resolve = diagrams._resolve
     calls = []
 
-    def recording(scheme, ws):
+    def recording(scheme, ws, rows):
         calls.append(ws)
-        return resolve(scheme, ws)
+        return resolve(scheme, ws, rows)
 
     monkeypatch.setattr(diagrams, "_resolve", recording)
     crossed = set()
@@ -438,7 +439,8 @@ def test_only_systems_that_are_not_vertex_disjoint_are_resolved(
         resolved = [name for name in walks if not disjoint.get(name)]
         assert calls == [walks[name] for name in resolved]
         for name, ws in walks.items():
-            ok, witness = _crossing_free(*resolve(surf.scheme, ws))
+            ok, witness = _crossing_free(*resolve_every_disk(surf.scheme,
+                                                             ws))
             entry = record.checks["cut"]["systems"][name]
             assert entry["resolved"] == ok
             if not ok:
@@ -805,15 +807,14 @@ def test_indexed_intersections_match_pairwise(datadir_gem):
         scheme = surf.scheme
         pos = scheme.pos_of
         deg_of = [len(r) for r in scheme.rot]
-        index = {k: _chord_index(scheme, ws) for k, ws in walks.items()}
+        rows = {k: _chord_table(scheme, ws)[0] for k, ws in walks.items()}
         for ka, wa in walks.items():
-            selfs = _self_intersections(scheme, index[ka], len(wa))
+            selfs = _self_crossings(scheme.rot, rows[ka], len(wa))
             assert selfs == [_reference_intersection(surf, w, w, pos, deg_of)
                              for w in wa]
             for kb in dict.fromkeys(("alpha", "beta", "gamma", ka)):
                 wb = walks[kb]
-                cols = _intersection_columns(scheme, index[ka], index[kb],
-                                             len(wb))
+                cols = _pairing(scheme.rot, rows[ka], rows[kb], len(wb))
                 for j, w_j in enumerate(wb):
                     assert all(cols[j].values())
                     for i, w_i in enumerate(wa):
@@ -839,7 +840,7 @@ def test_region_count_and_lanes_match_references(datadir_gem):
             corridors = corridor_map(ws)
             assert (_lanes_by_place(scheme, ws, corridors)
                     == lane_orders(scheme, ws, corridors))
-            marks, chords = _resolve(scheme, ws)
+            marks, chords = resolve_every_disk(scheme, ws)
             resolved, witness = _crossing_free(marks, chords)
             ref_resolved, ref_witness = _reference_crossing_free(marks,
                                                                  chords)
@@ -935,8 +936,8 @@ def test_disjoint_systems_and_shared_face_basis(datadir_gem):
         base_rank = _gf2_extend({}, face_vecs)
         all_zero = True
         for name, ws in walks.items():
-            selfs = _self_intersections(scheme, _chord_index(scheme, ws),
-                                        len(ws))
+            selfs = _self_crossings(scheme.rot, _chord_table(scheme, ws)[0],
+                                    len(ws))
             seen = [scheme.vertex_of[h] for h in itertools.chain(*ws)]
             if len(set(seen)) == len(seen):
                 assert not any(selfs), name
@@ -1003,28 +1004,167 @@ def test_ranks_from_pairings_keep_the_record(datadir_gem, monkeypatch):
 
 def test_corrupted_chord_slots_flip_self_zero(datadir_gem, monkeypatch):
     # every self-intersection of a closed walk on the oriented surface
-    # is 0, so self_zero can fail only through a wrong chord index: a
+    # is 0, so self_zero can fail only through a wrong chord table: a
     # chord with its slots swapped, of a gamma walk that meets its
     # vertex more than once, flips it
     g = _chain_sum(datadir_gem("projective_plane_like.gem").graph, 3)
     cert = sweep(g, cyclic_permutations(4))
     d = assemble_diagram(g, cert.eps, cert)
     assert d.record.ok and d.record.checks["z2"]["self_zero"]
-    chord_index = diagrams._chord_index
+    chord_table = diagrams._chord_table
     gamma = [c.walk for c in d.gamma]
 
     def corrupted(scheme, walks):
-        index = chord_index(scheme, walks)
+        rows, disjoint = chord_table(scheme, walks)
         if walks == gamma:
-            chords = min((v, chords) for v, groups in index.items()
-                         for _, chords in groups if len(chords) > 1)[1]
-            t, h = chords[0]
-            chords[0] = (h, t)
-        return index
+            # at the lowest disk where a curve has two chords, the first
+            # chord of the curve whose chords there are least
+            v, _, ci = min(
+                (v, [c[1:] for c in row if c[0] == ci], ci)
+                for v, row in enumerate(rows) for ci in {c[0] for c in row}
+                if sum(c[0] == ci for c in row) > 1)
+            k = next(k for k, c in enumerate(rows[v]) if c[0] == ci)
+            _, t, h = rows[v][k]
+            rows[v][k] = (ci, h, t)
+        return rows, disjoint
 
-    monkeypatch.setattr(diagrams, "_chord_index", corrupted)
+    monkeypatch.setattr(diagrams, "_chord_table", corrupted)
     record = verify_diagram(d)
     assert not record.ok and not record.checks["z2"]["self_zero"]
+
+
+def _weld_corpus(datadir_gem):
+    """(surface, {system: walks}) of seeded random-weld sums of both
+    closed fixtures, with seeded extra squares (k > 0 on most), and of
+    the swept s1s3_welds, whose sweep stabilizes squares of its own."""
+    rng = random.Random(31)
+    diagrams_ = []
+    for name in ("projective_plane_like.gem", "nonzero_forest.gem"):
+        fixture = datadir_gem(name).graph
+        for m in (2, 3, 4, 5) * 2:
+            g = fixture
+            for _ in range(1, m):
+                g = weld(g, fixture, rng)
+            eps = rng.choice(cyclic_permutations(4))
+            spare = sorted(set(g.edge_ids(4))
+                           - set(stabilization_set(g, eps)))
+            extra = rng.sample(spare, rng.randrange(1, 3))
+            diagrams_.append(assemble_diagram(g, eps, _forced(g, eps, extra)))
+    for g in s1s3_welds(count=6, seed=31):
+        cert = sweep(g, cyclic_permutations(4))
+        diagrams_.append(assemble_diagram(g, cert.eps, cert))
+    assert all(d.record.ok for d in diagrams_)
+    assert sum(d.surface.k > 0 for d in diagrams_) >= 16
+    return [(d.surface, {name: [c.walk for c in curves]
+                         for name, curves in d.systems()})
+            for d in diagrams_]
+
+
+def _outcome(check, *args):
+    """The GemError message check raises on args, or None."""
+    try:
+        check(*args)
+    except GemError as exc:
+        return str(exc)
+    return None
+
+
+def test_chord_table_matches_reference_oracles(datadir_gem):
+    # the table's rows regroup into the per-curve chord index, its flag
+    # is the vertex-disjointness test, and its pairing columns and
+    # self-intersections are the index's; corrupted walks fail in the
+    # same walk with the same message as the walk-by-walk checks
+    rng = random.Random(37)
+    corpus = _verifier_corpus(datadir_gem) + _weld_corpus(datadir_gem)
+    refused = set()
+    for surf, walks in corpus:
+        scheme = surf.scheme
+        rows, index = {}, {}
+        for name, ws in walks.items():
+            rows[name], disjoint = _chord_table(scheme, ws)
+            assert disjoint == reference.vertex_disjoint(scheme, ws)
+            index[name] = reference._chord_index(scheme, ws)
+            assert {v: [(ci, [c[1:] for c in chords]) for ci, chords in
+                        itertools.groupby(row, key=lambda c: c[0])]
+                    for v, row in enumerate(rows[name]) if row} == index[name]
+            assert (_self_crossings(scheme.rot, rows[name], len(ws))
+                    == reference._self_intersections(scheme, index[name],
+                                                     len(ws)))
+        for (ka, wa), (kb, wb) in itertools.product(walks.items(),
+                                                    repeat=2):
+            assert (_pairing(scheme.rot, rows[ka], rows[kb], len(wb))
+                    == reference._intersection_columns(
+                        scheme, index[ka], index[kb], len(wb))), (ka, kb)
+        # two corruptions in distinct walks: out-of-range ids -1, -2 and
+        # 2E + 5 (E the scheme's edges), or a dropped half-edge
+        outside = (-1, -2, len(scheme.vertex_of) + 5)
+        for name, ws in walks.items():
+            if len(ws) < 2:
+                continue
+            bad = [list(w) for w in ws]
+            for j in rng.sample(range(len(ws)), 2):
+                i = rng.randrange(len(bad[j]) + 1)
+                if rng.random() < 0.5 and len(bad[j]) > 1:
+                    del bad[j][i % len(bad[j])]
+                else:
+                    bad[j].insert(i, rng.choice(outside))
+            want = _outcome(reference.check_walks, scheme, bad)
+            assert _outcome(_chord_table, scheme, bad) == want
+            if want and want.startswith("curve walk names half-edge "):
+                h = int(want.split()[4].rstrip(","))
+                want = h if h < 0 else h - len(scheme.vertex_of)
+            refused.add(want)
+    assert refused >= {"curve walk does not close up", -1, -2, 5}
+
+
+def test_busy_disk_resolution_matches_every_disk(datadir_gem):
+    # the cut test resolves only disks with two chords or more; its
+    # verdict, failing disk and witness chords are those of a resolution
+    # that places marks at every disk, whose marks it keeps where it
+    # keeps any.  Two systems run as one cross on most surfaces.
+    corpus = _verifier_corpus(datadir_gem) + _weld_corpus(datadir_gem)
+    failing = 0
+    for surf, walks in corpus:
+        scheme = surf.scheme
+        systems = dict(walks)
+        for a, b in itertools.combinations(("alpha", "beta", "gamma"), 2):
+            systems[a + "|" + b] = walks[a] + walks[b]
+        for name, ws in systems.items():
+            rows = _chord_table(scheme, ws)[0]
+            marks, chords = _resolve(scheme, ws, rows)
+            every_marks, every_chords = resolve_every_disk(scheme, ws)
+            busy = [v for v, row in enumerate(rows) if len(row) > 1]
+            assert list(chords) == busy
+            for v, at in enumerate(marks):
+                if at is None:
+                    assert len(every_chords[v]) < 2
+                else:
+                    assert (at, chords[v]) == (every_marks[v],
+                                               every_chords[v])
+            got = _crossing_free(marks, chords)
+            assert got == _crossing_free(every_marks, every_chords), name
+            failing += not got[0]
+    assert failing >= 60
+
+
+def test_verify_refuses_half_edges_outside_the_surface(datadir_gem):
+    # a gamma walk naming half-edge -1, -2 or 2E + 5 (E the scheme's
+    # edges) is refused before any vertex is looked up
+    g = datadir_gem("pp_sum3.gem").graph
+    cert = sweep(g, cyclic_permutations(4))
+    d = assemble_diagram(g, cert.eps, cert)
+    assert d.record.ok
+    top = len(d.surface.scheme.vertex_of) - 1
+    for bad in (-1, -2, top + 1 + 5):
+        walk = d.gamma[0].walk
+        gamma = (diagrams.Curve("gamma", walk[:1] + (bad,) + walk[1:],
+                                None, d.gamma[0].base),) + d.gamma[1:]
+        broken = TrisectionDiagram(d.surface, d.alpha, d.beta, gamma,
+                                   d.genus, d.mode)
+        with pytest.raises(GemError) as info:
+            verify_diagram(broken)
+        assert str(info.value) == (
+            "curve walk names half-edge %d, outside 0..%d" % (bad, top))
 
 
 @pytest.mark.slow
@@ -1183,8 +1323,8 @@ def test_random_weld_diagrams_pass_the_cokernel_check():
         for name in ("alpha", "beta"):
             assert d.record.checks["disjoint"][name]
             ws = [c.walk for c in getattr(d, name)]
-            assert _crossing_free(*_resolve(d.surface.scheme, ws)) == (
-                True, None)
+            assert _crossing_free(*resolve_every_disk(d.surface.scheme,
+                                                      ws)) == (True, None)
 
 
 def _old_reduce(items, inverse, keep=lambda s: True):
