@@ -8,18 +8,19 @@ the square-complex 1-skeleton, its shortest cycles, rewritten through
 witness cycles until no apex edge remains.
 
 Curves are half-edge walks on that surface's scheme from the start
-(see Curve): alpha and beta read theirs off their cycles' steps, gamma
-expands its witnesses in half-edges and is freely reduced by cancelling
-h against h ^ 1, the verifier reads the walks as they are, checking
-only that each names half-edges of the surface and closes up, and the
-exports decode them into label steps.
+(see Curve), as the gem's bicolored cycles are born as walks (see
+graphs.Cycle): alpha and beta take their cycles' walks as they are,
+gamma expands the apex half-edges of its cycles through witnesses and
+is freely reduced by cancelling h against h ^ 1, the verifier reads the
+walks as they are, checking only that each names half-edges of the
+surface and closes up, and the exports decode them into label steps.
 
 Verification is homological plus cut-combinatorial, on the oriented
 rotation scheme of the surface: every rotation reads counterclockwise,
 so a half-edge's slot is `scheme.pos_of`.  Curves are resolved into
-disjoint strands inside edge corridors, laid in lanes by one rank of
-all strands (their counterclockwise turns, ranked from blocks of up to
-64 turns, then by prefix doubling), so parallel copies of a curve
+disjoint strands inside edge corridors, laid in lanes (see _lanes):
+the strands of each corridor run twice or more are ranked by slices of
+their counterclockwise turn strings, so parallel copies of a curve
 resolve side by side, and crossings are decided at vertex disks by the
 rotation order.  Once a
 system of k curves resolves into disjoint simple closed curves C, the
@@ -32,13 +33,18 @@ numbers are the honest surrogate.
 Cost: one pass per system reads its walks into a chord table by vertex
 disk, so all intersection numbers together cost the total walk length
 plus the chord pairs that share a disk.  Self-intersections are counted
-only for a system that is not vertex-disjoint, and a resolution keeps
-only the disks with two chords or more.  A system's Z/2 rank is read
+only for a system that is not vertex-disjoint, at the disks where one
+walk has two chords or more.  The cut test ranks only the strands of
+shared corridors, one corridor at a time, keys the marks at the disks
+with two chords or more as integers, and checks them in one sort and
+one stack pass.  A system's Z/2 rank is read
 off a pairing that is invertible mod 2 where there is one, and the face
 vectors are eliminated, once, only for the systems left unsettled.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .embedding import _permutation, stabilized_surface
 from .graphs import (GemError, bicolored_cycles, residue_count,
@@ -142,8 +148,7 @@ def _wall_curves(g, kind, node_colors, cycle_colors):
         ((label_a[c.vertices[0]], first_b + label_b[c.vertices[0]])
          for c in cycles)))
     base = g.edge_ids(g.n).start
-    return [Curve(kind, tuple(2 * eid + (d < 0) for eid, d in cyc.steps),
-                  ci, base)
+    return [Curve(kind, cyc.walk, ci, base)
             for ci, cyc in enumerate(cycles) if ci not in forest]
 
 
@@ -186,22 +191,29 @@ def gamma_curves(Q, certificate):
     become handle traversals, and a collapsed edge e is replaced by the
     rest of its witness cycle, collapse_schedule's shortest on offer.
     Each collapsed edge is rewritten once: run against the cycle, e is
-    the rest walked forward; run along it, e is that walk's inverse,
-    which is exact because every step's opposite direction expands to
-    the inverse of its own.  The ordering property keeps a witness from
+    the rest walked forward; run along it, that walk's inverse, which
+    is exact because every step's opposite direction expands to the
+    inverse of its own.  The ordering property keeps a witness from
     leading back to its own edge; a square re-entered during its own
-    rewrite raises ExpansionDiverged.
+    rewrite raises ExpansionDiverged, and a square its witness cycle
+    does not hold raises GemError.
 
-    Everything is built in half-edges (see Curve): an apex-free step
-    (e, d) is 2e + (d < 0), a walk's inverse is its reverse with each
-    half-edge h read as h ^ 1, and the free reduction cancels h against
-    h ^ 1.  A handle traversal or an edge step cancels only against its
-    own inverse, so the walk reduces as its label steps would.
+    Everything is built in half-edges (see Curve): a cycle's walk
+    already names the surface's half-edges off the apex, so only apex
+    half-edges are rewritten; a walk's inverse is its reverse with
+    each half-edge h read as h ^ 1, and the free reduction cancels h
+    against h ^ 1.  A handle traversal or an edge step cancels only
+    against its own inverse, so the walk reduces as its label steps
+    would.
     """
     g = Q.graph
-    base = g.edge_ids(g.n).start        # apex edges are base and up
+    base = g.edge_ids(g.n).start
+    top = 2 * base                      # apex half-edges are top and up
     ordering = certificate.ordering
-    handle_of = {e: j for j, e in enumerate(ordering.stabilized)}
+    rewritten = {}          # apex half-edge -> its walk on the surface
+    for j, e in enumerate(ordering.stabilized):
+        a = 2 * (base + 3 * j)          # handle j's edges, see Curve
+        rewritten[2 * e], rewritten[2 * e + 1] = (a, a + 2), (a + 3, a + 1)
     witness_of = {e: idx for e, (_, idx) in
                   zip(ordering.collapsed, ordering.witnesses)}
 
@@ -211,40 +223,43 @@ def gamma_curves(Q, certificate):
 
     forest = _gamma_forest(Q, [edge.index for edge in Q.q1_edges
                                if edge.index not in witness_set], ordering)
-
-    rewritten = {}          # collapsed edge -> {direction: walk}
     in_progress = set()
 
-    def expand(e, d):
-        if e in handle_of:
-            a = 2 * (base + 3 * handle_of[e])
-            return (a, a + 2) if d > 0 else (a + 3, a + 1)
-        if e not in rewritten:
+    def expand(h):
+        walk = rewritten.get(h)
+        if walk is None:
+            e = h >> 1
             if e in in_progress:
                 raise ExpansionDiverged("rewriting loop through edge %d" % e)
             if e not in witness_of:
                 raise GemError("apex edge %d is neither stabilized nor "
                                "collapsed" % e)
-            in_progress.add(e)
-            steps = Q.q1_edges[witness_of[e]].cycle.steps
-            x = next(i for i, (eid, _) in enumerate(steps) if eid == e)
-            forward = tuple(rewrite(steps[x + 1:] + steps[:x]))
-            in_progress.discard(e)
-            backward = tuple(map(_REVERSED, reversed(forward)))
-            rewritten[e] = {-steps[x][1]: forward, steps[x][1]: backward}
-        return rewritten[e][d]
-
-    def rewrite(steps):
-        out = []
-        for eid, d in steps:
-            if eid >= base:
-                out.extend(expand(eid, d))
+            cycle = Q.q1_edges[witness_of[e]].cycle.walk
+            for x, run in enumerate(cycle):
+                if run >> 1 == e:
+                    break
             else:
-                out.append(2 * eid + (d < 0))
+                raise GemError("square %d does not lie on its witness "
+                               "cycle %d" % (e, witness_of[e]))
+            in_progress.add(e)
+            forward = tuple(rewrite(cycle[x + 1:] + cycle[:x]))
+            in_progress.discard(e)
+            rewritten[run ^ 1] = forward
+            rewritten[run] = tuple(map(_REVERSED, reversed(forward)))
+            walk = rewritten[h]
+        return walk
+
+    def rewrite(walk):
+        out = []
+        for h in walk:
+            if h >= top:
+                out.extend(expand(h))
+            else:
+                out.append(h)
         return out
 
-    return [Curve("gamma", _free_reduce(rewrite(edge.cycle.steps),
-                                        _REVERSED), edge.index, base)
+    return [Curve("gamma", _free_reduce(rewrite(edge.cycle.walk), _REVERSED),
+                  edge.index, base)
             for edge in Q.q1_edges
             if edge.index not in witness_set and edge.index not in forest]
 
@@ -329,11 +344,12 @@ def _pairing(rot, rows_a, rows_b, count_b):
 
 
 def _self_crossings(rot, rows, count):
-    """<w, w> for each walk of one system; a disk with one chord adds
-    nothing, as a chord never crosses its own push-off."""
+    """<w, w> for each walk of one system; a chord never crosses its
+    own push-off, so a disk with one chord, or with two of two walks,
+    adds nothing."""
     out = [0] * count
     for row, slots in zip(rows, rot):
-        if len(row) > 1:
+        if len(row) > 2 or len(row) == 2 and row[0][0] == row[1][0]:
             n = 3 * len(slots)
             for i, ta, ha in row:
                 span = (ha - ta) % n
@@ -344,151 +360,126 @@ def _self_crossings(rot, rows, count):
     return out
 
 
-# -- strand order and crossing-free resolution -----------------------------
+# -- corridor lanes and the cut test -----------------------------------------
 
-def _strand_order(scheme, walks):
-    """Each traversal's place in one order of all corridor strands.
+def _lanes(walks, flat, leave, arrive, modulus):
+    """Each traversal's lane in its corridor (surface edge), 0 lowest.
 
-    Traversals t number the walks' steps in turn.  State 2t reads step
-    t's walk forwards, 2t + 1 backwards with each half-edge reversed;
-    a state's symbol is the counterclockwise offset of its next leaving
-    half-edge from its arrival, below the vertex degree (at most 5), so
-    one byte.  Strands order by the symbols of the state that runs them
-    upward.  The states rank first by their next K = min(2 maxL, 64)
-    symbols, maxL the longest walk: each walk's forward and backward
-    strings are repeated and sliced into bytes keys, sorted once.  Then
-    the ranks double (Manber and Myers), the jumps by index arithmetic
-    within a walk, until a round splits no class (states agreeing on m
-    symbols then agree on 2m) or m reaches 2 maxL.  Walks of lengths L1
-    and L2 that agree on L1 + L2 symbols agree forever (Fine and Wilf,
-    Proc. AMS 1965), so 2 maxL symbols settle every class, and when
-    2 maxL fits in a block the sort alone is final.  Of two strands that
-    never diverge (parallel copies) the lower t goes first exactly when
-    it runs upward, so a copy keeps its side whichever way it is run.
+    Traversal t runs corridor flat[t] >> 1 of the walks' half-edges in
+    turn, upward when flat[t] is even; leave[t] and arrive[t] are the
+    slots of flat[t] and flat[t] ^ 1, and modulus is at least every
+    degree.  Only corridors run twice or more are ranked, by the
+    strands' upward turn strings: at each vertex the counterclockwise
+    offset, mod modulus, of the next leaving half-edge from the arrival,
+    read along the walk upward and backwards, each half-edge reversed,
+    downward.  Strands that agree so far arrive together, so the lower
+    turn leaves first.  Strings of walks of lengths L1 and L2 that agree
+    on L1 + L2 turns agree forever (Fine and Wilf, Proc. AMS 1965), so
+    slices 2 M long, M the corridor's longest walk, settle the order.
+    Of two strands that never diverge (parallel copies) the lower t goes
+    first exactly when it runs upward, so a copy keeps its side.
     """
-    pos, rot, vertex_of = scheme.pos_of, scheme.rot, scheme.vertex_of
-    settled = 2 * max(map(len, walks), default=0)
-    K = min(settled, 64)
-    fwd_keys, back_keys, spans, down = [], [], [], []
+    lane = [0] * len(flat)
+    corridors = {}
+    for t, h in enumerate(flat):
+        corridors.setdefault(h >> 1, []).append(t)
+    shared = [travs for travs in corridors.values() if len(travs) > 1]
+    if not shared:
+        return lane
+    # turns read across walk ends first, then mended at each walk's ends
+    fwd = bytearray([(b - a) % modulus
+                     for a, b in zip(arrive, leave[1:] + leave[:1])])
+    back = bytearray([(a - b) % modulus
+                      for a, b in zip(arrive[-1:] + arrive[:-1], leave)])
+    # text holds each walk's forward string, then its backward one, which
+    # reads the walk from its end, both repeated to hold every slice;
+    # t's upward string begins at up[t] or at down[t]
+    need = 2 * max(map(len, walks))
+    text = bytearray()
+    up, down, size = [0] * len(flat), [0] * len(flat), [0] * len(flat)
+    s = 0
     for walk in walks:
         L = len(walk)
-        if not L:
-            continue
-        spans.append((len(down), L))
-        fwd, back = bytearray(L), bytearray(L)
-        for i, h in enumerate(walk):
-            nxt, prv = walk[(i + 1) % L], walk[i - 1] ^ 1
-            fwd[i] = (pos[nxt] - pos[h ^ 1]) % len(rot[vertex_of[nxt]])
-            # backward state i reads back[L - 1 - i], then onwards
-            back[L - 1 - i] = (pos[prv] - pos[h]) % len(rot[vertex_of[prv]])
-            down.append(h & 1)
-        reps = (L - 1 + K) // L + 1
-        fwd, back = bytes(fwd) * reps, bytes(back) * reps
-        fwd_keys += [fwd[i:i + K] for i in range(L)]
-        back_keys += [back[i:i + K] for i in range(L - 1, -1, -1)]
-
-    def dense(keys):
-        ids = {k: r for r, k in enumerate(sorted(set(keys)))}
-        return [ids[k] for k in keys], len(ids)
-
-    n = 2 * len(down)
-    keys = [None] * n
-    keys[::2], keys[1::2] = fwd_keys, back_keys
-    rank, classes = dense(keys)
-    m = K
-    while m < settled:
-        # m steps on: forward states ahead in their walk, backward behind
-        jump = [None] * n
-        ahead, behind = [], []
-        for base, L in spans:
-            s = m % L
-            states = range(2 * base, 2 * (base + L), 2)
-            ahead += states[s:]
-            ahead += states[:s]
-            behind += states[L - s:]
-            behind += states[:L - s]
-        jump[::2] = ahead
-        jump[1::2] = [t + 1 for t in behind]
-        rank2, classes2 = dense([r * n + rank[j] for r, j in zip(rank, jump)])
-        if classes2 == classes:
-            break
-        rank, classes = rank2, classes2
-        m *= 2
-    order = sorted(range(len(down)), key=lambda t: (
-        rank[2 * t + down[t]], down[t], -t if down[t] else t))
-    place = [0] * len(order)
-    for p, t in enumerate(order):
-        place[t] = p
-    return place
+        if L:
+            e = s + L
+            fwd[e - 1] = (leave[s] - arrive[e - 1]) % modulus
+            back[s] = (arrive[e - 1] - leave[s]) % modulus
+            reps = (need - 1) // L + 2
+            up[s:e] = range(len(text), len(text) + L)
+            text += fwd[s:e] * reps
+            down[s:e] = range(len(text) + L - 1, len(text) - 1, -1)
+            text += back[s:e][::-1] * reps
+            size[s:e] = [L] * L
+            s = e
+    text = bytes(text)
+    # one corridor at a time, so only its slices are alive at once
+    for travs in shared:
+        m = 2 * max(map(size.__getitem__, travs))
+        keys = sorted([(text[down[t]:down[t] + m], 1, -t) if flat[t] & 1
+                       else (text[up[t]:up[t] + m], 0, t) for t in travs])
+        for k, (_, _, t) in enumerate(keys):
+            lane[abs(t)] = k
+    return lane
 
 
-def _resolve(scheme, walks, rows):
-    """(marks, chords) at the busy disks, whose chord table rows hold
-    two chords or more: marks[v] lists (slot, micro, port) in
-    counterclockwise order, None off the busy disks, and chords maps
-    each busy disk, ascending, to pairs of mark indices.
+def _cut_test(scheme, walks, rows):
+    """(True, None) when one system resolves into disjoint simple closed
+    curves, else (False, (v, chord, chord)).
 
-    Marks sort by slot, then by place at a corridor's low end (port 2t
-    for traversal t) and against it at the high end (port 2t + 1).
+    Strands share a corridor side by side in their _lanes and cross
+    only inside vertex disks, by the rotation order.  Only the busy
+    disks, whose chord table rows hold two chords or more, are read.
+    Chord t joins, at the disk t leaves, the arrival mark of the step
+    before t in its walk to t's leaving mark.  A mark is one integer:
+    by disk, slot, lane (counted up at the corridor's low end, down at
+    its high end) and chord.  The chords at a disk are non-interleaving
+    exactly when its marks, in rotation order, balance like parentheses,
+    so one sort and one stack pass check every busy disk, by ascending
+    vertex.  The witness is the first failing disk and two chords that
+    interleave there (the closing one and the one left open inside it),
+    each as (arrival, leaving) indices among the disk's sorted marks.
     """
+    busy = [len(row) > 1 for row in rows]
+    if True not in busy:
+        return True, None
     pos, vo = scheme.pos_of, scheme.vertex_of
-    place = _strand_order(scheme, walks)
-    marks = [[] if len(row) > 1 else None for row in rows]
-    flat = [h for walk in walks for h in walk]
-    for t, h in enumerate(flat):
-        low = h & ~1
-        at = marks[vo[low]]
-        if at is not None:
-            at.append((pos[low], place[t], 2 * t))
-        at = marks[vo[low + 1]]
-        if at is not None:
-            at.append((pos[low + 1], -place[t], 2 * t + 1))
-    index = [0] * (2 * len(flat))
-    chords = {}
-    for v, at in enumerate(marks):
-        if at is not None:
-            at.sort()
-            for i, (_, _, port) in enumerate(at):
-                index[port] = i
-            chords[v] = []
-    t = 0
+    modulus = max(map(len, scheme.rot))
+    flat = list(itertools.chain.from_iterable(walks))
+    n = len(flat)
+    leave = [pos[h] for h in flat]
+    arrive = [pos[h ^ 1] for h in flat]
+    at = [vo[h] for h in flat]
+    side = [-k if h & 1 else k for h, k in
+            zip(flat, _lanes(walks, flat, leave, arrive, modulus))]
+    before = list(range(-1, n - 1))     # the step before t in its walk
+    end = 0
     for walk in walks:
-        for i, h in enumerate(walk):
-            at = chords.get(vo[h])
-            if at is not None:
-                # the previous step arrives at the end it does not leave
-                prev = t - i + (i - 1) % len(walk)
-                arr = 2 * prev + 1 - (walk[i - 1] & 1)
-                at.append((index[arr], index[2 * t + (h & 1)]))
-            t += 1
-    return marks, chords
-
-
-def _crossing_free(marks, chords_at):
-    """Check all same-system chords pairwise non-interleaving.
-
-    Each mark ends exactly one chord, so the chords at a vertex are
-    pairwise non-interleaving exactly when the marks, read in rotation
-    order, balance like parentheses: a chord's second end must meet it
-    on top of the stack of open chords.  One pass per vertex, visited in
-    the order of chords_at; the witness is the first failing vertex
-    and a pair of its chords that interleave (the closing chord and the
-    one left open inside it).
-    """
-    for v, chords in chords_at.items():
-        chord_at = [0] * len(marks[v])
-        for i, (a, b) in enumerate(chords):
-            chord_at[a] = chord_at[b] = i
-        is_open = [False] * len(chords)
-        stack = []
-        for i in chord_at:
-            if not is_open[i]:
-                is_open[i] = True
-                stack.append(i)
-            elif stack[-1] == i:
-                stack.pop()
-            else:
-                return False, (v, chords[i], chords[stack[-1]])
+        if walk:
+            before[end] = end + len(walk) - 1
+            end += len(walk)
+    span = 2 * n                        # lanes lie in (-n, n)
+    leaving = [((v * modulus + x) * span + k) * n + t
+               for t, (v, x, k) in enumerate(zip(at, leave, side))]
+    arriving = [((v * modulus + arrive[p]) * span - side[p]) * n + t
+                for t, (v, p) in enumerate(zip(at, before))]
+    on = [busy[v] for v in at]
+    marks = sorted(itertools.chain(itertools.compress(arriving, on),
+                                   itertools.compress(leaving, on)))
+    is_open = bytearray(n)
+    stack = []
+    for mark in marks:
+        t = mark % n
+        if not is_open[t]:
+            is_open[t] = 1
+            stack.append(t)
+        elif stack[-1] == t:
+            stack.pop()
+        else:
+            v = at[t]
+            index = {m: i for i, m in enumerate(
+                m for m in marks if at[m % n] == v)}
+            return False, (v, *((index[arriving[c]], index[leaving[c]])
+                                for c in (t, stack[-1])))
     return True, None
 
 
@@ -666,7 +657,7 @@ def verify_diagram(diagram):
             # vertex-disjoint simple walks: one chord per vertex disk
             ok, witness = True, None
         else:
-            ok, witness = _crossing_free(*_resolve(scheme, ws, rows[name]))
+            ok, witness = _cut_test(scheme, ws, rows[name])
         entry["resolved"] = ok
         if not ok:
             entry["crossing_at"] = witness[0]

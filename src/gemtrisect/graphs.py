@@ -480,28 +480,25 @@ def _odd_walk(parent, v, w):
 class Cycle:
     """A {c,d}-colored cycle as a closed alternating walk.
 
-    steps[i] = (edge id, +1 or -1); +1 traverses the stored edge from
-    its low to its high endpoint.  The walk starts at the minimum
-    vertex of the cycle along its min(c, d)-colored edge.
+    walk[i] is the half-edge step i leaves by: 2 * edge id, plus 1 when
+    the step runs the stored edge from its high endpoint to its low.
+    The walk starts at the minimum vertex of the cycle along its
+    min(c, d)-colored edge, so its odd steps are its max(c, d) edges.
     """
 
-    __slots__ = ("colors", "vertices", "steps")
+    __slots__ = ("colors", "vertices", "walk")
 
-    def __init__(self, colors, vertices, steps):
+    def __init__(self, colors, vertices, walk):
         self.colors = colors
-        self.vertices = vertices    # visit order, len == len(steps)
-        self.steps = steps
-
-    @property
-    def edge_ids(self):
-        return tuple(e for e, _ in self.steps)
+        self.vertices = vertices    # visit order, len == len(walk)
+        self.walk = walk
 
     def __len__(self):
-        return len(self.steps)
+        return len(self.walk)
 
     def __repr__(self):
         return "Cycle(colors=%s, length=%d, start=%d)" % (
-            sorted(self.colors), len(self.steps), self.vertices[0])
+            sorted(self.colors), len(self.walk), self.vertices[0])
 
 
 def bicolored_cycles(g, c, d):
@@ -518,19 +515,19 @@ def bicolored_cycles(g, c, d):
     out = []
     for start in _census(g, pair)[1]:
         verts = []
-        steps = []
+        walk = []
         v = start
-        col = lo
-        while True:
+        while True:         # a lo step, then a hi step
+            w = nbr[v][lo]
+            x = nbr[w][hi]
             verts.append(v)
-            w = nbr[v][col]
-            # +1 runs the stored edge from its low end
-            steps.append((inc[v][col], 1 if v < w else -1))
-            v = w
-            col = hi if col == lo else lo
-            if v == start and col == lo:
+            verts.append(w)
+            walk.append(2 * inc[v][lo] + (v > w))
+            walk.append(2 * inc[w][hi] + (w > x))
+            v = x
+            if v == start:
                 break
-        out.append(Cycle(pair, tuple(verts), tuple(steps)))
+        out.append(Cycle(pair, tuple(verts), tuple(walk)))
     return out
 
 

@@ -11,8 +11,10 @@ and each stabilization raises the central surface genus by one.
 from __future__ import annotations
 
 import collections
+import functools
 import heapq
 import itertools
+import operator
 
 from .embedding import _permutation, apex_free_rho, rho
 from .graphs import (GemError, bicolored_cycles, residue_count,
@@ -116,7 +118,7 @@ def _squares(g):
     them without g: a QComplex there would tie g into a reference cycle
     and keep it alive until the cyclic collector runs.  The scheduler
     reads only these three parts.  An {i,4}-cycle's walk starts on its
-    color-i edge and alternates, so its squares are its odd steps.
+    color-i edge and alternates, so its squares are its odd half-edges.
     """
     parts = g._memo.get("Q")
     if parts is None:
@@ -124,7 +126,7 @@ def _squares(g):
         sides = {eid: {} for eid in g.edge_ids(4)}
         for i in range(4):
             for cyc in bicolored_cycles(g, i, 4):
-                sqs = tuple(sorted(e for e, _ in cyc.steps[1::2]))
+                sqs = tuple(sorted(h >> 1 for h in cyc.walk[1::2]))
                 edge = Q1Edge(len(q1_edges), i, cyc, sqs)
                 q1_edges.append(edge)
                 for e in sqs:
@@ -156,12 +158,14 @@ def build_Q(g, eps):
         for i in s - {4}:
             ends[i].append((len(q1_nodes), residue_labels(g, s)))
         q1_nodes.extend((s, idx) for idx in range(residue_count(g, s)))
-    edge_nodes = tuple(
-        tuple(sorted(first + label[edge.cycle.vertices[0]]
-                     for first, label in ends[edge.color]))
-        for edge in q1_edges)
+    edge_nodes = []
+    for edge in q1_edges:
+        (first_a, label_a), (first_b, label_b) = ends[edge.color]
+        v = edge.cycle.vertices[0]
+        a, b = first_a + label_a[v], first_b + label_b[v]
+        edge_nodes.append((a, b) if a < b else (b, a))
     return QComplex(g, eps, squares, q1_edges, sides, tuple(q1_nodes),
-                    edge_nodes)
+                    tuple(edge_nodes))
 
 
 def stabilization_set(g, eps):
@@ -230,6 +234,10 @@ def collapse_schedule(Q, stabilized):
     shortest walk on offer; the choice leaves the collapse order alone.
     Raises Incomplete when the residual squares all sit on cycles with
     two or more of them.
+
+    Each Q1 edge keeps the count and the XOR of its unplaced squares,
+    so the XOR names the square once the count is 1.  The heap holds
+    square * |Q1 edges| + index, which orders as (square, index) does.
     """
     stabilized = tuple(sorted(set(stabilized)))
     square_set = set(Q.squares)
@@ -237,44 +245,47 @@ def collapse_schedule(Q, stabilized):
         if e not in square_set:
             raise GemError("edge %d is not a square of the complex" % e)
 
-    unplaced_on = [set(edge.squares) for edge in Q.q1_edges]
+    sides = Q.sides
+    width = len(Q.q1_edges)
+    count = [len(edge.squares) for edge in Q.q1_edges]
+    alone = [functools.reduce(operator.xor, edge.squares, 0)
+             for edge in Q.q1_edges]
     size_on = _step_counts(Q)
-    placed = set()
     heap = []
 
     def place(e, size):
-        placed.add(e)
-        for idx in Q.sides[e].values():
+        for idx in sides[e].values():
             size_on[idx] += size
-            on = unplaced_on[idx]
-            on.discard(e)
-            if len(on) == 1:
-                heapq.heappush(heap, (next(iter(on)), idx))
+            count[idx] -= 1
+            alone[idx] ^= e
+            if count[idx] == 1:
+                heapq.heappush(heap, alone[idx] * width + idx)
 
     for e in stabilized:
         place(e, 1)
-    for idx, on in enumerate(unplaced_on):
-        if len(on) == 1:
-            heapq.heappush(heap, (next(iter(on)), idx))
+    heap += [alone[idx] * width + idx
+             for idx, c in enumerate(count) if c == 1]
+    heapq.heapify(heap)
 
     collapsed = []
     witnesses = []
     while heap:
-        e, idx = heapq.heappop(heap)
-        # a queued square stays alone on its cycle until it is placed
-        if e in placed:
+        e, idx = divmod(heapq.heappop(heap), width)
+        # a queued square stays alone on its cycle until it is placed,
+        # which empties the cycle
+        if not count[idx]:
             continue
         # e may sit alone on several cycles; they come by ascending
         # index, and min keeps the first of equal sizes
-        best = min((i for i in Q.sides[e].values()
-                    if len(unplaced_on[i]) == 1), key=size_on.__getitem__)
+        best = min((i for i in sides[e].values() if count[i] == 1),
+                   key=size_on.__getitem__)
         collapsed.append(e)
         witnesses.append((Q.q1_edges[best].color, best))
         place(e, size_on[best])
 
-    if len(placed) != len(Q.squares):
-        residual = [e for e in Q.squares if e not in placed]
-        raise Incomplete(residual, (len(s) for s in unplaced_on))
+    if len(stabilized) + len(collapsed) != len(Q.squares):
+        placed = set(stabilized).union(collapsed)
+        raise Incomplete([e for e in Q.squares if e not in placed], count)
     return CollapseOrdering(stabilized, collapsed, witnesses)
 
 

@@ -5,22 +5,24 @@ never needed: the pass-by-pass Tietze loop and the pi1 builder that
 reads the whole chain complex, the walk checks and vertex-disjointness
 test read walk by walk, the chord index of per-curve groups with its
 intersection columns, self-intersections and one-pair intersection
-count, the resolution that places marks at every vertex disk, the
-pairwise chord-crossing test, the pairwise lane comparator, the strand
-order ranked from one symbol by prefix doubling, the central
-surface built with sign-reversing edges, the square complex built whole
-for each cyclic order, the sweep that schedules every order afresh, the
-witness and gamma forest rules that took the lowest index whatever the
-curve length, the wall graphs built as records and the witness rewriting
-that walks each collapsed square once per direction, curves kept in
-label steps (rewritten once per square) and turned into half-edge walks
-only for verification, the dipole chain
-that rebuilds the graph after every cancellation and the incremental one
-on dicts that followed it, the library chain's current graph rebuilt
-from its list rows through build_graph, the gem check that scans every vertex for missing
-colors after filling a full incidence table, the diagram's json
-document built as dicts for json.dumps, and the text parser that reads
-every line on its own.
+count, the resolution that places marks at every vertex disk, the stack
+pass and the pairwise chord-crossing test over those marks, the pairwise
+lane comparator, the strand order of all strands ranked from one symbol
+by prefix doubling, the central surface built with sign-reversing edges,
+the square complex built whole for each cyclic order, bicolored cycles
+read as label steps, the sweep that schedules every order afresh, the
+scheduler that keeps a set of unplaced squares per cycle, the witness
+and gamma forest rules that took the lowest index whatever the curve
+length, the wall graphs built as records and the witness rewriting that
+walks each collapsed square once per direction, curves kept in label
+steps (rewritten once per square) and turned into half-edge walks only
+for verification, the dipole chain that rebuilds the graph after every
+cancellation and the incremental one on dicts that followed it, the
+library chain's current graph rebuilt from its list rows through
+build_graph, the gem check that scans every vertex for missing colors
+after filling a full incidence table, the diagram's json document built
+as dicts for json.dumps, and the text parser that reads every line on
+its own.
 """
 
 import heapq
@@ -30,8 +32,7 @@ from functools import cmp_to_key
 from types import SimpleNamespace
 
 from gemtrisect.cli import _HEADER_RE, GemFile, ParseError
-from gemtrisect.diagrams import (ExpansionDiverged, _gamma_forest,
-                                 _strand_order)
+from gemtrisect.diagrams import ExpansionDiverged, _gamma_forest
 from gemtrisect.embedding import RotationScheme, _permutation
 from gemtrisect.graphs import (ColoredGraph, DisconnectedError, GemError,
                                LoopEdgeError, NotProperError, NotRegularError,
@@ -41,7 +42,7 @@ from gemtrisect.graphs import (ColoredGraph, DisconnectedError, GemError,
 from gemtrisect.homology import GroupPresentation, _rotations, chain_complex
 from gemtrisect.homology import _free_reduce as _reduce_walk
 from gemtrisect.trisection import (CollapseOrdering, Incomplete,
-                                   _require_apex, minimize_k)
+                                   _require_apex, _step_counts, minimize_k)
 
 
 def _free_reduce(word):
@@ -183,6 +184,13 @@ def _tietze(pres):
     return GroupPresentation(len(remap), final)
 
 
+def cycle_steps(cycle):
+    """A bicolored cycle's walk as label steps (edge id, +1 or -1), +1
+    running the stored edge from its low endpoint to its high: the
+    view graphs.Cycle kept before its cycles became half-edge walks."""
+    return tuple((h >> 1, -1 if h & 1 else 1) for h in cycle.walk)
+
+
 def check_walks(scheme, walks):
     """Raise GemError on the first walk that names a half-edge outside
     the scheme, or whose half-edges do not each leave the vertex where
@@ -285,7 +293,7 @@ def resolve_every_disk(scheme, walks):
     for traversal t) and against it at the high end (port 2t + 1).
     """
     pos, vo = scheme.pos_of, scheme.vertex_of
-    place = _strand_order(scheme, walks)
+    place = strand_order(scheme, walks)
     marks = {v: [] for v in range(scheme.nv)}
     flat = [h for walk in walks for h in walk]
     for t, h in enumerate(flat):
@@ -356,6 +364,34 @@ def signed_surface(g, eps, stabilized):
     return SimpleNamespace(scheme=scheme, ccw=ccw)
 
 
+def stack_crossing_free(marks, chords_at):
+    """Check all same-system chords pairwise non-interleaving, a vertex
+    at a time in the order of chords_at, by one stack pass per vertex.
+
+    Each mark ends exactly one chord, so the chords at a vertex are
+    pairwise non-interleaving exactly when the marks, read in rotation
+    order, balance like parentheses.  The witness is the first failing
+    vertex and a pair of its chords that interleave (the closing chord
+    and the one left open inside it): the library's cut test reports
+    the same.
+    """
+    for v, chords in chords_at.items():
+        chord_at = [0] * len(marks[v])
+        for i, (a, b) in enumerate(chords):
+            chord_at[a] = chord_at[b] = i
+        is_open = [False] * len(chords)
+        stack = []
+        for i in chord_at:
+            if not is_open[i]:
+                is_open[i] = True
+                stack.append(i)
+            elif stack[-1] == i:
+                stack.pop()
+            else:
+                return False, (v, chords[i], chords[stack[-1]])
+    return True, None
+
+
 def crossing_free(marks, chords_at):
     """Test every pair of same-system chords at each vertex for interleaving."""
     for v, chords in chords_at.items():
@@ -374,9 +410,15 @@ def crossing_free(marks, chords_at):
 def strand_order(scheme, walks):
     """Each traversal's place in one order of all corridor strands.
 
-    The ranks start from each state's single next symbol and double
-    (Manber and Myers) until a round splits no class; diagrams'
-    _strand_order starts from blocks of symbols instead.
+    Traversals t number the walks' steps in turn.  State 2t reads step
+    t's walk forwards, 2t + 1 backwards with each half-edge reversed;
+    a state's symbol is the counterclockwise offset of its next leaving
+    half-edge from its arrival.  Strands order by the symbols of the
+    state that runs them upward: the ranks start from each state's
+    single next symbol and double (Manber and Myers) until a round
+    splits no class, then ties go to the lower t when it runs upward.
+    diagrams._lanes ranks only the strands of each shared corridor,
+    from slices of their turn strings.
     """
     pos, rot, vertex_of = scheme.pos_of, scheme.rot, scheme.vertex_of
     sym, jump, down = [], [], []
@@ -495,7 +537,7 @@ def build_Q(g, eps):
             v0 = cyc.vertices[0]
             nodes = tuple(sorted((first[fam_a] + label_a[v0],
                                   first[fam_b] + label_b[v0])))
-            sqs = tuple(sorted(e for e in cyc.edge_ids
+            sqs = tuple(sorted(e for e in (h >> 1 for h in cyc.walk)
                                if g.edges[e][2] == apex))
             edge = SimpleNamespace(index=len(q1_edges), color=i, cycle=cyc,
                                    nodes=nodes, squares=sqs)
@@ -563,6 +605,50 @@ def collapse_schedule(Q, stabilized):
     return CollapseOrdering(stabilized, collapsed, witnesses)
 
 
+def set_collapse_schedule(Q, stabilized):
+    """trisection.collapse_schedule with a set of unplaced squares per
+    Q1 edge and (square, index) heap entries: the same order, witnesses
+    and Incomplete."""
+    stabilized = tuple(sorted(set(stabilized)))
+    square_set = set(Q.squares)
+    for e in stabilized:
+        if e not in square_set:
+            raise GemError("edge %d is not a square of the complex" % e)
+    unplaced_on = [set(edge.squares) for edge in Q.q1_edges]
+    size_on = _step_counts(Q)
+    placed = set()
+    heap = []
+
+    def place(e, size):
+        placed.add(e)
+        for idx in Q.sides[e].values():
+            size_on[idx] += size
+            on = unplaced_on[idx]
+            on.discard(e)
+            if len(on) == 1:
+                heapq.heappush(heap, (next(iter(on)), idx))
+
+    for e in stabilized:
+        place(e, 1)
+    for idx, on in enumerate(unplaced_on):
+        if len(on) == 1:
+            heapq.heappush(heap, (next(iter(on)), idx))
+    collapsed, witnesses = [], []
+    while heap:
+        e, idx = heapq.heappop(heap)
+        if e in placed:
+            continue
+        best = min((i for i in Q.sides[e].values()
+                    if len(unplaced_on[i]) == 1), key=size_on.__getitem__)
+        collapsed.append(e)
+        witnesses.append((Q.q1_edges[best].color, best))
+        place(e, size_on[best])
+    if len(placed) != len(Q.squares):
+        raise Incomplete([e for e in Q.squares if e not in placed],
+                         (len(s) for s in unplaced_on))
+    return CollapseOrdering(stabilized, collapsed, witnesses)
+
+
 def gamma_forest(Q, kept, ordering):
     """The kept Q1 edges a spanning forest takes, in index order."""
     return {kept[i] for i in spanning_forest(
@@ -579,8 +665,9 @@ def square_sizes(Q, ordering):
     g = Q.graph
     size = {e: 1 for e in ordering.stabilized}
     for e, (_, idx) in zip(ordering.collapsed, ordering.witnesses):
+        steps = cycle_steps(Q.q1_edges[idx].cycle)
         size[e] = sum(size[eid] if g.edges[eid][2] == g.n else 1
-                      for eid, _ in Q.q1_edges[idx].cycle.steps if eid != e)
+                      for eid, _ in steps if eid != e)
     return size
 
 
@@ -895,9 +982,9 @@ def _to_walk(surf, curve):
 def alpha_beta_curves(g, eps, certificate):
     """Alpha and beta read off the wall graph records."""
     k02, k13 = wall_graphs(g, eps)
-    alpha = [StepCurve("alpha", (("e", eid, d) for eid, d in cyc.steps), ci)
+    alpha = [StepCurve("alpha", (("e",) + s for s in cycle_steps(cyc)), ci)
              for ci, cyc in enumerate(k13.cycles) if ci not in k13.forest]
-    beta = [StepCurve("beta", (("e", eid, d) for eid, d in cyc.steps), ci)
+    beta = [StepCurve("beta", (("e",) + s for s in cycle_steps(cyc)), ci)
             for ci, cyc in enumerate(k02.cycles) if ci not in k02.forest]
     for j in range(certificate.k):
         alpha.append(StepCurve("stab_circle", (("sc", j),)))
@@ -939,14 +1026,14 @@ def gamma_curves(Q, certificate):
         if e not in witness_of:
             raise GemError("apex edge %d is neither stabilized nor collapsed"
                            % e)
-        cyc = Q.q1_edges[witness_of[e]].cycle
-        x = next(i for i, (eid, _) in enumerate(cyc.steps) if eid == e)
-        L = len(cyc.steps)
-        if d == cyc.steps[x][1]:
-            raw = [(cyc.steps[(x - 1 - t) % L][0],
-                    -cyc.steps[(x - 1 - t) % L][1]) for t in range(L - 1)]
+        steps = cycle_steps(Q.q1_edges[witness_of[e]].cycle)
+        x = next(i for i, (eid, _) in enumerate(steps) if eid == e)
+        L = len(steps)
+        if d == steps[x][1]:
+            raw = [(steps[(x - 1 - t) % L][0],
+                    -steps[(x - 1 - t) % L][1]) for t in range(L - 1)]
         else:
-            raw = [cyc.steps[(x + 1 + t) % L] for t in range(L - 1)]
+            raw = [steps[(x + 1 + t) % L] for t in range(L - 1)]
         out = []
         for eid, dd in raw:
             if g.edges[eid][2] == apex:
@@ -962,7 +1049,7 @@ def gamma_curves(Q, certificate):
         if edge.index in witness_set or edge.index in forest:
             continue
         steps = []
-        for eid, d in edge.cycle.steps:
+        for eid, d in cycle_steps(edge.cycle):
             if g.edges[eid][2] == apex:
                 steps.extend(expand(eid, d))
             else:
@@ -1004,7 +1091,7 @@ def gamma_step_curves(Q, certificate):
                 raise GemError("apex edge %d is neither stabilized nor "
                                "collapsed" % e)
             in_progress.add(e)
-            steps = Q.q1_edges[witness_of[e]].cycle.steps
+            steps = cycle_steps(Q.q1_edges[witness_of[e]].cycle)
             x = next(i for i, (eid, _) in enumerate(steps) if eid == e)
             forward = tuple(rewrite(steps[x + 1:] + steps[:x]))
             in_progress.discard(e)
@@ -1021,9 +1108,8 @@ def gamma_step_curves(Q, certificate):
                 out.append(("e", eid, d))
         return out
 
-    return [StepCurve("gamma",
-                      _reduce_walk(rewrite(edge.cycle.steps), _step_inverse),
-                      edge.index)
+    return [StepCurve("gamma", _reduce_walk(rewrite(cycle_steps(edge.cycle)),
+                                            _step_inverse), edge.index)
             for edge in Q.q1_edges
             if edge.index not in witness_set and edge.index not in forest]
 

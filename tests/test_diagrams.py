@@ -18,12 +18,11 @@ from gemtrisect.diagrams import (
     TrisectionDiagram,
     UnsupportedFormat,
     _chord_table,
-    _crossing_free,
+    _cut_test,
     _edge_vector,
+    _lanes,
     _pairing,
-    _resolve,
     _self_crossings,
-    _strand_order,
     _wall_curves,
     alpha_beta_curves,
     assemble_diagram,
@@ -52,7 +51,8 @@ from gemtrisect.trisection import (
 import reference
 from conftest import fixture_graph, pipeline_corpus, s1s3_welds, weld
 from reference import (_signed_intersection, _to_walk, corridor_map,
-                       lane_orders, resolve_every_disk, signed_surface)
+                       lane_orders, resolve_every_disk, signed_surface,
+                       stack_crossing_free)
 from reference import crossing_free as _reference_crossing_free
 
 IDENT = CyclicPermutation((0, 1, 2, 3, 4))
@@ -192,6 +192,27 @@ def test_gamma_refuses_unplaced_square(datadir_gem):
          (Q.q1_edges[7].color, 7)))
     with pytest.raises(GemError, match="apex edge 19 is neither stabilized"):
         gamma_curves(Q, types.SimpleNamespace(ordering=ordering))
+
+
+def test_gamma_refuses_a_witness_cycle_without_its_square(datadir_gem):
+    # collapsed square 42 handed the unused cycle 3 as its witness: the
+    # ordering check names the fault, and the rewrite raises the same
+    # message instead of letting a StopIteration escape
+    g = datadir_gem("pp_sum3.gem").graph
+    cert = sweep(g, cyclic_permutations(4))
+    Q = build_Q(g, cert.eps)
+    ordering = cert.ordering
+    j = ordering.collapsed.index(42)
+    assert 3 not in {idx for _, idx in ordering.witnesses}
+    witnesses = list(ordering.witnesses)
+    witnesses[j] = (Q.q1_edges[3].color, 3)
+    bad = CollapseOrdering(ordering.stabilized, ordering.collapsed,
+                           witnesses)
+    message = "square 42 does not lie on its witness cycle 3"
+    assert verify_ordering(Q, bad) == (False, message)
+    with pytest.raises(GemError) as info:
+        assemble_diagram(g, cert.eps, certificate(g, cert.eps, bad))
+    assert str(info.value) == message
 
 
 def test_curve_systems_match_reference():
@@ -410,7 +431,7 @@ def test_vertex_disjoint_systems_are_crossing_free(datadir_gem):
         for name in ("alpha", "beta"):
             ws = [c.walk for c in getattr(d, name)]
             assert d.record.checks["disjoint"][name]
-            assert _crossing_free(*resolve_every_disk(scheme, ws)) == (
+            assert stack_crossing_free(*resolve_every_disk(scheme, ws)) == (
                 True, None)
             assert d.record.checks["cut"]["systems"][name]["resolved"]
             skipped += bool(ws)
@@ -420,14 +441,14 @@ def test_vertex_disjoint_systems_are_crossing_free(datadir_gem):
 def test_only_systems_that_are_not_vertex_disjoint_are_resolved(
         datadir_gem, monkeypatch):
     corpus = _verifier_corpus(datadir_gem)
-    resolve = diagrams._resolve
+    cut_test = diagrams._cut_test
     calls = []
 
     def recording(scheme, ws, rows):
         calls.append(ws)
-        return resolve(scheme, ws, rows)
+        return cut_test(scheme, ws, rows)
 
-    monkeypatch.setattr(diagrams, "_resolve", recording)
+    monkeypatch.setattr(diagrams, "_cut_test", recording)
     crossed = set()
     for surf, walks in corpus:
         calls.clear()
@@ -439,8 +460,8 @@ def test_only_systems_that_are_not_vertex_disjoint_are_resolved(
         resolved = [name for name in walks if not disjoint.get(name)]
         assert calls == [walks[name] for name in resolved]
         for name, ws in walks.items():
-            ok, witness = _crossing_free(*resolve_every_disk(surf.scheme,
-                                                             ws))
+            ok, witness = stack_crossing_free(*resolve_every_disk(surf.scheme,
+                                                                  ws))
             entry = record.checks["cut"]["systems"][name]
             assert entry["resolved"] == ok
             if not ok:
@@ -748,13 +769,40 @@ def _reference_components(surf, marks, chords_at, corridors):
 
 
 def _lanes_by_place(scheme, walks, corridors):
-    """Each corridor's traversals from the lowest lane up, by _strand_order."""
-    place = _strand_order(scheme, walks)
+    """Each corridor's traversals from the lowest lane up, by the strand
+    order of all strands."""
+    place = reference.strand_order(scheme, walks)
     first = [0]
     for walk in walks:
         first.append(first[-1] + len(walk))
     return {e: sorted(travs, key=lambda tr: place[first[tr[0]] + tr[1]])
             for e, travs in corridors.items()}
+
+
+def _named_lanes(scheme, walks):
+    """The corridors run twice or more, each with its traversals from
+    the lowest lane up by _lanes, named (walk, step, down) as
+    corridor_map names them; every corridor's lanes count up from 0."""
+    flat = [h for walk in walks for h in walk]
+    pos = scheme.pos_of
+    lane = _lanes(walks, flat, [pos[h] for h in flat],
+                  [pos[h ^ 1] for h in flat], max(map(len, scheme.rot)))
+    named = [(wi, i, h & 1) for wi, walk in enumerate(walks)
+             for i, h in enumerate(walk)]
+    corridors = {}
+    for t, h in enumerate(flat):
+        corridors.setdefault(h >> 1, []).append(t)
+    out = {}
+    for e, travs in corridors.items():
+        assert sorted(lane[t] for t in travs) == list(range(len(travs)))
+        if len(travs) > 1:
+            out[e] = [named[t] for t in sorted(travs, key=lane.__getitem__)]
+    return out
+
+
+def _shared(lanes):
+    """The corridors of a lane map that hold two traversals or more."""
+    return {e: travs for e, travs in lanes.items() if len(travs) > 1}
 
 
 def _chain_sum(fixture, m):
@@ -838,10 +886,11 @@ def test_region_count_and_lanes_match_references(datadir_gem):
         for name, ws in walks.items():
             entry = record.checks["cut"]["systems"][name]
             corridors = corridor_map(ws)
-            assert (_lanes_by_place(scheme, ws, corridors)
-                    == lane_orders(scheme, ws, corridors))
+            by_place = _lanes_by_place(scheme, ws, corridors)
+            assert by_place == lane_orders(scheme, ws, corridors)
+            assert _named_lanes(scheme, ws) == _shared(by_place)
             marks, chords = resolve_every_disk(scheme, ws)
-            resolved, witness = _crossing_free(marks, chords)
+            resolved, witness = stack_crossing_free(marks, chords)
             ref_resolved, ref_witness = _reference_crossing_free(marks,
                                                                  chords)
             assert resolved == ref_resolved == entry["resolved"]
@@ -892,32 +941,56 @@ def test_strand_order_matches_comparator_on_random_welds(datadir_gem):
     """Seeded random-weld sums verify, with the comparator's lanes."""
     systems = _random_weld_systems(datadir_gem)
     for scheme, ws in systems:
-        corridors = corridor_map(ws)
-        assert (_lanes_by_place(scheme, ws, corridors)
-                == lane_orders(scheme, ws, corridors))
+        assert _named_lanes(scheme, ws) == _shared(
+            lane_orders(scheme, ws, corridor_map(ws)))
     assert len(systems) == 144
 
 
-def test_block_strand_order_matches_single_symbol_doubling(datadir_gem):
-    # every system of the verifier corpus (mutants included) and of the
-    # random welds, an empty system (a genus-0 gem has no curves), and
-    # the gamma systems of two #14 sums, whose long walks take the
-    # doubling past the first 64-symbol block
-    systems = [(surf.scheme, ws) for surf, walks in
-               _verifier_corpus(datadir_gem) for ws in walks.values()]
-    systems += _random_weld_systems(datadir_gem)
-    systems.append((systems[0][0], []))
-    for seed, longest, states in ((3, 1738, 9544), (9, 2394, 10808)):
+def _long_gamma_systems():
+    """(scheme, gamma walks) of the swept #14 random-weld sums of seeds 3
+    and 9, whose longest walks have 1,738 and 2,394 half-edges."""
+    out = []
+    for seed, longest, steps in ((3, 1738, 4772), (9, 2394, 5404)):
         g = _weld_sum(seed)
         cert = sweep(g, cyclic_permutations(4))
         d = assemble_diagram(g, cert.eps, cert)
         ws = [c.walk for c in d.gamma]
-        assert (max(map(len, ws)), 2 * sum(map(len, ws))) == (longest,
-                                                              states)
-        systems.append((d.surface.scheme, ws))
+        assert (max(map(len, ws)), sum(map(len, ws))) == (longest, steps)
+        out.append((d.surface.scheme, ws))
+    return out
+
+
+def test_corridor_lanes_match_single_symbol_doubling(datadir_gem):
+    # every system of the verifier corpus (mutants included) and of the
+    # random welds, an empty system (a genus-0 gem has no curves), and
+    # the gamma systems of two #14 sums, whose corridors hold strands of
+    # walks up to 2,394 long: each shared corridor's lanes are its
+    # strands in the order of all strands ranked by prefix doubling
+    systems = [(surf.scheme, ws) for surf, walks in
+               _verifier_corpus(datadir_gem) for ws in walks.values()]
+    systems += _random_weld_systems(datadir_gem)
+    systems.append((systems[0][0], []))
+    systems += _long_gamma_systems()
+    shared = 0
     for scheme, ws in systems:
-        assert _strand_order(scheme, ws) == reference.strand_order(scheme,
-                                                                   ws)
+        lanes = _named_lanes(scheme, ws)
+        assert lanes == _shared(_lanes_by_place(scheme, ws, corridor_map(ws)))
+        shared += len(lanes)
+    assert shared >= 900
+
+
+def test_lanes_read_as_many_turns_as_fine_and_wilf_needs():
+    # upward strands of walks of lengths 7 and 5 through corridor 0,
+    # whose turn strings v and u agree on 10 = 7 + 5 - 2 turns and then
+    # differ: the strand of the shorter walk goes lower though its
+    # traversal comes later, which slices 7 turns long would miss
+    v, u = (0, 1, 0, 1, 0, 0, 1), (0, 1, 0, 1, 0)
+    walks = [(0, 2, 4, 6, 8, 10, 12), (0, 14, 16, 18, 20)]
+    # every step arrives at slot 0, so the turn after step i is the slot
+    # step i + 1 leaves by
+    leave = [v[i - 1] for i in range(7)] + [u[i - 1] for i in range(5)]
+    lane = _lanes(walks, walks[0] + walks[1], leave, [0] * 12, 2)
+    assert lane == [1] + [0] * 11
 
 
 def test_disjoint_systems_and_shared_face_basis(datadir_gem):
@@ -1118,32 +1191,35 @@ def test_chord_table_matches_reference_oracles(datadir_gem):
 
 
 def test_busy_disk_resolution_matches_every_disk(datadir_gem):
-    # the cut test resolves only disks with two chords or more; its
-    # verdict, failing disk and witness chords are those of a resolution
-    # that places marks at every disk, whose marks it keeps where it
-    # keeps any.  Two systems run as one cross on most surfaces.
-    corpus = _verifier_corpus(datadir_gem) + _weld_corpus(datadir_gem)
-    failing = 0
-    for surf, walks in corpus:
-        scheme = surf.scheme
-        systems = dict(walks)
+    # the cut test reads only disks with two chords or more and ranks
+    # only the strands of shared corridors; its verdict, failing disk and
+    # witness chords are those of the stack pass over a resolution that
+    # places marks at every disk by the order of all strands, and the
+    # pairwise test agrees on the verdict and the disk.  Systems: the
+    # verifier corpus with every mutant, the weld corpus with each pair
+    # of systems run as one (they cross on most surfaces), the random
+    # welds and the long gamma systems
+    systems = []
+    for surf, walks in _verifier_corpus(datadir_gem) + _weld_corpus(
+            datadir_gem):
+        named = dict(walks)
         for a, b in itertools.combinations(("alpha", "beta", "gamma"), 2):
-            systems[a + "|" + b] = walks[a] + walks[b]
-        for name, ws in systems.items():
-            rows = _chord_table(scheme, ws)[0]
-            marks, chords = _resolve(scheme, ws, rows)
-            every_marks, every_chords = resolve_every_disk(scheme, ws)
-            busy = [v for v, row in enumerate(rows) if len(row) > 1]
-            assert list(chords) == busy
-            for v, at in enumerate(marks):
-                if at is None:
-                    assert len(every_chords[v]) < 2
-                else:
-                    assert (at, chords[v]) == (every_marks[v],
-                                               every_chords[v])
-            got = _crossing_free(marks, chords)
-            assert got == _crossing_free(every_marks, every_chords), name
-            failing += not got[0]
+            named[a + "|" + b] = walks[a] + walks[b]
+        systems += ((surf.scheme, ws) for ws in named.values())
+    systems += _random_weld_systems(datadir_gem)
+    systems += _long_gamma_systems()
+    failing = 0
+    for scheme, ws in systems:
+        got = _cut_test(scheme, ws, _chord_table(scheme, ws)[0])
+        marks, chords = resolve_every_disk(scheme, ws)
+        assert got == stack_crossing_free(marks, chords)
+        ok, witness = _reference_crossing_free(marks, chords)
+        assert got[0] == ok
+        if not ok:
+            v, x, y = got[1]
+            assert v == witness[0]
+            assert not _reference_crossing_free(marks, {v: [x, y]})[0]
+            failing += 1
     assert failing >= 60
 
 
@@ -1237,7 +1313,8 @@ def _check_against_lowest_index_rules(g, monkeypatch):
     # the running sums equal the sizes walked off the cycles' steps
     assert cycle_sizes(Q, ordering) == [
         sum(size[eid] if g.edges[eid][2] == 4 else 1
-            for eid, _ in edge.cycle.steps) for edge in Q.q1_edges]
+            for eid, _ in reference.cycle_steps(edge.cycle))
+        for edge in Q.q1_edges]
     return sum(old_size.values()) - sum(size.values())
 
 
@@ -1323,8 +1400,8 @@ def test_random_weld_diagrams_pass_the_cokernel_check():
         for name in ("alpha", "beta"):
             assert d.record.checks["disjoint"][name]
             ws = [c.walk for c in getattr(d, name)]
-            assert _crossing_free(*resolve_every_disk(d.surface.scheme,
-                                                      ws)) == (True, None)
+            assert stack_crossing_free(*resolve_every_disk(
+                d.surface.scheme, ws)) == (True, None)
 
 
 def _old_reduce(items, inverse, keep=lambda s: True):

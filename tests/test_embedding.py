@@ -115,7 +115,7 @@ def test_faces_are_consecutive_bicolored_cycles():
             cyc_sets = []
             for a, b in eps.pairs():
                 for cyc in bicolored_cycles(g, a, b):
-                    cyc_sets.append(tuple(sorted(cyc.edge_ids)))
+                    cyc_sets.append(tuple(sorted(h >> 1 for h in cyc.walk)))
             assert face_sets == sorted(cyc_sets)
 
 

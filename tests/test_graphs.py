@@ -37,7 +37,7 @@ from gemtrisect.cli import parse_gem
 from conftest import (DATA_DIR, embedding_corpus, k4_gem, pipeline_corpus,
                       prism_gem, torus_gem, weld)
 from reference import build as reference_build
-from reference import component
+from reference import component, cycle_steps
 
 
 def _oracle_components(nv, pairs):
@@ -432,14 +432,15 @@ def test_cycles_alternate_and_cover():
             covered = []
             for cyc in cycles:
                 assert len(cyc) % 2 == 0
-                cols = [g.edges[e][2] for e, _ in cyc.steps]
+                steps = cycle_steps(cyc)
+                cols = [g.edges[e][2] for e, _ in steps]
                 assert set(cols) == {c, d}
                 assert all(x != y for x, y in zip(cols, cols[1:]))
                 # each starts at its minimum vertex along min(c, d)
                 assert cyc.vertices[0] == min(cyc.vertices)
                 assert cols[0] == min(c, d)
                 # walk consistency: each step leaves the listed vertex
-                for i, (eid, direction) in enumerate(cyc.steps):
+                for i, (eid, direction) in enumerate(steps):
                     u, v, _ = g.edges[eid]
                     tail = u if direction == 1 else v
                     head = v if direction == 1 else u

@@ -26,7 +26,8 @@ from gemtrisect.trisection import (
 
 import gemtrisect.trisection as trisection
 import reference
-from conftest import fixture_graph, pipeline_corpus, shuffled, weld
+from conftest import (fixture_graph, pipeline_corpus, s1s3_welds, shuffled,
+                      weld)
 from test_validation import _chain_corpus
 
 IDENT = CyclicPermutation((0, 1, 2, 3, 4))
@@ -133,6 +134,82 @@ def test_scheduler_rejects_foreign_seed(s4_gem):
     Q = build_Q(s4_gem, IDENT)
     with pytest.raises(GemError):
         collapse_schedule(Q, (999,))
+
+
+def _scheduled(schedule, Q, stabilized):
+    """A schedule's ordering as plain data, or the stuck state it
+    raised."""
+    try:
+        ordering = schedule(Q, stabilized)
+    except Incomplete as stuck:
+        return "stuck", stuck.residual, stuck.cycle_counts
+    return ordering.stabilized, ordering.collapsed, ordering.witnesses
+
+
+def _label_steps(g, cycle):
+    """A bicolored cycle's (edge id, +1 or -1) steps read off its visit
+    order and the graph, +1 running an edge from its low end."""
+    lo, hi = sorted(cycle.colors)
+    vs = cycle.vertices
+    steps = []
+    for i, v in enumerate(vs):
+        w = vs[(i + 1) % len(vs)]
+        e = g.incident(v, hi if i % 2 else lo)
+        assert {v, w} == set(g.edges[e][:2])
+        steps.append((e, 1 if v < w else -1))
+    return tuple(steps)
+
+
+def test_counting_scheduler_matches_set_scheduler_with_handles():
+    # the pipeline's chain sums stabilize nothing; here squares are
+    # placed up front: seeded welds with 1-2 squares beyond the forest,
+    # and every set minimize_k's greedy tries on s1s3_welds and on
+    # chains of s1s3.gem, the stuck ones included
+    rng = random.Random(30)
+    cases = []
+    for name in ("projective_plane_like.gem", "nonzero_forest.gem"):
+        fixture = fixture_graph(name)
+        for m in (2, 3, 4, 5):
+            g = fixture
+            for _ in range(1, m):
+                g = weld(g, fixture, rng)
+            eps = rng.choice(cyclic_permutations(4))
+            forest = tuple(stabilization_set(g, eps))
+            spare = sorted(set(g.edge_ids(4)) - set(forest))
+            cases.append((g, forest + tuple(rng.sample(spare,
+                                                       rng.randrange(1, 3)))))
+    s13 = fixture_graph("s1s3.gem")
+    chains = []
+    for m in (2, 3, 4):
+        g = s13
+        for _ in range(1, m):
+            g = weld(g, s13, rng, at=(g.nv - 1, 0))
+        chains.append(g)
+    for g in s1s3_welds(count=6, seed=30) + chains:
+        Q = build_Q(g, IDENT)
+        stab = []
+        while True:
+            cases.append((g, tuple(stab)))
+            try:
+                collapse_schedule(Q, stab)
+                break
+            except Incomplete as stuck:
+                counts = stuck.cycle_counts
+                stab.append(min(stuck.residual, key=lambda e: (
+                    min(counts[i] for i in Q.sides[e].values()), e)))
+    stuck = placed = 0
+    for g, stab in cases:
+        Q = build_Q(g, IDENT)
+        got = _scheduled(collapse_schedule, Q, stab)
+        assert got == _scheduled(reference.set_collapse_schedule, Q, stab)
+        lowest = _scheduled(reference.collapse_schedule, Q, stab)
+        assert got[:2] == lowest[:2]
+        stuck += got[0] == "stuck"
+        placed += len(stab)
+        for edge in Q.q1_edges:
+            assert (reference.cycle_steps(edge.cycle)
+                    == _label_steps(g, edge.cycle))
+    assert stuck >= 15 and placed >= 60
 
 
 def _referee(Q, ordering):
@@ -302,7 +379,7 @@ def _differential_corpus():
 
 def test_square_complex_matches_per_order_reference(monkeypatch):
     def edges(Q):
-        return [(e.index, e.color, e.cycle.steps, e.squares)
+        return [(e.index, e.color, e.cycle.walk, e.squares)
                 for e in Q.q1_edges]
 
     def nodes(Q):
