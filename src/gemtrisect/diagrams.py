@@ -145,7 +145,7 @@ def _wall_curves(g, kind, node_colors, cycle_colors):
     cycles = bicolored_cycles(g, *sorted(cycle_colors))
     forest = set(spanning_forest(
         first_b + residue_count(g, fam_b),
-        ((label_a[c.vertices[0]], first_b + label_b[c.vertices[0]])
+        ((label_a[c.start], first_b + label_b[c.start])
          for c in cycles)))
     base = g.edge_ids(g.n).start
     return [Curve(kind, cyc.walk, ci, base)
@@ -823,9 +823,10 @@ def _export_dot(diagram):
         if mark:
             attrs.append('penwidth=2, comment="%s"' % " ".join(mark))
         lines.append("  v%d -- v%d [%s];" % (u, v, ", ".join(attrs)))
-    for j, h in enumerate(surf.handles):
-        lines.append('  v%d -- x%d [style=dashed];' % (h.u, j))
-        lines.append('  x%d -- v%d [style=dashed];' % (j, h.v))
+    for j, e in enumerate(surf.stabilized):
+        u, v = g.edges[e][:2]
+        lines.append('  v%d -- x%d [style=dashed];' % (u, j))
+        lines.append('  x%d -- v%d [style=dashed];' % (j, v))
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("ascii")
 

@@ -28,7 +28,8 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .graphs import GemError, is_bipartite, residue_cycle_counts, residues
+from .graphs import (GemError, _chi_formula, _pair_keys, is_bipartite,
+                     residue_cycle_counts, residues)
 
 
 # -- cyclic permutations ------------------------------------------------
@@ -108,37 +109,6 @@ def cyclic_permutations(n):
 
 
 # -- census-formula genus ------------------------------------------------
-
-def _chi_formula(pair_count, cyc_seq, order):
-    """Euler characteristic of the regular embedding via residue counts.
-
-    pair_count maps frozenset({c, d}) to the number of {c,d}-cycles,
-    cyc_seq is a tuple of colors and order the number of vertices.
-    The consecutive pairs of cyc_seq come from _pair_keys, so a call is
-    len(cyc_seq) lookups.  rho, subgraph_rho and validation._genus_zero
-    call it.  The dipole chain does not: it sums its starting chi from
-    the same counts and then keeps it up to date through its
-    _dipole_plan deltas (see graphs.DipoleReducer).
-    """
-    total = 0
-    for key in _pair_keys(cyc_seq):
-        total += pair_count[key]
-    return total + (2 - len(cyc_seq)) * (order // 2)
-
-
-@functools.lru_cache(maxsize=256)
-def _pair_keys(cyc_seq):
-    """frozenset({c, d}) for each consecutive pair around cyc_seq.
-
-    A pipeline run asks for a few dozen sequences: the 12 cyclic orders
-    of five colors (rho), the 4-color orders they induce (subgraph_rho),
-    and the three orders of each 4-residue's colors that
-    validation._genus_zero tries before the residue's dipole chain.
-    """
-    n = len(cyc_seq)
-    return tuple(frozenset((cyc_seq[i], cyc_seq[(i + 1) % n]))
-                 for i in range(n))
-
 
 def _permutation(g, eps):
     """eps as a CyclicPermutation of g's colors 0..n, so n sits last."""
@@ -325,21 +295,6 @@ def regular_embedding(g, eps):
 
 # -- stabilized central surfaces ------------------------------------------
 
-class Handle:
-    """Bookkeeping for one stabilized edge turned into a surface handle."""
-
-    __slots__ = ("gem_edge", "u", "v", "x", "a", "b", "m")
-
-    def __init__(self, gem_edge, u, v, x, a, b, m):
-        self.gem_edge = gem_edge    # the stabilized apex edge id
-        self.u = u                  # low endpoint in the gem
-        self.v = v
-        self.x = x                  # scheme vertex on the handle
-        self.a = a                  # scheme edge u -> x
-        self.b = b                  # scheme edge x -> v
-        self.m = m                  # meridian loop at x
-
-
 class StabilizedSurface:
     """Oriented central surface: apex-free embedding plus one handle per
     stabilized edge.
@@ -356,26 +311,28 @@ class StabilizedSurface:
 
     Scheme edge i < base is gem edge i: the gem's edges are sorted by
     color and the apex color comes last, so the apex-free edges are the
-    first base = n * nv / 2 ids.  Handle j owns scheme edges a = base +
-    3j, b = a + 1 and m = a + 2.
+    first base = n * nv / 2 ids.  Handle j is the stabilized edge
+    stabilized[j], from its low end u to its high end v: it owns the
+    scheme vertex nv + j and the scheme edges a = base + 3j (u to the
+    handle vertex), b = a + 1 (on to v) and the meridian m = a + 2, so
+    nothing more is stored per handle.
     """
 
-    __slots__ = ("graph", "eps", "stabilized", "scheme", "faces",
-                 "handles", "chi", "genus")
+    __slots__ = ("graph", "eps", "stabilized", "scheme", "faces", "chi",
+                 "genus")
 
-    def __init__(self, graph, eps, stabilized, scheme, faces, handles):
+    def __init__(self, graph, eps, stabilized, scheme, faces):
         self.graph = graph
         self.eps = eps
         self.stabilized = stabilized
         self.scheme = scheme
         self.faces = faces
-        self.handles = handles
         self.chi = scheme.nv - len(scheme.edge_ends) + len(faces)
         self.genus = Fraction(2 - self.chi, 2)
 
     @property
     def k(self):
-        return len(self.handles)
+        return len(self.stabilized)
 
     def __repr__(self):
         return "StabilizedSurface(genus=%s, k=%d)" % (self.genus, self.k)
@@ -412,7 +369,6 @@ def stabilized_surface(g, eps, stabilized):
                  for w, (inc, nbr) in enumerate(zip(g._inc, g._nbr))]
 
     classes = list(cls)
-    handles = []
     for j, eid in enumerate(stabilized):
         u, v, _ = g.edges[eid]
         x = g.nv + j
@@ -422,18 +378,17 @@ def stabilized_surface(g, eps, stabilized):
         rotations[v].append(2 * ib + 1)
         rotations.append([2 * ia + 1, 2 * im, 2 * ib, 2 * im + 1])
         classes.append(cls[u] ^ 1)
-        handles.append(Handle(eid, u, v, x, ia, ib, im))
     for slots, side in zip(rotations, classes):
         if side:
             slots.reverse()
 
     scheme = RotationScheme(len(rotations), ends, rotations, [0] * len(ends))
     surf = StabilizedSurface(g, eps, stabilized, scheme,
-                             _oriented_faces(rotations), tuple(handles))
+                             _oriented_faces(rotations))
     floor = apex_free_rho(g, eps)
-    if not isinstance(floor, list) and surf.genus != floor + len(handles):
+    if not isinstance(floor, list) and surf.genus != floor + surf.k:
         raise GemError("stabilized surface genus %s, expected %s + %d"
-                       % (surf.genus, floor, len(handles)))
+                       % (surf.genus, floor, surf.k))
     return surf
 
 

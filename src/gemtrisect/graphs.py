@@ -68,7 +68,7 @@ class ColoredGraph:
         self.edges = edges
         self._inc = _inc  # per vertex: tuple of edge ids indexed by color
         self._nbr = _nbr  # per vertex: tuple of neighbors indexed by color
-        self._memo = {}     # invariants, residues and sub-gems, by key
+        self._memo = {}     # invariants and residue censuses, by key
 
     # -- construction ------------------------------------------------
 
@@ -405,6 +405,36 @@ def residue_cycle_counts(g, colorset):
     return rows
 
 
+def _chi_formula(pair_count, cyc_seq, order):
+    """Euler characteristic of the regular embedding via residue counts.
+
+    pair_count maps frozenset({c, d}) to the number of {c,d}-cycles,
+    cyc_seq is a tuple of colors and order the number of vertices: chi
+    is the sum of the counts of cyc_seq's consecutive pairs, plus
+    (2 - len(cyc_seq)) * order / 2.  The pairs come from _pair_keys, so
+    a call is len(cyc_seq) lookups.  embedding.rho, subgraph_rho,
+    validation._genus_zero and DipoleReducer's starting chi call it.
+    """
+    total = 0
+    for key in _pair_keys(cyc_seq):
+        total += pair_count[key]
+    return total + (2 - len(cyc_seq)) * (order // 2)
+
+
+@functools.lru_cache(maxsize=256)
+def _pair_keys(cyc_seq):
+    """frozenset({c, d}) for each consecutive pair around cyc_seq.
+
+    A pipeline run asks for a few dozen sequences: the 12 cyclic orders
+    of five colors (rho), the 4-color orders they induce (subgraph_rho),
+    and the three orders of each 4-residue's colors that
+    validation._genus_zero and the dipole chain try.
+    """
+    n = len(cyc_seq)
+    return tuple(frozenset((cyc_seq[i], cyc_seq[(i + 1) % n]))
+                 for i in range(n))
+
+
 def spanning_forest(size, ends):
     """Positions of the pairs a greedy spanning forest keeps.
 
@@ -482,15 +512,17 @@ class Cycle:
 
     walk[i] is the half-edge step i leaves by: 2 * edge id, plus 1 when
     the step runs the stored edge from its high endpoint to its low.
-    The walk starts at the minimum vertex of the cycle along its
+    The walk starts at start, the minimum vertex of the cycle, along its
     min(c, d)-colored edge, so its odd steps are its max(c, d) edges.
+    The other vertices are not stored: step i leaves the vertex step
+    i - 1 arrives at, so the walk names them all.
     """
 
-    __slots__ = ("colors", "vertices", "walk")
+    __slots__ = ("colors", "start", "walk")
 
-    def __init__(self, colors, vertices, walk):
+    def __init__(self, colors, start, walk):
         self.colors = colors
-        self.vertices = vertices    # visit order, len == len(walk)
+        self.start = start
         self.walk = walk
 
     def __len__(self):
@@ -498,7 +530,7 @@ class Cycle:
 
     def __repr__(self):
         return "Cycle(colors=%s, length=%d, start=%d)" % (
-            sorted(self.colors), len(self.walk), self.vertices[0])
+            sorted(self.colors), len(self.walk), self.start)
 
 
 def bicolored_cycles(g, c, d):
@@ -514,20 +546,17 @@ def bicolored_cycles(g, c, d):
     nbr, inc = g._nbr, g._inc
     out = []
     for start in _census(g, pair)[1]:
-        verts = []
         walk = []
         v = start
         while True:         # a lo step, then a hi step
             w = nbr[v][lo]
             x = nbr[w][hi]
-            verts.append(v)
-            verts.append(w)
             walk.append(2 * inc[v][lo] + (v > w))
             walk.append(2 * inc[w][hi] + (w > x))
             v = x
             if v == start:
                 break
-        out.append(Cycle(pair, tuple(verts), tuple(walk)))
+        out.append(Cycle(pair, start, tuple(walk)))
     return out
 
 
@@ -598,12 +627,11 @@ def residue_subgem(g, res):
 
     Colors are relabeled order-preservingly to 0..len(colors)-1 and
     vertices to 0..order-1.  Returns (graph, vertex_map, color_map)
-    where the maps send parent ids to the new ids.  Memoised on g, so
-    invariants memoised on the sub-gem (its pi1 and H1) are shared by
-    every caller; callers must not mutate it.  The 3-manifold verdicts
-    run on g itself (see DipoleReducer), so the pipeline builds one
-    only in homology.residue_h1, for a residue whose H1 no sphere proof
-    has stored.
+    where the maps send parent ids to the new ids.  Not memoised: the
+    3-manifold verdicts run on g itself (see DipoleReducer), so the
+    pipeline builds one only in homology.residue_h1, for a residue
+    whose H1 no sphere proof has stored, and residue_h1 memoises that
+    H1 on g; the sub-gem, with its census and pi1, is then freed.
 
     The sub-gem skips build's checks and goes straight to the indexing
     step, which still refuses fewer than two colors.  That is sound
@@ -612,18 +640,13 @@ def residue_subgem(g, res):
     residue, so the sub-gem is regular, proper and loopless; and a
     residue is connected by definition.
     """
-    key = ("subgem", res.colors, res.vertices[0])
-    out = g._memo.get(key)
-    if out is None:
-        cols = sorted(res.colors)
-        cmap = {c: i for i, c in enumerate(cols)}
-        vmap = {v: i for i, v in enumerate(res.vertices)}
-        edges = [(vmap[g.edges[e][0]], vmap[g.edges[e][1]],
-                  cmap[g.edges[e][2]]) for e in res.edge_ids]
-        out = g._memo[key] = (
-            ColoredGraph._indexed(len(cols) - 1, len(vmap), edges),
+    cols = sorted(res.colors)
+    cmap = {c: i for i, c in enumerate(cols)}
+    vmap = {v: i for i, v in enumerate(res.vertices)}
+    edges = [(vmap[g.edges[e][0]], vmap[g.edges[e][1]],
+              cmap[g.edges[e][2]]) for e in res.edge_ids]
+    return (ColoredGraph._indexed(len(cols) - 1, len(vmap), edges),
             vmap, cmap)
-    return out
 
 
 def standard_sphere_gem(n):
@@ -688,11 +711,9 @@ class DipoleReducer:
     one list of g.nv empty rows.
 
     chi[j] is the Euler characteristic of the regular embedding for
-    the color sequence cycles[j], as embedding._chi_formula computes it
-    from pair_counts and nv: the sum of the counts of the sequence's
-    consecutive pairs, plus (2 - len(sequence)) * nv / 2.  A
-    cancellation changes it by the counts it lowers and the two
-    vertices it drops, so it is kept up to date, not re-summed.
+    the color sequence cycles[j], _chi_formula of the starting counts
+    and nv.  A cancellation changes it by the counts it lowers and the
+    two vertices it drops, so it is kept up to date, not re-summed.
 
     Welds keep the graph proper and regular; check() runs build's
     checks on the rows themselves.
@@ -712,9 +733,7 @@ class DipoleReducer:
         # pairs of positions i < j in combinations order number the counts
         self._keys = [frozenset(p) for p in itertools.combinations(cols, 2)]
         self._counts = [counts[key] for key in self._keys]
-        self.chi = [sum(counts[frozenset(p)]
-                        for p in zip(seq, seq[1:] + seq[:1]))
-                    - (len(seq) - 2) * (self.nv // 2) for seq in cycles]
+        self.chi = [_chi_formula(counts, seq, self.nv) for seq in cycles]
         self._plans = [None] * (1 << k)     # by dipole mask, built lazily
         # the live vertices' rows by position, read off g's rows
         verts = res.vertices

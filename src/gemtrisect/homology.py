@@ -342,35 +342,41 @@ def pi1_presentation(g):
 def h1(g):
     """First homology of the encoded complex: pi1 abelianised, once per graph.
 
-    Memoised on g under "h1".  The H1 of a residue goes through
-    residue_h1, which a sphere proof can answer without any pi1.
+    A gem is connected, so this is the H1 of its one residue over all
+    colors, memoised on g under that residue's residue_h1 key, named
+    here without building the residue.
     """
-    group = g._memo.get("h1")
-    if group is None:
-        group = g._memo["h1"] = pi1_presentation(g).abelianization()
-    return group
+    return _memo_h1(g, _h1_key(g.colors, 0), None)
 
 
 def residue_h1(g, res):
     """H1 of the manifold a residue of g encodes, once per residue.
 
-    Memoised on g under _residue_h1_key(res).  A verdict that proves
-    the residue a 3-sphere stores the trivial group there first (see
-    validation._three_manifold_verdict), and then neither the residue's
-    sub-gem nor its pi1 is built; otherwise this is h1 of the sub-gem,
-    whose pi1 stays memoised on it.  The residue over all colors is g
-    itself, a gem being connected, so its H1 is h1(g).
+    Memoised on g under _h1_key of the residue's colors and least
+    vertex.  A verdict that proves the residue a 3-sphere stores the
+    trivial group there first (see validation._three_manifold_verdict),
+    and then neither the residue's sub-gem nor its pi1 is built;
+    otherwise this is pi1 of the sub-gem, abelianised, and the sub-gem
+    is freed with its pi1.  The residue over all colors is g itself, so
+    its H1 is h1(g), stored under the same key.
     """
-    key = _residue_h1_key(res)
+    return _memo_h1(g, _h1_key(res.colors, res.vertices[0]), res)
+
+
+def _h1_key(colors, first):
+    """The memo key of the H1 of the colors-residue of vertex first."""
+    return ("h1", frozenset(colors), first)
+
+
+def _memo_h1(g, key, res):
+    """The H1 memoised under key, built from pi1 of g, or of res's
+    sub-gem when res is a proper residue."""
     group = g._memo.get(key)
     if group is None:
-        sub = g if len(res.colors) == g.n + 1 else residue_subgem(g, res)[0]
-        group = g._memo[key] = h1(sub)
+        whole = res is None or len(res.colors) == g.n + 1
+        sub = g if whole else residue_subgem(g, res)[0]
+        group = g._memo[key] = pi1_presentation(sub).abelianization()
     return group
-
-
-def _residue_h1_key(res):
-    return ("h1", res.colors, res.vertices[0])
 
 
 def boundary_h1(g):

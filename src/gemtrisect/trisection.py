@@ -161,7 +161,7 @@ def build_Q(g, eps):
     edge_nodes = []
     for edge in q1_edges:
         (first_a, label_a), (first_b, label_b) = ends[edge.color]
-        v = edge.cycle.vertices[0]
+        v = edge.cycle.start
         a, b = first_a + label_a[v], first_b + label_b[v]
         edge_nodes.append((a, b) if a < b else (b, a))
     return QComplex(g, eps, squares, q1_edges, sides, tuple(q1_nodes),
@@ -177,22 +177,17 @@ def stabilization_set(g, eps):
     first) is the stabilization set, of size
     g_{eps0,eps3} - g_{eps0,eps3,apex}.
 
-    The forest depends on the pair {eps0, eps3} alone, and the 12
-    cyclic orders of a sweep share 6 pairs, so it is memoised on g by
-    that pair, as _squares is; callers must not mutate it.
+    Not memoised: a sweep stops at its genus floor, most often after
+    its first order, and the labels it reads are the census g caches.
     """
     eps = _require_apex(g, eps)
     # the {eps0,eps3}-cycles are the {eps0,eps3}-residues
     pair = frozenset((eps.seq[0], eps.seq[3]))
-    forest = g._memo.get(("forest", pair))
-    if forest is None:
-        cyc_of = residue_labels(g, pair)
-        squares = g.edge_ids(4)
-        ends = ((cyc_of[g.edges[e][0]], cyc_of[g.edges[e][1]])
-                for e in squares)
-        forest = g._memo[("forest", pair)] = tuple(
-            squares[i] for i in spanning_forest(residue_count(g, pair), ends))
-    return forest
+    cyc_of = residue_labels(g, pair)
+    squares = g.edge_ids(4)
+    ends = ((cyc_of[g.edges[e][0]], cyc_of[g.edges[e][1]]) for e in squares)
+    return tuple(
+        squares[i] for i in spanning_forest(residue_count(g, pair), ends))
 
 
 class CollapseOrdering:

@@ -13,18 +13,19 @@ from __future__ import annotations
 import itertools
 import re
 
-from .embedding import _chi_formula, cyclic_permutations
+from .embedding import cyclic_permutations
 from .graphs import (
     DipoleReducer,
     GemError,
     _brief,
+    _chi_formula,
     residue_count,
     residue_cycle_counts,
     residue_labels,
     residues,
     is_bipartite,
 )
-from .homology import (HomologyGroup, _residue_h1_key, boundary_h1, h1,
+from .homology import (HomologyGroup, _h1_key, boundary_h1, h1,
                        pi1_presentation, residue_h1)
 
 SPHERE = "sphere"
@@ -173,7 +174,7 @@ def _three_manifold_verdict(g, res=None):
 
 def _proven_sphere(g, res):
     """SPHERE, after storing the residue's H1 = 0 for residue_h1."""
-    g._memo[_residue_h1_key(res)] = HomologyGroup(0)
+    g._memo[_h1_key(res.colors, res.vertices[0])] = HomologyGroup(0)
     return SPHERE
 
 

@@ -534,7 +534,7 @@ def build_Q(g, eps):
         fam_a, fam_b = family_of[i]
         label_a, label_b = residue_labels(g, fam_a), residue_labels(g, fam_b)
         for cyc in bicolored_cycles(g, i, apex):
-            v0 = cyc.vertices[0]
+            v0 = cyc.start
             nodes = tuple(sorted((first[fam_a] + label_a[v0],
                                   first[fam_b] + label_b[v0])))
             sqs = tuple(sorted(e for e in (h >> 1 for h in cyc.walk)
@@ -909,7 +909,7 @@ def _wall_graph(g, node_colors, cycle_colors):
     first_b = len(residues(g, fams[0]))     # fams[1]'s nodes follow
     a, b = sorted(cycle_colors)
     cycles = bicolored_cycles(g, a, b)
-    ends = ((label_a[c.vertices[0]], first_b + label_b[c.vertices[0]])
+    ends = ((label_a[c.start], first_b + label_b[c.start])
             for c in cycles)
     return SimpleNamespace(cycle_colors=frozenset(cycle_colors),
                            nodes=tuple(nodes), cycles=tuple(cycles),
@@ -951,24 +951,28 @@ def _to_walk(surf, curve):
     """Leaving half-edges of a step curve on the stabilized scheme.
 
     The apex-free gem edges are numbered in gem order, as the scheme
-    lists them; the walk is freely reduced and must close up.
+    lists them, and handle j's three edges follow them: a = base + 3j
+    from the stabilized edge's low end, b = a + 1 on to its high end
+    and the meridian m = a + 2, base the number of apex-free edges.
+    The walk is freely reduced and must close up.
     """
     g = surf.graph
     edge_of_gem = {eid: i for i, eid in enumerate(
         e for e, (_, _, c) in enumerate(g.edges) if c != g.n)}
+    base = len(edge_of_gem)
     walk = []
     for s in curve.steps:
         if s[0] == "e":
             idx = edge_of_gem[s[1]]
             walk.append(2 * idx if s[2] > 0 else 2 * idx + 1)
         elif s[0] == "h":
-            h = surf.handles[s[1]]
+            a = base + 3 * s[1]
             if s[2] > 0:
-                walk.extend((2 * h.a, 2 * h.b))
+                walk.extend((2 * a, 2 * (a + 1)))
             else:
-                walk.extend((2 * h.b + 1, 2 * h.a + 1))
+                walk.extend((2 * (a + 1) + 1, 2 * a + 1))
         elif s[0] == "sc":
-            walk.append(2 * surf.handles[s[1]].m)
+            walk.append(2 * (base + 3 * s[1] + 2))
         else:
             raise GemError("unknown step %r" % (s,))
     walk = _reduce_walk(walk, lambda h: h ^ 1)

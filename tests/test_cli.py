@@ -1108,6 +1108,29 @@ def test_main_eps_flag(tmp_path, capsys):
     assert json.loads(runs[0].read_bytes())["exit_code"] == EXIT_INVALID
 
 
+def test_main_eps_is_swapped_with_the_apex(tmp_path, capsys):
+    # --eps is read in the file's colors and swapped with the apex, as
+    # the gem is, so the record and the summary line name the relabelled
+    # colors, and the run is the plain run of the relabelled gem
+    path = str(DATA / "pp_sum3.gem")
+    out = tmp_path / "apex"
+    assert main([path, "--eps", "0,1,2,3,4", "--apex-color", "2",
+                 "--out", str(out)]) == EXIT_OK
+    assert "eps=1,0,2,3,4" in capsys.readouterr().out
+    run, = out.glob("pp_sum3.*.run.json")
+    rec = json.loads(run.read_bytes())
+    assert rec["options"]["eps"] == [0, 1, 4, 3, 2]
+    assert rec["certificate"]["eps"] == [1, 0, 2, 3, 4]
+    swapped = _write(tmp_path, "swapped.gem", gem_text(
+        relabel_apex(parse_gem((DATA / "pp_sum3.gem").read_bytes()), 2)))
+    plain = tmp_path / "plain"
+    assert main([swapped, "--eps", "0,1,4,3,2",
+                 "--out", str(plain)]) == EXIT_OK
+    dgm, = out.glob("pp_sum3.*.diagram.json")
+    other, = plain.glob("swapped.*.diagram.json")
+    assert dgm.read_bytes() == other.read_bytes()
+
+
 def test_main_format_flag(tmp_path):
     p = _write(tmp_path, "p.gem",
                (DATA / "projective_plane_like.gem").read_bytes())

@@ -640,11 +640,14 @@ def test_walks_that_start_no_step_are_refused(s4_gem):
     cert = _forced(s4_gem, IDENT, s4_gem.edge_ids(4))
     d = assemble_diagram(s4_gem, IDENT, cert)
     gamma, = d.gamma
-    h = d.surface.handles[0]
-    assert gamma.walk == (6, 2 * h.b + 1, 2 * h.a + 1)
+    # handle 0 owns the scheme edges a = base = n * nv / 2, b = a + 1
+    # and m = a + 2
+    a = s4_gem.n * s4_gem.nv // 2
+    b, m = a + 1, a + 2
+    assert gamma.walk == (6, 2 * b + 1, 2 * a + 1)
     assert gamma.steps == (("e", 3, 1), ("h", 0, -1))
-    for walk in ((6, 2 * h.b + 1), (2 * h.a + 1,), (2 * h.m + 1,),
-                 (2 * h.b, 2 * h.a)):
+    for walk in ((6, 2 * b + 1), (2 * a + 1,), (2 * m + 1,),
+                 (2 * b, 2 * a)):
         with pytest.raises(GemError, match="starts no step"):
             diagrams.Curve("gamma", walk, 0, gamma.base).steps
 

@@ -436,20 +436,22 @@ def test_cycles_alternate_and_cover():
                 cols = [g.edges[e][2] for e, _ in steps]
                 assert set(cols) == {c, d}
                 assert all(x != y for x, y in zip(cols, cols[1:]))
-                # each starts at its minimum vertex along min(c, d)
-                assert cyc.vertices[0] == min(cyc.vertices)
-                assert cols[0] == min(c, d)
-                # walk consistency: each step leaves the listed vertex
-                for i, (eid, direction) in enumerate(steps):
+                # the walk closes: each step leaves the vertex the one
+                # before it arrives at, the last returning to start
+                tails, heads = [], []
+                for eid, direction in steps:
                     u, v, _ = g.edges[eid]
-                    tail = u if direction == 1 else v
-                    head = v if direction == 1 else u
-                    assert tail == cyc.vertices[i]
-                    assert head == cyc.vertices[(i + 1) % len(cyc)]
-                covered.extend(cyc.vertices)
+                    tails.append(u if direction == 1 else v)
+                    heads.append(v if direction == 1 else u)
+                assert tails == [cyc.start] + heads[:-1]
+                assert heads[-1] == cyc.start
+                # each starts at its minimum vertex along min(c, d)
+                assert cyc.start == min(tails)
+                assert cols[0] == min(c, d)
+                covered.extend(tails)
             assert sorted(covered) == list(range(g.nv))
             assert len(cycles) == _oracle_census(g, {c, d})
-            starts = [cyc.vertices[0] for cyc in cycles]
+            starts = [cyc.start for cyc in cycles]
             assert starts == sorted(starts)
 
 

@@ -90,3 +90,49 @@ def test_private_helper_check_sees_what_it_should():
                                "def public():\n    return _used()\n"),
              "b.py": ast.parse("import a\nx = a._Cls\n")}
     assert _unread_private_names(trees) == ["a.py:_self"]
+
+
+def _unread_slots(trees):
+    """Names in a class's __slots__ that no module reads as an attribute.
+
+    A read is an ast.Attribute in a load context.  Like the private
+    helper check, it matches by name only: x.walk reads every slot
+    called walk, whatever class x has, and getattr with a string reads
+    none.
+    """
+    slots = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                                for t in node.targets)):
+                    value = ast.literal_eval(node.value)
+                    names = (value,) if isinstance(value, str) else value
+                    slots += ["%s:%s.%s" % (module, cls.name, name)
+                              for name in names]
+    reads = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    return sorted(s for s in slots if s.rpartition(".")[2] not in reads)
+
+
+def test_every_slot_is_read_in_the_package():
+    # a field that is stored and never read is a second copy of
+    # something, or of nothing
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in PACKAGE.glob("*.py")}
+    assert _unread_slots(trees) == []
+
+
+def test_slot_check_sees_what_it_should():
+    trees = {"a.py": ast.parse("class A:\n"
+                               "    __slots__ = ('read', 'stored')\n"
+                               "    def __init__(self):\n"
+                               "        self.read = self.stored = 1\n"
+                               "class B:\n    __slots__ = 'lone'\n"
+                               "class C:\n    __slots__ = ()\n"),
+             "b.py": ast.parse("def f(a):\n    return a.read\n")}
+    assert _unread_slots(trees) == ["a.py:A.stored", "a.py:B.lone"]

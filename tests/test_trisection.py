@@ -147,17 +147,18 @@ def _scheduled(schedule, Q, stabilized):
 
 
 def _label_steps(g, cycle):
-    """A bicolored cycle's (edge id, +1 or -1) steps read off its visit
-    order and the graph, +1 running an edge from its low end."""
+    """A bicolored cycle's (edge id, +1 or -1) steps, walked on the
+    graph from its start vertex, lo color first, until the walk closes;
+    +1 runs an edge from its low end."""
     lo, hi = sorted(cycle.colors)
-    vs = cycle.vertices
     steps = []
-    for i, v in enumerate(vs):
-        w = vs[(i + 1) % len(vs)]
-        e = g.incident(v, hi if i % 2 else lo)
-        assert {v, w} == set(g.edges[e][:2])
+    v = cycle.start
+    while True:
+        w, e = g.neighbor(v, hi if len(steps) % 2 else lo)
         steps.append((e, 1 if v < w else -1))
-    return tuple(steps)
+        v = w
+        if v == cycle.start:
+            return tuple(steps)
 
 
 def test_counting_scheduler_matches_set_scheduler_with_handles():

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemtrisect.cli import GemFile, relabel_apex
+from gemtrisect import homology, trisection
+from gemtrisect.cli import GemFile, parse_gem, relabel_apex, run_pipeline
 from gemtrisect.diagrams import assemble_diagram
-from gemtrisect.embedding import _chi_formula, cyclic_permutations, rho
+from gemtrisect.embedding import cyclic_permutations, rho
 from gemtrisect.graphs import (
     DipoleReducer,
     DisconnectedError,
@@ -18,13 +19,14 @@ from gemtrisect.graphs import (
     LoopEdgeError,
     NotProperError,
     NotRegularError,
+    _chi_formula,
     blob_insert,
     build_graph,
     residue_subgem,
     residues,
 )
 from gemtrisect.homology import (HomologyGroup, bound_ledger, boundary_h1,
-                                 chain_complex, pi1_presentation)
+                                 chain_complex, h1, pi1_presentation)
 from gemtrisect.trisection import sweep
 from gemtrisect.validation import (
     NON_SPHERE,
@@ -43,8 +45,8 @@ from gemtrisect.validation import (
 )
 from gemtrisect.graphs import standard_sphere_gem
 
-from conftest import (complementary_subgems, fixture_graph, grow_gem,
-                      pipeline_corpus, s1s3_welds, shuffled, weld)
+from conftest import (DATA_DIR, complementary_subgems, fixture_graph,
+                      grow_gem, pipeline_corpus, s1s3_welds, shuffled, weld)
 import reference
 from reference import cancel_dipole, find_dipole
 
@@ -592,10 +594,21 @@ def test_residue_chains_match_reference_chain_on_random_sums():
     assert split >= 1000
 
 
-def test_pipeline_builds_no_subgem():
+def _spy(func, calls):
+    """func, appending its arguments to calls on every call."""
+    def spy(*args):
+        calls.append(args)
+        return func(*args)
+    return spy
+
+
+def test_pipeline_builds_no_subgem(monkeypatch):
     # every 4-residue of a #8 chain sum is proven a 3-sphere on g
     # itself, and the ledger's and the verifier's boundary H1 is the
     # one that proof stored, so no stage builds a residue's sub-gem
+    built = []
+    monkeypatch.setattr(homology, "residue_subgem",
+                        _spy(residue_subgem, built))
     rng = random.Random(8)
     fixture = g = fixture_graph("projective_plane_like.gem")
     for _ in range(7):
@@ -608,8 +621,36 @@ def test_pipeline_builds_no_subgem():
     ledger = bound_ledger(g, best, rep.boundary_spheres)
     assert ledger.violations() == []
     assert assemble_diagram(g, best.eps, best).record.ok
-    assert [k for k in g._memo
-            if isinstance(k, tuple) and k[0] == "subgem"] == []
+    assert built == []
+
+
+def _second_copies(g):
+    """The memo keys of facts stored once elsewhere: sub-gems (whose
+    H1 residue_h1 keeps), stabilization forests and the whole gem's H1
+    under a key of its own."""
+    return [k for k in g._memo if k == "h1" or isinstance(k, tuple)
+            and k[0] in ("subgem", "forest")]
+
+
+def test_memo_holds_each_fact_once(monkeypatch):
+    # bounded_s1s2.gem's boundary is no proven sphere, so its H1 comes
+    # from a sub-gem; a weld of s1s3.gem stabilizes a square, so its
+    # sweep runs all 12 orders and asks for each order's forest
+    gf = parse_gem((DATA_DIR / "bounded_s1s2.gem").read_bytes())
+    rec, _ = run_pipeline(gf)
+    assert rec.exit_code == 0
+    g = s1s3_welds(count=1)[0]
+    orders = []
+    monkeypatch.setattr(trisection, "stabilization_set",
+                        _spy(trisection.stabilization_set, orders))
+    sweep(g, cyclic_permutations(4))
+    assert len(orders) == 12
+    for gem in (gf.graph, g):
+        assert _second_copies(gem) == []
+        assert h1(gem) == _fresh_h1(gem)
+        assert boundary_h1(gem) == _fresh_h1(
+            residue_subgem(gem, residues(gem, range(4))[0])[0])
+        assert _second_copies(gem) == []
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
