@@ -258,10 +258,17 @@ def gamma_curves(Q, certificate):
                 out.append(h)
         return out
 
-    return [Curve("gamma", _free_reduce(rewrite(edge.cycle.walk), _REVERSED),
-                  edge.index, base)
-            for edge in Q.q1_edges
-            if edge.index not in witness_set and edge.index not in forest]
+    try:
+        return [Curve("gamma", _free_reduce(rewrite(edge.cycle.walk),
+                                            _REVERSED), edge.index, base)
+                for edge in Q.q1_edges
+                if edge.index not in witness_set and edge.index not in forest]
+    finally:
+        # expand and rewrite name each other through their cells, a
+        # reference cycle that would hold Q, its graph and the graph's
+        # memo until the cyclic collector ran; emptying one cell frees
+        # both as soon as this call returns or raises
+        del expand
 
 
 def _gamma_forest(Q, kept, ordering):

@@ -11,7 +11,11 @@ endpoint) and are addressed everywhere by their index in that order.
 The 3-manifold verdicts' dipole chain (DipoleReducer) runs on flat
 integer tables in the gem's own vertex ids: neighbor rows in a list by
 vertex, None once a vertex is cancelled, cycle counts in a list by pair
-of colors, and per-mask plans of what a cancellation changes.
+of colors, and per-mask plans of what a cancellation changes.  It
+cancels first the dipoles that raise chi for the residue's order of
+greatest chi, in four colors the 2-dipoles on a diagonal of that
+order, so a residue whose best order has regular genus g can be proven
+a sphere in g cancellations, the fewest any chain needs.
 """
 
 from __future__ import annotations
@@ -658,14 +662,29 @@ class DipoleReducer:
     """The dipole-cancelling chain on one residue of g, in g's own ids.
 
     res is a residue of g, all of g by default; the chain runs on the
-    gem that res encodes without building it.  cancel_next() cancels
-    the same dipoles in the same order as repeatedly calling
-    find_dipole and cancel_dipole on residue_subgem(g, res), the plain
-    chain kept in tests/reference.py as the reference, but names them
-    by the vertex ids and colors of g: the sub-gem keeps g's order of
-    vertices and colors, and cancel_dipole renumbers the survivors in
-    their old order, so the first dipole in sorted (u, v) order is the
-    same pair under every numbering.
+    gem that res encodes without building it, and names its dipoles by
+    the vertex ids and colors of g.  cancel_next() cancels the first
+    dipole by the key (class, u, v), u < v.
+
+    The class serves the verdict, which needs a sequence of regular
+    genus 0.  Cancelling a dipole of colors S changes chi for a
+    sequence by len - 2 for the two vertices that go, less one for each
+    of its consecutive pairs whose cycle count drops, the pairs inside
+    S or missing it.  In four colors only a 2-dipole on a diagonal of
+    the sequence, a pair of colors that are not consecutive in it,
+    drops none of them, and raises chi by 2; 1-, 3- and 2-dipoles on
+    consecutive colors change no chi.  So a sequence of genus g needs
+    at least g cancellations, and the chain takes those first: when
+    cycles are given, the target is the first sequence of greatest
+    chi, and a pair is of class 0 when cancelling it as a dipole of its
+    current color set would raise the target's chi, else of class 1.
+    With no cycles every pair is of class 1, and the chain cancels the
+    same dipoles in the same order as repeatedly calling find_dipole
+    and cancel_dipole on residue_subgem(g, res), the plain chain kept
+    in tests/reference.py: the sub-gem keeps g's order of vertices and
+    colors, and cancel_dipole renumbers the survivors in their old
+    order, so the first dipole in sorted (u, v) order is the same pair
+    under every numbering.
 
     The state is flat integer tables.  _nbr is a list indexed by g's
     vertex ids: a live vertex's row lists its neighbors by position in
@@ -676,9 +695,19 @@ class DipoleReducer:
     O(1) besides heap and union-find operations, because
 
     - candidate pairs sit in a min-heap and are re-checked when popped.
-      Set-up queues only the pairs that are dipoles then: a rejected
-      pair can become a dipole only when a weld adds a color between
-      its two vertices, and that weld pushes the pair again;
+      A pair can become a dipole only when a weld adds a color between
+      its two vertices, and that weld pushes the pair again, under the
+      class of its new color set; a popped pair whose class is no
+      longer its color set's is dropped, as that weld pushed it again;
+    - set-up queues only the class-0 dipoles, read off g's adjacent
+      pairs grouped by the mask of g's colors joining them
+      (_adjacent_pairs, memoised on g and shared by every chain on g),
+      each group's mask mapped to positions once.  Welds push class-1
+      pairs only after the heap first runs dry; then one scan of the
+      live rows queues the class-1 dipoles.  Until then no class-1
+      pair could be cancelled, and after it the heap holds every dipole,
+      so the chain cancels what a queue of every dipole from the start
+      would;
     - cancelling a dipole of colors S lowers the {c,d}-cycle count by
       one when {c,d} lies inside S or misses S, and keeps it otherwise;
     - for a color set C the C-residues of the dipole's two vertices
@@ -702,13 +731,9 @@ class DipoleReducer:
     set of two to len(res.colors) - 1 colors, join the labels of
     residue_labels(g, colors): a bicolored cycle, or a residue over
     colors of res, that meets res lies inside it, so g's counts and
-    labels are the residue's.  The set-up heap reads g's adjacent pairs
-    (_adjacent_pairs, memoised on g and shared by every chain on g) at
-    the residue's vertices only, each pair's mask over g's colors
-    mapped to one over res's positions by a memoised table.  Each
-    union-find's parent dict holds merged labels only, so once g has
-    labelled its residues a chain's set-up costs O(len(res)) besides
-    one list of g.nv empty rows.
+    labels are the residue's.  Each union-find's parent dict holds
+    merged labels only, so once g has labelled its residues a chain's
+    set-up costs O(len(res)) besides one list of g.nv empty rows.
 
     chi[j] is the Euler characteristic of the regular embedding for
     the color sequence cycles[j], _chi_formula of the starting counts
@@ -716,7 +741,7 @@ class DipoleReducer:
     two vertices it drops, so it is kept up to date, not re-summed.
 
     Welds keep the graph proper and regular; check() runs build's
-    checks on the rows themselves.
+    checks on every live row.
     """
 
     def __init__(self, g, res=None, cycles=()):
@@ -728,8 +753,9 @@ class DipoleReducer:
         self._seqs = tuple(tuple(pos[c] for c in seq) for seq in cycles)
         self.n = k - 1
         self.nv = len(res)
-        counts = residue_cycle_counts(g, cols)[
-            residue_labels(g, cols)[res.vertices[0]]]
+        label = residue_labels(g, cols)
+        mine = label[res.vertices[0]]
+        counts = residue_cycle_counts(g, cols)[mine]
         # pairs of positions i < j in combinations order number the counts
         self._keys = [frozenset(p) for p in itertools.combinations(cols, 2)]
         self._counts = [counts[key] for key in self._keys]
@@ -738,7 +764,8 @@ class DipoleReducer:
         # the live vertices' rows by position, read off g's rows
         verts = res.vertices
         pick = operator.itemgetter(*cols)
-        if len(verts) == g.nv:
+        whole = len(verts) == g.nv
+        if whole:
             nbr = list(map(list, map(pick, g._nbr)))
         else:
             nbr = [None] * g.nv
@@ -746,22 +773,27 @@ class DipoleReducer:
                 nbr[v] = list(pick(g._nbr[v]))
         self._nbr = nbr
         # per color set of 2 to k - 1 colors: g's labels, merged labels
-        uf = self._uf = [None if cs is None else (residue_labels(g, cs), {})
-                         for cs in _union_find_sets(cols)]
-        # queue the pairs that are dipoles now; nothing is merged yet,
-        # so g's labels are the roots
-        full = self._full = (1 << k) - 1
+        self._uf = [None if cs is None else (residue_labels(g, cs), {})
+                    for cs in _union_find_sets(cols)]
+        self._full = (1 << k) - 1
+        if cycles:
+            target = self._seqs[self.chi.index(max(self.chi))]
+            cls = self._class = _mask_classes(target, k)
+        else:
+            cls = self._class = (1,) * (1 << k)
+        self._scanned = False       # whether class-1 dipoles are queued
+        # queue the class-0 pairs that are dipoles now
         heap = self._heap = []
-        joins = _adjacent_pairs(g)
-        to_pos = _position_masks(cols, g.n)
-        for u in verts:
-            for w, gmask in joins[u]:
-                S = to_pos[gmask]
-                if not S or S == full:
-                    continue        # joined by no color of res, or all
-                found = uf[full ^ S]
-                if found is None or found[0][u] != found[0][w]:
-                    heap.append((u, w))
+        for gmask, pairs in _adjacent_pairs(g).items():
+            S = 0
+            for i, c in enumerate(cols):
+                if gmask >> c & 1:
+                    S |= 1 << i
+            if cls[S]:
+                continue
+            for u, w in pairs:
+                if (whole or label[u] == mine) and self._splits(u, w, S):
+                    heap.append((0, u, w))
         heapq.heapify(heap)
 
     @property
@@ -769,21 +801,64 @@ class DipoleReducer:
         """{frozenset({c, d}): current {c,d}-cycle count}."""
         return dict(zip(self._keys, self._counts))
 
+    def _splits(self, u, w, S):
+        """Whether u and w, joined by the colors of S, not all of them,
+        lie in different residues of the other colors: a dipole."""
+        found = self._uf[self._full ^ S]
+        if found is None:
+            return True
+        label, parent = found
+        return _root(parent, label[u]) != _root(parent, label[w])
+
     def cancel_next(self):
-        """Cancel the first dipole; return (u, v, colors) or None.
+        """Cancel the first dipole; return (u, v, colors) or None."""
+        step = self._cancel_first()
+        if step is None and not self._scanned:
+            self._queue_class_one()
+            step = self._cancel_first()
+        return step
+
+    def _queue_class_one(self):
+        """Queue every dipole, by one scan of the live rows.
+
+        Run once, when the heap first runs dry, so no class-0 dipole is
+        left and every one queued is of class 1.
+        """
+        self._scanned = True
+        heap = self._heap
+        cls = self._class
+        full = self._full
+        for u, row in enumerate(self._nbr):
+            if row is None:
+                continue
+            joins = {}
+            bit = 1
+            for w in row:
+                if u < w:
+                    joins[w] = joins.get(w, 0) | bit
+                bit <<= 1
+            for w, S in joins.items():
+                if S != full and self._splits(u, w, S):
+                    heap.append((cls[S], u, w))
+        heapq.heapify(heap)
+
+    def _cancel_first(self):
+        """Cancel the first queued dipole; return (u, v, colors) or None.
 
         A popped pair is a dipole when its two vertices lie in
         different residues of the colors that do not join them (see
-        the class docstring); the finds are inlined and halve the paths
-        they walk, the parent dicts holding merged labels only.
+        the class docstring); the finds halve the paths they walk, the
+        parent dicts holding merged labels only.
         """
         heap = self._heap
         nbr = self._nbr
         uf = self._uf
         plans = self._plans
+        cls = self._class
         full = self._full
+        scanned = self._scanned
         while heap:
-            u, v = heapq.heappop(heap)
+            c, u, v = heapq.heappop(heap)
             nu, nw = nbr[u], nbr[v]
             # edges between live vertices outlast every weld, so a
             # queued pair of live vertices is still adjacent
@@ -795,7 +870,7 @@ class DipoleReducer:
                 if w == v:
                     S |= bit
                 bit <<= 1
-            if S == full:
+            if S == full or cls[S] != c:
                 continue
             plan = plans[S]
             if plan is None:
@@ -803,18 +878,7 @@ class DipoleReducer:
             found = uf[plan.comp]
             if found is not None:
                 label, parent = found
-                ru, rv = label[u], label[v]
-                while ru in parent:
-                    p = parent[ru]
-                    if p in parent:
-                        p = parent[ru] = parent[p]
-                    ru = p
-                while rv in parent:
-                    p = parent[rv]
-                    if p in parent:
-                        p = parent[rv] = parent[p]
-                    rv = p
-                if ru == rv:
+                if _root(parent, label[u]) == _root(parent, label[v]):
                     continue
             # cancel: drop u and v, update the counts and chi, merge the
             # residues that miss S, weld the ends outside S
@@ -826,34 +890,36 @@ class DipoleReducer:
             self.chi[:] = map(operator.add, self.chi, plan.dchi)
             for mask in plan.merges:
                 label, parent = uf[mask]
-                ru, rv = label[u], label[v]
-                while ru in parent:
-                    p = parent[ru]
-                    if p in parent:
-                        p = parent[ru] = parent[p]
-                    ru = p
-                while rv in parent:
-                    p = parent[rv]
-                    if p in parent:
-                        p = parent[rv] = parent[p]
-                    rv = p
+                ru = _root(parent, label[u])
+                rv = _root(parent, label[v])
                 if ru != rv:
                     parent[ru] = rv
             for i in plan.weld:
                 a, b = nu[i], nw[i]
-                nbr[a][i] = b
+                na = nbr[a]
+                na[i] = b
                 nbr[b][i] = a
-                heapq.heappush(heap, (a, b) if a < b else (b, a))
+                # the pair's color set now, for its class
+                T = 0
+                bit = 1
+                for w in na:
+                    if w == b:
+                        T |= bit
+                    bit <<= 1
+                if scanned or not cls[T]:
+                    heapq.heappush(heap, (cls[T], a, b) if a < b
+                                   else (cls[T], b, a))
             return (u, v, plan.colors)
         return None
 
     def check(self):
         """Raise GemError unless the current rows form a gem.
 
-        build's checks, run on the rows without building a graph: every
-        row names len(colors) live vertices, none of them the vertex
-        itself; each names the vertex back at the same position; and
-        one walk reaches every survivor.
+        build's checks, run on the rows without building a graph, in
+        one walk from the first survivor: each row it reaches names
+        len(colors) live vertices, none of them the vertex itself, and
+        each of those names the vertex back at the same position; and
+        the walk reaches every survivor, so every live row is checked.
         """
         nbr = self._nbr
         cols = self._cols
@@ -861,7 +927,10 @@ class DipoleReducer:
         live = [v for v, row in enumerate(nbr) if row is not None]
         if not live:
             raise GemError("empty edge list")
-        for v in live:
+        reached = [False] * size
+        reached[live[0]] = True
+        walk = [live[0]]
+        for v in walk:              # walk grows while it is read
             row = nbr[v]
             if len(row) != len(cols):
                 raise NotRegularError("vertex %d has %d of %d colors"
@@ -870,19 +939,13 @@ class DipoleReducer:
                 if w == v:
                     raise LoopEdgeError("loop at vertex %d (color %d)"
                                         % (v, cols[i]))
-                if not 0 <= w < size or nbr[w] is None:
+                back = nbr[w] if 0 <= w < size else None
+                if back is None:
                     raise NotRegularError("vertex %d meets no live vertex "
                                           "of color %d" % (v, cols[i]))
-        for v in live:
-            for i, w in enumerate(nbr[v]):
-                if nbr[w][i] != v:
+                if back[i] != v:
                     raise NotProperError("vertex %d has two edges of color "
                                          "%d" % (w, cols[i]))
-        reached = [False] * size
-        reached[live[0]] = True
-        walk = [live[0]]
-        for v in walk:              # walk grows while it is read
-            for w in nbr[v]:
                 if not reached[w]:
                     reached[w] = True
                     walk.append(w)
@@ -890,20 +953,33 @@ class DipoleReducer:
             raise DisconnectedError("graph is not connected")
 
 
+def _root(parent, r):
+    """The root of label r in a union-find whose parent dict holds merged
+    labels only; halves the path it walks."""
+    while r in parent:
+        p = parent[r]
+        if p in parent:
+            p = parent[r] = parent[p]
+        r = p
+    return r
+
+
 def _adjacent_pairs(g):
-    """Per vertex u, (w, mask) for each neighbor w > u of u, mask the
-    bits of g's colors joining them; memoised on g."""
-    pairs = g._memo.get("adjacent pairs")
-    if pairs is None:
-        rows = []
+    """{mask: [(u, w), ...]}: each pair of adjacent vertices u < w, in
+    order, under the mask of g's colors joining them; memoised on g.
+    Callers must not mutate the lists."""
+    groups = g._memo.get("adjacent pairs")
+    if groups is None:
+        groups = {}
         for u, row in enumerate(g._nbr):
             joins = {}
             for c, w in enumerate(row):
                 if u < w:
                     joins[w] = joins.get(w, 0) | 1 << c
-            rows.append(tuple(joins.items()))
-        pairs = g._memo["adjacent pairs"] = tuple(rows)
-    return pairs
+            for w, mask in joins.items():
+                groups.setdefault(mask, []).append((u, w))
+        g._memo["adjacent pairs"] = groups
+    return groups
 
 
 @functools.lru_cache(maxsize=64)
@@ -915,12 +991,26 @@ def _union_find_sets(cols):
                  if 1 < m.bit_count() < k else None for m in range(1 << k))
 
 
+def _drops(S, i, j):
+    """Whether cancelling a dipole of mask S lowers the count of the
+    pair of positions i, j: the pair lies inside S or misses it."""
+    pair = 1 << i | 1 << j
+    return (pair & S) in (0, pair)
+
+
+def _chi_rise(seq, S):
+    """How cancelling a dipole of mask S changes chi for the sequence
+    seq of positions: len - 2 for the two vertices that go, less its
+    consecutive pairs whose count drops."""
+    return len(seq) - 2 - sum(_drops(S, a, b)
+                              for a, b in zip(seq, seq[1:] + seq[:1]))
+
+
 @functools.lru_cache(maxsize=64)
-def _position_masks(cols, n):
-    """table[m] is the mask over positions of cols of the colors of m,
-    a mask over colors 0..n."""
-    return tuple(sum(1 << i for i, c in enumerate(cols) if m >> c & 1)
-                 for m in range(1 << (n + 1)))
+def _mask_classes(seq, k):
+    """Per mask over k positions, the chain's class of a dipole of
+    that mask: 0 when cancelling it raises chi for seq, else 1."""
+    return tuple(0 if _chi_rise(seq, S) > 0 else 1 for S in range(1 << k))
 
 
 _Plan = namedtuple("_Plan", "colors comp drops dchi merges weld")
@@ -933,30 +1023,22 @@ def _dipole_plan(cols, seqs, S):
     colors is the set S names, to return, and comp the mask of the
     other positions.  drops are the numbers of the pairs of positions
     (i < j, in combinations order) whose count falls by one: the pairs
-    inside S or missing it.  dchi[j] is the change of chi for sequence seqs[j]: its
-    shift len - 2 for the two vertices that go, minus its consecutive
-    pairs in drops.  merges are the masks of two or more colors that
-    miss S, whose union-finds join the two vertices' labels, and weld
-    the positions outside S.  The key holds the colors themselves, not
-    just their count, so that a plan can hold the set it names; a run
-    sees a few dozen plans.
+    inside S or missing it.  dchi[j] is the change of chi for sequence
+    seqs[j] (_chi_rise).  merges are the masks of two or more colors
+    that miss S, whose union-finds join the two vertices' labels, and
+    weld the positions outside S.  The key holds the colors themselves,
+    not just their count, so that a plan can hold the set it names; a
+    run sees a few dozen plans.
     """
     k = len(cols)
     comp = ((1 << k) - 1) ^ S
-
-    def drops(i, j):
-        pair = 1 << i | 1 << j
-        return (pair & S) in (0, pair)
-
     return _Plan(
         colors=frozenset(c for i, c in enumerate(cols) if S >> i & 1),
         comp=comp,
         drops=tuple(p for p, (i, j) in
                     enumerate(itertools.combinations(range(k), 2))
-                    if drops(i, j)),
-        dchi=tuple(len(seq) - 2 - sum(drops(a, b) for a, b in
-                                      zip(seq, seq[1:] + seq[:1]))
-                   for seq in seqs),
+                    if _drops(S, i, j)),
+        dchi=tuple(_chi_rise(seq, S) for seq in seqs),
         merges=tuple(m for m in range(1, comp + 1)
                      if not m & ~comp and m.bit_count() > 1),
         weld=tuple(i for i in range(k) if not S >> i & 1))

@@ -429,7 +429,9 @@ def minimize_k(g, eps, budget=0, mode="closed", schedules=None):
             try:
                 out = collapse_schedule(Q, stab)
             except Incomplete as stuck:
-                out = stuck
+                # kept without its traceback: its frames hold schedules,
+                # a reference cycle that would keep g until collected
+                out = stuck.with_traceback(None)
             schedules[key] = out
         return out
 

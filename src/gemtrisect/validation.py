@@ -133,14 +133,20 @@ def _three_manifold_verdict(g, res=None):
     res defaults to all of g.  Genus 0 for some permutation proves the
     sphere, and dipole cancellation preserves the manifold, so the test
     is retried down the reduction chain, which runs on g's own ids and
-    counts (see DipoleReducer).  A genus-0 step is taken as a proof once
-    the chain's rows pass build's checks (DipoleReducer.check), run on
-    the rows without rebuilding the reduced gem; rows that fail end the
-    chain unproven.  The permutations are those of the residue's own
-    colors.  Nontrivial H1 refutes the sphere; anything
-    else stays undecided.  The Euler characteristic refutes nothing
-    here: callers have proven every 3-residue a 2-sphere, so res is a
-    closed 3-manifold and has chi = 0.
+    counts (see DipoleReducer).  The chain is given the residue's three
+    cyclic orders and cancels first the dipoles that raise chi for the
+    first of greatest chi, by 2 each: in four colors only a 2-dipole on
+    a diagonal of the order, two colors not consecutive in it, changes
+    its chi.  An order of genus g needs g such cancellations, so a
+    chain that finds them proves the sphere in the fewest steps; when
+    they run out, the other dipoles follow in (u, v) order.  A genus-0
+    step is taken as a proof once the chain's rows pass build's checks
+    (DipoleReducer.check), run on every live row without rebuilding the
+    reduced gem; rows that fail end the chain unproven.  The
+    permutations are those of the residue's own colors.  Nontrivial H1
+    refutes the sphere; anything else stays undecided.  The Euler
+    characteristic refutes nothing here: callers have proven every
+    3-residue a 2-sphere, so res is a closed 3-manifold and has chi = 0.
 
     A proof stores H1 = 0 as the residue's memoised residue_h1, so no
     caller builds the sub-gem or pi1 of a proven sphere.  That is sound

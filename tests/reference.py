@@ -790,9 +790,17 @@ class DipoleReducer:
     the residue.  Same surface as the library class (cancel_next(),
     chi, nv and pair_counts), plus graph(), which dipole_chain_graph
     gives the library class.
+
+    The heap is keyed (class, u, v), the class worked out from the
+    counts themselves: 0 when cancelling a dipole of the pair's current
+    colors would raise chi for the target, the first sequence of
+    greatest chi, else 1.  Every pair is queued from the start and
+    every welded pair pushed again, whatever its class.  With
+    lowering_first=False, or no cycles, every pair is of class 1: the
+    plain (u, v) order of find_dipole.
     """
 
-    def __init__(self, g, res=None, cycles=()):
+    def __init__(self, g, res=None, cycles=(), lowering_first=True):
         if res is None:
             res = residues(g, g.colors)[0]
         colors = self._colors = res.colors
@@ -812,10 +820,13 @@ class DipoleReducer:
                 self._seqs_of[key].append(j)
             self.chi.append(sum(self.pair_counts[key] for key in keys)
                             - self._shift[j] * (self.nv // 2))
+        self._target = (self.chi.index(max(self.chi))
+                        if cycles and lowering_first else None)
         # the live vertices, each with its neighbor by color
         self._nbr = {v: {c: g.neighbor(v, c)[0] for c in colors}
                      for v in res.vertices}
-        self._heap = sorted({(u, w) for u, row in self._nbr.items()
+        self._heap = sorted({(self._class(u, w), u, w)
+                             for u, row in self._nbr.items()
                              for w in row.values() if u < w})
         self._uf = {}       # color set -> (g's labels, parent by label)
         for size in range(2, len(colors)):
@@ -829,11 +840,14 @@ class DipoleReducer:
         heap = self._heap
         nbr = self._nbr
         while heap:
-            u, v = heapq.heappop(heap)
+            cls, u, v = heapq.heappop(heap)
             if u not in nbr or v not in nbr:
                 continue
             # edges between live vertices outlast every weld, so a
-            # queued pair is still adjacent
+            # queued pair is still adjacent; one whose class changed
+            # was pushed again by the weld that changed it
+            if self._class(u, v) != cls:
+                continue
             nu = nbr[u]
             S = frozenset(c for c in self._colors if nu[c] == v)
             comp = self._colors - S
@@ -843,6 +857,18 @@ class DipoleReducer:
             self._cancel(u, v, S)
             return (u, v, S)
         return None
+
+    def _class(self, u, w):
+        """0 when cancelling u, w as a dipole of the colors joining them
+        raises chi for the target, else 1."""
+        j = self._target
+        if j is None:
+            return 1
+        S = {c for c, x in self._nbr[u].items() if x == w}
+        rise = self._shift[j] - sum(
+            seqs.count(j) for pair, seqs in self._seqs_of.items()
+            if pair <= S or not pair & S)
+        return 0 if rise > 0 else 1
 
     def _root(self, colors, x):
         label, parent = self._uf[colors]
@@ -872,7 +898,8 @@ class DipoleReducer:
             a, b = nu[c], nw[c]
             nbr[a][c] = b
             nbr[b][c] = a
-            heapq.heappush(self._heap, (a, b) if a < b else (b, a))
+            a, b = min(a, b), max(a, b)
+            heapq.heappush(self._heap, (self._class(a, b), a, b))
 
     def graph(self):
         """The current graph, numbered as the sub-gem's chain numbers it.

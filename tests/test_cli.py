@@ -1,5 +1,6 @@
 """File formats, pipeline driver, caching, batch runs, and the CLI."""
 
+import gc
 import json
 import pathlib
 import random
@@ -665,6 +666,22 @@ def test_golden_record_bytes(datadir_gem, name):
     rec, _ = run_pipeline(datadir_gem(name + ".gem"))
     assert _without_timings(rec) == (
         DATA / (name + ".record.json")).read_bytes()
+
+
+@pytest.mark.parametrize("name", [
+    "pp_sum3", "s1s3", "bounded_s1s2", "nonzero_forest"])
+def test_run_leaves_no_reference_cycles(datadir_gem, name):
+    # a run's gem, its memo and everything built from it are freed by
+    # reference counting alone: a cycle would keep them until the
+    # cyclic collector ran
+    gf = datadir_gem(name + ".gem")
+    gc.collect()
+    gc.disable()
+    try:
+        run_pipeline(gf)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_pipeline_builds_square_complex_once_per_graph(datadir_gem,

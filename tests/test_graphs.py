@@ -495,12 +495,16 @@ def test_neighbor_table_matches_decoded_edges():
 
 
 def test_adjacent_pairs_match_an_edge_scan():
-    # the pairs every dipole chain on g starts from, memoised on g
+    # the pairs every dipole chain on g starts from, grouped by the mask
+    # of the colors joining them and memoised on g
     for g in _label_corpus():
-        scan = [{} for _ in range(g.nv)]
+        joins = {}
         for u, v, c in g.edges:
-            scan[u][v] = scan[u].get(v, 0) | 1 << c
-        assert [dict(row) for row in _adjacent_pairs(g)] == scan
+            joins[u, v] = joins.get((u, v), 0) | 1 << c
+        scan = {}
+        for pair, mask in sorted(joins.items()):
+            scan.setdefault(mask, []).append(pair)
+        assert _adjacent_pairs(g) == scan
         assert _adjacent_pairs(g) is _adjacent_pairs(g)
 
 

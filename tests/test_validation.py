@@ -22,6 +22,7 @@ from gemtrisect.graphs import (
     _chi_formula,
     blob_insert,
     build_graph,
+    connected_sum,
     residue_subgem,
     residues,
 )
@@ -747,8 +748,10 @@ def _step_both_chains(g):
     """Run every chain of a residue missing one color, as the verdict
     runs it on g but on to its end, beside the dict-based chain: after
     each cancellation both agree on the dipole, chi, the pair counts,
-    the order and the graph.  Returns the number of cancellations."""
-    steps = 0
+    the order and the graph.  Returns the number of cancellations and
+    of chains that cancelled a dipole the lazy scan queued, after the
+    target's chi-raising dipoles ran out."""
+    steps = late = 0
     check_surface_residues(g)
     for c in g.colors:
         for res in residues(g, frozenset(g.colors) - {c}):
@@ -761,17 +764,26 @@ def _step_both_chains(g):
                 assert (new.chi, new.pair_counts, new.nv) == (
                     old.chi, old.pair_counts, old.nv)
                 assert reference.dipole_chain_graph(new) == old.graph()
+                scanned = new._scanned
                 step = new.cancel_next()
                 assert step == old.cancel_next()
                 if step is None:
                     break
                 steps += 1
-    return steps
+                if new._scanned and not scanned:
+                    late += 1
+    return steps, late
+
+
+def _sum_steps(gems):
+    """Cancellations and scanned chains of _step_both_chains, summed."""
+    return tuple(map(sum, zip(*map(_step_both_chains, gems))))
 
 
 def test_dipole_reducer_matches_dict_reducer_at_every_step():
     # the chains of the H1 corpus, on the list rows against dict rows
-    assert sum(map(_step_both_chains, _h1_corpus(sums_to=16))) >= 4000
+    steps, late = _sum_steps(_h1_corpus(sums_to=16))
+    assert steps >= 4000 and late >= 300
 
 
 def test_dipole_reducer_matches_dict_reducer_on_s1s3_welds():
@@ -784,7 +796,102 @@ def test_dipole_reducer_matches_dict_reducer_on_s1s3_welds():
         for _ in range(m - 1):
             g = weld(g, nf, rng)
         gems.append(shuffled(g, rng))
-    assert sum(map(_step_both_chains, gems)) >= 800
+    steps, late = _sum_steps(gems)
+    assert steps >= 800 and late >= 80
+
+
+# -- the target's chi-raising dipoles first, against the plain order -------
+
+def _old_order_verdict(g, res):
+    """The verdict as the chain in plain (u, v) order reaches it: the
+    dict-based chain with lowering_first=False, run on a copy of g, and
+    the H1 fallback on a fresh sub-gem."""
+    fresh = build_graph(g.n, g.edges)
+    cols = sorted(res.colors)
+    cycles = [tuple(cols[i] for i in eps.seq)
+              for eps in cyclic_permutations(len(cols) - 1)]
+    twin = next(r for r in residues(fresh, cols) if r.vertices == res.vertices)
+    chain = reference.DipoleReducer(fresh, twin, cycles, lowering_first=False)
+    if 2 in chain.chi:
+        return SPHERE
+    while chain.cancel_next() is not None:
+        if 2 in chain.chi:
+            try:
+                chain.graph()
+            except GemError:
+                break
+            return SPHERE
+    return _fallback(_scanned_subgem(g, res))
+
+
+def _old_order_corpus(seed=32):
+    """The chain corpora, the H1 corpus up to #16, welds of s1s3.gem,
+    #2-#6 sums of nonzero_forest.gem and seeded welds of
+    two_singular_colors.gem with the 4-dimensional fixtures."""
+    rng = random.Random(seed)
+    gems = _chain_corpus() + _h1_corpus(sums_to=16) + s1s3_welds()
+    nf = fixture_graph("nonzero_forest.gem")
+    g = nf
+    for _ in range(5):
+        g = weld(g, nf, rng)
+        gems.append(shuffled(g, rng))
+    fixtures = [fixture_graph(name) for name in FIXTURES_4D]
+    for _ in range(12):
+        g = fixture_graph("two_singular_colors.gem")
+        for _ in range(rng.randrange(1, 4)):
+            g = weld(g, rng.choice(fixtures), rng)
+        gems.append(shuffled(g, rng))
+    return gems
+
+
+def test_verdicts_match_the_old_order():
+    # cancelling the target's chi-raising dipoles first changes which
+    # chains prove a sphere, never a verdict
+    seen = non_spheres = 0
+    for g in _old_order_corpus():
+        for c in g.colors:
+            for res in residues(g, frozenset(g.colors) - {c}):
+                expect = _old_order_verdict(g, res)
+                assert _three_manifold_verdict(g, res) == expect
+                seen += 1
+                non_spheres += expect == NON_SPHERE
+    assert seen >= 1200 and non_spheres >= 60
+
+
+def _chain_sum(fixture, m):
+    """#m copies of fixture in a chain: copy i welded at its vertex 0 to
+    vertex 1 of copy i - 1."""
+    g, end = fixture, 1
+    for _ in range(m - 1):
+        kept = g.nv - 1
+        g = connected_sum(g, fixture, end, 0)
+        end = kept          # the new copy's vertex 1
+    return g
+
+
+def test_chain_sum_chains_cancel_exactly_their_genus():
+    # every 4-residue of #m projective_plane_like.gem has regular genus m
+    # for its best order, and each cancellation raises that order's chi
+    # by 2, so the chain proves the sphere in m steps, the fewest possible
+    rng = random.Random(32)
+    fixture = fixture_graph("projective_plane_like.gem")
+    for m in (1, 2, 4, 8, 16):
+        for _ in range(4):
+            g = shuffled(_chain_sum(fixture, m), rng)
+            for c in g.colors:
+                res, = residues(g, frozenset(g.colors) - {c})
+                cols = sorted(res.colors)
+                cycles = [tuple(cols[i] for i in eps.seq)
+                          for eps in cyclic_permutations(3)]
+                chain = DipoleReducer(g, res, cycles)
+                assert (2 - max(chain.chi)) // 2 == m
+                steps = 0
+                while 2 not in chain.chi:
+                    assert chain.cancel_next() is not None
+                    steps += 1
+                assert steps == m
+                chain.check()
+                assert _three_manifold_verdict(g, res) == SPHERE
 
 
 # -- proven spheres checked on the chain's own rows ------------------------
